@@ -9,13 +9,12 @@ Two measurements, recorded to ``BENCH_training.json`` at the repo root:
   asserted on the mean speedup (single-process work: CPU count does not
   gate it).
 * **Training-shard scaling** — the same top-N stand-alone trainings
-  through ``AccurateEvaluator.train_accuracies`` at workers 1/2/3
-  (smoke-scale candidates so pool spawn does not dominate), with the
-  replication payload size recorded next to the fast-evaluator replica's
-  for the ROADMAP's payload question.  Parity is always asserted
-  (bit-identical accuracies at every worker count); like the evaluation
-  benchmark, speedup is informational on hosts with fewer cores than
-  workers and the record carries an explicit ``degraded_host`` flag.
+  through ``AccurateEvaluator.train_accuracies`` at workers 1/2/3, the
+  threads all running ``train_accuracy`` on one evaluator (smoke-scale
+  candidates).  Parity is always asserted (bit-identical accuracies at
+  every worker count); like the evaluation benchmark, speedup is
+  informational on hosts with fewer cores than workers and the record
+  carries an explicit ``degraded_host`` flag.
 
 `docs/PERFORMANCE.md` ("Training path") documents the cache memory model
 and when ``train_fast`` is legal.
@@ -36,7 +35,6 @@ from repro.nas.space import DnnSpace
 from repro.nas.train import train_network
 from repro.nn.data import SyntheticCifar
 from repro.obs import cpu_budget, host_info
-from repro.parallel import TrainingJob, TrainingPool, replication_payload
 from repro.search.evaluator import AccurateEvaluator
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -138,62 +136,36 @@ def test_bench_training_fast_kernels_and_shards(demo_context):
     ]
     shard_runs = []
     reference = None
-    payload = None
     for workers in SHARD_WORKERS:
-        if workers <= 1:
-            setup_s = 0.0
-            t0 = time.perf_counter()
-            accuracies = accurate.train_accuracies(points, workers=1)
-            train_s = time.perf_counter() - t0
-        else:
-            pool = TrainingPool(accurate, workers=workers)
-            # Warm the pool with one disjoint job so spawn + replication
-            # cost is reported separately from the measured batch.
-            warm = CoDesignPoint(
-                genotype=space.sample(rng), config=random_config(rng)
-            )
-            t0 = time.perf_counter()
-            pool.run_jobs([TrainingJob(point=warm)])
-            setup_s = time.perf_counter() - t0
-            payload = pool.payload_bytes
-            t0 = time.perf_counter()
-            accuracies = accurate.train_accuracies(points, pool=pool)
-            train_s = time.perf_counter() - t0
-            pool.close()
+        # Thread start-up is inside train_s: there is no replica to ship.
+        t0 = time.perf_counter()
+        accuracies = accurate.train_accuracies(points, workers=workers)
+        train_s = time.perf_counter() - t0
         if reference is None:
             reference = accuracies
         assert accuracies == reference, f"workers={workers} diverged (bit parity)"
         shard_runs.append(
             {
                 "workers": workers,
-                "setup_s": round(setup_s, 3),
                 "train_s": round(train_s, 3),
                 "bit_identical": True,
             }
         )
-        print(
-            f"train shards: workers={workers} setup {setup_s:.2f} s, "
-            f"train {train_s:.2f} s"
-        )
+        print(f"train shards: workers={workers} train {train_s:.2f} s")
     serial_s = shard_runs[0]["train_s"]
     for entry in shard_runs:
         entry["speedup_vs_serial"] = round(serial_s / entry["train_s"], 3)
     record["shards"] = {
         "candidates": SHARD_CANDIDATES,
         "train_epochs": 2,
-        "payload_bytes_per_worker": payload,
-        "fast_evaluator_payload_bytes": len(
-            replication_payload(demo_context.fast_evaluator)
-        ),
         "degraded_host": host_info(max(SHARD_WORKERS))["degraded_host"],
         "runs": shard_runs,
         "notes": (
-            "stand-alone trainings are CPU-bound numpy, so on hosts with "
-            "fewer cores than workers the expected speedup is < 1 "
-            "(degraded_host: true) and only bit parity is asserted; the "
-            "training payload ships the dataset + recipe once per worker "
-            "— compare against fast_evaluator_payload_bytes (the Step-2 "
-            "replica) for the ROADMAP payload question."
+            "stand-alone trainings are CPU-bound numpy on threads sharing "
+            "one evaluator, so only kernels that release the GIL overlap.  "
+            "degraded_host: true means some worker counts exceed the "
+            "cores; those runs cannot scale past the core count, and only "
+            "bit parity is asserted."
         ),
     }
 

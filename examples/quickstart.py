@@ -22,7 +22,7 @@ def main() -> None:
                         help="experiment scale (smoke: ~30 s, demo: minutes)")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--workers", type=int, default=1,
-                        help="worker processes for Step-2 candidate scoring "
+                        help="worker threads for Step-2 candidate scoring "
                              "(bit-identical results at any count)")
     args = parser.parse_args()
 

@@ -53,7 +53,7 @@ def quick_codesign(
     Convenience entry point used by the quickstart example; returns a
     :class:`repro.search.YosoResult`.  ``workers > 1`` shards Step-2
     candidate scoring AND Step-3 top-N training across that many worker
-    processes (:mod:`repro.parallel`) with bit-identical results.
+    threads (:mod:`repro.parallel`) with bit-identical results.
     ``train_fast=True`` runs Step-3 training under the compact-cache
     training kernels (same recipe, gradients matching the standard
     kernels at rel 1e-6; off by default for paper fidelity).

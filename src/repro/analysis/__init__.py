@@ -2,8 +2,8 @@
 
 Every layer of this repository leans on invariants that ordinary tests
 cannot guard exhaustively: bit-identical results need seeded RNG and no
-wall-clock reads in evaluation paths, worker replicas must never pickle
-locks or metric handles, threading code must never block under a held
+wall-clock reads in evaluation paths, metric handles must stay
+module-level, threading code must never block under a held
 lock, every error crossing the client/service boundary must be
 classified in the retry taxonomy, and wire floats must round-trip by
 ``repr``.  This package turns each of those docstring rules into a

@@ -34,7 +34,6 @@ BENCH_SCHEMAS: Dict[str, Dict[str, type]] = {
     "BENCH_parallel.json": {
         "scale": str,
         "population": int,
-        "payload_bytes_per_worker": int,
         "runs": list,
         "scheduler": dict,
     },

@@ -2,7 +2,7 @@
 
 Rules in :mod:`repro.analysis.rules` are generic AST machinery; this
 module is where the *repo-specific* facts live — which modules may read
-the wall clock, which classes are pickled to worker replicas, which
+the wall clock, which attributes are metric handles, which
 exception types the retry taxonomy classifies, which functions are the
 blessed wire-float encoders.  Changing an invariant means changing a
 table here (plus its entry in ``docs/ANALYSIS.md``), never editing rule
@@ -215,39 +215,10 @@ LOCK_ORDER: tuple[tuple[str, str, str], ...] = (
 # replica-safety
 # ---------------------------------------------------------------------------
 
-#: Classes pickled whole to worker processes (``replication_payload``
-#: ships FastEvaluator; ``TrainingPool`` pickles AccurateEvaluator).
-#: Growing a new pool payload type means adding its class here so the
-#: checker starts guarding its ``__getstate__``.
-REPLICATED_CLASSES = frozenset({"FastEvaluator", "AccurateEvaluator"})
-
-#: Attribute names that smell like process-local handles on a replicated
-#: class: stores (file handle + flock), sockets, file objects, raw fds,
-#: threads, executors, pools, tracers and sinks.  Assigning one a
-#: non-``None`` value anywhere in a replicated class requires a
-#: ``__getstate__`` that mentions (strips) that attribute.
-RISKY_REPLICA_ATTRS = frozenset(
-    {
-        "_store",
-        "_sock",
-        "_socket",
-        "_file",
-        "_fd",
-        "_thread",
-        "_executor",
-        "_pool",
-        "_tracer",
-        "_sink",
-        "_lock",
-        "_cond",
-    }
-)
-
 #: Registry factory methods: ``<anything>.counter(...)`` / ``.gauge`` /
 #: ``.histogram`` assigned to ``self.<attr>`` is an instance-level
-#: metric handle — forbidden everywhere (metric objects hold locks, and
-#: evaluator instances travel through pickle; the module-level-handle
-#: rule from PR 7).
+#: metric handle — forbidden everywhere (metric objects hold locks and
+#: do not pickle).
 METRIC_FACTORY_ATTRS = frozenset({"counter", "gauge", "histogram"})
 
 

@@ -30,8 +30,6 @@ from .registry import (
     LOCK_ORDER,
     METRIC_FACTORY_ATTRS,
     NP_SEEDED_CONSTRUCTORS,
-    REPLICATED_CLASSES,
-    RISKY_REPLICA_ATTRS,
     WALLCLOCK_ALLOWED_PREFIXES,
     WALLCLOCK_CALLS,
     WIRE_MODULES,
@@ -165,16 +163,7 @@ class DeterminismWallclockRule(Rule):
 
 class ReplicaSafetyRule(Rule):
     rule_id = "replica-safety"
-    summary = "replicated classes strip process-local handles; metric handles stay module-level"
-
-    def _getstate_mentions(self, fn: ast.FunctionDef) -> Set[str]:
-        names: Set[str] = set()
-        for node in ast.walk(fn):
-            if isinstance(node, ast.Attribute):
-                names.add(node.attr)
-            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-                names.add(node.value)
-        return names
+    summary = "metric handles stay module-level, never instance attributes"
 
     def check_module(self, module: ModuleInfo) -> Iterator[Finding]:
         for cls in ast.walk(module.tree):
@@ -201,45 +190,6 @@ class ReplicaSafetyRule(Rule):
                                 "metric handles must be module-level "
                                 "(they hold locks and do not pickle to replicas)",
                             )
-            if cls.name not in REPLICATED_CLASSES:
-                continue
-            risky: Dict[str, ast.stmt] = {}
-            for stmt in ast.walk(cls):
-                value = getattr(stmt, "value", None)
-                if isinstance(value, ast.Constant) and value.value is None:
-                    continue  # self._x = None is already replica-safe
-                for target in _assign_targets(stmt):
-                    attr = _self_attr(target)
-                    if attr in RISKY_REPLICA_ATTRS:
-                        risky.setdefault(attr, stmt)
-            if not risky:
-                continue
-            getstate = next(
-                (
-                    item
-                    for item in cls.body
-                    if isinstance(item, ast.FunctionDef) and item.name == "__getstate__"
-                ),
-                None,
-            )
-            if getstate is None:
-                attrs = ", ".join(sorted(risky))
-                yield self.finding(
-                    module,
-                    cls,
-                    f"{cls.name} is pickled to worker replicas but has no __getstate__ "
-                    f"stripping its process-local handles ({attrs})",
-                )
-                continue
-            mentioned = self._getstate_mentions(getstate)
-            for attr in sorted(risky):
-                if attr not in mentioned:
-                    yield self.finding(
-                        module,
-                        risky[attr],
-                        f"{cls.name}.__getstate__ does not strip self.{attr}; "
-                        "process-local handles must not reach worker replicas",
-                    )
 
 
 def _blocking_label(node: ast.Call, aliases: Dict[str, str]) -> Optional[str]:

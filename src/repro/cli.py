@@ -24,8 +24,8 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument(
         "--workers", type=int, default=1,
-        help="worker processes for candidate scoring and stand-alone "
-             "training (1 = in-process; search/training-driven commands "
+        help="worker threads for candidate scoring and stand-alone "
+             "training (1 = serial; search/training-driven commands "
              "only, results are bit-identical)")
     parser.add_argument(
         "--train-fast", action="store_true",

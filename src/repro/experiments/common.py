@@ -56,9 +56,9 @@ class ExperimentContext:
     batch_evaluator: BatchEvaluator
     t_lat_ms: float
     t_eer_mj: float
-    #: Worker processes behind ``batch_evaluator`` (1 = in-process).  Also
-    #: the shard width for the harnesses' stand-alone training pools
-    #: (table2's training rescore path).
+    #: Worker threads behind ``batch_evaluator`` (1 = in-process).  Also
+    #: the shard width for the harnesses' stand-alone trainings (table2's
+    #: training rescore path).
     workers: int = 1
     #: Run the harnesses' stand-alone trainings (fig5b correlation models,
     #: table2 training rescore) under the compact-cache training kernels.
@@ -103,10 +103,10 @@ def _get_store(store_path: str | None):
 def clear_context_cache() -> None:
     """Drop cached contexts (tests use this to force rebuilds).
 
-    Parallel-backed contexts shut their worker pools down first, and any
+    Parallel-backed contexts shut their worker threads down first, and any
     open durable stores are flushed and closed (reopening the same path
     later loads the persisted records back), so clearing never leaks
-    processes or file locks.
+    threads or file locks.
     """
     for context in _CACHE.values():
         if hasattr(context.batch_evaluator, "close"):
@@ -117,8 +117,8 @@ def clear_context_cache() -> None:
     _STORES.clear()
 
 
-# Cached parallel-backed contexts hold live worker pools; shut them down
-# when the process ends.  (Pools respawn lazily, so a closed context that
+# Cached parallel-backed contexts hold live worker threads; shut them down
+# when the process ends.  (Pools restart lazily, so a closed context that
 # is looked up again keeps working.)
 atexit.register(clear_context_cache)
 
@@ -165,10 +165,10 @@ def get_context(
     """Build (or fetch) the shared experiment context for a scale.
 
     ``workers > 1`` backs the shared batch evaluator with the sharded
-    multi-process engine (:func:`repro.parallel.create_evaluator`), so
+    multi-threaded engine (:func:`repro.parallel.create_evaluator`), so
     every experiment harness' candidate scoring fans out across worker
-    processes — with bit-identical results — and the harnesses'
-    stand-alone training pools shard their top-N trainings the same way.
+    threads — with bit-identical results — and the harnesses'
+    stand-alone trainings shard their top-N the same way.
     ``train_fast=True`` runs those trainings under the compact-cache
     training kernels (docs/PERFORMANCE.md, "Training path").  The
     expensive Step-1 artefacts (trained HyperNet, simulator samples, GP
@@ -265,7 +265,7 @@ def get_context(
         # One shared batched scorer (LRU + batched GP + batched HyperNet
         # accuracy) so every experiment harness — and the report CLI's
         # efficiency table — sees the same hits/misses accounting.  At
-        # workers > 1 it is the sharded multi-process engine.
+        # workers > 1 it is the sharded multi-threaded engine.
         batch_evaluator=batch_evaluator,
         t_lat_ms=t_lat,
         t_eer_mj=t_eer,

@@ -43,7 +43,7 @@ def generate_report(
     :class:`~repro.search.evaluator.BatchEvaluator` cache accounting
     (lookups / hits / hit-rate per stage, cumulative hit rate overall) —
     see EXPERIMENTS.md for how to read the columns.  ``workers > 1``
-    shards candidate scoring across that many worker processes (results
+    shards candidate scoring across that many worker threads (results
     are bit-identical; a parallel-engine line is appended to the
     efficiency section).  ``workers`` only applies when ``context`` is
     None — an explicit context brings its own evaluator, and the report
@@ -78,8 +78,8 @@ def generate_report(
         from ..service import RemoteEvaluator
 
         # ``workers`` still matters with an endpoint: candidate scoring
-        # goes remote, but the harnesses' local stand-alone training
-        # pools (table2's rescore path) shard by context.workers.
+        # goes remote, but the harnesses' local stand-alone trainings
+        # (table2's rescore path) shard by context.workers.
         base = context or get_context(
             scale_name, seed, workers=workers, store_path=store_path
         )
@@ -282,30 +282,13 @@ def _generate(
                       f"{service['max_inflight_points']} budget points."]
     elif context.workers > 1:
         pool = getattr(evaluator, "pool", None)
-        threshold = getattr(evaluator, "dispatch_threshold", None)
-        if threshold is None:
-            threshold_desc = "the dispatch threshold"
-        else:
-            kind = (
-                "adaptive"
-                if getattr(evaluator, "tuner", None) is not None
-                else "fixed"
-            )
-            threshold_desc = f"the {kind} dispatch threshold of {threshold}"
-        if pool is None:
-            parts += ["",
-                      f"Parallel engine: {context.workers} workers configured, "
-                      f"pool never spawned (every batch stayed below "
-                      f"{threshold_desc} — see docs/PERFORMANCE.md)."]
-        else:
-            parts += ["",
-                      f"Parallel engine: {context.workers} workers, "
-                      f"{pool.batches} dispatched batches "
-                      f"({pool.items} cold genotypes sharded), "
-                      f"{pool.restarts} pool restarts, "
-                      f"replication payload "
-                      f"{pool.payload_bytes / 1e6:.1f} MB/worker; "
-                      f"{threshold_desc} applied."]
+        batches = pool.batches if pool is not None else 0
+        items = pool.items if pool is not None else 0
+        parts += ["",
+                  f"Parallel engine: {context.workers} worker threads, "
+                  f"{batches} sharded batches ({items} cold genotypes); "
+                  f"batches with fewer than two cold genotypes run inline "
+                  f"(see docs/PERFORMANCE.md)."]
 
     # Machine-readable metrics (repro.obs registry snapshot — the
     # service's own registry in endpoint mode, this process's otherwise).
@@ -334,8 +317,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--iterations", type=int, default=None)
     parser.add_argument("--workers", type=int, default=1,
-                        help="worker processes for candidate scoring "
-                             "(1 = in-process; results are bit-identical)")
+                        help="worker threads for candidate scoring "
+                             "(1 = serial; results are bit-identical)")
     parser.add_argument("--endpoint", default=None, metavar="HOST:PORT",
                         help="score candidates against a running "
                              "`yoso serve` search service instead of "

@@ -135,7 +135,6 @@ def _yoso_row(
     topn: int,
     restarts: int = 1,
     rescorer: AccurateEvaluator | None = None,
-    training_pool=None,
 ) -> Table2Row:
     """One YOSO search (Step 2 + Step 3 rescoring via accurate simulation).
 
@@ -147,8 +146,8 @@ def _yoso_row(
     With a ``rescorer`` (an :class:`~repro.search.evaluator.
     AccurateEvaluator`, built once by :func:`run_table2`), rescored
     accuracy comes from stand-alone training of every pooled candidate
-    (the paper's actual Step 3) — sharded over ``training_pool`` when one
-    is provided, each candidate seeded with this row's objective seed;
+    (the paper's actual Step 3) — sharded over the context's ``workers``
+    threads, each candidate seeded with this row's objective seed;
     the default keeps the cheaper full-split HyperNet re-measurement that
     demo-scale Table 2 runs have always used.
     """
@@ -183,13 +182,12 @@ def _yoso_row(
     scale = context.scale
     points = [sample.point() for sample in candidates]
     if rescorer is not None:
-        # The per-objective seed rides in the jobs, so one shared
-        # evaluator/pool (its replica pickled once) serves every row.
+        # The per-objective seed rides with each candidate, so one shared
+        # evaluator serves every row.
         accuracies = rescorer.train_accuracies(
             points,
             workers=context.workers,
             seeds=[objective_seed] * len(points),
-            pool=training_pool,
         )
     else:
         accuracies = context.hypernet.evaluate_many(
@@ -326,13 +324,10 @@ def run_table2(
         )
     # Two policy restarts per objective at reduced scales (see _yoso_row).
     restarts = 1 if scale.name == "paper" else 2
-    # ONE rescorer (and, at workers > 1, one training pool replicating
-    # it) serves both YOSO rows: the dataset + recipe are identical
-    # across rows — only the per-candidate seeds differ, and those ride
-    # in the jobs — so the evaluator is built once and the pool spawn +
-    # replication cost is paid once, not per row.
+    # ONE rescorer serves both YOSO rows: the dataset + recipe are
+    # identical across rows — only the per-candidate seeds differ — so the
+    # evaluator is built once, not per row.
     rescorer = None
-    training_pool = None
     if rescore_training:
         rescorer = AccurateEvaluator(
             context.dataset,
@@ -346,23 +341,10 @@ def run_table2(
         )
         if context.store is not None:
             # Persisted trained accuracies (keyed genotype tokens + seed)
-            # are reused bit-exactly; worker replicas never see the store
-            # (hit partitioning happens in the parent).
+            # are reused bit-exactly.
             rescorer.attach_store(context.store)
-        if context.workers > 1:
-            from ..parallel import TrainingPool
-
-            training_pool = TrainingPool(rescorer, context.workers)
-    try:
-        rows.append(_yoso_row("Yoso_lat", LATENCY_FOCUS, seed + 11, context,
-                              n_iter, n_top, restarts=restarts,
-                              rescorer=rescorer,
-                              training_pool=training_pool))
-        rows.append(_yoso_row("Yoso_eer", ENERGY_FOCUS, seed + 12, context,
-                              n_iter, n_top, restarts=restarts,
-                              rescorer=rescorer,
-                              training_pool=training_pool))
-    finally:
-        if training_pool is not None:
-            training_pool.close()
+    rows.append(_yoso_row("Yoso_lat", LATENCY_FOCUS, seed + 11, context,
+                          n_iter, n_top, restarts=restarts, rescorer=rescorer))
+    rows.append(_yoso_row("Yoso_eer", ENERGY_FOCUS, seed + 12, context,
+                          n_iter, n_top, restarts=restarts, rescorer=rescorer))
     return Table2Result(rows=rows, t_lat_ms=context.t_lat_ms, t_eer_mj=context.t_eer_mj)

@@ -8,6 +8,7 @@ at a time (standard for define-by-run training loops).
 from __future__ import annotations
 
 from contextlib import contextmanager
+from contextvars import ContextVar
 
 import numpy as np
 
@@ -38,14 +39,17 @@ __all__ = [
 #: Number of contiguous equal-length sub-batches every BatchNorm2d forward
 #: should normalise independently (1 = plain batch norm).  Set via
 #: :func:`bn_segments`; read at call time so the scope nests correctly.
-_BN_SEGMENTS: int = 1
+#: Context-local, so threads in overlapping scopes never see each other's
+#: value.
+_BN_SEGMENTS: ContextVar[int] = ContextVar("repro_bn_segments", default=1)
 
 
 #: Whether conv/pool layers should run the compact-cache training kernels
 #: (see the ``*_fast`` family in :mod:`repro.nn.functional`).  Off by
 #: default for paper fidelity; set via :func:`train_fast`, read at forward
-#: time so the scope nests correctly.
-_TRAIN_FAST: bool = False
+#: time so the scope nests correctly.  Context-local like
+#: :data:`_BN_SEGMENTS`.
+_TRAIN_FAST: ContextVar[bool] = ContextVar("repro_train_fast", default=False)
 
 
 @contextmanager
@@ -63,18 +67,16 @@ def train_fast(enabled: bool = True):
     ``tests/test_nn_fast_kernels.py`` and docs/PERFORMANCE.md ("Training
     path").  The default mode everywhere stays the standard kernels.
     """
-    global _TRAIN_FAST
-    previous = _TRAIN_FAST
-    _TRAIN_FAST = bool(enabled)
+    token = _TRAIN_FAST.set(bool(enabled))
     try:
         yield
     finally:
-        _TRAIN_FAST = previous
+        _TRAIN_FAST.reset(token)
 
 
 def train_fast_enabled() -> bool:
     """Whether the compact-cache training kernels are active in this scope."""
-    return _TRAIN_FAST
+    return _TRAIN_FAST.get()
 
 
 @contextmanager
@@ -90,15 +92,13 @@ def bn_segments(segments: int):
     cache).  Affects training-mode BN only; other layers are per-sample
     and need no scoping.
     """
-    global _BN_SEGMENTS
     if segments < 1:
         raise ValueError("segments must be >= 1")
-    previous = _BN_SEGMENTS
-    _BN_SEGMENTS = segments
+    token = _BN_SEGMENTS.set(segments)
     try:
         yield
     finally:
-        _BN_SEGMENTS = previous
+        _BN_SEGMENTS.reset(token)
 
 
 class Conv2d(Module):
@@ -125,7 +125,7 @@ class Conv2d(Module):
         self._fast = False
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        self._fast = _TRAIN_FAST
+        self._fast = _TRAIN_FAST.get()
         if self._fast:
             if not self.training:  # no backward coming: skip the cache
                 self._cache = None
@@ -166,7 +166,7 @@ class DepthwiseConv2d(Module):
         self._fast = False
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        self._fast = _TRAIN_FAST
+        self._fast = _TRAIN_FAST.get()
         if self._fast:
             if not self.training:  # no backward coming: skip the cache
                 self._cache = None
@@ -230,8 +230,9 @@ class BatchNorm2d(Module):
         self._fast = False
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        self._fast = _TRAIN_FAST
-        if self._fast and self.training and _BN_SEGMENTS == 1:
+        self._fast = _TRAIN_FAST.get()
+        segments = _BN_SEGMENTS.get()
+        if self._fast and self.training and segments == 1:
             out, self._cache = F.batchnorm_forward_fast(
                 x,
                 self.gamma.data,
@@ -252,7 +253,7 @@ class BatchNorm2d(Module):
             self.momentum,
             self.eps,
             self.training,
-            segments=_BN_SEGMENTS,
+            segments=segments,
         )
         return out
 
@@ -272,7 +273,7 @@ class ReLU(Module):
         self._mask: np.ndarray | None = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        if _TRAIN_FAST and not self.training:  # no backward coming: skip the mask
+        if _TRAIN_FAST.get() and not self.training:  # no backward coming: skip the mask
             self._mask = None
             return np.maximum(x, 0.0)
         out, self._mask = F.relu_forward(x)
@@ -292,7 +293,7 @@ class MaxPool2d(Module):
         self._fast = False
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        self._fast = _TRAIN_FAST
+        self._fast = _TRAIN_FAST.get()
         if self._fast:
             if not self.training:  # no backward coming: skip the mask
                 self._cache = None
@@ -319,7 +320,7 @@ class AvgPool2d(Module):
         self._fast = False
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        self._fast = _TRAIN_FAST
+        self._fast = _TRAIN_FAST.get()
         if self._fast and not self.training:
             self._cache = None
             return F.avgpool2d_infer(x, self.kernel, self.stride, self.pad)

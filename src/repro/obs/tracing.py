@@ -14,15 +14,15 @@ Propagation model (why there are three mechanisms):
 * **Within a thread** — a :mod:`contextvars` variable holds the current
   ``(trace_id, span_id)``, so nested spans pick up their parent with no
   plumbing.
-* **Across threads and the wire** — explicit ``(trace_id, parent_id)``
+* **Into pool threads** — :class:`repro.parallel.pool.WorkerPool` runs
+  each shard under a copy of the dispatching thread's context, so a
+  ``pool.shard`` span nests under ``pool.dispatch`` exactly as an
+  in-thread call would.
+* **Across queues and the wire** — explicit ``(trace_id, parent_id)``
   pairs travel with the work: the NDJSON protocol carries an optional
   ``trace`` field, and :meth:`MicroBatchScheduler.submit` accepts a
   trace context alongside the points (the scheduler thread that runs the
   batch is not the thread that submitted it).
-* **Across processes** — worker tasks receive the ids as plain args,
-  build span *dicts* locally, and return them with the result; the
-  parent merges them into its own tracer on harvest
-  (:meth:`Tracer.ingest`).  Worker processes never write sinks.
 
 Zero-cost-by-default: the tracer starts disabled, and a disabled tracer
 hands out one shared no-op span (:data:`NULL_SPAN`) — no allocation, no
@@ -39,7 +39,7 @@ import threading
 import time
 import uuid
 from collections import deque
-from typing import IO, Iterable, Mapping
+from typing import IO
 
 __all__ = [
     "Span",
@@ -50,7 +50,6 @@ __all__ = [
     "current_context",
     "new_trace_id",
     "new_span_id",
-    "worker_span",
 ]
 
 #: (trace_id, span_id) of the innermost active span on this thread/task.
@@ -298,14 +297,6 @@ class Tracer:
             return
         self.record(name, trace_id, parent_id, time.time() - ago_s, ago_s, **attrs)
 
-    def ingest(self, span_dicts: Iterable[Mapping]) -> None:
-        """Merge spans built elsewhere (worker processes return span
-        dicts with their results; the parent ingests them on harvest)."""
-        if not self.enabled:
-            return
-        for span in span_dicts:
-            self._emit(dict(span))
-
     # -- collection ------------------------------------------------------
     def _finish(self, span: Span) -> None:
         if self.enabled:
@@ -338,38 +329,6 @@ class Tracer:
             if self._sink is not None:
                 self._sink.close()
                 self._sink = None
-
-
-def worker_span(
-    name: str,
-    trace_id: str,
-    parent_id: str | None,
-    fn,
-    **attrs,
-) -> tuple:
-    """Run ``fn()`` and return ``(result, span_dict)`` measuring it.
-
-    The cross-process span builder: worker processes hold a fresh
-    (disabled) global tracer, so instead of a :class:`Span` they build
-    the plain dict form and ship it home with the result for
-    :meth:`Tracer.ingest`.  Both clock reads (the wall anchor and the
-    ``perf_counter`` duration) live here in obs, keeping worker task
-    modules clock-free for the determinism-wallclock lint rule.
-    """
-    start_s = time.time()
-    t0 = time.perf_counter()
-    result = fn()
-    span = {
-        "name": name,
-        "trace": trace_id,
-        "span": new_span_id(),
-        "parent": parent_id,
-        "start_s": start_s,
-        "duration_s": time.perf_counter() - t0,
-    }
-    if attrs:
-        span["attrs"] = dict(attrs)
-    return result, span
 
 
 #: The process-wide tracer (disabled until :func:`configure_tracing`).

@@ -1,70 +1,58 @@
-"""Sharded multi-process evaluation with a micro-batching scheduler.
+"""Sharded multi-threaded evaluation with a micro-batching scheduler.
 
 The batched co-design scorer (:mod:`repro.search.evaluator`) made a
 population cost one grouped HyperNet forward and one GP prediction — on
-one core.  This subsystem is the next multiplier: it spreads that work
-across worker processes and coalesces concurrent request traffic, while
-keeping results bit-identical to the single-process engine.
+one core.  This subsystem spreads that work across threads over the
+parent's own evaluators and coalesces concurrent request traffic, while
+keeping results bit-identical to the single-threaded engine.
 
-* :mod:`repro.parallel.pool` — :class:`EvaluatorPool`: a persistent,
-  spawn-safe worker pool; each worker deserialises ONE stripped
-  :class:`~repro.search.evaluator.FastEvaluator` replica at startup
-  (weights and GP predictors ship once, never per call) and the pool
-  transparently respawns and resubmits when a worker dies.
+* :mod:`repro.parallel.pool` — :class:`WorkerPool`: a persistent thread
+  executor that runs a task over deterministic shards, each under a copy
+  of the caller's context, and harvests every shard before an error
+  propagates; :class:`EvaluatorPool` runs the cold-genotype work items
+  against one :class:`~repro.search.evaluator.FastEvaluator`.
 * :mod:`repro.parallel.sharder` — deterministic contiguous chunking of
   genotype populations and flat hardware sweeps, with an
   order-preserving merge (``merge(shard(xs, k)) == xs`` for every k).
 * :mod:`repro.parallel.evaluator` — :class:`ParallelEvaluator`, a
-  drop-in ``BatchEvaluator`` that keeps the LRU caches and the GP
-  prediction in the parent, ships only cache misses to workers, and
-  falls back to strict in-process execution at ``workers <= 1``.
-  :func:`create_evaluator` picks the right engine for a worker count.
+  drop-in ``BatchEvaluator`` that keeps the LRU caches, the store and the
+  GP prediction as they are and shards only the cold genotypes'
+  accuracies and feature prefixes.  :func:`create_evaluator` picks the
+  right engine for a worker count.
 * :mod:`repro.parallel.scheduler` — :class:`MicroBatchScheduler`:
   coalesces concurrent ``evaluate`` requests from many search threads or
   service clients into one sharded batch per tick.
-* :mod:`repro.parallel.training` — the second task type:
-  :class:`TrainingPool` replicates an
-  :class:`~repro.search.evaluator.AccurateEvaluator` (dataset + recipe)
-  per worker and runs independent Step-3 ``train_accuracy`` jobs
-  concurrently; :func:`train_accuracies` is the serial/sharded entry
-  point, bit-identical to the serial loop at any worker count.
+* :mod:`repro.parallel.training` — :func:`train_accuracies` runs
+  independent Step-3 ``train_accuracy`` jobs on threads over one
+  :class:`~repro.search.evaluator.AccurateEvaluator`, bit-identical to
+  the serial loop at any worker count.
 
 Every search strategy reaches this engine through the ``workers`` knob on
 :class:`~repro.search.yoso.YosoConfig`, ``get_context(...)`` or the
 ``--workers`` CLI flags (which also shard Step-3 top-N training); see
-docs/PERFORMANCE.md for the execution model and when workers lose to
-in-process.  :mod:`repro.service` exposes the whole stack as a long-lived
+docs/PERFORMANCE.md for the execution model and where the GIL caps the
+speedup.  :mod:`repro.service` exposes the whole stack as a long-lived
 TCP endpoint (``yoso serve``), with the scheduler coalescing concurrent
 network clients exactly as it coalesces in-process threads.
 """
 
-from .evaluator import DispatchTuner, ParallelEvaluator, create_evaluator
-from .pool import (
-    EvaluatorPool,
-    ShardResult,
-    WorkerPool,
-    WorkItem,
-    replication_payload,
-)
+from ..search.evaluator import ShardResult, WorkItem
+from .evaluator import ParallelEvaluator, create_evaluator
+from .pool import EvaluatorPool, WorkerPool
 from .scheduler import MicroBatchScheduler
 from .sharder import merge_shards, shard_bounds, shard_sequence
-from .training import TrainingJob, TrainingPool, train_accuracies, training_payload
+from .training import train_accuracies
 
 __all__ = [
-    "DispatchTuner",
     "ParallelEvaluator",
     "create_evaluator",
     "EvaluatorPool",
     "WorkerPool",
     "WorkItem",
     "ShardResult",
-    "replication_payload",
     "MicroBatchScheduler",
     "shard_bounds",
     "shard_sequence",
     "merge_shards",
-    "TrainingJob",
-    "TrainingPool",
     "train_accuracies",
-    "training_payload",
 ]

@@ -1,295 +1,69 @@
 """ParallelEvaluator: sharded, drop-in batched candidate scoring.
 
-A :class:`~repro.search.evaluator.BatchEvaluator` subclass that farms the
-expensive per-genotype work of a cache miss — the grouped HyperNet
-accuracy forward and the genotype feature prefix — out to a persistent
-:class:`~repro.parallel.pool.EvaluatorPool` of replicated fast
-evaluators.  Everything else stays in the parent:
+A :class:`~repro.search.evaluator.BatchEvaluator` subclass that overrides
+one thing: how the unique cold genotypes of a call get their HyperNet
+accuracies and feature prefixes.  Fewer than two run inline; more are
+sharded across the threads of an :class:`~repro.parallel.pool.
+EvaluatorPool` working on this evaluator's own
+:class:`~repro.search.evaluator.FastEvaluator`.  Everything else is
+inherited unchanged:
 
 * the encoding-keyed LRU caches (evaluations, accuracies, feature
-  prefixes) — only cache *misses* are ever shipped to workers;
-* the durable tier-2 store consult/append (``attach_store``, inherited
-  from the parent's miss path), so persisted results short-circuit
-  before any pool dispatch and workers never touch the store file;
+  prefixes) — only cache *misses* are ever sharded;
+* the durable tier-2 store consult/append (``attach_store``), so
+  persisted results short-circuit before any dispatch;
 * the cheap hardware feature suffix (``config_features``);
-* the batched GP latency/energy prediction, which runs over the full
-  merged feature matrix exactly as in the single-process path;
+* the batched GP latency/energy prediction over the full merged feature
+  matrix;
 * :class:`~repro.search.evaluator.Evaluation` assembly and accounting.
 
-**Bit-exactness.**  Worker-side accuracies equal the scalar oracle
-exactly (the ``evaluate_many`` parity property), feature rows are a
-deterministic pure function of the genotype, sharding is deterministic
-with an order-preserving merge (:mod:`repro.parallel.sharder`), and the
-GP sees the identical stacked matrix either way — so results are
-bit-identical to :class:`~repro.search.evaluator.BatchEvaluator` at any
-worker count.  ``tests/test_parallel.py`` pins this with ``==`` (no
-tolerances).
+**Bit-exactness.**  Sharded accuracies equal the scalar oracle exactly
+(the ``evaluate_many`` parity property), feature rows are a deterministic
+pure function of the genotype, sharding is deterministic with an
+order-preserving merge (:mod:`repro.parallel.sharder`), and the GP sees
+the identical stacked matrix either way — so results are ``==``
+:class:`~repro.search.evaluator.BatchEvaluator` at any worker count
+(``tests/test_parallel.py``).
 
-At ``workers <= 1`` every call falls back to the inherited in-process
-implementation and no pool is ever created; :func:`create_evaluator`
-returns a plain ``BatchEvaluator`` in that case so default single-core
-paths carry zero lifecycle baggage.
+At ``workers <= 1`` no pool is ever created; :func:`create_evaluator`
+returns a plain ``BatchEvaluator`` in that case.
 """
 
 from __future__ import annotations
 
-import time
-from collections import OrderedDict
-from typing import Sequence
-
-import numpy as np
-
-from ..nas.encoding import CoDesignPoint
-from ..predict.features import config_features
-from ..search.evaluator import BatchEvaluator, FastEvaluator
-from .pool import EvaluatorPool, WorkItem, compute_work_items
+from ..search.evaluator import BatchEvaluator, FastEvaluator, ShardResult, WorkItem
+from .pool import EvaluatorPool
 from .sharder import shard_sequence
 
-__all__ = ["DispatchTuner", "ParallelEvaluator", "create_evaluator"]
-
-
-class DispatchTuner:
-    """Adaptive dispatch threshold from the session's measured costs.
-
-    "Is this cold batch worth a pool round-trip?" depends on two measured
-    quantities: the in-process cost per cold item (``item_s``, from
-    batches that ran locally) and the pool's fixed per-dispatch overhead
-    (``overhead_s``: IPC, pickling, shard bookkeeping — measured as the
-    part of a dispatch's wall time the sharded compute does not explain).
-    With ``w`` workers a dispatch of ``n`` items costs about
-    ``overhead_s + ceil(n / w) * item_s`` against ``n * item_s``
-    in-process, so the pool wins beyond::
-
-        n* = overhead_s * w / (item_s * (w - 1))
-
-    Cheap demo-scale genotypes (tiny ``item_s``) therefore need larger
-    cold batches to amortise a round-trip than expensive paper-scale ones
-    — the ROADMAP observation this class automates.  Until both
-    quantities have been observed the configured ``initial`` threshold
-    applies (2, the engine's former fixed default).  Estimates are
-    exponential moving averages, so a session's threshold tracks drifting
-    machine load.
-
-    Sessions whose cold batches are always at or above the threshold
-    would never produce a local sample (the local path is what measures
-    ``item_s``), so :meth:`wants_probe` asks for ONE bounded in-process
-    calibration batch (at most ``probe_cap`` items) before the first
-    dispatch — values are identical either way, and it is the sample that
-    lets every later pool dispatch calibrate the overhead.
-
-    **Pool-only sessions** (every cold batch bigger than ``probe_cap``,
-    so the probe never runs) still calibrate: each dispatch contributes a
-    ``(busiest-shard size, wall seconds)`` observation, and once
-    dispatches of two different shard sizes have been seen the
-    two-unknown least-squares fit ``seconds ~= overhead + busiest *
-    item_s`` recovers both quantities at once — the per-item cost from
-    the slope (workers run the same kernels, so the busiest shard's
-    per-item cost stands in for the local one) and the round-trip
-    overhead from the intercept.  Directly measured estimates take
-    precedence over fitted ones as soon as they exist.
-    """
-
-    def __init__(
-        self,
-        workers: int,
-        initial: int = 2,
-        floor: int = 2,
-        ceiling: int = 256,
-        ema: float = 0.5,
-        probe_cap: int = 32,
-    ) -> None:
-        if workers < 2:
-            raise ValueError("a dispatch threshold needs >= 2 workers")
-        if not 0.0 < ema <= 1.0:
-            raise ValueError("ema must be in (0, 1]")
-        self.workers = workers
-        self.initial = initial
-        self.floor = floor
-        self.ceiling = ceiling
-        self.ema = ema
-        self.probe_cap = probe_cap
-        self.local_item_s: float | None = None
-        self.pool_overhead_s: float | None = None
-        self.local_samples = 0
-        self.pool_samples = 0
-        #: Pool-only calibration: raw (busiest-shard size, wall seconds)
-        #: observations and the least-squares fit over them.
-        self._pool_obs: list[tuple[int, float]] = []
-        self.fit_item_s: float | None = None
-        self.fit_overhead_s: float | None = None
-
-    def wants_probe(self, items: int) -> bool:
-        """Whether this cold batch should run in-process once to calibrate
-        the per-item cost (no local sample yet, batch small enough that
-        the one-off detour is bounded)."""
-        return self.local_samples == 0 and items <= self.probe_cap
-
-    # ------------------------------------------------------------------
-    def _blend(self, current: float | None, sample: float) -> float:
-        if current is None:
-            return sample
-        return (1.0 - self.ema) * current + self.ema * sample
-
-    def observe_local(self, items: int, seconds: float) -> None:
-        """Record an in-process miss computation of ``items`` cold items."""
-        if items < 1 or seconds < 0:
-            return
-        self.local_item_s = self._blend(self.local_item_s, seconds / items)
-        self.local_samples += 1
-
-    def observe_pool(self, items: int, seconds: float) -> None:
-        """Record a pool dispatch of ``items`` cold items.
-
-        With a local per-item estimate, the fixed overhead is the
-        dispatch wall time minus the compute the busiest worker shard
-        explains (``ceil(n/w)`` items at the local cost).  Without one
-        (a pool-only session), the sample joins the least-squares
-        observations instead — see the class docstring.
-        """
-        if items < 1 or seconds < 0:
-            return
-        busiest = -(-items // self.workers)  # ceil division
-        if self.local_item_s is None:
-            self._pool_obs.append((busiest, seconds))
-            if len(self._pool_obs) > 64:  # bound a long session's memory
-                self._pool_obs.pop(0)
-            self._fit_pool_obs()
-            self.pool_samples += 1
-            return
-        overhead = max(0.0, seconds - busiest * self.local_item_s)
-        self.pool_overhead_s = self._blend(self.pool_overhead_s, overhead)
-        self.pool_samples += 1
-
-    def _fit_pool_obs(self) -> None:
-        """Two-unknown least squares over the pool-only observations.
-
-        ``seconds ~= overhead + busiest * item_s`` — solvable once
-        dispatches of at least two distinct busiest-shard sizes exist (a
-        single size leaves the intercept/slope split unidentifiable).
-        """
-        if len({busiest for busiest, _ in self._pool_obs}) < 2:
-            return
-        design = np.array(
-            [[1.0, float(busiest)] for busiest, _ in self._pool_obs]
-        )
-        observed = np.array([seconds for _, seconds in self._pool_obs])
-        (overhead, item_s), *_ = np.linalg.lstsq(design, observed, rcond=None)
-        self.fit_overhead_s = max(0.0, float(overhead))
-        self.fit_item_s = max(0.0, float(item_s))
-
-    @property
-    def threshold(self) -> int:
-        """Smallest cold-batch size worth a pool round-trip right now."""
-        item_s = (
-            self.local_item_s if self.local_item_s is not None else self.fit_item_s
-        )
-        overhead_s = (
-            self.pool_overhead_s
-            if self.pool_overhead_s is not None
-            else self.fit_overhead_s
-        )
-        if item_s is None or overhead_s is None:
-            return self.initial
-        if item_s <= 0.0:
-            return self.ceiling
-        n_star = overhead_s * self.workers / (item_s * (self.workers - 1))
-        return int(min(self.ceiling, max(self.floor, -(-n_star // 1))))
+__all__ = ["ParallelEvaluator", "create_evaluator"]
 
 
 class ParallelEvaluator(BatchEvaluator):
-    """Drop-in ``BatchEvaluator`` that shards cache misses across workers.
+    """Drop-in ``BatchEvaluator`` that shards cold genotypes across threads.
 
     Parameters mirror :class:`~repro.search.evaluator.BatchEvaluator`
-    plus the pool knobs:
-
-    ``workers``
-        Worker process count.  ``<= 1`` means strict in-process execution
-        (no pool, no spawn, no pickle) — behaviourally identical to the
-        parent class.
-    ``min_dispatch``
-        Smallest number of unique cold genotypes worth a round-trip to
-        the pool; below it the in-process path runs (values are identical
-        either way, this is purely a latency knob).  The default
-        ``"auto"`` adapts the threshold per session from measured costs
-        (:class:`DispatchTuner`): in-process miss computations calibrate
-        the per-item cost, pool dispatches calibrate the round-trip
-        overhead, and the break-even batch size follows both.  An integer
-        pins the old fixed behaviour.
-    ``start_method`` / ``max_restarts``
-        Forwarded to :class:`~repro.parallel.pool.EvaluatorPool`.
+    plus ``workers``, the number of concurrent shards (``<= 1`` means
+    strict in-process execution, behaviourally identical to the parent
+    class).
     """
 
     def __init__(
-        self,
-        fast: FastEvaluator,
-        workers: int = 2,
-        cache_size: int = 16384,
-        min_dispatch: int | str = "auto",
-        start_method: str = "spawn",
-        max_restarts: int = 3,
+        self, fast: FastEvaluator, workers: int = 2, cache_size: int = 16384
     ) -> None:
         super().__init__(fast, cache_size=cache_size)
         if workers < 1:
             raise ValueError("workers must be >= 1")
         self.workers = workers
-        if min_dispatch == "auto":
-            self.min_dispatch = "auto"
-            self._tuner = DispatchTuner(max(2, workers))
-        elif isinstance(min_dispatch, int):
-            self.min_dispatch = max(1, min_dispatch)
-            self._tuner = None
-        else:
-            raise ValueError("min_dispatch must be an int or 'auto'")
-        self._start_method = start_method
-        self._max_restarts = max_restarts
         self._pool: EvaluatorPool | None = None
-
-    # -- pool lifecycle --------------------------------------------------
-    def _ensure_pool(self) -> EvaluatorPool:
-        if self._pool is None:
-            self._pool = EvaluatorPool(
-                self.fast,
-                self.workers,
-                start_method=self._start_method,
-                max_restarts=self._max_restarts,
-            )
-        return self._pool
 
     @property
     def pool(self) -> EvaluatorPool | None:
-        """The live pool, or ``None`` before the first dispatch."""
+        """The thread pool, or ``None`` before the first dispatch."""
         return self._pool
 
-    @property
-    def pool_restarts(self) -> int:
-        """Worker-crash recoveries performed so far."""
-        return self._pool.restarts if self._pool is not None else 0
-
-    @property
-    def pool_resubmitted_shards(self) -> int:
-        """Shards re-run on a respawned pool after worker crashes."""
-        return (
-            self._pool.resubmitted_shards if self._pool is not None else 0
-        )
-
-    @property
-    def tuner(self) -> DispatchTuner | None:
-        """The adaptive dispatch tuner (``None`` with a fixed min_dispatch)."""
-        return self._tuner
-
-    @property
-    def dispatch_threshold(self) -> int:
-        """The cold-batch size at which the next call would use the pool."""
-        if self._tuner is not None:
-            return self._tuner.threshold
-        return self.min_dispatch  # type: ignore[return-value]
-
     def close(self) -> None:
-        """Shut the worker pool down (idempotent).
-
-        The evaluator stays usable: a later cold batch lazily spawns a
-        fresh pool from the replication payload.
-        """
+        """Shut the pool's threads down (idempotent; the evaluator stays
+        usable and a later cold batch starts them again)."""
         if self._pool is not None:
             self._pool.close()
 
@@ -299,102 +73,28 @@ class ParallelEvaluator(BatchEvaluator):
     def __exit__(self, *exc_info) -> None:
         self.close()
 
-    def __del__(self) -> None:  # pragma: no cover - interpreter teardown
-        try:
-            self.close()
-        except Exception:
-            pass
-
-    # -- the sharded miss path -------------------------------------------
-    def _miss_inputs(
-        self, points: Sequence[CoDesignPoint], geno_keys: Sequence[tuple]
-    ) -> tuple[list[float], np.ndarray]:
-        if self.workers <= 1:
-            return super()._miss_inputs(points, geno_keys)
-        # Snapshot LRU hits and collect the outstanding unique-genotype
-        # work.  Only misses cross the process boundary.
-        measured: dict[tuple, float] = {}
-        feats: dict[tuple, np.ndarray] = {}
-        need: OrderedDict[tuple, WorkItem] = OrderedDict()
-        for geno_key, point in zip(geno_keys, points):
-            if geno_key in need:
-                continue
-            acc_hit = geno_key in self._acc_lru
-            if acc_hit and geno_key not in measured:
-                measured[geno_key] = self._acc_lru[geno_key]
-                self._acc_lru.move_to_end(geno_key)
-            feat_hit = geno_key in self._feat_lru
-            if feat_hit and geno_key not in feats:
-                feats[geno_key] = self._feat_lru[geno_key]
-                self._feat_lru.move_to_end(geno_key)
-            if not (acc_hit and feat_hit):
-                need[geno_key] = WorkItem(
-                    genotype=point.genotype,
-                    need_accuracy=not acc_hit,
-                    need_features=not feat_hit,
-                )
-        if need:
-            items = list(need.values())
-            probe = self._tuner is not None and self._tuner.wants_probe(
-                len(items)
-            )
-            if probe or len(items) < self.dispatch_threshold:
-                t0 = time.perf_counter()
-                shard_results = [compute_work_items(self.fast, items)]
-                if self._tuner is not None:
-                    self._tuner.observe_local(
-                        len(items), time.perf_counter() - t0
-                    )
-            else:
-                shards = shard_sequence(items, self.workers)
-                pool = self._ensure_pool()
-                # A cold dispatch pays one-off worker spawn + replication;
-                # feeding that into the tuner would wildly overstate the
-                # steady-state round-trip overhead.  Same for a dispatch
-                # that hit a worker crash (respawn + resubmission time).
-                warm = pool.live
-                restarts_before = pool.restarts
-                t0 = time.perf_counter()
-                shard_results = pool.run_shards(shards)
-                clean = warm and pool.restarts == restarts_before
-                if self._tuner is not None and clean:
-                    self._tuner.observe_pool(
-                        len(items), time.perf_counter() - t0
-                    )
-            merged_acc = [a for r in shard_results for a in r.accuracies]
-            merged_feat = [f for r in shard_results for f in r.features]
-            for geno_key, item, accuracy, row in zip(
-                need, items, merged_acc, merged_feat
-            ):
-                if item.need_accuracy:
-                    assert accuracy is not None
-                    measured[geno_key] = accuracy
-                    self._lru_put(self._acc_lru, geno_key, accuracy, self.cache_size)
-                if item.need_features:
-                    assert row is not None
-                    feats[geno_key] = row
-                    self._lru_put(self._feat_lru, geno_key, row, self.cache_size)
-        accuracies = [measured[geno_key] for geno_key in geno_keys]
-        rows = [
-            np.concatenate([feats[geno_key], config_features(point.config)])
-            for geno_key, point in zip(geno_keys, points)
-        ]
-        return accuracies, np.stack(rows)
+    def _compute_fresh(self, items: list[WorkItem]) -> ShardResult:
+        if self.workers <= 1 or len(items) < 2:
+            return super()._compute_fresh(items)
+        if self._pool is None:
+            self._pool = EvaluatorPool(self.fast, self.workers)
+        results = self._pool.run_shards(shard_sequence(items, self.workers))
+        return ShardResult(
+            accuracies=[a for r in results for a in r.accuracies],
+            features=[f for r in results for f in r.features],
+        )
 
 
 def create_evaluator(
-    fast: FastEvaluator,
-    workers: int = 1,
-    cache_size: int = 16384,
-    **pool_kwargs,
+    fast: FastEvaluator, workers: int = 1, cache_size: int = 16384
 ) -> BatchEvaluator:
     """Build the right batched evaluator for a worker count.
 
     ``workers <= 1`` returns a plain in-process
     :class:`~repro.search.evaluator.BatchEvaluator`; anything larger
-    returns a :class:`ParallelEvaluator` (extra keyword arguments are
-    forwarded to it).  Both are drop-in compatible scorers.
+    returns a :class:`ParallelEvaluator`.  Both are drop-in compatible
+    scorers.
     """
     if workers <= 1:
         return BatchEvaluator(fast, cache_size=cache_size)
-    return ParallelEvaluator(fast, workers=workers, cache_size=cache_size, **pool_kwargs)
+    return ParallelEvaluator(fast, workers=workers, cache_size=cache_size)

@@ -1,160 +1,39 @@
-"""Sharded Step-3 training: independent ``train_accuracy`` jobs on a pool.
+"""Sharded Step-3 training: independent ``train_accuracy`` jobs on threads.
 
 Step-3 rescoring trains every top-N candidate from scratch — by far the
 most expensive per-candidate work in a YOSO run, and embarrassingly
 parallel: each training is a deterministic pure function of (genotype,
-seed, dataset, recipe) with no shared mutable state.  This module is the
-second task type of :mod:`repro.parallel`:
+seed, dataset, recipe).  :func:`train_accuracies` is the entry point the
+stack uses (:meth:`~repro.search.evaluator.AccurateEvaluator.
+train_accuracies`, ``YosoSearch.finalize``, table2's ``_yoso_row``):
+``workers <= 1`` trains serially, anything larger shards the candidate
+list deterministically (:mod:`repro.parallel.sharder`) across a
+:class:`~repro.parallel.pool.WorkerPool` of threads that all call the
+serial code path, ``AccurateEvaluator.train_accuracy``, on the same
+evaluator.
 
-* :class:`TrainingPool` replicates ONE pickled
-  :class:`~repro.search.evaluator.AccurateEvaluator` per worker — the
-  synthetic dataset and the training recipe ship once at pool startup,
-  per-call traffic is only the candidate genotypes and seeds.  Crash
-  recovery (respawn + resubmit) comes from the shared
-  :class:`~repro.parallel.pool.WorkerPool` engine.
-* :func:`train_accuracies` is the entry point the stack uses
-  (:meth:`~repro.search.evaluator.AccurateEvaluator.train_accuracies`,
-  ``YosoSearch.finalize``, table2's ``_yoso_row``): ``workers <= 1``
-  trains serially in-process, anything larger shards the candidate list
-  deterministically (:mod:`repro.parallel.sharder`) across the pool.
-
-**Bit-exactness.**  Worker processes run literally
-``AccurateEvaluator.train_accuracy`` on a pickle-identical replica
-(numpy arrays round-trip bitwise), every candidate carries its own
-deterministic seed, and the order-preserving merge never lets the worker
-count influence which candidate trains with which seed — so sharded
-results are ``==`` to serial results at any worker count
-(``tests/test_training_shard.py`` pins this with exact equality).
-
-The per-worker payload is the dataset plus the tiny simulator/recipe
-state — a few MB at demo scale, measured next to the fast-evaluator
-replica in ``BENCH_training.json`` (see docs/PERFORMANCE.md, "Training
-path").
+**Bit-exactness.**  Every candidate carries its own deterministic seed
+and builds its own network, the dataset is only read, and the
+order-preserving merge never lets the worker count influence which
+candidate trains with which seed — so sharded results are ``==`` to
+serial results at any worker count (``tests/test_training_shard.py``).
+A durable store attached to the evaluator is consulted inside
+``train_accuracy`` on every path; :class:`~repro.store.ResultStore` is
+thread-safe.
 """
 
 from __future__ import annotations
 
-import pickle
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
-from .pool import WorkerPool, worker_state
+from .pool import WorkerPool
 from .sharder import merge_shards, shard_sequence
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..nas.encoding import CoDesignPoint
     from ..search.evaluator import AccurateEvaluator
 
-__all__ = ["TrainingJob", "TrainingPool", "train_accuracies", "training_payload"]
-
-
-@dataclass(frozen=True)
-class TrainingJob:
-    """One candidate's stand-alone training request.
-
-    ``seed=None`` means "use the evaluator's own seed" — the serial
-    default.  Carrying the seed in the job (rather than deriving it from
-    the position inside a shard) is what keeps sharded and serial runs
-    bit-identical: the sharder may split the list anywhere without
-    touching any candidate's randomness.
-    """
-
-    point: "CoDesignPoint"
-    seed: int | None = None
-
-
-def training_payload(accurate: "AccurateEvaluator") -> bytes:
-    """Serialise an accurate evaluator once for worker replication.
-
-    Unlike the fast-evaluator replica there is no transient scratch to
-    strip: the evaluator owns only the dataset arrays and scalar recipe
-    knobs, and networks are built fresh inside each training job.
-    """
-    return pickle.dumps(accurate)
-
-
-def _run_training_shard(jobs: list[TrainingJob]) -> list[float]:
-    """Worker task: run each job through the replica's ``train_accuracy``.
-
-    Literally the serial code path on a pickle-identical evaluator, so
-    worker results equal in-process results bitwise.
-    """
-    accurate = worker_state()
-    return [accurate.train_accuracy(job.point, seed=job.seed) for job in jobs]
-
-
-class TrainingPool(WorkerPool):
-    """A persistent pool of processes, each holding one accurate-evaluator
-    replica (dataset + training recipe), for sharded Step-3 training."""
-
-    def __init__(
-        self,
-        accurate: "AccurateEvaluator",
-        workers: int,
-        start_method: str = "spawn",
-        max_restarts: int = 3,
-    ) -> None:
-        super().__init__(
-            training_payload(accurate),
-            workers,
-            start_method=start_method,
-            max_restarts=max_restarts,
-        )
-
-    def run_jobs(self, jobs: Sequence[TrainingJob]) -> list[float]:
-        """Train every job across the pool; results in job order.
-
-        Deterministic contiguous sharding + order-preserving merge, with
-        the :class:`~repro.parallel.pool.WorkerPool` crash recovery: a
-        worker dying mid-batch respawns the pool and resubmits the whole
-        shard list, so no training is ever lost.
-        """
-        job_list = list(jobs)
-        if not job_list:
-            return []
-        shards = shard_sequence(job_list, self.workers)
-        return merge_shards(self.run_tasks(_run_training_shard, shards))
-
-
-def _store_partition(
-    accurate: "AccurateEvaluator", jobs: Sequence[TrainingJob]
-) -> tuple[list, list[int], list]:
-    """Resolve store-persisted trainings up front (parent-side tier 2).
-
-    Worker replicas deliberately carry no store (see
-    ``AccurateEvaluator.__getstate__``), so for the pool paths the hit
-    partition happens here in the parent before dispatch.  Returns the
-    results list (hits filled in, misses ``None``), the miss indices, and
-    each job's store key (``None`` when no store is attached or the
-    genotype is off-grid).
-    """
-    results: list = [None] * len(jobs)
-    keys: list = [None] * len(jobs)
-    store = accurate.store
-    if store is None:
-        return results, list(range(len(jobs))), keys
-    from ..nas.encoding import encode_genotype
-
-    misses: list[int] = []
-    for i, job in enumerate(jobs):
-        seed = accurate.seed if job.seed is None else job.seed
-        try:
-            keys[i] = (*encode_genotype(job.point.genotype), seed)
-        except ValueError:
-            keys[i] = None  # off-grid genotype: not store-eligible
-        values = (
-            store.get(accurate.store_namespace, keys[i])
-            if keys[i] is not None
-            else None
-        )
-        if values is not None:
-            accurate.store_hits += 1
-            results[i] = values[0]
-        else:
-            if keys[i] is not None:
-                accurate.store_misses += 1
-            misses.append(i)
-    return results, misses, keys
+__all__ = ["train_accuracies"]
 
 
 def train_accuracies(
@@ -162,53 +41,24 @@ def train_accuracies(
     points: Sequence["CoDesignPoint"],
     workers: int = 1,
     seeds: Sequence[int] | None = None,
-    pool: TrainingPool | None = None,
-    start_method: str = "spawn",
-    max_restarts: int = 3,
 ) -> list[float]:
     """Stand-alone training accuracies for ``points``, serial or sharded.
 
-    ``workers <= 1`` (and no explicit ``pool``) runs the plain serial
-    loop — no pool, no spawn, no pickle.  Otherwise the candidates shard
-    across a :class:`TrainingPool` (a caller-provided one is reused and
-    left open; an internally created one is torn down afterwards).
-    ``seeds`` optionally assigns one deterministic seed per candidate;
-    results are bit-identical to the serial loop at any worker count.
-
-    With a durable store attached to ``accurate``, persisted accuracies
-    are returned bit-exactly without retraining on every path: the serial
-    loop consults the store inside ``train_accuracy``, while the pool
-    paths partition hits in the parent and dispatch only the misses —
-    fresh results are appended afterwards.  A fully-warm store means zero
-    trainings and (for the internally-created-pool path) no pool spawn at
-    all.
+    ``seeds`` optionally assigns one deterministic seed per candidate
+    (``None`` means the evaluator's own seed); results are bit-identical
+    to the serial loop at any worker count.
     """
     if seeds is not None and len(seeds) != len(points):
         raise ValueError("seeds must match points one-to-one")
     jobs = [
-        TrainingJob(point=point, seed=None if seeds is None else int(seeds[i]))
+        (point, None if seeds is None else int(seeds[i]))
         for i, point in enumerate(points)
     ]
-    if pool is None and workers <= 1:
-        return [
-            accurate.train_accuracy(job.point, seed=job.seed) for job in jobs
-        ]
-    results, miss_idx, keys = _store_partition(accurate, jobs)
-    miss_jobs = [jobs[i] for i in miss_idx]
-    if miss_jobs:
-        if pool is not None:
-            trained = pool.run_jobs(miss_jobs)
-        else:
-            with TrainingPool(
-                accurate,
-                workers,
-                start_method=start_method,
-                max_restarts=max_restarts,
-            ) as created:
-                trained = created.run_jobs(miss_jobs)
-        store = accurate.store
-        for i, accuracy in zip(miss_idx, trained):
-            results[i] = accuracy
-            if store is not None and keys[i] is not None:
-                store.append(accurate.store_namespace, keys[i], (accuracy,))
-    return results
+
+    def train(shard: list) -> list[float]:
+        return [accurate.train_accuracy(point, seed=seed) for point, seed in shard]
+
+    if workers <= 1 or len(jobs) < 2:
+        return train(jobs)
+    with WorkerPool(workers) as pool:
+        return merge_shards(pool.run_tasks(train, shard_sequence(jobs, workers)))

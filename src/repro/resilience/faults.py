@@ -29,8 +29,9 @@ host.  Actions:
 ``error``   raise ``rule.error`` (default :class:`InjectedFault`)
 ``drop``    raise :class:`InjectedFault` marked as a torn connection
 ``delay``   sleep ``delay_s`` then continue normally
-``kill``    ``os._exit(17)`` — the process dies mid-operation (worker
-            crash / server kill scenarios)
+``kill``    ``os._exit(17)`` — the process dies mid-operation (server
+            kill scenarios; never at ``pool.worker``, whose shards run
+            on threads of the process itself)
 
 Sites must be one of :data:`KNOWN_SITES`; a typo in a test fails fast
 instead of silently never firing.
@@ -55,7 +56,6 @@ __all__ = [
     "clear",
     "active",
     "hit",
-    "decide",
     "installed",
 ]
 
@@ -69,7 +69,7 @@ KNOWN_SITES = frozenset(
         "wire.read",      # ServiceClient: before reading a response line
         "wire.write",     # ServiceClient: before writing a request line
         "scheduler.tick", # MicroBatchScheduler: before evaluating a batch
-        "pool.worker",    # WorkerPool: per shard, executed in the worker
+        "pool.worker",    # WorkerPool: per shard, on the worker thread
         "store.append",   # ResultStore: inside the guarded byte write
     }
 )
@@ -155,39 +155,33 @@ class FaultPlan:
             self._rng[site] = random.Random(f"{self.seed}:{site}")
         return self._rng[site]
 
-    def decide(self, site: str) -> FaultRule | None:
-        """Consume one hit at ``site``; return the rule to execute, if any.
-
-        Split from :func:`fire` so a parent process can *decide* a fault
-        and ship only its execution to a worker (``pool.worker``): the
-        decision consumes the hit exactly once, so a respawned worker
-        re-running the same shard is not re-killed forever.
-        """
+    def hit(self, site: str) -> None:
+        """Consume one hit at ``site`` and execute the first matching rule
+        (outside the plan lock, so a ``delay`` never stalls other sites)."""
         if site not in KNOWN_SITES:
             raise ValueError(f"unknown fault site {site!r}")
         with self._lock:
             n = self.hits.get(site, 0) + 1
             self.hits[site] = n
-            for rule in self._rules:
-                if rule.site != site:
-                    continue
-                if n <= rule.after:
-                    continue
-                if rule.count is not None and rule.fired >= rule.count:
-                    continue
-                if (
-                    rule.probability < 1.0
-                    and self._site_rng(site).random() >= rule.probability
-                ):
-                    continue
-                rule.fired += 1
-                self.injected[site] = self.injected.get(site, 0) + 1
-                _M_INJECTED.inc()
-                return rule
-            return None
-
-    def fire(self, rule: FaultRule) -> None:
-        """Execute a rule returned by :meth:`decide`."""
+            rule = next(
+                (
+                    r
+                    for r in self._rules
+                    if r.site == site
+                    and n > r.after
+                    and (r.count is None or r.fired < r.count)
+                    and (
+                        r.probability >= 1.0
+                        or self._site_rng(site).random() < r.probability
+                    )
+                ),
+                None,
+            )
+            if rule is None:
+                return
+            rule.fired += 1
+            self.injected[site] = self.injected.get(site, 0) + 1
+        _M_INJECTED.inc()
         if rule.action == "delay":
             time.sleep(rule.delay_s)
             return
@@ -195,16 +189,7 @@ class FaultPlan:
             os._exit(17)
         if rule.action == "error" and rule.error is not None:
             raise rule.error
-        raise InjectedFault(
-            f"injected {rule.action} at {rule.site} "
-            f"(hit {self.hits.get(rule.site, 0)})"
-        )
-
-    def hit(self, site: str) -> None:
-        """Consume a hit and execute any matched rule in place."""
-        rule = self.decide(site)
-        if rule is not None:
-            self.fire(rule)
+        raise InjectedFault(f"injected {rule.action} at {site} (hit {n})")
 
 
 # --- process-wide kill switch -------------------------------------------
@@ -235,14 +220,6 @@ def hit(site: str) -> None:
     if plan is None:
         return
     plan.hit(site)
-
-
-def decide(site: str) -> FaultRule | None:
-    """Parent-side decision for sites executed elsewhere (``pool.worker``)."""
-    plan = _PLAN[0]
-    if plan is None:
-        return None
-    return plan.decide(site)
 
 
 @contextlib.contextmanager

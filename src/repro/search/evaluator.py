@@ -14,6 +14,7 @@ measurement and feature prefix, and a shared encoding-keyed LRU cache.
 
 from __future__ import annotations
 
+import threading
 import time
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -41,13 +42,18 @@ from ..predict.dataset import PerfDataset
 from ..predict.features import config_features, feature_vector, genotype_features
 from ..predict.gp import GaussianProcessRegressor
 
-__all__ = ["Evaluation", "FastEvaluator", "BatchEvaluator", "AccurateEvaluator"]
+__all__ = [
+    "Evaluation",
+    "FastEvaluator",
+    "BatchEvaluator",
+    "AccurateEvaluator",
+    "WorkItem",
+    "ShardResult",
+    "compute_work_items",
+]
 
-# Module-level registry handles — deliberately NOT instance attributes:
-# AccurateEvaluator and FastEvaluator instances are pickled to worker
-# processes, and metric objects hold locks.  Worker processes get their
-# own zeroed registry; its counts are local to the worker and dropped by
-# design (the parent's registry tells the parent-side story).
+# Module-level registry handles (the replica-safety lint rule keeps metric
+# handles off instances).
 _REGISTRY = get_registry()
 _M_EVAL_CALLS = _REGISTRY.counter("evaluator.calls")
 _M_EVAL_LOOKUPS = _REGISTRY.counter("evaluator.lookups")
@@ -202,6 +208,52 @@ class FastEvaluator:
         if len(self._cache) < self.cache_size:
             self._cache[key] = result
         return result
+
+
+@dataclass(frozen=True)
+class WorkItem:
+    """One unique genotype's outstanding work (what the LRUs miss)."""
+
+    genotype: Genotype
+    need_accuracy: bool
+    need_features: bool
+
+
+@dataclass(frozen=True)
+class ShardResult:
+    """Per-item results of a list of work items, aligned with the items."""
+
+    accuracies: list[float | None]
+    features: list[np.ndarray | None]
+
+
+def compute_work_items(fast: FastEvaluator, items: Sequence[WorkItem]) -> ShardResult:
+    """Resolve work items against a fast evaluator.
+
+    The one implementation both the in-process path and the sharded
+    threads of :class:`repro.parallel.ParallelEvaluator` run: accuracies
+    for every item that needs one come from a single batched
+    :meth:`FastEvaluator.evaluate_accuracies` call, feature prefixes from
+    :func:`~repro.predict.features.genotype_features`.
+    """
+    acc_indices = [i for i, item in enumerate(items) if item.need_accuracy]
+    accuracies: list[float | None] = [None] * len(items)
+    measured = fast.evaluate_accuracies([items[i].genotype for i in acc_indices])
+    for i, accuracy in zip(acc_indices, measured):
+        accuracies[i] = accuracy
+    features: list[np.ndarray | None] = [
+        genotype_features(
+            item.genotype,
+            num_cells=fast.num_cells,
+            stem_channels=fast.stem_channels,
+            image_size=fast.image_size,
+            num_classes=fast.num_classes,
+        )
+        if item.need_features
+        else None
+        for item in items
+    ]
+    return ShardResult(accuracies=accuracies, features=features)
 
 
 class BatchEvaluator:
@@ -467,50 +519,61 @@ class BatchEvaluator:
     ) -> tuple[list[float], np.ndarray]:
         """Accuracies and stacked feature rows for the missing points.
 
-        This is the single-process implementation — and the hook
-        :class:`repro.parallel.ParallelEvaluator` overrides to shard the
-        work across processes.  Cold-cache accuracy for the whole batch
-        goes through the fast evaluator's batched path (ONE grouped
-        HyperNet forward for every genotype missing from the accuracy LRU
-        — not a scalar test run per candidate).  A local map pins this
-        batch's values (cached hits are snapshotted up front) so results
-        survive even when inserting the fresh ones evicts them from a
-        too-small LRU mid-batch.
+        LRU hits are snapshotted up front into local maps, which pin this
+        batch's values even when inserting the fresh ones evicts them from
+        a too-small LRU mid-batch.  The outstanding work — one
+        :class:`WorkItem` per unique genotype missing from either LRU — is
+        resolved by ONE :meth:`_compute_fresh` call, so a cold population
+        costs one grouped HyperNet forward, not a scalar test run per
+        candidate.
         """
-        fast = self.fast
-        fresh: dict[tuple, Genotype] = {}
         measured: dict[tuple, float] = {}
+        feats: dict[tuple, np.ndarray] = {}
+        need: dict[tuple, WorkItem] = {}
         for geno_key, point in zip(geno_keys, points):
-            if geno_key in measured or geno_key in fresh:
+            if geno_key in need:
                 continue
-            if geno_key in self._acc_lru:
+            acc_hit = geno_key in self._acc_lru
+            if acc_hit and geno_key not in measured:
                 measured[geno_key] = self._acc_lru[geno_key]
                 self._acc_lru.move_to_end(geno_key)
-            else:
-                fresh[geno_key] = point.genotype
-        if fresh:
-            batch_acc = fast.evaluate_accuracies(list(fresh.values()))
-            for geno_key, accuracy in zip(fresh, batch_acc):
-                measured[geno_key] = accuracy
-                self._lru_put(self._acc_lru, geno_key, accuracy, self.cache_size)
-        accuracies: list[float] = []
-        rows: list[np.ndarray] = []
-        for point, geno_key in zip(points, geno_keys):
-            accuracies.append(measured[geno_key])
-            geno_feats = self._feat_lru.get(geno_key)
-            if geno_feats is None:
-                geno_feats = genotype_features(
-                    point.genotype,
-                    num_cells=fast.num_cells,
-                    stem_channels=fast.stem_channels,
-                    image_size=fast.image_size,
-                    num_classes=fast.num_classes,
-                )
-                self._lru_put(self._feat_lru, geno_key, geno_feats, self.cache_size)
-            else:
+            feat_hit = geno_key in self._feat_lru
+            if feat_hit and geno_key not in feats:
+                feats[geno_key] = self._feat_lru[geno_key]
                 self._feat_lru.move_to_end(geno_key)
-            rows.append(np.concatenate([geno_feats, config_features(point.config)]))
+            if not (acc_hit and feat_hit):
+                need[geno_key] = WorkItem(
+                    genotype=point.genotype,
+                    need_accuracy=not acc_hit,
+                    need_features=not feat_hit,
+                )
+        if need:
+            fresh = self._compute_fresh(list(need.values()))
+            for (geno_key, item), accuracy, row in zip(
+                need.items(), fresh.accuracies, fresh.features
+            ):
+                if item.need_accuracy:
+                    assert accuracy is not None
+                    measured[geno_key] = accuracy
+                    self._lru_put(self._acc_lru, geno_key, accuracy, self.cache_size)
+                if item.need_features:
+                    assert row is not None
+                    feats[geno_key] = row
+                    self._lru_put(self._feat_lru, geno_key, row, self.cache_size)
+        accuracies = [measured[geno_key] for geno_key in geno_keys]
+        rows = [
+            np.concatenate([feats[geno_key], config_features(point.config)])
+            for geno_key, point in zip(geno_keys, points)
+        ]
         return accuracies, np.stack(rows)
+
+    def _compute_fresh(self, items: list[WorkItem]) -> ShardResult:
+        """Resolve the unique cold genotypes of one call, in process.
+
+        The hook :class:`repro.parallel.ParallelEvaluator` overrides to
+        shard the items across threads.
+        """
+        return compute_work_items(self.fast, items)
 
     # ------------------------------------------------------------------
     @property
@@ -560,9 +623,11 @@ class AccurateEvaluator:
         self._store_namespace: str | None = None
         #: Durable-store counters over stand-alone trainings: persisted
         #: accuracies reused vs. trainings actually run with a store
-        #: attached.
+        #: attached.  Guarded by ``_count_lock``: threads share this
+        #: evaluator when Step-3 training runs sharded.
         self.store_hits = 0
         self.store_misses = 0
+        self._count_lock = threading.Lock()
 
     # ------------------------------------------------------------------
     @property
@@ -596,16 +661,6 @@ class AccurateEvaluator:
         self._store = None
         self._store_namespace = None
 
-    def __getstate__(self) -> dict:
-        """Pickle without the store: worker replicas (TrainingPool ships
-        one evaluator per worker) must not inherit the parent's file
-        handle or writer lock.  Hit/miss partitioning happens in the
-        parent before dispatch, so workers never need the store."""
-        state = self.__dict__.copy()
-        state["_store"] = None
-        state["_store_namespace"] = None
-        return state
-
     def train_accuracy(self, point: CoDesignPoint, seed: int | None = None) -> float:
         """Stand-alone training accuracy of one candidate (no simulation).
 
@@ -616,8 +671,8 @@ class AccurateEvaluator:
         simulate_genotypes` call.  ``seed`` overrides the evaluator seed
         for one candidate; each call is deterministic and independent of
         every other call, which is what lets
-        :meth:`train_accuracies` shard candidates across worker processes
-        with bit-identical results.
+        :meth:`train_accuracies` shard candidates across threads with
+        bit-identical results.
 
         With a durable store attached, a persisted accuracy for this
         (genotype, seed) is returned bit-exactly instead of retraining,
@@ -633,10 +688,13 @@ class AccurateEvaluator:
                 store_key = None  # off-grid genotype: not store-eligible
             if store_key is not None:
                 values = store.get(self._store_namespace, store_key)
+                with self._count_lock:
+                    if values is not None:
+                        self.store_hits += 1
+                    else:
+                        self.store_misses += 1
                 if values is not None:
-                    self.store_hits += 1
                     return values[0]
-                self.store_misses += 1
         t0 = time.perf_counter()
         with get_tracer().span("training.run", seed=seed):
             rng = np.random.default_rng(seed)
@@ -666,25 +724,23 @@ class AccurateEvaluator:
         points: Sequence[CoDesignPoint],
         workers: int = 1,
         seeds: Sequence[int] | None = None,
-        **pool_kwargs,
     ) -> list[float]:
         """Stand-alone training accuracy of many candidates, optionally
-        sharded across a worker pool.
+        sharded across threads.
 
-        ``workers <= 1`` trains serially in-process; anything larger ships
-        this evaluator once per worker (:class:`repro.parallel.training.
-        TrainingPool`) and runs the independent per-candidate trainings
-        concurrently.  Every candidate keeps its own deterministic seed
-        (``seeds[i]`` or the evaluator seed), so sharded results equal the
-        serial results exactly at any worker count.
+        ``workers <= 1`` trains serially; anything larger runs the
+        independent per-candidate :meth:`train_accuracy` calls on
+        ``workers`` threads over this evaluator
+        (:func:`repro.parallel.training.train_accuracies`).  Every
+        candidate keeps its own deterministic seed (``seeds[i]`` or the
+        evaluator seed), so sharded results equal the serial results
+        exactly at any worker count.
         """
         # Imported lazily: repro.parallel imports this module, so a
         # module-level import here would be circular via the package init.
         from ..parallel.training import train_accuracies
 
-        return train_accuracies(
-            self, points, workers=workers, seeds=seeds, **pool_kwargs
-        )
+        return train_accuracies(self, points, workers=workers, seeds=seeds)
 
     def evaluate(self, point: CoDesignPoint) -> Evaluation:
         """Train the candidate from scratch and simulate it accurately."""

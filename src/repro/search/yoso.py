@@ -50,11 +50,11 @@ class YosoConfig:
     #: update (1 = the paper's per-episode update; candidate *scoring* goes
     #: through the batched evaluator either way).
     search_batch: int = 1
-    #: Worker processes for candidate scoring AND Step-3 top-N training.
-    #: 1 (the default) keeps everything in-process; > 1 routes Step 2
+    #: Worker threads for candidate scoring AND Step-3 top-N training.
+    #: 1 (the default) keeps everything serial; > 1 routes Step 2
     #: through :class:`~repro.parallel.ParallelEvaluator` (sharded
-    #: HyperNet accuracy + feature misses) and Step 3's stand-alone
-    #: trainings through :class:`~repro.parallel.TrainingPool` — both
+    #: HyperNet accuracy + feature misses) and shards Step 3's stand-alone
+    #: trainings (:func:`~repro.parallel.train_accuracies`) — both
     #: bit-identical to the serial paths.
     workers: int = 1
     #: Run Step-3 stand-alone training under the compact-cache training
@@ -199,10 +199,10 @@ class YosoSearch:
         """Accurately rescore the top-N candidates and rank them.
 
         Accuracy needs stand-alone training per candidate; at
-        ``workers > 1`` those independent trainings shard across a
-        :class:`~repro.parallel.TrainingPool` (dataset + recipe replicated
-        once per worker, per-candidate deterministic seeds, results
-        bit-identical to the serial loop).  The latency/energy ground
+        ``workers > 1`` those independent trainings shard across threads
+        over one evaluator (:func:`~repro.parallel.train_accuracies`;
+        per-candidate deterministic seeds, results bit-identical to the
+        serial loop).  The latency/energy ground
         truth for ALL top-N candidates comes from ONE batched
         :meth:`~repro.accel.simulator.SystolicArraySimulator.
         simulate_genotypes` call instead of N scalar per-layer walks (the
@@ -269,9 +269,9 @@ class YosoSearch:
         t0 = time.perf_counter()
         history = self.run_search()
         times["step2_search"] = time.perf_counter() - t0
-        # Step 2 is the only pool consumer; release the workers before the
-        # (training-heavy) rescoring step.  The evaluator stays usable —
-        # a later batch would lazily respawn the pool.
+        # Step 2 is the only consumer of the evaluator's pool; release its
+        # threads before the (training-heavy) rescoring step.  The
+        # evaluator stays usable — a later batch would restart them.
         if hasattr(self.batch_evaluator, "close"):
             self.batch_evaluator.close()
         t0 = time.perf_counter()

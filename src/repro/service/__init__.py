@@ -1,7 +1,7 @@
 """Long-lived search-evaluation service over the parallel engine.
 
 The offline co-design loop already had everything a server needs — a
-replicated worker pool and a micro-batching scheduler coalescing
+thread-sharded evaluator and a micro-batching scheduler coalescing
 concurrent submitters into one sharded batch — but no long-lived
 endpoint.  This package is that endpoint:
 

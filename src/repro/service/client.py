@@ -552,16 +552,6 @@ class RemoteEvaluator:
             return 0
         return snapshot["service"].get("queued_requests", 0)
 
-    @property
-    def pool_resubmitted_shards(self) -> int:
-        """Shards the remote pool re-ran after worker crashes (0 when the
-        remote evaluator has no pool)."""
-        snapshot = self._stats()
-        if snapshot is None:
-            return 0
-        pool = snapshot["evaluator"].get("pool") or {}
-        return pool.get("resubmitted_shards", 0)
-
     def metrics(self) -> dict:
         """The remote registry snapshot (the stats verb's ``metrics`` key;
         empty dict from a pre-v2 server).  Degraded mode (fallback set,

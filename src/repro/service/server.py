@@ -4,7 +4,7 @@
 long-lived endpoint: it owns ONE persistent evaluator (a
 :class:`~repro.search.evaluator.BatchEvaluator` or, with ``workers > 1``,
 a :class:`~repro.parallel.evaluator.ParallelEvaluator` and its worker
-pool) behind a :class:`~repro.parallel.scheduler.MicroBatchScheduler`,
+threads) behind a :class:`~repro.parallel.scheduler.MicroBatchScheduler`,
 and speaks the NDJSON wire protocol of :mod:`repro.service.protocol`
 over TCP.
 
@@ -32,7 +32,7 @@ Graceful shutdown (the ``shutdown`` verb, ``SIGINT``/``SIGTERM`` under
 :meth:`SearchService.run`, or :meth:`ServiceHandle.shutdown`): new work
 is rejected, every admitted *and* budget-queued request is served to
 completion, the scheduler drains and joins, and only then do the worker
-pool and the listening socket go away — no request is dropped or
+threads and the listening socket go away — no request is dropped or
 double-run.
 """
 
@@ -140,8 +140,8 @@ class SearchService:
     :class:`~repro.parallel.scheduler.MicroBatchScheduler` (``tick_s`` is
     the coalescing window, ``max_batch_points`` bounds one coalesced
     batch).  ``max_inflight_points`` is the backpressure budget.  With
-    ``owns_evaluator=True`` shutdown also closes the evaluator (worker
-    pools); otherwise the caller keeps that lifecycle.
+    ``owns_evaluator=True`` shutdown also closes the evaluator (its worker
+    threads); otherwise the caller keeps that lifecycle.
 
     A durable tier-2 result store makes restarts warm (``yoso serve
     --store PATH``): pass an open :class:`repro.store.ResultStore` as
@@ -561,8 +561,7 @@ class SearchService:
 
         v2 shape: the classic per-subsystem sections gain *live* queue
         state (scheduler ``queue_depth``/``queued_points``, the budget's
-        ``queued_requests``), the pool dict gains ``resubmitted_shards``,
-        and a top-level ``"metrics"`` key carries the full registry
+        ``queued_requests``), and a top-level ``"metrics"`` key carries the full registry
         snapshot (pure JSON data — see ``docs/OBSERVABILITY.md``).  Old
         clients ignore the new fields; ``yoso stats`` renders them.
         """
@@ -632,9 +631,6 @@ class SearchService:
             stats["pool"] = {
                 "batches": pool.batches,
                 "items": pool.items,
-                "restarts": pool.restarts,
-                "resubmitted_shards": pool.resubmitted_shards,
-                "payload_bytes": pool.payload_bytes,
             }
         return stats
 

@@ -233,6 +233,28 @@ class TestTrainFastScope:
             assert L.train_fast_enabled()
         assert not L.train_fast_enabled()
 
+    def test_scopes_are_thread_local(self):
+        """Two threads inside overlapping scopes each read their own value
+        (pool threads train with different kernel families at once)."""
+        import threading
+
+        barrier = threading.Barrier(2, timeout=10.0)
+        seen: dict[bool, bool] = {}
+
+        def worker(fast: bool) -> None:
+            with L.train_fast(fast):
+                barrier.wait()  # both scopes are open now
+                seen[fast] = L.train_fast_enabled()
+                barrier.wait()  # neither scope closes before both have read
+
+        threads = [threading.Thread(target=worker, args=(f,)) for f in (True, False)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(20.0)
+        assert seen == {True: True, False: False}
+        assert not L.train_fast_enabled()
+
     def test_layer_latches_kernel_choice_per_forward(self):
         """A forward inside the scope pairs with the fast backward even if
         the scope has been exited before backward runs."""

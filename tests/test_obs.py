@@ -6,8 +6,8 @@ Three tiers:
   purity, merge semantics, the kill switch) and the tracer (null-span
   contract, parent nesting, ring bound, JSONL sink) on *fresh* instances,
   so nothing here depends on — or pollutes — the process-wide defaults;
-* subsystem probes: live scheduler queue depth in synchronous mode, pool
-  crash accounting surfaced through :class:`ParallelEvaluator`;
+* subsystem probes: live scheduler queue depth in synchronous mode and
+  the store lookup span;
 * service integration: the stats verb's registry snapshot stays monotone
   under 8 concurrent clients with histogram counts matching request
   counts, and a traced request round-trips one trace id from the client
@@ -20,8 +20,6 @@ integration tests assert on *deltas* between snapshots, never absolutes.
 from __future__ import annotations
 
 import json
-import os
-import signal
 import threading
 import time
 
@@ -48,7 +46,7 @@ from repro.obs import (
     render_metrics,
     render_stats,
 )
-from repro.parallel import MicroBatchScheduler, ParallelEvaluator
+from repro.parallel import MicroBatchScheduler
 from repro.search.evaluator import BatchEvaluator
 from repro.service import ServiceClient, start_service
 from repro.store import ResultStore
@@ -225,7 +223,6 @@ class TestTracer:
         with span as s:  # the null span is a working no-op context manager
             s.set(ignored=True)
         tracer.record("x", "tid", None, 0.0, 0.1)  # no-op while disabled
-        tracer.ingest([{"name": "y"}])
         assert tracer.spans() == []
 
     def test_nested_spans_share_the_trace_and_link_parents(self):
@@ -261,19 +258,6 @@ class TestTracer:
         names = [s["name"] for s in tracer.spans()]
         assert names == ["s6", "s7", "s8", "s9"]
 
-    def test_record_and_ingest_feed_the_ring(self):
-        tracer = Tracer()
-        tracer.configure(enabled=True)
-        tracer.record("queue_wait", "t" * 32, "p" * 16, 123.0, 0.004, points=7)
-        tracer.ingest([{"name": "pool.shard", "trace": "t" * 32}])
-        spans = tracer.spans()
-        assert [s["name"] for s in spans] == ["queue_wait", "pool.shard"]
-        assert spans[0]["duration_s"] == 0.004
-        assert spans[0]["attrs"] == {"points": 7}
-        # Untraced work never records pre-measured spans.
-        tracer.record("queue_wait", None, None, 0.0, 0.1)
-        assert len(tracer.spans()) == 2
-
     def test_record_ago_anchors_a_span_ending_now(self):
         tracer = Tracer()
         tracer.configure(enabled=True)
@@ -293,29 +277,6 @@ class TestTracer:
         tracer.configure(enabled=False)
         tracer.record_ago("queue_wait", "t" * 32, None, 0.1)
         assert len(tracer.spans()) == 1
-
-    def test_worker_span_measures_fn_and_builds_the_dict(self):
-        from repro.obs.tracing import worker_span
-
-        # yoso-lint: disable=determinism-wallclock -- bounding the wall anchor obs emits
-        before = time.time()
-        result, span = worker_span(
-            "pool.shard", "t" * 32, "p" * 16,
-            lambda: sum(range(10)), items=4, pid=123,
-        )
-        after = time.time()  # yoso-lint: disable=determinism-wallclock -- same bound
-        assert result == 45
-        assert span["name"] == "pool.shard"
-        assert span["trace"] == "t" * 32
-        assert span["parent"] == "p" * 16
-        assert before <= span["start_s"] <= after
-        assert 0.0 <= span["duration_s"] <= after - before + 0.1
-        assert span["attrs"] == {"items": 4, "pid": 123}
-        # The dict form ingests cleanly (the cross-process harvest path).
-        tracer = Tracer()
-        tracer.configure(enabled=True)
-        tracer.ingest([span])
-        assert tracer.spans() == [span]
 
     def test_jsonl_sink_writes_one_line_per_span(self, tmp_path):
         sink = tmp_path / "trace.jsonl"
@@ -369,36 +330,6 @@ class TestSchedulerDepth:
         assert f1.result(1.0) == [None, None, None]
         assert f2.result(1.0) == [None, None]
         scheduler.close()
-
-
-class TestPoolCrashAccounting:
-    def test_crash_resubmission_is_counted_and_exposed(self, smoke_context):
-        # Mirrors test_parallel's crash test, but the assertion under test
-        # is the *accounting*: killed worker -> restart + the in-flight
-        # shards of the broken dispatch re-run and are counted.
-        evaluator = ParallelEvaluator(
-            smoke_context.fast_evaluator, workers=2, min_dispatch=2
-        )
-        try:
-            assert evaluator.pool_resubmitted_shards == 0
-            warmup = _population(4, seed=141)
-            evaluator.evaluate_many(warmup)
-            pids = evaluator.pool.worker_pids()
-            assert len(pids) == 2
-            os.kill(pids[0], signal.SIGKILL)
-            fresh = _population(5, seed=143)  # cold keys force a dispatch
-            reference = BatchEvaluator(
-                smoke_context.fast_evaluator
-            ).evaluate_many(fresh)
-            assert evaluator.evaluate_many(fresh) == reference
-            assert evaluator.pool_restarts >= 1
-            assert evaluator.pool_resubmitted_shards >= 1
-            assert (
-                evaluator.pool.resubmitted_shards
-                == evaluator.pool_resubmitted_shards
-            )
-        finally:
-            evaluator.close()
 
 
 class TestStoreLookupSpan:

@@ -1,23 +1,22 @@
-"""The sharded multi-process evaluation engine (``repro.parallel``).
+"""The sharded multi-threaded evaluation engine (``repro.parallel``).
 
 Covers the four guarantees the subsystem makes:
 
 * **Bit-exact parity** — ``ParallelEvaluator`` results are ``==`` to the
   in-process ``BatchEvaluator`` at any worker count (no tolerances).
-* **Crash resilience** — killing a worker restarts the pool and the
-  in-flight batch is resubmitted, never lost.
-* **In-process fallback** — ``workers <= 1`` never creates a pool.
+* **Contained shard errors** — a raising shard propagates only after
+  every shard has been harvested, and the pool stays usable.
+* **In-process fallback** — ``workers <= 1`` never creates a pool, and
+  fewer than two cold genotypes run inline.
 * **Micro-batch coalescing** — concurrent submitters are served from one
   batched evaluator call per tick.
 
 CI runs this module both inside the tier-1 suite and as a dedicated
-job, so the multiprocess path is exercised on every push.
+job, so the threaded path is exercised on every push.
 """
 
 from __future__ import annotations
 
-import os
-import signal
 import threading
 import time
 
@@ -33,7 +32,6 @@ from repro.parallel import (
     WorkerPool,
     create_evaluator,
     merge_shards,
-    replication_payload,
     shard_bounds,
     shard_sequence,
 )
@@ -94,35 +92,13 @@ class TestSharder:
 
 
 # ---------------------------------------------------------------------------
-# Replication payload
-# ---------------------------------------------------------------------------
-
-
-class TestReplicationPayload:
-    def test_strips_runtime_state_and_preserves_results(self, smoke_context):
-        import pickle
-
-        fast = smoke_context.fast_evaluator
-        payload = replication_payload(fast)
-        assert len(payload) < len(pickle.dumps(fast)) / 2, (
-            "stripping the forward/backward scratch should shrink the "
-            "payload by well over half"
-        )
-        replica = pickle.loads(payload)
-        genotypes = [p.genotype for p in _population(4, seed=5)]
-        assert replica.evaluate_accuracies(genotypes) == fast.evaluate_accuracies(
-            genotypes
-        )
-
-
-# ---------------------------------------------------------------------------
 # ParallelEvaluator
 # ---------------------------------------------------------------------------
 
 
 @pytest.fixture(scope="module")
 def pool_evaluator(smoke_context):
-    """A shared 2-worker evaluator (spawning a pool is the slow part)."""
+    """A shared 2-worker evaluator."""
     evaluator = ParallelEvaluator(smoke_context.fast_evaluator, workers=2)
     yield evaluator
     evaluator.close()
@@ -144,15 +120,15 @@ class TestParallelEvaluator:
         parallel.close()
 
     def test_small_batch_below_min_dispatch_stays_local(self, smoke_context):
-        evaluator = ParallelEvaluator(
-            smoke_context.fast_evaluator, workers=2, min_dispatch=4
-        )
+        evaluator = ParallelEvaluator(smoke_context.fast_evaluator, workers=2)
         points = _population(2, seed=17)
+        # One genotype under two hardware configurations: one cold genotype.
+        points = [points[0], CoDesignPoint(points[0].genotype, points[1].config)]
         reference = BatchEvaluator(smoke_context.fast_evaluator).evaluate_many(points)
         assert evaluator.evaluate_many(points) == reference
         assert evaluator.pool is None, (
-            "fewer unique cold genotypes than min_dispatch must not pay a "
-            "pool round-trip"
+            "fewer than two unique cold genotypes must run inline, not "
+            "through the pool"
         )
 
     def test_bit_identical_to_batch_evaluator(self, smoke_context, pool_evaluator):
@@ -168,7 +144,7 @@ class TestParallelEvaluator:
         batches_before = pool_evaluator.pool.batches
         assert pool_evaluator.evaluate_many(points) == first
         assert pool_evaluator.pool.batches == batches_before, (
-            "cache hits must never cross the process boundary"
+            "cache hits must never be dispatched to the pool"
         )
 
     def test_tokens_entry_point(self, smoke_context, pool_evaluator):
@@ -184,42 +160,12 @@ class TestParallelEvaluator:
         with ParallelEvaluator(smoke_context.fast_evaluator, workers=3) as evaluator:
             assert evaluator.evaluate_many(points) == reference
 
-    def test_worker_crash_restarts_pool_without_losing_batch(self, smoke_context):
-        # Fixed min_dispatch: the warm-up batch must spawn the pool, not
-        # be absorbed by the adaptive tuner's in-process calibration probe.
-        evaluator = ParallelEvaluator(
-            smoke_context.fast_evaluator, workers=2, min_dispatch=2
-        )
-        try:
-            warmup = _population(4, seed=41)
-            reference_warm = BatchEvaluator(
-                smoke_context.fast_evaluator
-            ).evaluate_many(warmup)
-            assert evaluator.evaluate_many(warmup) == reference_warm
-            pids = evaluator.pool.worker_pids()
-            assert len(pids) == 2
-            os.kill(pids[0], signal.SIGKILL)
-            fresh = _population(5, seed=43)  # cold keys force a dispatch
-            reference = BatchEvaluator(
-                smoke_context.fast_evaluator
-            ).evaluate_many(fresh)
-            assert evaluator.evaluate_many(fresh) == reference
-            assert evaluator.pool_restarts >= 1
-            # The healed pool keeps serving.
-            more = _population(3, seed=47)
-            reference_more = BatchEvaluator(
-                smoke_context.fast_evaluator
-            ).evaluate_many(more)
-            assert evaluator.evaluate_many(more) == reference_more
-        finally:
-            evaluator.close()
-
     def test_close_is_idempotent_and_reusable(self, smoke_context, pool_evaluator):
         points = _population(3, seed=53)
         reference = BatchEvaluator(smoke_context.fast_evaluator).evaluate_many(points)
         pool_evaluator.close()
         pool_evaluator.close()
-        # A closed evaluator lazily respawns its pool on the next cold batch.
+        # A closed evaluator restarts its threads on the next cold batch.
         assert pool_evaluator.evaluate_many(points) == reference
 
 
@@ -525,7 +471,7 @@ class TestSchedulerLifecycle:
 
 
 def _lifecycle_task(shard):
-    """Module-level task fn (spawn pickles it by reference)."""
+    """Task fn: sleep, then fail or write a marker file."""
     kind, delay, path = shard[0]
     time.sleep(delay)
     if kind == "fail":
@@ -541,9 +487,7 @@ class TestWorkerPoolTaskErrors:
         """Regression: run_tasks used to propagate the first genuine task
         error immediately, abandoning later shards' futures while their
         work was still running inside the executor."""
-        import pickle
-
-        pool = WorkerPool(pickle.dumps("lifecycle-state"), workers=2)
+        pool = WorkerPool(workers=2)
         try:
             marker = tmp_path / "slow_done.txt"
             shards = [
@@ -565,3 +509,35 @@ class TestWorkerPoolTaskErrors:
             assert ok.exists()
         finally:
             pool.close()
+
+
+class TestWorkerPoolTracing:
+    def test_shard_span_nests_under_dispatch(self):
+        """Each shard runs under a copy of the dispatching context, so a
+        ``pool.shard`` span from a worker thread joins the caller's trace
+        under ``pool.dispatch``."""
+        from repro.obs.tracing import configure_tracing, get_tracer
+
+        tracer = get_tracer()
+        configure_tracing(enabled=True)
+        pool = WorkerPool(workers=2)
+        try:
+            tracer.clear()
+            with tracer.span("caller") as caller:
+                threads = pool.run_tasks(
+                    lambda shard: threading.get_ident(), [[1], [2], [3]]
+                )
+            spans = tracer.spans()
+        finally:
+            configure_tracing(enabled=False)
+            tracer.clear()
+            pool.close()
+        assert threading.get_ident() not in threads, "shards ran on pool threads"
+        (dispatch,) = [s for s in spans if s["name"] == "pool.dispatch"]
+        shards = [s for s in spans if s["name"] == "pool.shard"]
+        assert len(shards) == 3
+        assert dispatch["trace"] == caller.trace_id
+        assert dispatch["parent"] == caller.span_id
+        for shard in shards:
+            assert shard["trace"] == caller.trace_id
+            assert shard["parent"] == dispatch["span"]

@@ -469,13 +469,13 @@ class TestSearchService:
     @pytest.mark.slow
     def test_service_over_parallel_evaluator(self, smoke_context):
         """The production shape: service -> scheduler -> ParallelEvaluator
-        -> worker pool, still bit-identical to in-process scoring."""
+        -> worker threads, still bit-identical to in-process scoring."""
         from repro.parallel import ParallelEvaluator
 
         fast = smoke_context.fast_evaluator
         points = _population(10, seed=43)
         reference = BatchEvaluator(fast).evaluate_many(points)
-        evaluator = ParallelEvaluator(fast, workers=2, min_dispatch=2)
+        evaluator = ParallelEvaluator(fast, workers=2)
         try:
             with start_service(evaluator, tick_s=0.005) as handle:
                 host, port = handle.address

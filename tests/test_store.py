@@ -577,8 +577,11 @@ class TestSampleAndTrainingTier:
             assert store.appends == 0
 
     def test_pool_path_partitions_hits_in_the_parent(self, tmp_path, tiny_dataset):
-        """A warm store means the pool never sees a job at all."""
+        """Sharded training consults the store inside each thread's
+        ``train_accuracy``: a warm store means no training runs at all,
+        and the hit/miss counters stay exact under concurrency."""
         from repro.nas.encoding import decode
+        from repro.obs.registry import get_registry
         from repro.parallel.training import train_accuracies
         from repro.search.evaluator import AccurateEvaluator
 
@@ -591,55 +594,21 @@ class TestSampleAndTrainingTier:
             tiny_dataset, num_cells=2, stem_channels=4, train_epochs=1,
             batch_size=16, seed=0,
         )
-
-        class RecordingPool:
-            def __init__(self):
-                self.jobs_seen = []
-
-            def run_jobs(self, jobs):
-                self.jobs_seen.append(len(jobs))
-                return [
-                    accurate.__class__.train_accuracy(accurate, job.point, job.seed)
-                    for job in jobs
-                ]
+        runs = get_registry().counter("training.runs")
 
         with ResultStore(path) as store:
             accurate.attach_store(store)
-            namespace = accurate.store_namespace
-
-            class WorkerPool(RecordingPool):
-                # RecordingPool routes through train_accuracy on the SAME
-                # evaluator, which would itself consult the store; detach
-                # during the call to model a store-less worker replica.
-                def run_jobs(self, jobs):
-                    accurate.detach_store()
-                    try:
-                        return super().run_jobs(jobs)
-                    finally:
-                        accurate.attach_store(store, namespace=namespace)
-
-            pool = WorkerPool()
-            cold = train_accuracies(accurate, points, pool=pool)
-            assert pool.jobs_seen == [3]
+            before = runs.value
+            cold = train_accuracies(accurate, points, workers=2)
+            assert runs.value - before == 3
             assert store.appends == 3
+            assert (accurate.store_hits, accurate.store_misses) == (0, 3)
 
-            warm_pool = WorkerPool()
-            warm = train_accuracies(accurate, points, pool=warm_pool)
-            assert warm_pool.jobs_seen == []  # fully warm: no dispatch
+            before = runs.value
+            warm = train_accuracies(accurate, points, workers=2)
+            assert runs.value == before  # fully warm: nothing trains
+            assert (accurate.store_hits, accurate.store_misses) == (3, 3)
             assert [repr(a) for a in warm] == [repr(a) for a in cold]
-
-    def test_evaluator_pickles_without_the_store(self, tmp_path, tiny_dataset):
-        import pickle
-
-        from repro.search.evaluator import AccurateEvaluator
-
-        accurate = AccurateEvaluator(tiny_dataset, num_cells=2, stem_channels=4)
-        with ResultStore(str(tmp_path / "pickle.store")) as store:
-            accurate.attach_store(store)
-            replica = pickle.loads(pickle.dumps(accurate))
-        assert replica.store is None
-        assert replica.store_namespace is None
-        assert accurate.store is store  # the parent keeps its attachment
 
 
 # ---------------------------------------------------------------------------

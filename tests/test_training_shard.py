@@ -1,28 +1,18 @@
-"""Sharded Step-3 training (``repro.parallel.training``) + dispatch tuning.
-
-Covers the new parallel task type and the adaptive dispatch threshold:
+"""Sharded Step-3 training (``repro.parallel.training``).
 
 * **Bit-exact parity** — ``train_accuracies`` results are ``==`` to the
   serial loop at workers 1/2/3, with and without per-candidate seeds and
-  the ``train_fast`` kernels (no tolerances).
-* **Crash resilience** — killing a training worker respawns the pool and
-  the in-flight jobs are resubmitted, never lost.
-* **Payload** — the replica round-trips through pickle with a
-  bit-identical dataset, so worker-side training is literally the serial
-  code path.
-* **Adaptive dispatch** — ``DispatchTuner`` estimates the break-even
-  cold-batch size from measured per-item and round-trip costs.
+  the ``train_fast`` kernels (no tolerances).  The threads all run the
+  serial code path, ``AccurateEvaluator.train_accuracy``, on one
+  evaluator.
+* **Stack wiring** — the ``workers``/``train_fast`` knobs reach
+  ``YosoConfig``, ``get_context`` and table2's rescore row.
 
 CI runs this module inside the tier-1 suite and in the dedicated
-parallel job, so the multiprocess training path is exercised on every
-push.
+parallel job, so the threaded training path is exercised on every push.
 """
 
 from __future__ import annotations
-
-import os
-import pickle
-import signal
 
 import numpy as np
 import pytest
@@ -30,8 +20,6 @@ import pytest
 from repro.accel.config import random_config
 from repro.nas.encoding import CoDesignPoint
 from repro.nas.space import DnnSpace
-from repro.parallel import DispatchTuner, TrainingJob, TrainingPool, train_accuracies
-from repro.parallel.training import training_payload
 from repro.search.evaluator import AccurateEvaluator
 
 
@@ -59,21 +47,11 @@ def serial_reference(accurate) -> tuple[list[CoDesignPoint], list[float]]:
 
 
 # ---------------------------------------------------------------------------
-# Payload
+# Per-candidate seeds
 # ---------------------------------------------------------------------------
 
 
 class TestTrainingPayload:
-    def test_replica_roundtrip_is_bit_identical(self, accurate):
-        replica = pickle.loads(training_payload(accurate))
-        assert np.array_equal(
-            replica.dataset.train.images, accurate.dataset.train.images
-        )
-        assert replica.train_epochs == accurate.train_epochs
-        assert replica.seed == accurate.seed
-        point = _points(1, seed=17)[0]
-        assert replica.train_accuracy(point) == accurate.train_accuracy(point)
-
     def test_per_candidate_seed_override(self, accurate):
         point = _points(1, seed=19)[0]
         default = accurate.train_accuracy(point)
@@ -129,209 +107,6 @@ class TestShardedTraining:
         assert accurate.train_accuracies([], workers=2) == []
         with pytest.raises(ValueError):
             accurate.train_accuracies(_points(2, seed=31), seeds=[1])
-
-    def test_explicit_pool_is_reused_and_left_open(self, accurate, serial_reference):
-        points, reference = serial_reference
-        with TrainingPool(accurate, workers=2) as pool:
-            first = train_accuracies(accurate, points, pool=pool)
-            assert first == reference
-            batches = pool.batches
-            assert train_accuracies(accurate, points, pool=pool) == reference
-            assert pool.batches == batches + 1, "the caller's pool serves again"
-            assert pool.live
-
-
-# ---------------------------------------------------------------------------
-# Crash recovery
-# ---------------------------------------------------------------------------
-
-
-class TestTrainingCrashRecovery:
-    def test_worker_kill_resubmits_jobs(self, accurate, serial_reference):
-        points, reference = serial_reference
-        with TrainingPool(accurate, workers=2) as pool:
-            jobs = [TrainingJob(point=p) for p in points]
-            assert pool.run_jobs(jobs) == reference
-            pids = pool.worker_pids()
-            assert len(pids) == 2
-            os.kill(pids[0], signal.SIGKILL)
-            # The dispatch that hits the broken pool respawns it and
-            # resubmits the full job list — nothing is lost.
-            assert pool.run_jobs(jobs) == reference
-            assert pool.restarts >= 1
-            # The healed pool keeps serving.
-            assert pool.run_jobs(jobs[:1]) == reference[:1]
-
-
-# ---------------------------------------------------------------------------
-# Adaptive dispatch threshold
-# ---------------------------------------------------------------------------
-
-
-class TestDispatchTuner:
-    def test_initial_threshold_until_calibrated(self):
-        tuner = DispatchTuner(workers=4)
-        assert tuner.threshold == 2
-        tuner.observe_local(4, 0.04)  # 10 ms/item
-        assert tuner.threshold == 2, "needs a pool sample too"
-
-    def test_break_even_formula(self):
-        tuner = DispatchTuner(workers=2, ema=1.0)
-        tuner.observe_local(10, 0.1)  # 10 ms/item
-        # 16 items across 2 workers -> busiest shard 8 items = 80 ms of
-        # compute; 120 ms wall => 40 ms fixed overhead.
-        tuner.observe_pool(16, 0.12)
-        assert tuner.pool_overhead_s == pytest.approx(0.04)
-        # n* = 0.04 * 2 / (0.01 * 1) = 8
-        assert tuner.threshold == 8
-
-    def test_threshold_clamps(self):
-        tuner = DispatchTuner(workers=2, ema=1.0, floor=2, ceiling=16)
-        tuner.observe_local(1, 1.0)  # very expensive items
-        tuner.observe_pool(2, 1.0)  # no measurable overhead
-        assert tuner.threshold == 2
-        cheap = DispatchTuner(workers=2, ema=1.0, floor=2, ceiling=16)
-        cheap.observe_local(100, 0.001)  # 10 us/item
-        cheap.observe_pool(4, 1.0)  # huge overhead
-        assert cheap.threshold == 16
-
-    def test_single_size_pool_observations_cannot_calibrate(self):
-        # Pool-only sessions collect (busiest, seconds) observations, but
-        # one shard size leaves overhead vs per-item cost unidentifiable.
-        tuner = DispatchTuner(workers=2)
-        for _ in range(5):
-            tuner.observe_pool(8, 1.0)
-        assert tuner.pool_samples == 5
-        assert tuner.fit_item_s is None and tuner.fit_overhead_s is None
-        assert tuner.threshold == 2, "stays at the configured initial"
-
-    def test_pool_only_least_squares_recovers_both_costs(self):
-        # seconds = 0.09 + busiest * 0.008, exactly linear -> exact fit.
-        tuner = DispatchTuner(workers=2)
-        for items in (4, 8, 16, 32):  # busiest shards 2, 4, 8, 16
-            busiest = -(-items // 2)
-            tuner.observe_pool(items, 0.09 + busiest * 0.008)
-        assert tuner.fit_overhead_s == pytest.approx(0.09)
-        assert tuner.fit_item_s == pytest.approx(0.008)
-        # Same break-even formula as the direct estimates:
-        # n* = 0.09 * 2 / (0.008 * 1) = 22.5 -> next whole batch size.
-        assert tuner.threshold == 23
-
-    def test_pool_only_fit_clamps_negative_solutions(self):
-        # A decreasing seconds-vs-size relation (noise, cache warming)
-        # must not yield a negative per-item cost.
-        tuner = DispatchTuner(workers=2, ceiling=64)
-        tuner.observe_pool(4, 1.0)
-        tuner.observe_pool(32, 0.1)
-        assert tuner.fit_item_s == 0.0
-        assert tuner.threshold == 64, "zero item cost -> pool never pays off"
-
-    def test_direct_estimates_take_precedence_over_the_fit(self):
-        tuner = DispatchTuner(workers=2, ema=1.0)
-        for items in (4, 16):
-            busiest = -(-items // 2)
-            tuner.observe_pool(items, 0.9 + busiest * 0.08)  # fitted: slow
-        fitted = tuner.threshold
-        assert fitted == 23  # n* = 0.9 * 2 / (0.08 * 1) = 22.5
-        tuner.observe_local(10, 0.1)  # direct: 10x cheaper items
-        tuner.observe_pool(16, 0.12)  # direct overhead 40 ms
-        assert tuner.threshold == 8, "directly measured costs win"
-
-    def test_pool_only_observation_window_is_bounded(self):
-        tuner = DispatchTuner(workers=2)
-        for i in range(100):
-            tuner.observe_pool(2 + (i % 3), 0.01)
-        assert len(tuner._pool_obs) == 64
-        assert tuner.pool_samples == 100
-
-    def test_ema_blends(self):
-        tuner = DispatchTuner(workers=2, ema=0.5)
-        tuner.observe_local(1, 0.1)
-        tuner.observe_local(1, 0.2)
-        assert tuner.local_item_s == pytest.approx(0.15)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            DispatchTuner(workers=1)
-        with pytest.raises(ValueError):
-            DispatchTuner(workers=2, ema=0.0)
-
-
-class TestAdaptiveMinDispatch:
-    def test_auto_is_default_and_exposes_tuner(self, smoke_context):
-        from repro.parallel import ParallelEvaluator
-
-        evaluator = ParallelEvaluator(smoke_context.fast_evaluator, workers=2)
-        assert evaluator.min_dispatch == "auto"
-        assert evaluator.tuner is not None
-        assert evaluator.dispatch_threshold == 2, "uncalibrated = old default"
-        evaluator.close()
-
-    def test_fixed_min_dispatch_disables_tuner(self, smoke_context):
-        from repro.parallel import ParallelEvaluator
-
-        evaluator = ParallelEvaluator(
-            smoke_context.fast_evaluator, workers=2, min_dispatch=5
-        )
-        assert evaluator.tuner is None
-        assert evaluator.dispatch_threshold == 5
-        evaluator.close()
-
-    def test_rejects_bad_min_dispatch(self, smoke_context):
-        from repro.parallel import ParallelEvaluator
-
-        with pytest.raises(ValueError):
-            ParallelEvaluator(
-                smoke_context.fast_evaluator, workers=2, min_dispatch="sometimes"
-            )
-
-    def test_local_runs_calibrate_per_item_cost(self, smoke_context):
-        from repro.parallel import ParallelEvaluator
-        from repro.search.evaluator import BatchEvaluator
-
-        evaluator = ParallelEvaluator(
-            smoke_context.fast_evaluator, workers=2
-        )
-        try:
-            points = _points(1, seed=37)
-            reference = BatchEvaluator(
-                smoke_context.fast_evaluator
-            ).evaluate_many(points)
-            assert evaluator.evaluate_many(points) == reference
-            assert evaluator.pool is None, "below threshold stays in-process"
-            assert evaluator.tuner.local_samples == 1
-            assert evaluator.tuner.local_item_s > 0
-        finally:
-            evaluator.close()
-
-    def test_first_large_cold_batch_is_a_calibration_probe(self, smoke_context):
-        """Without the probe, a session whose cold batches are always >=
-        the threshold would never measure the in-process per-item cost and
-        'auto' would silently stay at the fixed default forever."""
-        from repro.parallel import ParallelEvaluator
-        from repro.search.evaluator import BatchEvaluator
-
-        evaluator = ParallelEvaluator(smoke_context.fast_evaluator, workers=2)
-        try:
-            points = _points(4, seed=41)
-            reference = BatchEvaluator(
-                smoke_context.fast_evaluator
-            ).evaluate_many(points)
-            assert evaluator.tuner.wants_probe(len(points))
-            assert evaluator.evaluate_many(points) == reference
-            assert evaluator.pool is None, "the probe runs in-process"
-            assert evaluator.tuner.local_samples == 1
-            # Calibrated: the next large cold batch goes to the pool.
-            assert not evaluator.tuner.wants_probe(4)
-            more = _points(4, seed=43)
-            reference_more = BatchEvaluator(
-                smoke_context.fast_evaluator
-            ).evaluate_many(more)
-            assert evaluator.evaluate_many(more) == reference_more
-            assert evaluator.pool is not None and evaluator.pool.batches == 1
-        finally:
-            evaluator.close()
-
 
 # ---------------------------------------------------------------------------
 # Stack wiring
