@@ -170,7 +170,7 @@ class ReplicaSafetyRule(Rule):
             if not isinstance(cls, ast.ClassDef):
                 continue
             # Instance-level metric handles are forbidden in every class:
-            # metric objects hold locks, and instances travel through pickle.
+            # metric objects hold locks.
             for stmt in ast.walk(cls):
                 targets = _assign_targets(stmt)
                 value = getattr(stmt, "value", None)

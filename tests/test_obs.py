@@ -249,6 +249,19 @@ class TestTracer:
         assert wired["trace"] == "t" * 32
         assert wired["parent"] == "p" * 16
 
+    def test_record_feeds_the_ring(self):
+        tracer = Tracer()
+        tracer.configure(enabled=True)
+        tracer.record("queue_wait", "t" * 32, "p" * 16, 123.0, 0.004, points=7)
+        (span,) = tracer.spans()
+        assert span["name"] == "queue_wait"
+        assert span["start_s"] == 123.0
+        assert span["duration_s"] == 0.004
+        assert span["attrs"] == {"points": 7}
+        # Untraced work never records pre-measured spans.
+        tracer.record("queue_wait", None, None, 0.0, 0.1)
+        assert len(tracer.spans()) == 1
+
     def test_ring_buffer_is_bounded(self):
         tracer = Tracer(ring_size=4)
         tracer.configure(enabled=True)
