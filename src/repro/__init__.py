@@ -45,7 +45,6 @@ def quick_codesign(
     scale_name: str = "demo",
     seed: int = 0,
     workers: int = 1,
-    train_fast: bool = False,
     store: str | None = None,
 ):
     """Run the full three-step YOSO pipeline at a small scale.
@@ -54,9 +53,6 @@ def quick_codesign(
     :class:`repro.search.YosoResult`.  ``workers > 1`` shards Step-2
     candidate scoring AND Step-3 top-N training across that many worker
     threads (:mod:`repro.parallel`) with bit-identical results.
-    ``train_fast=True`` runs Step-3 training under the compact-cache
-    training kernels (same recipe, gradients matching the standard
-    kernels at rel 1e-6; off by default for paper fidelity).
     ``store`` names a durable :class:`repro.store.ResultStore` file: a
     second run on the same path replays persisted simulator samples,
     fast evaluations and trained accuracies bit-identically instead of
@@ -85,7 +81,6 @@ def quick_codesign(
         topn=s.topn,
         rescore_epochs=s.standalone_epochs,
         workers=workers,
-        train_fast=train_fast,
         store_path=store,
         seed=seed,
     )

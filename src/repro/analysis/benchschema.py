@@ -38,7 +38,6 @@ BENCH_SCHEMAS: Dict[str, Dict[str, type]] = {
         "scheduler": dict,
     },
     "BENCH_training.json": {
-        "kernel": dict,
         "shards": dict,
     },
     "BENCH_service.json": {

@@ -28,11 +28,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
              "training (1 = serial; search/training-driven commands "
              "only, results are bit-identical)")
     parser.add_argument(
-        "--train-fast", action="store_true",
-        help="run stand-alone training under the compact-cache training "
-             "kernels (same recipe, gradients match the standard kernels "
-             "at rel 1e-6; default keeps the paper-fidelity kernels)")
-    parser.add_argument(
         "--store", default=None, metavar="PATH",
         help="durable result-store file (repro.store): persisted "
              "simulator samples, fast evaluations and trained accuracies "
@@ -45,7 +40,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     from repro import quick_codesign
 
     result = quick_codesign(args.scale, seed=args.seed, workers=args.workers,
-                            train_fast=args.train_fast, store=args.store)
+                            store=args.store)
     best = result.best
     print(f"final co-design : {best.point().describe()}")
     print(f"accuracy        : {best.accurate.accuracy:.3f}")
@@ -71,7 +66,7 @@ def cmd_fig5(args: argparse.Namespace) -> int:
     from repro.experiments.plotting import line_chart, scatter_chart
 
     context = get_context(args.scale, args.seed, workers=args.workers,
-                          train_fast=args.train_fast, store_path=args.store)
+                          store_path=args.store)
     curve = run_fig5a(args.scale, args.seed, context=context)
     print(line_chart({"hypernet": curve.accuracy},
                      title="Fig 5(a): HyperNet training accuracy",
@@ -122,7 +117,7 @@ def cmd_table2(args: argparse.Namespace) -> int:
     from repro.experiments.table2 import run_table2
 
     context = get_context(args.scale, args.seed, workers=args.workers,
-                          train_fast=args.train_fast, store_path=args.store)
+                          store_path=args.store)
     result = run_table2(args.scale, args.seed, context=context,
                         iterations=args.iterations,
                         rescore_training=args.rescore_training)

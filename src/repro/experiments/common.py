@@ -60,10 +60,6 @@ class ExperimentContext:
     #: the shard width for the harnesses' stand-alone trainings (table2's
     #: training rescore path).
     workers: int = 1
-    #: Run the harnesses' stand-alone trainings (fig5b correlation models,
-    #: table2 training rescore) under the compact-cache training kernels.
-    #: Off by default for paper fidelity.
-    train_fast: bool = False
     #: The durable tier-2 result store behind the evaluator caches
     #: (``--store PATH``), or ``None``.  Shared by every context built on
     #: the same path in this process (single-writer file).
@@ -78,7 +74,7 @@ class ExperimentContext:
         return self.scale.hypernet_channels
 
 
-_CACHE: dict[tuple[str, int, int, bool, str | None], ExperimentContext] = {}
+_CACHE: dict[tuple[str, int, int, str | None], ExperimentContext] = {}
 
 #: Open ResultStore instances by absolute path.  The store enforces
 #: single-writer locking, so every context built on one path in this
@@ -159,7 +155,6 @@ def get_context(
     scale_name: str = "demo",
     seed: int = 0,
     workers: int = 1,
-    train_fast: bool = False,
     store_path: str | None = None,
 ) -> ExperimentContext:
     """Build (or fetch) the shared experiment context for a scale.
@@ -168,14 +163,11 @@ def get_context(
     multi-threaded engine (:func:`repro.parallel.create_evaluator`), so
     every experiment harness' candidate scoring fans out across worker
     threads — with bit-identical results — and the harnesses'
-    stand-alone trainings shard their top-N the same way.
-    ``train_fast=True`` runs those trainings under the compact-cache
-    training kernels (docs/PERFORMANCE.md, "Training path").  The
-    expensive Step-1 artefacts (trained HyperNet, simulator samples, GP
-    fits) are cached per (scale, seed) and *shared* across worker counts
-    and kernel modes: only the evaluator wrapper / flags differ, so
-    asking for a new ``workers`` or ``train_fast`` value on an
-    already-built context is near-free.
+    stand-alone trainings shard their top-N the same way.  The expensive
+    Step-1 artefacts (trained HyperNet, simulator samples, GP fits) are
+    cached per (scale, seed) and *shared* across worker counts: only the
+    evaluator wrapper differs, so asking for a new ``workers`` value on
+    an already-built context is near-free.
 
     ``store_path`` opens (or reuses, same path) a durable
     :class:`repro.store.ResultStore` as the tier-2 cache: Step-1 sample
@@ -185,7 +177,7 @@ def get_context(
     replay persisted results (``yoso ... --store PATH``).
     """
     store_key = os.path.abspath(store_path) if store_path is not None else None
-    key = (scale_name, seed, workers, train_fast, store_key)
+    key = (scale_name, seed, workers, store_key)
     if key in _CACHE:
         return _CACHE[key]
     store = _get_store(store_path)
@@ -200,7 +192,6 @@ def get_context(
                 base,
                 batch_evaluator=batch_evaluator,
                 workers=workers,
-                train_fast=train_fast,
                 store=store,
             )
             _CACHE[key] = context
@@ -270,7 +261,6 @@ def get_context(
         t_lat_ms=t_lat,
         t_eer_mj=t_eer,
         workers=workers,
-        train_fast=train_fast,
         store=store,
     )
     _CACHE[key] = context

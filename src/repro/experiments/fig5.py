@@ -108,7 +108,6 @@ def run_fig5b(
             stem_channels=scale.hypernet_channels,
             num_classes=context.dataset.num_classes,
             rng=np.random.default_rng(seed + 1000 + i),
-            train_fast=context.train_fast,
         )
         result = train_network(
             network,

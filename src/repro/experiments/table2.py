@@ -242,9 +242,9 @@ def run_table2(
     """Regenerate Table 2 (and the Fig. 7 ratios) end to end.
 
     ``rescore_training=True`` rescored YOSO rows train every pooled top-N
-    candidate stand-alone (sharded across ``context.workers``, using the
-    context's ``train_fast`` kernels) instead of re-measuring through the
-    HyperNet — the paper's actual Step 3, at demo-scale training cost.
+    candidate stand-alone (sharded across ``context.workers``) instead of
+    re-measuring through the HyperNet — the paper's actual Step 3, at
+    demo-scale training cost.
     """
     context = context or get_context(scale_name, seed)
     scale = context.scale
@@ -337,7 +337,6 @@ def run_table2(
             num_classes=context.dataset.num_classes,
             train_epochs=scale.standalone_epochs,
             seed=seed,
-            train_fast=context.train_fast,
         )
         if context.store is not None:
             # Persisted trained accuracies (keyed genotype tokens + seed)

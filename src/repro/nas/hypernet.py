@@ -103,7 +103,14 @@ class MixedCell(Module):
             node_idx = offset + 2
             op_a = self.edge_ops[(node_idx, node.input1, node.op1)]
             op_b = self.edge_ops[(node_idx, node.input2, node.op2)]
-            states.append(op_a(states[node.input1]) + op_b(states[node.input2]))
+            if op_a is op_b:
+                # Both slots pick one edge (same input, same op): run the
+                # module once and double it, so its single cache pairs
+                # with one backward of the doubled gradient.
+                y = op_a(states[node.input1])
+                states.append(y + y)
+            else:
+                states.append(op_a(states[node.input1]) + op_b(states[node.input2]))
             active.append((op_a, op_b))
         self._active, self._spec, self._pre, self._states = active, spec, (pre0, pre1), states
         return np.concatenate([states[i] for i in spec.loose_ends()], axis=1)
@@ -201,8 +208,8 @@ class MixedCell(Module):
             node_idx = offset + 2
             # Both edge slots of every path, grouped by (predecessor, op)
             # and sub-grouped by input identity; a path picking the same
-            # pair twice contributes twice (the scalar path also runs the
-            # op twice and sums).
+            # pair twice contributes twice (the scalar path runs the op
+            # once and adds the result to itself).
             edges: dict[tuple[int, str], dict[object, list[int]]] = {}
             node_toks: list[object] = []
             for g, spec in enumerate(specs):
@@ -289,8 +296,13 @@ class MixedCell(Module):
                 continue
             node = spec.nodes[offset]
             op_a, op_b = self._active[offset]
-            _accumulate(node_grads, node.input1, op_a.backward(g))
-            _accumulate(node_grads, node.input2, op_b.backward(g))
+            if op_a is op_b:
+                # Doubling is exact in floating point, so the edge's
+                # parameter gradients equal a two-pass sum bit for bit.
+                _accumulate(node_grads, node.input1, op_a.backward(g + g))
+            else:
+                _accumulate(node_grads, node.input1, op_a.backward(g))
+                _accumulate(node_grads, node.input2, op_b.backward(g))
         assert self._states is not None
         g0 = node_grads[0] if node_grads[0] is not None else np.zeros_like(self._states[0])
         g1 = node_grads[1] if node_grads[1] is not None else np.zeros_like(self._states[1])
@@ -499,8 +511,8 @@ class HyperNet(Module):
         in any permutation.
 
         Like :meth:`evaluate` this uses training-mode batch norm with
-        per-genotype batch statistics (``bn_segments``), and is
-        forward-only.
+        per-genotype batch statistics (segmented
+        :func:`~repro.nn.functional.batchnorm_infer`), and is forward-only.
         """
         if genotype_batch < 1:
             raise ValueError("genotype_batch must be >= 1")

@@ -21,8 +21,6 @@ from ..nn.layers import (
     Linear,
     ReLUConvBN,
     Sequential,
-    train_fast,
-    train_fast_enabled,
 )
 from ..nn.module import Module
 from .genotype import NUM_NODES, CellGenotype, Genotype
@@ -140,7 +138,6 @@ class CellNetwork(Module):
         stem_channels: int = 16,
         num_classes: int = 10,
         rng: np.random.Generator | None = None,
-        train_fast: bool = False,
     ) -> None:
         super().__init__()
         rng = rng or np.random.default_rng(0)
@@ -148,10 +145,6 @@ class CellNetwork(Module):
         self.num_cells = num_cells
         self.stem_channels = stem_channels
         self.num_classes = num_classes
-        #: Run forwards under the compact-cache training kernels
-        #: (:func:`repro.nn.layers.train_fast`).  Off by default for paper
-        #: fidelity; gradients agree with the standard kernels at rel 1e-6.
-        self.train_fast = train_fast
         self.stem = Sequential(
             Conv2d(3, stem_channels, kernel=3, rng=rng), BatchNorm2d(stem_channels)
         )
@@ -181,13 +174,10 @@ class CellNetwork(Module):
 
     # ------------------------------------------------------------------
     def forward(self, x: np.ndarray) -> np.ndarray:
-        # The kernel choice is latched per layer at forward time, so only
-        # the forward needs the scope; backward dispatches on what ran.
-        with train_fast(self.train_fast or train_fast_enabled()):
-            s0 = s1 = self.stem(x)
-            for cell in self.cells:
-                s0, s1 = s1, cell(s0, s1)
-            return self.classifier(self.global_pool(s1))
+        s0 = s1 = self.stem(x)
+        for cell in self.cells:
+            s0, s1 = s1, cell(s0, s1)
+        return self.classifier(self.global_pool(s1))
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         grad = self.global_pool.backward(self.classifier.backward(grad_out))

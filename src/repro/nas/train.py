@@ -13,8 +13,6 @@ import numpy as np
 
 from ..nn import functional as F
 from ..nn.data import SyntheticCifar
-from ..nn.layers import train_fast as train_fast_scope
-from ..nn.layers import train_fast_enabled
 from ..nn.module import Module
 from ..nn.optim import SGD, CosineSchedule, clip_grad_norm
 
@@ -65,16 +63,12 @@ def train_network(
     grad_clip: float = 5.0,
     augment: bool = True,
     seed: int = 0,
-    train_fast: bool = False,
 ) -> TrainResult:
     """Train ``network`` from its current weights with the paper's recipe.
 
-    ``train_fast=True`` runs the whole loop (and the final accuracy
-    evaluations) under the compact-cache training kernels
-    (:func:`repro.nn.layers.train_fast`): same recipe, bounded backward
-    state, gradients matching the standard kernels at relative 1e-6.  The
-    default keeps the paper-fidelity kernels; a network built with
-    ``CellNetwork(..., train_fast=True)`` enables the mode by itself.
+    The steps run the layers' compact-cache training kernels, whose
+    backward state is released by every backward; the final accuracies
+    run the forward-only eval-mode kernels.
     """
     rng = np.random.default_rng(seed)
     optimiser = SGD(
@@ -83,32 +77,31 @@ def train_network(
     schedule = CosineSchedule(lr_max, lr_min, total_steps=max(epochs, 1))
     last_loss, last_acc = float("nan"), float("nan")
     network.train()
-    with train_fast_scope(train_fast or train_fast_enabled()):
-        for epoch in range(epochs):
-            schedule.apply(optimiser, epoch)
-            total_loss, total_correct, total_seen = 0.0, 0, 0
-            for x, y in dataset.batches(
-                "train", batch_size=batch_size, shuffle=True, augment=augment, rng=rng
-            ):
-                optimiser.zero_grad()
-                logits = network(x)
-                loss, grad = F.softmax_cross_entropy(logits, y)
-                network.backward(grad)
-                clip_grad_norm(network.parameters(), grad_clip)
-                optimiser.step()
-                total_loss += loss * len(y)
-                total_correct += int((logits.argmax(axis=1) == y).sum())
-                total_seen += len(y)
-            last_loss = total_loss / max(total_seen, 1)
-            last_acc = total_correct / max(total_seen, 1)
-        return TrainResult(
-            epochs=epochs,
-            final_train_loss=last_loss,
-            final_train_accuracy=last_acc,
-            val_accuracy=evaluate_accuracy(
-                network, dataset.val.images, dataset.val.labels
-            ),
-            test_accuracy=evaluate_accuracy(
-                network, dataset.test.images, dataset.test.labels
-            ),
-        )
+    for epoch in range(epochs):
+        schedule.apply(optimiser, epoch)
+        total_loss, total_correct, total_seen = 0.0, 0, 0
+        for x, y in dataset.batches(
+            "train", batch_size=batch_size, shuffle=True, augment=augment, rng=rng
+        ):
+            optimiser.zero_grad()
+            logits = network(x)
+            loss, grad = F.softmax_cross_entropy(logits, y)
+            network.backward(grad)
+            clip_grad_norm(network.parameters(), grad_clip)
+            optimiser.step()
+            total_loss += loss * len(y)
+            total_correct += int((logits.argmax(axis=1) == y).sum())
+            total_seen += len(y)
+        last_loss = total_loss / max(total_seen, 1)
+        last_acc = total_correct / max(total_seen, 1)
+    return TrainResult(
+        epochs=epochs,
+        final_train_loss=last_loss,
+        final_train_accuracy=last_acc,
+        val_accuracy=evaluate_accuracy(
+            network, dataset.val.images, dataset.val.labels
+        ),
+        test_accuracy=evaluate_accuracy(
+            network, dataset.test.images, dataset.test.labels
+        ),
+    )

@@ -1,12 +1,21 @@
 """Numerical kernels for the numpy deep-learning substrate.
 
 Every function here is a pure forward or backward computation on
-``numpy.ndarray`` inputs.  Convolutions use an im2col lowering with the
-column layout ``(N, C*K*K, OH*OW)``: building it only needs K*K contiguous
-slice copies (no strided gathers), and the convolution itself becomes one
-batched BLAS ``matmul`` whose output reshapes to NCHW for free.
+``numpy.ndarray`` inputs.  Array layout is NCHW throughout; compute dtype
+is float32.  The convolution and pooling kernels come in three families:
 
-Array layout is NCHW throughout; compute dtype is float32.
+* **standard** (``conv2d_forward``/``_backward`` & friends, ``im2col``,
+  the training branch of ``batchnorm_forward`` and
+  ``batchnorm_backward``): the textbook im2col lowering, column layout
+  ``(N, C*K*K, OH*OW)``.  It has no production caller; it is kept as the
+  reference specification the kernel-parity tests hold the compact-cache
+  kernels to.  (``col2im`` is shared: strided compact-cache backwards
+  scatter through it.)
+* **compact-cache** (``*_fast``): the training kernels every layer runs.
+  Same values as the standard family to float round-off, but O(input)
+  backward state instead of the K*K-fold column tensor.
+* **inference** (``*_infer``): forward-only, no backward state; eval-mode
+  layers and the batched HyperNet forward run them.
 """
 
 from __future__ import annotations
@@ -273,13 +282,13 @@ def avgpool2d_backward(grad_out: np.ndarray, cache: tuple) -> np.ndarray:
 # Forward-only inference kernels
 # ---------------------------------------------------------------------------
 #
-# The training kernels above materialise im2col columns (and argmax indices)
+# The standard kernels above materialise im2col columns (and argmax indices)
 # because their backward passes need them.  Inference-only consumers — the
 # batched HyperNet evaluation path — can use cheaper algorithms with the
 # same numerics: pooling and depthwise convolution as k*k shifted
 # view-reductions (no column tensor), 1x1 convolution as a plain matmul
 # (its im2col is the identity).  Max pooling is bitwise-identical to the
-# training kernel; average/depthwise accumulate the k*k terms in the same
+# standard kernel; average/depthwise accumulate the k*k terms in the same
 # ascending window order, so they agree to float round-off.
 
 
@@ -589,10 +598,10 @@ def global_avgpool_backward(grad_out: np.ndarray, cache: tuple) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Compact-cache training kernels (the `train_fast` mode)
+# Compact-cache training kernels (what every training-mode layer runs)
 # ---------------------------------------------------------------------------
 #
-# The standard training kernels above hold the full im2col column tensor
+# The standard reference kernels above hold the full im2col column tensor
 # (K*K times the input) from forward to backward.  The `*_fast` variants
 # keep only O(input) state and adopt the inference tricks where a backward
 # pass still exists:
@@ -1054,29 +1063,15 @@ def batchnorm_forward(
     momentum: float,
     eps: float,
     training: bool,
-    segments: int = 1,
 ) -> tuple[np.ndarray, tuple | None]:
     """Batch normalisation over the channel axis of an NCHW tensor.
 
     In training mode the running statistics are updated in place and a cache
     for the backward pass is returned; in eval mode the cache is ``None``.
-
-    ``segments > 1`` (training mode only) treats the batch axis as that many
-    equal-length contiguous sub-batches and normalises each with its own
-    statistics.  This is how the batched HyperNet path stacks several
-    sub-model evaluations into one call while keeping per-sub-model batch
-    statistics identical to separate scalar forwards (round-off aside): the
-    arithmetic per segment is exactly the ``segments == 1`` formula applied
-    to that segment's rows.  The running statistics receive ONE update with
-    the across-segment mean, and the path is forward-only — it returns no
-    backward cache (evaluation never backpropagates).
+    Eval-mode layers run this; the training branch is the reference for
+    :func:`batchnorm_forward_fast`.  Segmented (per-sub-batch) statistics
+    are :func:`batchnorm_infer`'s job.
     """
-    if training and segments > 1:
-        out = batchnorm_infer(
-            x, gamma, beta, running_mean, running_var, momentum, eps, True,
-            segments=segments,
-        )
-        return out, None
     if training:
         mean = x.mean(axis=(0, 2, 3))
         var = x.var(axis=(0, 2, 3))

@@ -12,11 +12,10 @@ This is the executor behind :meth:`repro.nas.hypernet.HyperNet.forward_many`
 — several sub-model paths stacked into one call per candidate op, with each
 path keeping the batch statistics it would have seen in a scalar forward.
 Outputs match training-mode ``module(x)`` per segment to floating-point
-round-off (max pooling, 1x1 convolutions and batch norm are
-bitwise-identical; average/depthwise kernels re-associate the k*k window
-sum).  Do NOT call ``module.backward`` after ``forward_infer`` — no caches
-were written, and stale ones from an earlier training step would be
-silently wrong.
+round-off.  Do NOT call ``module.backward`` after ``forward_infer``: no
+caches were written, so it raises (or, after an earlier training-mode
+forward that was never backpropagated, silently uses that forward's
+cache).
 """
 
 from __future__ import annotations
@@ -36,7 +35,6 @@ from .layers import (
     ReLU,
     Sequential,
     SeparableConv2d,
-    bn_segments,
 )
 from .module import Module
 
@@ -66,10 +64,9 @@ def forward_infer(module: Module, x: np.ndarray, segments: int = 1) -> np.ndarra
     had been forwarded one at a time.  All other layers are per-sample
     maths, so stacking needs no special handling.  A ReLU immediately
     followed by a convolution inside a Sequential is fused into the
-    convolution's padding pass.  Unknown module types fall back to their
-    regular ``forward`` under a :func:`bn_segments` scope, so custom
-    containers still evaluate correctly (their caches are then written as
-    usual).
+    convolution's padding pass.  Unknown module types raise
+    ``TypeError``: their ``forward`` would neither see ``segments`` nor
+    skip its caches.
     """
     if isinstance(module, Sequential):
         children = module.modules
@@ -118,5 +115,4 @@ def forward_infer(module: Module, x: np.ndarray, segments: int = 1) -> np.ndarra
         return x @ module.weight.data.T + module.bias.data
     if isinstance(module, Identity):
         return x
-    with bn_segments(segments):
-        return module(x)
+    raise TypeError(f"forward_infer has no rule for {type(module).__name__}")

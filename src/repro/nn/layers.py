@@ -3,12 +3,19 @@
 Layers cache forward intermediates on ``self`` and consume them in
 ``backward``; a layer instance therefore handles one forward/backward pair
 at a time (standard for define-by-run training loops).
+
+Training-mode forwards run the compact-cache ``*_fast`` kernels, whose
+backward state is O(input): a reference to the input, float32 columns
+under a fixed budget, a boolean first-max mask for max pooling.
+``backward`` takes the cache and releases it, so a network holds no
+training state between steps — a weight-sharing HyperNet, which runs a
+different single path every step, would otherwise keep the caches of
+every op it has ever sampled.  Eval-mode convolution, pooling, BN and
+ReLU forwards run the forward-only ``*_infer`` kernels (BN: the
+running-statistics branch of ``batchnorm_forward``) and write no cache.
 """
 
 from __future__ import annotations
-
-from contextlib import contextmanager
-from contextvars import ContextVar
 
 import numpy as np
 
@@ -16,9 +23,6 @@ from . import functional as F
 from .module import Module, Parameter, init_kaiming, init_ones, init_zeros
 
 __all__ = [
-    "bn_segments",
-    "train_fast",
-    "train_fast_enabled",
     "Conv2d",
     "DepthwiseConv2d",
     "SeparableConv2d",
@@ -36,69 +40,14 @@ __all__ = [
 ]
 
 
-#: Number of contiguous equal-length sub-batches every BatchNorm2d forward
-#: should normalise independently (1 = plain batch norm).  Set via
-#: :func:`bn_segments`; read at call time so the scope nests correctly.
-#: Context-local, so threads in overlapping scopes never see each other's
-#: value.
-_BN_SEGMENTS: ContextVar[int] = ContextVar("repro_bn_segments", default=1)
-
-
-#: Whether conv/pool layers should run the compact-cache training kernels
-#: (see the ``*_fast`` family in :mod:`repro.nn.functional`).  Off by
-#: default for paper fidelity; set via :func:`train_fast`, read at forward
-#: time so the scope nests correctly.  Context-local like
-#: :data:`_BN_SEGMENTS`.
-_TRAIN_FAST: ContextVar[bool] = ContextVar("repro_train_fast", default=False)
-
-
-@contextmanager
-def train_fast(enabled: bool = True):
-    """Scope under which conv/pool layers use the compact-cache training
-    kernels (``conv2d_forward_fast`` & friends).
-
-    Inside the scope forwards keep only O(input) backward state — no full
-    im2col column tensors, boolean first-max masks for pooling — and each
-    layer's backward dispatches to the matching fast kernel (the choice is
-    latched per forward, so a forward inside the scope pairs with the fast
-    backward even if the scope has been exited in between).  Values match
-    the standard kernels to float round-off (conv/max-pool forwards are
-    bitwise identical); gradients agree at relative 1e-6 — see
-    ``tests/test_nn_fast_kernels.py`` and docs/PERFORMANCE.md ("Training
-    path").  The default mode everywhere stays the standard kernels.
-    """
-    token = _TRAIN_FAST.set(bool(enabled))
-    try:
-        yield
-    finally:
-        _TRAIN_FAST.reset(token)
-
-
-def train_fast_enabled() -> bool:
-    """Whether the compact-cache training kernels are active in this scope."""
-    return _TRAIN_FAST.get()
-
-
-@contextmanager
-def bn_segments(segments: int):
-    """Scope under which BatchNorm2d treats the batch axis as ``segments``
-    independent contiguous sub-batches, each normalised with its own
-    training-mode statistics.
-
-    The batched HyperNet forward uses this to stack several sub-model
-    paths into one op call without mixing their batch statistics — see
-    :func:`repro.nn.functional.batchnorm_forward` for the exact semantics
-    (per-segment parity with scalar forwards; forward-only, no backward
-    cache).  Affects training-mode BN only; other layers are per-sample
-    and need no scoping.
-    """
-    if segments < 1:
-        raise ValueError("segments must be >= 1")
-    token = _BN_SEGMENTS.set(segments)
-    try:
-        yield
-    finally:
-        _BN_SEGMENTS.reset(token)
+def _take_cache(layer: Module) -> tuple:
+    """The layer's forward cache, released: one backward consumes it."""
+    cache, layer._cache = layer._cache, None
+    if cache is None:
+        raise RuntimeError(
+            f"{type(layer).__name__}.backward without a training-mode forward"
+        )
+    return cache
 
 
 class Conv2d(Module):
@@ -122,24 +71,15 @@ class Conv2d(Module):
         self.pad = F.pad_same(kernel) if pad is None else pad
         self.weight = Parameter(init_kaiming((out_channels, in_channels, kernel, kernel), rng))
         self._cache: tuple | None = None
-        self._fast = False
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        self._fast = _TRAIN_FAST.get()
-        if self._fast:
-            if not self.training:  # no backward coming: skip the cache
-                self._cache = None
-                return F.conv2d_infer(x, self.weight.data, self.stride, self.pad)
-            out, self._cache = F.conv2d_forward_fast(
-                x, self.weight.data, self.stride, self.pad
-            )
-            return out
-        out, self._cache = F.conv2d_forward(x, self.weight.data, self.stride, self.pad)
+        if not self.training:
+            return F.conv2d_infer(x, self.weight.data, self.stride, self.pad)
+        out, self._cache = F.conv2d_forward_fast(x, self.weight.data, self.stride, self.pad)
         return out
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        bwd = F.conv2d_backward_fast if self._fast else F.conv2d_backward
-        grad_x, grad_w = bwd(grad_out, self._cache)
+        grad_x, grad_w = F.conv2d_backward_fast(grad_out, _take_cache(self))
         self.weight.grad += grad_w
         return grad_x
 
@@ -163,30 +103,17 @@ class DepthwiseConv2d(Module):
         self.pad = F.pad_same(kernel) if pad is None else pad
         self.weight = Parameter(init_kaiming((channels, kernel, kernel), rng))
         self._cache: tuple | None = None
-        self._fast = False
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        self._fast = _TRAIN_FAST.get()
-        if self._fast:
-            if not self.training:  # no backward coming: skip the cache
-                self._cache = None
-                return F.depthwise_conv2d_infer(
-                    x, self.weight.data, self.stride, self.pad
-                )
-            out, self._cache = F.depthwise_conv2d_forward_fast(
-                x, self.weight.data, self.stride, self.pad
-            )
-            return out
-        out, self._cache = F.depthwise_conv2d_forward(
+        if not self.training:
+            return F.depthwise_conv2d_infer(x, self.weight.data, self.stride, self.pad)
+        out, self._cache = F.depthwise_conv2d_forward_fast(
             x, self.weight.data, self.stride, self.pad
         )
         return out
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        bwd = (
-            F.depthwise_conv2d_backward_fast if self._fast else F.depthwise_conv2d_backward
-        )
-        grad_x, grad_w = bwd(grad_out, self._cache)
+        grad_x, grad_w = F.depthwise_conv2d_backward_fast(grad_out, _take_cache(self))
         self.weight.grad += grad_w
         return grad_x
 
@@ -227,24 +154,9 @@ class BatchNorm2d(Module):
         self.running_mean = np.zeros(channels, dtype=np.float32)
         self.running_var = np.ones(channels, dtype=np.float32)
         self._cache: tuple | None = None
-        self._fast = False
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        self._fast = _TRAIN_FAST.get()
-        segments = _BN_SEGMENTS.get()
-        if self._fast and self.training and segments == 1:
-            out, self._cache = F.batchnorm_forward_fast(
-                x,
-                self.gamma.data,
-                self.beta.data,
-                self.running_mean,
-                self.running_var,
-                self.momentum,
-                self.eps,
-                self.training,
-            )
-            return out
-        out, self._cache = F.batchnorm_forward(
+        args = (
             x,
             self.gamma.data,
             self.beta.data,
@@ -252,16 +164,14 @@ class BatchNorm2d(Module):
             self.running_var,
             self.momentum,
             self.eps,
-            self.training,
-            segments=segments,
         )
+        if not self.training:
+            return F.batchnorm_forward(*args, False)[0]
+        out, self._cache = F.batchnorm_forward_fast(*args, True)
         return out
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        if self._cache is None:
-            raise RuntimeError("backward called in eval mode")
-        bwd = F.batchnorm_backward_fast if self._fast else F.batchnorm_backward
-        grad_x, grad_gamma, grad_beta = bwd(grad_out, self._cache)
+        grad_x, grad_gamma, grad_beta = F.batchnorm_backward_fast(grad_out, _take_cache(self))
         self.gamma.grad += grad_gamma
         self.beta.grad += grad_beta
         return grad_x
@@ -273,14 +183,16 @@ class ReLU(Module):
         self._mask: np.ndarray | None = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        if _TRAIN_FAST.get() and not self.training:  # no backward coming: skip the mask
-            self._mask = None
+        if not self.training:
             return np.maximum(x, 0.0)
         out, self._mask = F.relu_forward(x)
         return out
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        return F.relu_backward(grad_out, self._mask)
+        mask, self._mask = self._mask, None
+        if mask is None:
+            raise RuntimeError("ReLU.backward without a training-mode forward")
+        return F.relu_backward(grad_out, mask)
 
 
 class MaxPool2d(Module):
@@ -290,24 +202,15 @@ class MaxPool2d(Module):
         self.stride = stride
         self.pad = F.pad_same(kernel) if pad is None else pad
         self._cache: tuple | None = None
-        self._fast = False
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        self._fast = _TRAIN_FAST.get()
-        if self._fast:
-            if not self.training:  # no backward coming: skip the mask
-                self._cache = None
-                return F.maxpool2d_infer(x, self.kernel, self.stride, self.pad)
-            out, self._cache = F.maxpool2d_forward_fast(
-                x, self.kernel, self.stride, self.pad
-            )
-            return out
-        out, self._cache = F.maxpool2d_forward(x, self.kernel, self.stride, self.pad)
+        if not self.training:
+            return F.maxpool2d_infer(x, self.kernel, self.stride, self.pad)
+        out, self._cache = F.maxpool2d_forward_fast(x, self.kernel, self.stride, self.pad)
         return out
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        bwd = F.maxpool2d_backward_fast if self._fast else F.maxpool2d_backward
-        return bwd(grad_out, self._cache)
+        return F.maxpool2d_backward_fast(grad_out, _take_cache(self))
 
 
 class AvgPool2d(Module):
@@ -317,20 +220,15 @@ class AvgPool2d(Module):
         self.stride = stride
         self.pad = F.pad_same(kernel) if pad is None else pad
         self._cache: tuple | None = None
-        self._fast = False
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        self._fast = _TRAIN_FAST.get()
-        if self._fast and not self.training:
-            self._cache = None
+        if not self.training:
             return F.avgpool2d_infer(x, self.kernel, self.stride, self.pad)
-        fwd = F.avgpool2d_forward_fast if self._fast else F.avgpool2d_forward
-        out, self._cache = fwd(x, self.kernel, self.stride, self.pad)
+        out, self._cache = F.avgpool2d_forward_fast(x, self.kernel, self.stride, self.pad)
         return out
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        bwd = F.avgpool2d_backward_fast if self._fast else F.avgpool2d_backward
-        return bwd(grad_out, self._cache)
+        return F.avgpool2d_backward_fast(grad_out, _take_cache(self))
 
 
 class GlobalAvgPool(Module):
@@ -343,7 +241,7 @@ class GlobalAvgPool(Module):
         return out
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        return F.global_avgpool_backward(grad_out, self._cache)
+        return F.global_avgpool_backward(grad_out, _take_cache(self))
 
 
 class Linear(Module):
@@ -361,7 +259,7 @@ class Linear(Module):
         return out
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        grad_x, grad_w, grad_b = F.linear_backward(grad_out, self._cache)
+        grad_x, grad_w, grad_b = F.linear_backward(grad_out, _take_cache(self))
         self.weight.grad += grad_w
         self.bias.grad += grad_b
         return grad_x

@@ -17,9 +17,7 @@ types build on it:
 
 Each task runs under a copy of the dispatching thread's
 :mod:`contextvars` context, so a ``pool.shard`` span nests under the
-``pool.dispatch`` span and the layer scopes
-(:func:`repro.nn.layers.train_fast`, :func:`repro.nn.layers.bn_segments`)
-read exactly what an in-process call would.  Why sharing the evaluators
+``pool.dispatch`` span.  Why sharing the evaluators
 between threads is safe is set out in docs/PERFORMANCE.md ("Parallel
 execution model").
 """

@@ -590,13 +590,7 @@ class BatchEvaluator:
 
 
 class AccurateEvaluator:
-    """Full training + accurate simulation (Step 3 rescoring).
-
-    ``train_fast=True`` runs every stand-alone training under the
-    compact-cache training kernels (:func:`repro.nn.layers.train_fast`) —
-    same recipe, bounded backward state, gradients matching the standard
-    kernels at relative 1e-6.  Off by default for paper fidelity.
-    """
+    """Full training + accurate simulation (Step 3 rescoring)."""
 
     def __init__(
         self,
@@ -608,7 +602,6 @@ class AccurateEvaluator:
         train_epochs: int = 70,
         batch_size: int = 64,
         seed: int = 0,
-        train_fast: bool = False,
     ) -> None:
         self.dataset = dataset
         self.simulator = simulator or SystolicArraySimulator()
@@ -618,7 +611,6 @@ class AccurateEvaluator:
         self.train_epochs = train_epochs
         self.batch_size = batch_size
         self.seed = seed
-        self.train_fast = train_fast
         self._store = None
         self._store_namespace: str | None = None
         #: Durable-store counters over stand-alone trainings: persisted
@@ -704,7 +696,6 @@ class AccurateEvaluator:
                 stem_channels=self.stem_channels,
                 num_classes=self.num_classes,
                 rng=rng,
-                train_fast=self.train_fast,
             )
             result = train_network(
                 network,

@@ -57,10 +57,6 @@ class YosoConfig:
     #: trainings (:func:`~repro.parallel.train_accuracies`) — both
     #: bit-identical to the serial paths.
     workers: int = 1
-    #: Run Step-3 stand-alone training under the compact-cache training
-    #: kernels (:func:`repro.nn.layers.train_fast`).  Off by default for
-    #: paper fidelity; gradients match the standard kernels at rel 1e-6.
-    train_fast: bool = False
     #: Path of a durable :class:`repro.store.ResultStore` (``--store``).
     #: ``None`` (the default) keeps the pipeline byte-identical to the
     #: store-less behaviour; a path warm-starts Step 1's simulator samples
@@ -219,7 +215,6 @@ class YosoSearch:
             num_classes=cfg.num_classes,
             train_epochs=cfg.rescore_epochs,
             seed=cfg.seed,
-            train_fast=cfg.train_fast,
         )
         if self._ensure_store() is not None:
             accurate.attach_store(self.store)

@@ -128,7 +128,6 @@ def accurate_evaluator_fingerprint(accurate: "AccurateEvaluator") -> str:
         accurate.num_classes,
         accurate.train_epochs,
         accurate.batch_size,
-        bool(accurate.train_fast),
     )
 
 

@@ -36,6 +36,22 @@ def genotype(simple_cell: CellGenotype) -> Genotype:
 
 
 @pytest.fixture
+def aliased_genotype() -> Genotype:
+    """Nodes 2 and 4 take the same (input, op) edge in both slots, so one
+    HyperNet edge module serves both; node 3 is a plain node between them."""
+    cell = CellGenotype(
+        nodes=(
+            NodeSpec(1, 1, "conv3x3", "conv3x3"),
+            NodeSpec(0, 2, "dwconv3x3", "maxpool3x3"),
+            NodeSpec(2, 2, "avgpool3x3", "avgpool3x3"),
+            NodeSpec(3, 4, "dwconv5x5", "conv5x5"),
+            NodeSpec(5, 5, "dwconv3x3", "dwconv3x3"),
+        )
+    )
+    return Genotype(normal=cell, reduce=cell, name="aliased")
+
+
+@pytest.fixture
 def random_genotype(rng: np.random.Generator) -> Genotype:
     return DnnSpace().sample(rng, name="random-fixture")
 

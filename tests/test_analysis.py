@@ -584,7 +584,6 @@ def test_bench_schema_passes_on_minimal_valid_report(tmp_path):
             "benchmark": "training_path",
             "cpu_count": 4,
             "degraded_host": False,
-            "kernel": {},
             "shards": {},
         },
     )
@@ -595,7 +594,7 @@ def test_bench_schema_fires_on_missing_and_mistyped_keys(tmp_path):
     p = _write_bench(
         tmp_path,
         "BENCH_training.json",
-        {"benchmark": "training_path", "cpu_count": True, "kernel": {}, "shards": {}},
+        {"benchmark": "training_path", "cpu_count": True, "shards": {}},
     )
     findings = validate_bench_file(p)
     messages = " | ".join(f.message for f in findings)

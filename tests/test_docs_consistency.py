@@ -46,6 +46,18 @@ def src_blob() -> str:
     return "\n".join(parts)
 
 
+@functools.lru_cache(maxsize=1)
+def perfbench_blob() -> str:
+    """Concatenated source of the benchmark driver (its CLI flags)."""
+    folder = os.path.join(ROOT, "perfbench")
+    parts = []
+    for filename in sorted(os.listdir(folder)):
+        if filename.endswith(".py"):
+            with open(os.path.join(folder, filename)) as handle:
+                parts.append(handle.read())
+    return "\n".join(parts)
+
+
 class TestReferencedFilesExist:
     @pytest.mark.parametrize("doc", DOCS)
     def test_docs_present(self, doc):
@@ -68,19 +80,45 @@ class TestReferencedFilesExist:
 
     @pytest.mark.parametrize("doc", DOCS)
     def test_referenced_repro_modules_exist(self, doc):
-        """Every `repro.*` dotted reference must resolve to a module."""
+        """Every `repro.*` dotted reference must resolve to a module, and
+        the first attribute after it must be defined (or, for a package,
+        exported) there — so a doc naming a deleted function fails."""
         text = read(doc)
         for match in set(re.findall(r"`repro\.([A-Za-z_.]+)", text)):
             parts = match.rstrip(".").split(".")
             # Accept `repro.pkg.module`, `repro.pkg.module.attribute` and
             # `repro.pkg.module.Class.method` (strip trailing attributes).
-            found = False
+            source = None
             for depth in range(len(parts), 0, -1):
                 base = os.path.join(ROOT, "src", "repro", *parts[:depth])
-                if os.path.exists(base + ".py") or os.path.isdir(base):
-                    found = True
+                if os.path.exists(base + ".py"):
+                    source = base + ".py"
                     break
-            assert found, f"repro.{match} referenced in {doc} but missing"
+                if os.path.isdir(base):
+                    source = os.path.join(base, "__init__.py")
+                    break
+            assert source is not None, f"repro.{match} referenced in {doc} but missing"
+            if depth < len(parts):
+                attr = parts[depth]
+                with open(source) as handle:
+                    code = handle.read()
+                assert re.search(
+                    rf"(def|class) {attr}\b|^{attr}\b|\b{attr}[,\n]", code, re.M
+                ), (
+                    f"repro.{match} referenced in {doc} but {attr} is not in "
+                    f"{os.path.relpath(source, ROOT)}"
+                )
+
+    @pytest.mark.parametrize("doc", DOCS)
+    def test_referenced_cli_flags_exist(self, doc):
+        """Backticked `--flag` options must be defined by a parser under
+        src/ or perfbench/, so a doc naming a removed option fails."""
+        defined = src_blob() + perfbench_blob()
+        for span in re.findall(r"`([^`\n]+)`", read(doc)):
+            for flag in re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", span):
+                assert f'"{flag}"' in defined, (
+                    f"{doc} references {flag}, which no parser defines"
+                )
 
     @pytest.mark.parametrize("doc", DOCS)
     def test_referenced_symbols_exist_in_src(self, doc):

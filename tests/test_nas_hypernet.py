@@ -198,6 +198,24 @@ class TestHyperNetTrainer:
         assert history[0].loss > 0
         assert 0.0 <= history[0].accuracy <= 1.0
 
+    def test_train_step_releases_layer_caches(self, tiny_dataset, aliased_genotype):
+        """After a training step no module holds forward state — including
+        the edges an aliased node uses for both of its slots, whose single
+        cache must pair with a single backward."""
+        hn = HyperNet(num_cells=3, stem_channels=4, rng=np.random.default_rng(12))
+        hn.sample_genotype = lambda rng: aliased_genotype
+        trainer = HyperNetTrainer(hn, epochs=1, seed=0)
+        x, y = tiny_dataset.train.images[:16], tiny_dataset.train.labels[:16]
+        stats = trainer.train_epoch([(x, y)], epoch=0)
+        assert np.isfinite(stats.loss)
+        held = [
+            type(m).__name__
+            for m in [hn, *hn._children(set())]
+            if getattr(m, "_cache", None) is not None
+            or getattr(m, "_mask", None) is not None
+        ]
+        assert held == []
+
     def test_lr_follows_cosine(self, tiny_dataset):
         hn = HyperNet(num_cells=3, stem_channels=4, rng=np.random.default_rng(10))
         trainer = HyperNetTrainer(hn, epochs=3, lr_max=0.05, lr_min=0.001, seed=0)

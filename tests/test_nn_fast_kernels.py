@@ -1,18 +1,19 @@
-"""The compact-cache training kernels (the ``train_fast`` mode).
+"""The compact-cache training kernels (the ``*_fast`` family every
+training-mode layer runs).
 
 Three layers of guarantees, mirroring docs/PERFORMANCE.md ("Training
 path"):
 
 * **Kernel-level parity** — every ``*_fast`` forward/backward pair matches
-  its standard counterpart at relative 1e-6 (float64; conv/max-pool
+  the standard reference kernels at relative 1e-6 (float64; conv/max-pool
   forwards and pool backwards are bitwise identical), across kernel
   sizes, strides and the stored-columns vs chunked-recompute regimes.
 * **Gradcheck** — fast-kernel gradients match central-difference numerical
   gradients, independently of the standard kernels.
-* **Mode wiring** — the ``train_fast`` scope latches per layer forward,
-  nests correctly, is off by default, and a ``CellNetwork(train_fast=
-  True)`` trains end-to-end with gradients matching the standard network
-  at relative 1e-5 (float32 round-off accumulated across the whole DAG).
+* **Layers and networks** — each layer's training forward/backward equals
+  the reference kernels called directly, eval-mode forwards write no
+  cache, and whole float64 networks (a ``CellNetwork`` and a HyperNet
+  path with aliased edges) match directional finite differences.
 """
 
 from __future__ import annotations
@@ -224,135 +225,153 @@ class TestBatchNormParity:
 
 
 class TestTrainFastScope:
-    def test_off_by_default_and_nests(self):
-        assert not L.train_fast_enabled()
-        with L.train_fast():
-            assert L.train_fast_enabled()
-            with L.train_fast(False):
-                assert not L.train_fast_enabled()
-            assert L.train_fast_enabled()
-        assert not L.train_fast_enabled()
-
-    def test_scopes_are_thread_local(self):
-        """Two threads inside overlapping scopes each read their own value
-        (pool threads train with different kernel families at once)."""
-        import threading
-
-        barrier = threading.Barrier(2, timeout=10.0)
-        seen: dict[bool, bool] = {}
-
-        def worker(fast: bool) -> None:
-            with L.train_fast(fast):
-                barrier.wait()  # both scopes are open now
-                seen[fast] = L.train_fast_enabled()
-                barrier.wait()  # neither scope closes before both have read
-
-        threads = [threading.Thread(target=worker, args=(f,)) for f in (True, False)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(20.0)
-        assert seen == {True: True, False: False}
-        assert not L.train_fast_enabled()
-
-    def test_layer_latches_kernel_choice_per_forward(self):
-        """A forward inside the scope pairs with the fast backward even if
-        the scope has been exited before backward runs."""
-        conv = L.Conv2d(3, 4, kernel=3, rng=np.random.default_rng(0))
-        x = rand((2, 3, 6, 6), seed=34)
-        with L.train_fast():
-            conv(x)
-        assert conv._fast and len(conv._cache) == 5  # fast cache layout
-        conv.backward(rand((2, 4, 6, 6), seed=35))  # dispatches fast kernel
-
-    def test_default_path_unchanged(self):
-        conv = L.Conv2d(3, 4, kernel=3, rng=np.random.default_rng(0))
-        x = rand((2, 3, 6, 6), seed=36)
-        conv(x)
-        assert not conv._fast
-        assert len(conv._cache) == 5 and conv._cache[0].ndim == 3  # im2col cols
-
     def test_eval_mode_forward_skips_caches(self):
         conv = L.Conv2d(3, 4, kernel=3, rng=np.random.default_rng(0))
         pool = L.MaxPool2d(3)
         relu = L.ReLU()
-        conv.eval(), pool.eval(), relu.eval()
+        bn = L.BatchNorm2d(4)
+        for layer in (conv, pool, relu, bn):
+            layer.eval()
         x = rand((2, 3, 6, 6), seed=37)
-        with L.train_fast():
-            out = conv(x)
-            pool(out)
-            relu(out)
-        assert conv._cache is None and pool._cache is None and relu._mask is None
+        out = conv(x)
+        pool(out), relu(out), bn(out)
+        assert conv._cache is None and pool._cache is None and bn._cache is None
+        assert relu._mask is None
 
     def test_layer_grads_match_standard(self):
-        """Layer-by-layer: standard vs fast gradients at relative 1e-6."""
-        rng = np.random.default_rng(0)
+        """Layer by layer: the training forward/backward equals the standard
+        reference kernels called directly, at relative 1e-6, and backward
+        releases the cache."""
         x = rand((3, 4, 8, 8), seed=38)
-        g = None
-        for build in (
-            lambda: L.Conv2d(4, 4, kernel=3, rng=np.random.default_rng(1)),
-            lambda: L.Conv2d(4, 4, kernel=1, pad=0, rng=np.random.default_rng(1)),
-            lambda: L.DepthwiseConv2d(4, kernel=3, rng=np.random.default_rng(1)),
-            lambda: L.MaxPool2d(3),
-            lambda: L.AvgPool2d(3),
-            lambda: L.BatchNorm2d(4),
-        ):
-            layer_s, layer_f = build(), build()
-            out_s = layer_s(x)
-            g = rand(out_s.shape, seed=39)
-            gx_s = layer_s.backward(g)
-            with L.train_fast():
-                out_f = layer_f(x)
-            gx_f = layer_f.backward(g)
-            assert rel_err(out_f, out_s) <= REL, type(layer_s).__name__
-            assert rel_err(gx_f, gx_s) <= REL, type(layer_s).__name__
-            for p_s, p_f in zip(layer_s.parameters(), layer_f.parameters()):
-                assert rel_err(p_f.grad, p_s.grad) <= REL, type(layer_s).__name__
+        cases = [
+            (
+                L.Conv2d(4, 4, kernel=3, rng=np.random.default_rng(1)),
+                lambda m: F.conv2d_forward(x, m.weight.data, 1, 1),
+                F.conv2d_backward,
+            ),
+            (
+                L.Conv2d(4, 4, kernel=1, pad=0, rng=np.random.default_rng(1)),
+                lambda m: F.conv2d_forward(x, m.weight.data, 1, 0),
+                F.conv2d_backward,
+            ),
+            (
+                L.DepthwiseConv2d(4, kernel=3, rng=np.random.default_rng(1)),
+                lambda m: F.depthwise_conv2d_forward(x, m.weight.data, 1, 1),
+                F.depthwise_conv2d_backward,
+            ),
+            (
+                L.MaxPool2d(3),
+                lambda m: F.maxpool2d_forward(x, 3, 1, 1),
+                lambda g, cache: (F.maxpool2d_backward(g, cache),),
+            ),
+            (
+                L.AvgPool2d(3),
+                lambda m: F.avgpool2d_forward(x, 3, 1, 1),
+                lambda g, cache: (F.avgpool2d_backward(g, cache),),
+            ),
+            (
+                L.BatchNorm2d(4),
+                lambda m: F.batchnorm_forward(
+                    x, m.gamma.data, m.beta.data, np.zeros(4), np.ones(4), 0.1, 1e-5, True
+                ),
+                F.batchnorm_backward,
+            ),
+        ]
+        for layer, ref_forward, ref_backward in cases:
+            name = type(layer).__name__
+            out_ref, cache_ref = ref_forward(layer)
+            g = rand(out_ref.shape, seed=39)
+            grads_ref = ref_backward(g, cache_ref)
+            out = layer(x)
+            gx = layer.backward(g)
+            assert layer._cache is None, f"{name} kept its cache"
+            assert rel_err(out, out_ref) <= REL, name
+            assert rel_err(gx, grads_ref[0]) <= REL, name
+            for p, g_ref in zip(layer.parameters(), grads_ref[1:]):
+                assert rel_err(p.grad, g_ref) <= REL, name
+
+
+def _as_float64(net) -> None:
+    for p in net.parameters():
+        p.data = p.data.astype(np.float64)
+        p.grad = np.zeros_like(p.data)
+
+
+def assert_directional_fd(
+    loss, params, eps=1e-6, atol=1e-4, max_rtol=1e-4, max_median_rtol=1e-7
+):
+    """SNIPPETS.md #1's ``compare_grad_with_fd`` idiom on one random
+    direction per parameter tensor: the analytic directional derivative
+    ``<grad, d>`` (gradients already accumulated in ``p.grad``) against
+    the central difference of ``loss()`` along ``d``, asserting both the
+    max and the median relative deviation.  ``atol`` floors the
+    denominator: some derivatives are zero by structure (a BN shift that
+    a later BN cancels), and round-off over round-off is no signal."""
+    rng = np.random.default_rng(0)
+    devs = []
+    for p in params:
+        d = rng.normal(size=p.data.shape)
+        analytic = float(np.sum(p.grad * d))
+        base = p.data
+        p.data = base + eps * d
+        up = loss()
+        p.data = base - eps * d
+        down = loss()
+        p.data = base
+        fd = (up - down) / (2 * eps)
+        devs.append(abs(analytic - fd) / (abs(fd) + atol))
+    devs = np.array(devs)
+    assert devs.max() < max_rtol, f"max dev ratio {devs.max():.3e}"
+    assert np.median(devs) < max_median_rtol, f"median dev ratio {np.median(devs):.3e}"
 
 
 class TestCellNetworkTrainFast:
-    def test_end_to_end_gradients_match(self, genotype, tiny_dataset):
+    def test_cell_network_matches_finite_differences(self, genotype, tiny_dataset):
         from repro.nas.network import CellNetwork
 
-        x = tiny_dataset.train.images[:16]
-        y = tiny_dataset.train.labels[:16]
-
-        def grads(train_fast):
-            net = CellNetwork(
-                genotype,
-                num_cells=3,
-                stem_channels=4,
-                rng=np.random.default_rng(0),
-                train_fast=train_fast,
-            )
-            logits = net(x)
-            _, grad = F.softmax_cross_entropy(logits, y)
-            net.backward(grad)
-            return logits, [p.grad.copy() for p in net.parameters()]
-
-        logits_s, grads_s = grads(False)
-        logits_f, grads_f = grads(True)
-        # float32 end to end: round-off accumulates across the DAG, so the
-        # bar is 1e-5 here; the rel-1e-6 kernel parity is pinned above in
-        # float64.
-        assert rel_err(logits_f, logits_s) <= 1e-5
-        for a, b in zip(grads_f, grads_s):
-            # atol floors the comparison for numerically-zero gradients
-            # (classifier bias entries at ~1e-8 are pure round-off).
-            assert np.allclose(a, b, rtol=1e-4, atol=1e-6)
-
-    def test_train_network_mode_flag(self, genotype, tiny_dataset):
-        from repro.nas.network import CellNetwork
-        from repro.nas.train import train_network
-
+        x = tiny_dataset.train.images[:8].astype(np.float64)
+        y = tiny_dataset.train.labels[:8]
         net = CellNetwork(
-            genotype, num_cells=3, stem_channels=4, rng=np.random.default_rng(2)
+            genotype, num_cells=3, stem_channels=4, rng=np.random.default_rng(0)
         )
-        result = train_network(
-            net, tiny_dataset, epochs=1, batch_size=32, seed=0, train_fast=True
-        )
-        assert 0.0 <= result.val_accuracy <= 1.0
-        assert not L.train_fast_enabled(), "scope must not leak"
+        _as_float64(net)
+
+        def loss() -> float:
+            value, _ = F.softmax_cross_entropy(net(x), y)
+            return value
+
+        _, grad = F.softmax_cross_entropy(net(x), y)
+        net.backward(grad)
+        assert_directional_fd(loss, list(net.parameters()))
+
+    def test_hypernet_aliased_edges_match_finite_differences(
+        self, aliased_genotype, tiny_dataset
+    ):
+        """A HyperNet path whose nodes pick one (input, op) edge twice runs
+        that module once, doubled; its gradients must still be exact."""
+        from repro.nas.hypernet import HyperNet
+
+        x = tiny_dataset.train.images[:8].astype(np.float64)
+        y = tiny_dataset.train.labels[:8]
+        hn = HyperNet(num_cells=3, stem_channels=4, rng=np.random.default_rng(1))
+        _as_float64(hn)
+
+        def loss() -> float:
+            value, _ = F.softmax_cross_entropy(hn(x, aliased_genotype), y)
+            return value
+
+        _, grad = F.softmax_cross_entropy(hn(x, aliased_genotype), y)
+        # Before backward, the modules holding a cache are exactly the path.
+        on_path = [
+            m for m in hn._children(set())
+            if getattr(m, "_cache", None) is not None
+        ]
+        path_params = {id(p): p for m in on_path for p in m.parameters()}
+        hn.backward(grad)
+        for p in hn.parameters():
+            if id(p) not in path_params:
+                assert not np.any(p.grad), "off-path parameter got gradient"
+        assert_directional_fd(loss, list(path_params.values()))
 
     def test_train_fast_deterministic(self, genotype, tiny_dataset):
         from repro.nas.network import CellNetwork
@@ -365,7 +384,6 @@ class TestCellNetworkTrainFast:
                 num_cells=3,
                 stem_channels=4,
                 rng=np.random.default_rng(3),
-                train_fast=True,
             )
             runs.append(
                 train_network(net, tiny_dataset, epochs=1, batch_size=32, seed=5)

@@ -413,11 +413,10 @@ class TestSegmentedBatchNorm:
     def test_matches_per_segment_scalar(self):
         x = rand((12, 3, 4, 4), seed=52)
         gamma, beta = self._params(3)
-        seg_out, cache = F.batchnorm_forward(
+        seg_out = F.batchnorm_infer(
             x, gamma, beta, np.zeros(3, np.float32), np.ones(3, np.float32),
             0.1, 1e-5, True, segments=4,
         )
-        assert cache is None  # forward-only: no backward cache
         for s in range(4):
             part, _ = F.batchnorm_forward(
                 x[s * 3 : (s + 1) * 3], gamma, beta,
@@ -433,31 +432,18 @@ class TestSegmentedBatchNorm:
         gamma, beta = self._params(3)
         rm, rv = np.zeros(3, np.float32), np.ones(3, np.float32)
         plain, cache = F.batchnorm_forward(x, gamma, beta, rm.copy(), rv.copy(), 0.1, 1e-5, True)
-        seg, _ = F.batchnorm_forward(x, gamma, beta, rm.copy(), rv.copy(), 0.1, 1e-5, True, segments=1)
+        seg = F.batchnorm_infer(x, gamma, beta, rm.copy(), rv.copy(), 0.1, 1e-5, True, segments=1)
         assert cache is not None
-        np.testing.assert_array_equal(plain, seg)
+        np.testing.assert_allclose(plain, seg, rtol=1e-12, atol=1e-12)  # float64 round-off
 
     def test_indivisible_batch_rejected(self):
         x = rand((10, 3, 4, 4), seed=54)
         gamma, beta = self._params(3)
         with pytest.raises(ValueError):
-            F.batchnorm_forward(
+            F.batchnorm_infer(
                 x, gamma, beta, np.zeros(3, np.float32), np.ones(3, np.float32),
                 0.1, 1e-5, True, segments=4,
             )
-
-    def test_bn_segments_scope(self):
-        from repro.nn.layers import BatchNorm2d, bn_segments
-
-        x = rand((8, 3, 4, 4), seed=55)
-        bn = BatchNorm2d(3)
-        with bn_segments(2):
-            grouped = bn.forward(x)
-        separate = np.concatenate([bn.forward(x[:4]), bn.forward(x[4:])])
-        np.testing.assert_allclose(grouped, separate, rtol=1e-6, atol=1e-6)
-        with pytest.raises(ValueError):
-            with bn_segments(0):
-                pass
 
     def test_forward_infer_matches_module(self):
         from repro.nn.infer import forward_infer
@@ -468,3 +454,14 @@ class TestSegmentedBatchNorm:
         np.testing.assert_allclose(
             forward_infer(op, x), op(x), rtol=1e-5, atol=1e-6
         )
+
+    def test_forward_infer_rejects_unknown_module(self):
+        from repro.nn.infer import forward_infer
+        from repro.nn.module import Module
+
+        class Custom(Module):
+            def forward(self, x):
+                return x
+
+        with pytest.raises(TypeError, match="Custom"):
+            forward_infer(Custom(), rand((2, 3, 4, 4), seed=58))

@@ -1,12 +1,11 @@
 """Sharded Step-3 training (``repro.parallel.training``).
 
 * **Bit-exact parity** — ``train_accuracies`` results are ``==`` to the
-  serial loop at workers 1/2/3, with and without per-candidate seeds and
-  the ``train_fast`` kernels (no tolerances).  The threads all run the
-  serial code path, ``AccurateEvaluator.train_accuracy``, on one
-  evaluator.
-* **Stack wiring** — the ``workers``/``train_fast`` knobs reach
-  ``YosoConfig``, ``get_context`` and table2's rescore row.
+  serial loop at workers 1/2/3, with and without per-candidate seeds (no
+  tolerances).  The threads all run the serial code path,
+  ``AccurateEvaluator.train_accuracy``, on one evaluator.
+* **Stack wiring** — the ``workers`` knob reaches ``YosoConfig`` and
+  table2's rescore row.
 
 CI runs this module inside the tier-1 suite and in the dedicated
 parallel job, so the threaded training path is exercised on every push.
@@ -90,19 +89,6 @@ class TestShardedTraining:
         ]
         assert accurate.train_accuracies(points, workers=2, seeds=seeds) == serial
 
-    def test_train_fast_sharding_bit_identical(self, tiny_dataset):
-        fast_eval = AccurateEvaluator(
-            tiny_dataset,
-            num_cells=3,
-            stem_channels=4,
-            train_epochs=1,
-            seed=0,
-            train_fast=True,
-        )
-        points = _points(3, seed=29)
-        serial = fast_eval.train_accuracies(points, workers=1)
-        assert fast_eval.train_accuracies(points, workers=2) == serial
-
     def test_empty_and_validation(self, accurate):
         assert accurate.train_accuracies([], workers=2) == []
         with pytest.raises(ValueError):
@@ -118,19 +104,7 @@ class TestStackWiring:
         from repro.search.yoso import YosoConfig
 
         config = YosoConfig()
-        assert config.train_fast is False, "paper fidelity by default"
         assert config.workers == 1
-
-    def test_get_context_train_fast_key(self, smoke_context):
-        from repro.experiments import get_context
-
-        context = get_context("smoke", seed=0, train_fast=True)
-        assert context is not smoke_context, "train_fast is part of the key"
-        assert context.train_fast
-        assert context.fast_evaluator is smoke_context.fast_evaluator, (
-            "Step-1 artefacts are shared across kernel modes"
-        )
-        assert get_context("smoke", seed=0, train_fast=True) is context
 
     def test_table2_training_rescore_row(self, smoke_context):
         """The training-rescore path trains the pooled top-N stand-alone
