@@ -40,7 +40,7 @@ from ..nn.layers import (
     ReLUConvBN,
     Sequential,
 )
-from ..nn.module import Module
+from ..nn.module import Module, Parameter
 from ..nn.optim import SGD, CosineSchedule, clip_grad_norm
 from .genotype import NUM_COMPUTED, NUM_NODES, CellGenotype, Genotype
 from .network import _accumulate
@@ -184,9 +184,10 @@ class MixedCell(Module):
         path is treated as distinct.
 
         Batch-norm statistics stay per-path (segmented batch norm inside
-        :func:`~repro.nn.infer.forward_infer`), which pins grouped outputs
-        to the scalar :meth:`forward` results at floating-point round-off.
-        Forward-only: never call :meth:`backward` after it.
+        :func:`~repro.nn.infer.forward_infer`), and every kernel is
+        per-sample maths, so each path's output is bitwise equal to the
+        scalar :meth:`forward` result.  Forward-only: never call
+        :meth:`backward` after it.
         """
         if not (len(s0_list) == len(s1_list) == len(specs)):
             raise ValueError("s0, s1 and specs must have equal lengths")
@@ -356,6 +357,29 @@ class HyperNet(Module):
             for mult in final_multiples
         }
         self._active_classifier: Linear | None = None
+        # The tree is fixed from here on: walk it once, so train()/eval()
+        # set modes without re-walking every candidate op.
+        self._all_modules: tuple[Module, ...] = tuple(self._children(set()))
+
+    def _set_mode(self, training: bool) -> None:
+        self.training = training
+        for module in self._all_modules:
+            module.training = training
+
+    def path_modules(self) -> list[Module]:
+        """The modules the last :meth:`forward` ran: the stem, each cell's
+        two preprocessing variants and active edge ops, the classifier.
+        Only their parameters can receive gradient from :meth:`backward`."""
+        if self._active_classifier is None:
+            raise RuntimeError("path_modules before forward")
+        modules: list[Module] = [self.stem]
+        for cell in self.cells:
+            assert cell._pre is not None and cell._active is not None
+            modules.extend(cell._pre)
+            for op_a, op_b in cell._active:
+                modules.extend((op_a, op_b))
+        modules.append(self._active_classifier)
+        return modules
 
     # ------------------------------------------------------------------
     def sample_genotype(self, rng: np.random.Generator, name: str = "sampled") -> Genotype:
@@ -432,15 +456,15 @@ class HyperNet(Module):
                 if len(reps) > 1
                 else s1[reps[0]]
             )
-            # Pooling and the linear classifier are per-sample maths, so
-            # stacking needs no segment scoping.
-            scores = forward_infer(
-                self.classifiers[width], stacked.mean(axis=(2, 3))
-            )
+            # One (b, F) GEMM per path, batched over a (paths, b, F) stack:
+            # the scalar classifier's GEMM shape, so no GEMM height mixes
+            # paths (BLAS rows depend on the height they were computed in).
+            pooled = stacked.mean(axis=(2, 3)).reshape(len(reps), b, width)
+            clf = self.classifiers[width]
+            scores = np.matmul(pooled, clf.weight.data.T) + clf.bias.data
             for j, members in enumerate(by_id.values()):
-                seg = scores[j * b : (j + 1) * b]
                 for g in members:
-                    logits[g] = seg
+                    logits[g] = scores[j]
         # Every path must have been classified by its width group — a
         # silent drop here would credit accuracies to the wrong genotypes.
         assert all(lg is not None for lg in logits)
@@ -454,10 +478,11 @@ class HyperNet(Module):
         The stem runs ONCE for the whole batch (it is genotype-independent),
         each mixed cell runs its candidate ops grouped over the stacked
         paths that selected them (:meth:`MixedCell.forward_many`), and the
-        classifier runs once per distinct output width.  Returns one
-        ``(len(x), num_classes)`` array per genotype, in input order,
-        matching per-genotype :meth:`forward` calls to floating-point
-        round-off.  Forward-only — do not call :meth:`backward` after it.
+        classifier runs one per-path GEMM per distinct output width.
+        Returns one ``(len(x), num_classes)`` array per genotype, in input
+        order, bitwise equal to per-genotype :meth:`forward` calls however
+        the genotypes are split across calls.  Forward-only — do not call
+        :meth:`backward` after it.
         """
         if not genotypes:
             return []
@@ -503,12 +528,9 @@ class HyperNet(Module):
         mini-batch regardless of population size.
 
         Returns one accuracy per input genotype, in input order.  Each
-        accuracy equals the scalar :meth:`evaluate` result up to
-        floating-point round-off in the logits (ties aside, the argmax —
-        and therefore the accuracy — is identical), and is invariant to
-        the order and multiplicity of the input genotypes: the canonical
-        internal ordering makes the same genotype set bitwise-reproducible
-        in any permutation.
+        accuracy equals the scalar :meth:`evaluate` result exactly: the
+        grouped forward's logits are bitwise the scalar ones, whatever
+        else a genotype is batched with (see :meth:`forward_many`).
 
         Like :meth:`evaluate` this uses training-mode batch norm with
         per-genotype batch statistics (segmented
@@ -521,9 +543,9 @@ class HyperNet(Module):
             unique.setdefault((g.normal, g.reduce), g)
         if not unique:
             return []
-        # Canonical evaluation order: grouping (and therefore float
-        # summation order) depends only on the SET of genotypes, never on
-        # the caller's ordering — the batch-invariance guarantee.
+        # Canonical evaluation order: chunks group genotypes with shared
+        # prefixes, whose work the grouped forward then shares.  Results
+        # do not depend on it.
         order = sorted(unique, key=repr)
         correct = {key: 0 for key in order}
         for start in range(0, len(labels), batch_size):
@@ -584,6 +606,21 @@ class HyperNetTrainer:
         self.grad_clip = grad_clip
         self.rng = np.random.default_rng(seed)
         self.history: list[EpochStats] = []
+        self._params_of: dict[int, tuple[Parameter, ...]] = {}
+
+    def _clip_parameters(self) -> list[Parameter]:
+        """The optimiser's parameters on the sampled path, in optimiser
+        order.  Every other gradient is exactly zero, and dropping ``0.0``
+        terms from a float sum of squares leaves it unchanged, so the
+        clipped norm and gradients are bit-identical to clipping the
+        whole list."""
+        on_path: set[int] = set()
+        for module in self.hypernet.path_modules():
+            params = self._params_of.get(id(module))
+            if params is None:
+                params = self._params_of[id(module)] = tuple(module.parameters())
+            on_path.update(id(p) for p in params)
+        return [p for p in self.optimiser.parameters if id(p) in on_path]
 
     def train_epoch(self, batches, epoch: int) -> EpochStats:
         """One pass over ``batches`` with a fresh uniform path per batch."""
@@ -603,7 +640,7 @@ class HyperNetTrainer:
             logits = self.hypernet.forward(x, genotype)
             loss, grad = F.softmax_cross_entropy(logits, y)
             self.hypernet.backward(grad)
-            clip_grad_norm(self.hypernet.parameters(), self.grad_clip)
+            clip_grad_norm(self._clip_parameters(), self.grad_clip)
             self.optimiser.step()
             total_loss += loss * len(y)
             total_correct += int((logits.argmax(axis=1) == y).sum())

@@ -2,8 +2,8 @@
 
 :func:`forward_infer` runs a module tree forward with the same numerics as
 ``module(x)`` but without building backward caches, using the inference
-kernels of :mod:`repro.nn.functional` (pooling and depthwise convolution as
-shifted view-reductions, 1x1 convolution as a plain matmul).  Its second
+kernels of :mod:`repro.nn.functional` (separable shifted pooling, per-tap
+depthwise convolution, 1x1 convolution as a plain matmul).  Its second
 job is *segmented* batch normalisation: with ``segments > 1`` the batch
 axis is treated as that many contiguous equal-length sub-batches, each
 normalised with its own training-mode statistics.
@@ -11,11 +11,11 @@ normalised with its own training-mode statistics.
 This is the executor behind :meth:`repro.nas.hypernet.HyperNet.forward_many`
 — several sub-model paths stacked into one call per candidate op, with each
 path keeping the batch statistics it would have seen in a scalar forward.
-Outputs match training-mode ``module(x)`` per segment to floating-point
-round-off.  Do NOT call ``module.backward`` after ``forward_infer``: no
-caches were written, so it raises (or, after an earlier training-mode
-forward that was never backpropagated, silently uses that forward's
-cache).
+Outputs are bitwise equal, segment by segment, to training-mode
+``module(x)`` on that segment's rows alone.  Do NOT call
+``module.backward`` after ``forward_infer``: no caches were written, so it
+raises (or, after an earlier training-mode forward that was never
+backpropagated, silently uses that forward's cache).
 """
 
 from __future__ import annotations

@@ -146,11 +146,10 @@ class FastEvaluator:
         measured with a single :meth:`~repro.nas.hypernet.HyperNet.evaluate_many`
         call (grouped cell forwards over the stacked population) instead of
         one scalar test run each.  Each measured value equals the scalar
-        :meth:`~repro.nas.hypernet.HyperNet.evaluate` result (the batched
-        forward is accuracy-exact up to argmax ties at float round-off —
-        never observed in practice — and batch-order invariant), so mixing
-        scalar and batched calls on one evaluator does not yield
-        conflicting cache entries.
+        :meth:`~repro.nas.hypernet.HyperNet.evaluate` result exactly (the
+        batched forward's logits are bitwise the scalar ones, whatever the
+        population), so mixing scalar and batched calls on one evaluator
+        does not yield conflicting cache entries.
         """
         keys = [(g.normal, g.reduce) for g in genotypes]
         fresh: dict[tuple, Genotype] = {}

@@ -27,11 +27,20 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..search.evaluator import AccurateEvaluator, FastEvaluator
 
 __all__ = [
+    "KERNEL_REVISION",
     "digest",
     "fast_evaluator_fingerprint",
     "accurate_evaluator_fingerprint",
     "samples_fingerprint",
 ]
+
+#: Revision of the numpy kernels that produce stored values.  Both
+#: evaluator digests fold it in, so a store filled by older kernels (whose
+#: results differ in the last float bits) is never served to newer ones.
+#: Bump it whenever a kernel change can move a stored accuracy or
+#: trained result.  Revision 2: per-tap depthwise convolution and
+#: segment-exact batch norm.
+KERNEL_REVISION = 2
 
 #: Digest length (hex chars).  64 bits of content hash: collisions are
 #: astronomically unlikely at any realistic store population.
@@ -97,6 +106,7 @@ def fast_evaluator_fingerprint(fast: "FastEvaluator") -> str:
     weights = [p.data for p in fast.hypernet.parameters()]
     return digest(
         "fast-evaluator",
+        KERNEL_REVISION,
         weights,
         _gp_state(fast.latency_gp),
         _gp_state(fast.energy_gp),
@@ -119,6 +129,7 @@ def accurate_evaluator_fingerprint(accurate: "AccurateEvaluator") -> str:
     dataset = accurate.dataset
     return digest(
         "accurate-evaluator",
+        KERNEL_REVISION,
         dataset.train.images,
         dataset.train.labels,
         dataset.val.images,

@@ -135,14 +135,12 @@ class TestEvaluateMany:
         assert whole == chunked
 
     def test_forward_many_matches_forward(self, hypernet):
-        """Stacked logits track the scalar forward to float32 round-off."""
+        """Stacked logits equal the scalar forward bit for bit."""
         genotypes = self._population(6, seed=9)
         x = x32((8, 3, 8, 8), seed=9)
         batched = hypernet.forward_many(x, genotypes)
         for g, logits in zip(genotypes, batched):
-            np.testing.assert_allclose(
-                logits, hypernet.forward(x, g), rtol=1e-4, atol=1e-5
-            )
+            assert np.array_equal(logits, hypernet.forward(x, g))
 
     def test_empty_and_single(self, hypernet):
         images = x32((8, 3, 8, 8), seed=10)
@@ -215,6 +213,52 @@ class TestHyperNetTrainer:
             or getattr(m, "_mask", None) is not None
         ]
         assert held == []
+
+    def test_path_clipping_matches_full_list_clipping(self, tiny_dataset, monkeypatch):
+        """Clipping only the sampled path's parameters leaves every weight
+        bit-identical to clipping the optimiser's whole list."""
+
+        def train(full_list: bool) -> list[np.ndarray]:
+            hn = HyperNet(num_cells=3, stem_channels=4, rng=np.random.default_rng(13))
+            # A tight clip so every step actually rescales.
+            trainer = HyperNetTrainer(hn, epochs=1, grad_clip=0.05, seed=2)
+            if full_list:
+                monkeypatch.setattr(
+                    trainer, "_clip_parameters", lambda: trainer.optimiser.parameters
+                )
+            images, labels = tiny_dataset.train.images, tiny_dataset.train.labels
+            batches = [
+                (images[i : i + 16], labels[i : i + 16]) for i in range(0, 96, 16)
+            ]
+            trainer.train_epoch(batches, epoch=0)
+            return [p.data for p in hn.parameters()]
+
+        restricted, full = train(False), train(True)
+        assert len(restricted) == len(full)
+        assert all(np.array_equal(a, b) for a, b in zip(restricted, full))
+
+    def test_clip_parameters_cover_the_path_in_optimiser_order(self, tiny_dataset):
+        hn = HyperNet(num_cells=3, stem_channels=4, rng=np.random.default_rng(14))
+        trainer = HyperNetTrainer(hn, epochs=1, seed=0)
+        x, y = tiny_dataset.train.images[:8], tiny_dataset.train.labels[:8]
+        hn.zero_grad()
+        _, grad = F.softmax_cross_entropy(hn.forward(x, hn.sample_genotype(trainer.rng)), y)
+        hn.backward(grad)
+        chosen = trainer._clip_parameters()
+        order = {id(p): i for i, p in enumerate(trainer.optimiser.parameters)}
+        ranks = [order[id(p)] for p in chosen]
+        assert ranks == sorted(ranks)
+        chosen_ids = {id(p) for p in chosen}
+        for p in trainer.optimiser.parameters:
+            if id(p) not in chosen_ids:
+                assert not np.any(p.grad), "a parameter off the clip list got gradient"
+
+    def test_mode_switch_reaches_every_module(self):
+        hn = HyperNet(num_cells=3, stem_channels=4, rng=np.random.default_rng(15))
+        hn.eval()
+        assert not any(m.training for m in [hn, *hn._children(set())])
+        hn.train()
+        assert all(m.training for m in [hn, *hn._children(set())])
 
     def test_lr_follows_cosine(self, tiny_dataset):
         hn = HyperNet(num_cells=3, stem_channels=4, rng=np.random.default_rng(10))

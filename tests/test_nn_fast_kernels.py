@@ -7,7 +7,8 @@ path"):
 * **Kernel-level parity** — every ``*_fast`` forward/backward pair matches
   the standard reference kernels at relative 1e-6 (float64; conv/max-pool
   forwards and pool backwards are bitwise identical), across kernel
-  sizes, strides and the stored-columns vs chunked-recompute regimes.
+  sizes, strides, odd map shapes and the stored-columns vs
+  chunked-recompute (dense) or row-chunk (depthwise) regimes.
 * **Gradcheck** — fast-kernel gradients match central-difference numerical
   gradients, independently of the standard kernels.
 * **Layers and networks** — each layer's training forward/backward equals
@@ -119,20 +120,57 @@ class TestDepthwiseParity:
         assert rel_err(gx_f, gx_s) <= REL
         assert rel_err(gw_f, gw_s) <= REL
 
-    def test_chunked_recompute_regime(self, monkeypatch):
-        monkeypatch.setattr(F, "_TRAIN_CACHE_ELEMS", 1)
-        monkeypatch.setattr(F, "_INFER_CHUNK_ELEMS", 500)
-        x = rand((5, 4, 8, 8), seed=15)
+    def test_row_chunks_are_exact(self, monkeypatch):
+        """Row chunks of the per-tap kernel change no output bit, and the
+        cache holds the input itself, never columns."""
+        x = rand((5, 4, 9, 7), seed=15)
         w = rand((4, 3, 3), seed=16)
-        out_s, cache_s = F.depthwise_conv2d_forward(x, w, 1, 1)
-        out_f, cache_f = F.depthwise_conv2d_forward_fast(x, w, 1, 1)
-        assert cache_f[4] is None
+        whole, _ = F.depthwise_conv2d_forward_fast(x, w, 2, 1)
+        g = rand(whole.shape, seed=17)
+        gx_whole, gw_whole = F.depthwise_conv2d_backward_fast(
+            g, F.depthwise_conv2d_forward_fast(x, w, 2, 1)[1]
+        )
+        monkeypatch.setattr(F, "_DW_CHUNK_ELEMS", 100)
+        assert len(F._depthwise_chunks(x, w, 2, 1)) == 5, "one row per chunk"
+        out, cache = F.depthwise_conv2d_forward_fast(x, w, 2, 1)
+        assert cache[0] is x
+        assert np.array_equal(out, whole)
+        assert np.array_equal(F.depthwise_conv2d_infer(x, w, 2, 1), whole)
+        gx, gw = F.depthwise_conv2d_backward_fast(g, cache)
+        assert np.array_equal(gx, gx_whole), "grad_x is per-row maths"
+        assert rel_err(gw, gw_whole) <= REL
+
+    @pytest.mark.parametrize("shape", [(2, 3, 9, 9), (2, 3, 7, 11), (2, 3, 4, 4)])
+    @pytest.mark.parametrize("r,stride", [(3, 1), (5, 1), (3, 2), (5, 2)])
+    def test_odd_shapes_match_standard(self, shape, r, stride):
+        """Odd and non-square maps: strided sweeps leave input border
+        cells unread, which must get a zero gradient."""
+        pad = F.pad_same(r)
+        x = rand(shape, seed=40)
+        w = rand((shape[1], r, r), seed=41)
+        out_s, cache_s = F.depthwise_conv2d_forward(x, w, stride, pad)
+        out_f, cache_f = F.depthwise_conv2d_forward_fast(x, w, stride, pad)
         assert rel_err(out_f, out_s) <= REL
-        g = rand(out_s.shape, seed=17)
+        g = rand(out_s.shape, seed=42)
         gx_s, gw_s = F.depthwise_conv2d_backward(g, cache_s)
         gx_f, gw_f = F.depthwise_conv2d_backward_fast(g, cache_f)
         assert rel_err(gx_f, gx_s) <= REL
         assert rel_err(gw_f, gw_s) <= REL
+
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_gradcheck_numerical_strided(self, stride):
+        x = rand((2, 3, 7, 7), seed=43)
+        w = rand((3, 5, 5), seed=44)
+        out, cache = F.depthwise_conv2d_forward_fast(x, w, stride, 2)
+        g = rand(out.shape, seed=45)
+
+        def loss():
+            out, _ = F.depthwise_conv2d_forward_fast(x, w, stride, 2)
+            return float(np.sum(out * g))
+
+        gx, gw = F.depthwise_conv2d_backward_fast(g, cache)
+        assert np.allclose(gx, numerical_gradient(loss, x), rtol=1e-4, atol=1e-5)
+        assert np.allclose(gw, numerical_gradient(loss, w), rtol=1e-4, atol=1e-5)
 
     def test_gradcheck_numerical(self):
         x = rand((2, 3, 6, 6), seed=18)

@@ -387,6 +387,36 @@ class TestInferenceKernels:
                 rtol=1e-5, atol=1e-6,
             )
 
+    @pytest.mark.parametrize("kernel,stride", [(3, 1), (5, 1), (3, 2), (5, 2)])
+    def test_depthwise_infer_equals_training_forward(self, kernel, stride):
+        """One per-tap kernel: inference (with the fused ReLU and row-block
+        lists) and the training forward agree bit for bit."""
+        pad = (kernel - 1) // 2
+        x = rand((6, 4, 8, 8), seed=48).astype(np.float32)
+        w = rand((4, kernel, kernel), seed=49).astype(np.float32)
+        train, _ = F.depthwise_conv2d_forward_fast(np.maximum(x, 0.0), w, stride, pad)
+        assert np.array_equal(F.depthwise_conv2d_infer(x, w, stride, pad, relu=True), train)
+        blocks = [x[:1], x[1:4], x[4:]]
+        assert np.array_equal(
+            F.depthwise_conv2d_infer(blocks, w, stride, pad, relu=True), train
+        )
+
+    @pytest.mark.parametrize("kernel,stride", [(3, 1), (5, 2)])
+    def test_depthwise_infer_ignores_buffer_alignment(self, kernel, stride):
+        """An input living one element into a larger buffer (so 4 bytes off
+        any SIMD alignment) gives the aligned call's output bitwise."""
+        pad = (kernel - 1) // 2
+        x = rand((8, 16, 8, 8), seed=50).astype(np.float32)
+        w = rand((16, kernel, kernel), seed=51).astype(np.float32)
+        backing = np.empty(x.size + 1, dtype=np.float32)
+        shifted = backing[1:].reshape(x.shape)
+        shifted[...] = x
+        assert shifted.ctypes.data % 16 != x.ctypes.data % 16
+        assert np.array_equal(
+            F.depthwise_conv2d_infer(shifted, w, stride, pad),
+            F.depthwise_conv2d_infer(x, w, stride, pad),
+        )
+
     def test_maxpool_infer_bitwise_identical(self):
         for stride in (1, 2):
             x = rand((6, 4, 8, 8), seed=46)
@@ -411,21 +441,24 @@ class TestSegmentedBatchNorm:
         return gamma, beta
 
     def test_matches_per_segment_scalar(self):
-        x = rand((12, 3, 4, 4), seed=52)
+        """Each segment is bitwise the training-mode forward of its rows."""
+        rows = 3
         gamma, beta = self._params(3)
-        seg_out = F.batchnorm_infer(
-            x, gamma, beta, np.zeros(3, np.float32), np.ones(3, np.float32),
-            0.1, 1e-5, True, segments=4,
-        )
-        for s in range(4):
-            part, _ = F.batchnorm_forward(
-                x[s * 3 : (s + 1) * 3], gamma, beta,
-                np.zeros(3, np.float32), np.ones(3, np.float32),
-                0.1, 1e-5, True,
-            )
-            np.testing.assert_allclose(
-                seg_out[s * 3 : (s + 1) * 3], part, rtol=1e-6, atol=1e-6
-            )
+        for dtype in (np.float32, np.float64):
+            for segments in (1, 2, 4):
+                x = rand((rows * segments, 3, 4, 4), seed=52) * 3.0 + 1.0
+                x = x.astype(dtype)
+                seg_out = F.batchnorm_infer(
+                    x, gamma, beta, np.zeros(3, np.float32), np.ones(3, np.float32),
+                    0.1, 1e-5, True, segments=segments,
+                )
+                for s in range(segments):
+                    part, _ = F.batchnorm_forward_fast(
+                        x[s * rows : (s + 1) * rows], gamma, beta,
+                        np.zeros(3, np.float32), np.ones(3, np.float32),
+                        0.1, 1e-5, True,
+                    )
+                    assert np.array_equal(seg_out[s * rows : (s + 1) * rows], part)
 
     def test_segments_one_unchanged(self):
         x = rand((8, 3, 4, 4), seed=53)

@@ -10,8 +10,11 @@ from hypothesis import strategies as st
 from repro.accel.config import random_config
 from repro.accel.simulator import SystolicArraySimulator
 from repro.nas.encoding import CoDesignPoint, decode, random_sequence
+from repro.nas.genotype import Genotype
+from repro.nas.hypernet import HyperNet
 from repro.nas.space import DnnSpace
 from repro.predict.features import FEATURE_DIM, feature_vector
+from repro.scale import SMOKE
 from repro.search.reward import RewardSpec
 
 _SIM = SystolicArraySimulator()
@@ -123,3 +126,51 @@ class TestSequenceInvariants:
         report = _SIM.simulate_genotype(point.genotype, point.config,
                                         num_cells=3, stem_channels=4, image_size=8)
         assert report.energy_mj > 0
+
+
+# A seeded smoke-scale HyperNet (3 cells, 4 stem channels, 8x8 images),
+# its batch, and the scalar-forward logits of every genotype it is asked
+# about (the oracle, computed once per genotype).
+_HYPERNET = HyperNet(
+    num_cells=SMOKE.hypernet_cells,
+    stem_channels=SMOKE.hypernet_channels,
+    rng=np.random.default_rng(0),
+)
+_IMAGES = (
+    np.random.default_rng(1)
+    .normal(size=(16, 3, SMOKE.image_size, SMOKE.image_size))
+    .astype(np.float32)
+)
+_ORACLE: dict[int, np.ndarray] = {}
+
+
+def _genotype(seed: int) -> Genotype:
+    return _SPACE.sample(np.random.default_rng(seed))
+
+
+def _scalar_logits(seed: int) -> np.ndarray:
+    if seed not in _ORACLE:
+        _ORACLE[seed] = _HYPERNET.forward(_IMAGES, _genotype(seed))
+    return _ORACLE[seed]
+
+
+class TestForwardManyInvariants:
+    @given(
+        seeds=st.lists(st.integers(0, 40), min_size=1, max_size=6),
+        cuts=st.lists(st.booleans(), min_size=5, max_size=5),
+    )
+    @settings(deadline=None, max_examples=12)
+    def test_any_partition_equals_scalar_forward(self, seeds, cuts):
+        """For any genotype list (duplicates included) and any split of it
+        into consecutive ``forward_many`` calls, every path's logits are
+        bitwise equal to the scalar ``forward`` of that genotype."""
+        parts, start = [], 0
+        for i in range(1, len(seeds)):
+            if cuts[i - 1]:
+                parts.append(seeds[start:i])
+                start = i
+        parts.append(seeds[start:])
+        for part in parts:
+            logits = _HYPERNET.forward_many(_IMAGES, [_genotype(s) for s in part])
+            for seed, got in zip(part, logits):
+                assert np.array_equal(got, _scalar_logits(seed))

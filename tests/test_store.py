@@ -180,6 +180,32 @@ class TestRoundtrip:
         assert digest("x", a) != digest("x", a.reshape(2, 3))
         assert digest(0.1) != digest(0.2)
 
+    def test_kernel_revision_enters_evaluator_fingerprints(
+        self, monkeypatch, smoke_context, tiny_dataset
+    ):
+        """A store filled by other numpy kernels is another namespace."""
+        from repro.search.evaluator import AccurateEvaluator
+        from repro.store import fingerprint
+
+        accurate = AccurateEvaluator(
+            tiny_dataset, num_cells=2, stem_channels=4, train_epochs=1,
+            batch_size=16, seed=0,
+        )
+        fast = smoke_context.fast_evaluator
+        before = (
+            fingerprint.fast_evaluator_fingerprint(fast),
+            fingerprint.accurate_evaluator_fingerprint(accurate),
+        )
+        monkeypatch.setattr(
+            fingerprint, "KERNEL_REVISION", fingerprint.KERNEL_REVISION + 1
+        )
+        after = (
+            fingerprint.fast_evaluator_fingerprint(fast),
+            fingerprint.accurate_evaluator_fingerprint(accurate),
+        )
+        assert before[0] != after[0]
+        assert before[1] != after[1]
+
 
 # ---------------------------------------------------------------------------
 # Fault injection
