@@ -28,13 +28,46 @@ def rbf_kernel(
     """The RBF (squared-exponential) covariance of Eq. 8."""
     if length_scale <= 0 or signal_var <= 0:
         raise ValueError("kernel hyper-parameters must be positive")
+    return signal_var * np.exp(-0.5 * sq_distances(xa, xb) / (length_scale**2))
+
+
+def sq_distances(xa: np.ndarray, xb: np.ndarray) -> np.ndarray:
+    """Pairwise squared Euclidean distances, clipped at zero."""
     sq = (
         np.sum(xa * xa, axis=1)[:, None]
         + np.sum(xb * xb, axis=1)[None, :]
         - 2.0 * xa @ xb.T
     )
     np.maximum(sq, 0.0, out=sq)
-    return signal_var * np.exp(-0.5 * sq / (length_scale**2))
+    return sq
+
+
+def _lml_from_chol(chol: np.ndarray, y: np.ndarray) -> float:
+    """Log marginal likelihood of ``y`` given the lower Cholesky factor of K."""
+    alpha = cho_solve((chol, True), y)
+    n = len(y)
+    return float(
+        -0.5 * y @ alpha - np.sum(np.log(np.diag(chol))) - 0.5 * n * np.log(2 * np.pi)
+    )
+
+
+def neg_log_marginal_likelihood(
+    log_params: np.ndarray, neg_half_sq: np.ndarray, y: np.ndarray
+) -> float:
+    """The fit objective at ``log_params = log(ell, sigma_f^2, sigma_n^2)``.
+
+    ``neg_half_sq`` holds ``-0.5 * ||x_i - x_j||^2`` over the training set,
+    computed once per fit; the kernel built from it is bitwise the
+    :func:`rbf_kernel` one.  A non-positive-definite K scores ``1e12``.
+    """
+    ell, sf, sn = np.exp(log_params)
+    try:
+        k = sf * np.exp(neg_half_sq / ell**2)
+        k[np.diag_indices_from(k)] += sn + 1e-10
+        c = cholesky(k, lower=True)
+    except np.linalg.LinAlgError:
+        return 1e12
+    return -_lml_from_chol(c, y)
 
 
 class GaussianProcessRegressor(Regressor):
@@ -66,14 +99,17 @@ class GaussianProcessRegressor(Regressor):
     # ------------------------------------------------------------------
     def _fit(self, x: np.ndarray, y: np.ndarray) -> None:
         self._x_train = x
+        # The training distances are fixed for the whole fit: every
+        # likelihood evaluation and the final factorisation share them.
+        neg_half_sq = -0.5 * sq_distances(x, x)
         if self.optimise:
-            self._optimise_hyperparameters(x, y)
-        k = rbf_kernel(x, x, self.length_scale, self.signal_var)
+            self._optimise_hyperparameters(neg_half_sq, y)
+        k = self.signal_var * np.exp(neg_half_sq / self.length_scale**2)
         k[np.diag_indices_from(k)] += self.noise_var + 1e-10
         c, lower = cho_factor(k, lower=True)
         self._chol = c
         self._alpha = cho_solve((c, lower), y)
-        self.log_marginal_likelihood_ = self._lml_from_chol(c, y)
+        self.log_marginal_likelihood_ = _lml_from_chol(c, y)
 
     def _predict(self, x: np.ndarray) -> np.ndarray:
         mean, _ = self._posterior(x, with_std=False)
@@ -101,26 +137,11 @@ class GaussianProcessRegressor(Regressor):
         np.maximum(var, 1e-12, out=var)
         return mean, np.sqrt(var)
 
-    @staticmethod
-    def _lml_from_chol(chol: np.ndarray, y: np.ndarray) -> float:
-        alpha = cho_solve((chol, True), y)
-        n = len(y)
-        return float(
-            -0.5 * y @ alpha - np.sum(np.log(np.diag(chol))) - 0.5 * n * np.log(2 * np.pi)
-        )
+    def _optimise_hyperparameters(self, neg_half_sq: np.ndarray, y: np.ndarray) -> None:
+        """Multi-start L-BFGS over log(ell, sigma_f^2, sigma_n^2).
 
-    def _optimise_hyperparameters(self, x: np.ndarray, y: np.ndarray) -> None:
-        """Multi-start L-BFGS over log(ell, sigma_f^2, sigma_n^2)."""
-
-        def neg_lml(log_params: np.ndarray) -> float:
-            ell, sf, sn = np.exp(log_params)
-            try:
-                k = rbf_kernel(x, x, ell, sf)
-                k[np.diag_indices_from(k)] += sn + 1e-10
-                c = cholesky(k, lower=True)
-            except np.linalg.LinAlgError:
-                return 1e12
-            return -self._lml_from_chol(c, y)
+        ``neg_half_sq`` is ``-0.5 * ||x_i - x_j||^2`` over the training set.
+        """
 
         rng = np.random.default_rng(self.seed)
         starts = [np.log([self.length_scale, self.signal_var, self.noise_var])]
@@ -137,7 +158,11 @@ class GaussianProcessRegressor(Regressor):
         best_val, best_params = np.inf, starts[0]
         for start in starts:
             result = optimize.minimize(
-                neg_lml, start, method="L-BFGS-B", options={"maxiter": 50}
+                neg_log_marginal_likelihood,
+                start,
+                args=(neg_half_sq, y),
+                method="L-BFGS-B",
+                options={"maxiter": 50},
             )
             if result.fun < best_val:
                 best_val, best_params = float(result.fun), result.x

@@ -5,7 +5,15 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.predict.gp import GaussianProcessRegressor, rbf_kernel
+from scipy.linalg import cholesky
+
+from repro.predict.gp import (
+    GaussianProcessRegressor,
+    _lml_from_chol,
+    neg_log_marginal_likelihood,
+    rbf_kernel,
+    sq_distances,
+)
 from repro.predict.metrics import r2
 
 
@@ -118,3 +126,32 @@ class TestGaussianProcess:
         # reproduces itself (i.e. it smooths).
         pred = gp.predict(x)
         assert np.mean((pred - y_clean) ** 2) < np.mean((y - y_clean) ** 2)
+
+
+# log(ell, sigma_f^2, sigma_n^2) points spanning the optimiser's start box.
+THETAS = [
+    np.log([3.0, 1.0, 0.01]),
+    np.log([0.7, 0.2, 1e-4]),
+    np.log([15.0, 4.0, 0.4]),
+    np.log([8.4, 2.4, 9.6e-3]),
+]
+
+
+class TestLikelihoodObjective:
+    """The fit objective works on distances computed once per fit."""
+
+    @pytest.mark.parametrize("theta", THETAS)
+    def test_cached_distances_equal_rbf_kernel_route_bitwise(self, theta):
+        x, y = make_data(n=50, seed=11)
+        ell, sf, sn = np.exp(theta)
+        k = rbf_kernel(x, x, ell, sf)
+        k[np.diag_indices_from(k)] += sn + 1e-10
+        reference = -_lml_from_chol(cholesky(k, lower=True), y)
+        value = neg_log_marginal_likelihood(theta, -0.5 * sq_distances(x, x), y)
+        assert value == reference
+
+    def test_non_positive_definite_kernel_is_guarded(self):
+        x = np.ones((4, 2))  # identical rows: K is rank one once the jitter rounds away
+        y = np.arange(4.0)
+        theta = np.log([1.0, 1e20, 1e-300])
+        assert neg_log_marginal_likelihood(theta, -0.5 * sq_distances(x, x), y) == 1e12
