@@ -147,11 +147,46 @@ class TestLikelihoodObjective:
         k = rbf_kernel(x, x, ell, sf)
         k[np.diag_indices_from(k)] += sn + 1e-10
         reference = -_lml_from_chol(cholesky(k, lower=True), y)
-        value = neg_log_marginal_likelihood(theta, -0.5 * sq_distances(x, x), y)
+        value, _ = neg_log_marginal_likelihood(theta, -0.5 * sq_distances(x, x), y)
         assert value == reference
+
+    @pytest.mark.parametrize("theta", THETAS)
+    def test_gradient_matches_directional_finite_differences(self, theta):
+        """Analytic gradient vs float64 central differences along random
+        directions (the ``compare_grad_with_fd`` idiom: bound the maximum
+        and the median relative deviation)."""
+        x, y = make_data(n=50, seed=12)
+        neg_half_sq = -0.5 * sq_distances(x, x)
+        _, grad = neg_log_marginal_likelihood(theta, neg_half_sq, y)
+        rng = np.random.default_rng(13)
+        eps = 1e-5
+        deviations = []
+        for _ in range(8):
+            direction = rng.normal(size=3)
+            direction /= np.linalg.norm(direction)
+            plus, _ = neg_log_marginal_likelihood(theta + eps * direction, neg_half_sq, y)
+            minus, _ = neg_log_marginal_likelihood(theta - eps * direction, neg_half_sq, y)
+            fd = (plus - minus) / (2 * eps)
+            analytic = float(grad @ direction)
+            deviations.append(abs(analytic - fd) / max(abs(fd), 1e-3))
+        assert max(deviations) < 1e-5
+        assert float(np.median(deviations)) < 1e-6
+
+    def test_gradient_is_zero_at_the_fitted_optimum(self):
+        """L-BFGS-B stops where the analytic gradient (nearly) vanishes."""
+        x, y = make_data(n=60, seed=7)
+        gp = GaussianProcessRegressor(seed=0).fit(x, y)
+        theta = np.log([gp.length_scale, gp.signal_var, gp.noise_var])
+        xs = gp._x_scaler.transform(x)
+        ys = (y - gp._y_mean) / gp._y_scale
+        value, grad = neg_log_marginal_likelihood(theta, -0.5 * sq_distances(xs, xs), ys)
+        assert value == pytest.approx(-gp.log_marginal_likelihood_, rel=1e-12)
+        assert np.max(np.abs(grad)) < 1e-3
 
     def test_non_positive_definite_kernel_is_guarded(self):
         x = np.ones((4, 2))  # identical rows: K is rank one once the jitter rounds away
         y = np.arange(4.0)
         theta = np.log([1.0, 1e20, 1e-300])
-        assert neg_log_marginal_likelihood(theta, -0.5 * sq_distances(x, x), y) == 1e12
+        value, grad = neg_log_marginal_likelihood(theta, -0.5 * sq_distances(x, x), y)
+        assert value == 1e12
+        assert not grad.any()
