@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from ..nas.hypernet import EpochStats
 from ..nas.network import CellNetwork
@@ -122,6 +121,8 @@ def run_fig5b(
     if np.ptp(hyper) < 1e-12 or np.ptp(alone) < 1e-12:
         pearson = 0.0
     else:
+        from scipy import stats  # heavy; loaded on first use, not by `import repro`
+
         pearson = float(stats.pearsonr(hyper, alone).statistic)
     return Fig5bResult(
         hypernet_accuracy=hyper,

@@ -7,9 +7,12 @@ renders the cell as Graphviz DOT source or a compact ASCII listing.
 
 from __future__ import annotations
 
-import networkx as nx
+from typing import TYPE_CHECKING
 
 from .genotype import NUM_NODES, CellGenotype, Genotype
+
+if TYPE_CHECKING:  # pragma: no cover - networkx loads on first use
+    import networkx as nx
 
 __all__ = [
     "cell_graph",
@@ -28,6 +31,8 @@ def cell_graph(cell: CellGenotype) -> nx.DiGraph:
     in its ``op`` attribute; the virtual ``"out"`` node receives the
     loose-end concatenation.
     """
+    import networkx as nx  # heavy; loaded on first use, not by `import repro`
+
     graph = nx.DiGraph()
     graph.add_nodes_from(range(NUM_NODES))
     graph.add_node("out")
@@ -48,6 +53,8 @@ def cell_depth(cell: CellGenotype) -> int:
     A pure chain cell has depth ``NUM_COMPUTED + 1`` (ops plus the concat
     edge); a fully parallel cell has depth 2.
     """
+    import networkx as nx
+
     graph = cell_graph(cell)
     return int(nx.dag_longest_path_length(graph))
 

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import numpy as np
-from scipy import stats
 
 __all__ = ["mse", "rmse", "mae", "r2", "spearman", "mean_relative_error"]
 
@@ -48,6 +47,8 @@ def spearman(y_true: np.ndarray, y_pred: np.ndarray) -> float:
     a, b = _pair(y_true, y_pred)
     if np.ptp(a) < 1e-300 or np.ptp(b) < 1e-300:
         return 0.0
+    from scipy import stats  # heavy; loaded on first use, not by `import repro`
+
     rho = stats.spearmanr(a, b).statistic
     return float(rho) if np.isfinite(rho) else 0.0
 
