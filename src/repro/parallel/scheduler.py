@@ -8,13 +8,10 @@ concurrent traffic N small requests collapse into one sharded batch —
 one grouped HyperNet forward, one GP prediction, one pool dispatch —
 instead of N serialized round-trips.
 
-Correctness: ``evaluate_many`` is order-preserving and dedups unique
-candidates before the batched GP prediction, so coalescing N *identical*
-requests (or serving repeats from cache) is bit-exact against the
-standalone call.  Candidates cold-scored inside *different* unique-batch
-compositions can drift in the last float ulp (BLAS blocking varies with
-the GP matrix height — the documented rel-1e-9 batched-vs-scalar bound);
-the parity tests therefore pin call compositions exactly.
+Correctness: ``evaluate_many`` is order-preserving, and every result is
+a function of its own point alone (the HyperNet logits and the GP
+prediction are both row-independent), so coalescing requests — identical
+or not — is bit-exact against the standalone calls.
 
 Operation:
 

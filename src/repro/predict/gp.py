@@ -96,6 +96,10 @@ def neg_log_marginal_likelihood(
     return -float(lml), -grad
 
 
+#: Query rows per block in :meth:`GaussianProcessRegressor._cross_kernel`.
+_POSTERIOR_BLOCK_ROWS = 8
+
+
 class GaussianProcessRegressor(Regressor):
     """Exact GP regressor; the model the paper selects for both predictors."""
 
@@ -150,10 +154,29 @@ class GaussianProcessRegressor(Regressor):
         return mean * self._y_scale + self._y_mean, std * self._y_scale
 
     # ------------------------------------------------------------------
+    def _cross_kernel(self, x: np.ndarray) -> np.ndarray:
+        """k(x_i, X_train) for each row, computed row by row.
+
+        Elementwise differences and last-axis reductions make every row a
+        function of that row alone, so a prediction never depends on the
+        rows it is batched with (a matrix product's blocking varies with
+        the matrix height).  Blocks of ``_POSTERIOR_BLOCK_ROWS`` rows
+        bound the (rows, n_train, d) difference tensor.
+        """
+        assert self._x_train is not None
+        ks = np.empty((len(x), len(self._x_train)))
+        for lo in range(0, len(x), _POSTERIOR_BLOCK_ROWS):
+            diff = x[lo : lo + _POSTERIOR_BLOCK_ROWS, None, :] - self._x_train[None, :, :]
+            sq = np.sum(diff * diff, axis=-1)
+            ks[lo : lo + _POSTERIOR_BLOCK_ROWS] = self.signal_var * np.exp(
+                -0.5 * sq / self.length_scale**2
+            )
+        return ks
+
     def _posterior(self, x: np.ndarray, with_std: bool) -> tuple[np.ndarray, np.ndarray]:
-        assert self._x_train is not None and self._alpha is not None
-        ks = rbf_kernel(x, self._x_train, self.length_scale, self.signal_var)
-        mean = ks @ self._alpha
+        assert self._alpha is not None
+        ks = self._cross_kernel(x)
+        mean = np.sum(ks * self._alpha, axis=-1)
         if not with_std:
             return mean, np.zeros(0)
         assert self._chol is not None

@@ -281,9 +281,9 @@ class BatchEvaluator:
     the LRU as a tier-2 cache (:meth:`attach_store`): misses consult the
     store before computing, and fresh results are appended to it.  Store
     hits return the repr-round-tripped floats bit-exactly (``==`` the
-    values originally computed); cold values computed alongside store
-    hits see only the already-documented batched-GP composition drift
-    (relative 1e-9).  With no store attached, behaviour — including the
+    values originally computed), and cold values computed alongside store
+    hits are ``==`` the same points scored alone.  With no store
+    attached, behaviour — including the
     ``hits``/``misses`` counters, which remain LRU-tier-only — is
     byte-identical to a store-less evaluator.
     """
@@ -365,10 +365,10 @@ class BatchEvaluator:
         on-grid/off-grid configurations; returns one :class:`Evaluation`
         per input point, in input order.  Duplicates of one candidate
         within a batch are materialised once and share the same result
-        object.  The evaluations themselves match per-point
-        :meth:`FastEvaluator.evaluate` calls: accuracy exactly (same
-        HyperNet numbers, batched or not), latency/energy to relative
-        1e-9 (batched vs scalar GP prediction).
+        object.  The evaluations themselves are ``==`` per-point
+        :meth:`FastEvaluator.evaluate` calls, whatever the batch: the
+        HyperNet logits and the GP prediction of a row never depend on
+        the rows scored with it.
         """
         keys = [self._key_of(point) for point in points]
         by_key = {key: point for key, point in zip(keys, points)}

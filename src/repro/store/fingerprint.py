@@ -39,8 +39,9 @@ __all__ = [
 #: results differ in the last float bits) is never served to newer ones.
 #: Bump it whenever a kernel change can move a stored accuracy or
 #: trained result.  Revision 2: per-tap depthwise convolution and
-#: segment-exact batch norm.
-KERNEL_REVISION = 2
+#: segment-exact batch norm.  Revision 3: row-by-row GP posterior mean
+#: and the analytic-gradient GP hyperparameter fit.
+KERNEL_REVISION = 3
 
 #: Digest length (hex chars).  64 bits of content hash: collisions are
 #: astronomically unlikely at any realistic store population.

@@ -13,8 +13,12 @@ from repro.nas.encoding import CoDesignPoint, decode, random_sequence
 from repro.nas.genotype import Genotype
 from repro.nas.hypernet import HyperNet
 from repro.nas.space import DnnSpace
+from repro.nn.data import SyntheticCifar
+from repro.parallel import ParallelEvaluator
+from repro.predict.dataset import collect_samples
 from repro.predict.features import FEATURE_DIM, feature_vector
 from repro.scale import SMOKE
+from repro.search.evaluator import BatchEvaluator, FastEvaluator
 from repro.search.reward import RewardSpec
 
 _SIM = SystolicArraySimulator()
@@ -154,6 +158,17 @@ def _scalar_logits(seed: int) -> np.ndarray:
     return _ORACLE[seed]
 
 
+def _split(items: list, cuts: list[bool]) -> list[list]:
+    """Consecutive parts of ``items``, cut before item i when cuts[i-1]."""
+    parts, start = [], 0
+    for i in range(1, len(items)):
+        if cuts[i - 1]:
+            parts.append(items[start:i])
+            start = i
+    parts.append(items[start:])
+    return parts
+
+
 class TestForwardManyInvariants:
     @given(
         seeds=st.lists(st.integers(0, 40), min_size=1, max_size=6),
@@ -164,13 +179,41 @@ class TestForwardManyInvariants:
         """For any genotype list (duplicates included) and any split of it
         into consecutive ``forward_many`` calls, every path's logits are
         bitwise equal to the scalar ``forward`` of that genotype."""
-        parts, start = [], 0
-        for i in range(1, len(seeds)):
-            if cuts[i - 1]:
-                parts.append(seeds[start:i])
-                start = i
-        parts.append(seeds[start:])
-        for part in parts:
+        for part in _split(seeds, cuts):
             logits = _HYPERNET.forward_many(_IMAGES, [_genotype(s) for s in part])
             for seed, got in zip(part, logits):
                 assert np.array_equal(got, _scalar_logits(seed))
+
+
+# A smoke-scale FastEvaluator: the per-point oracle (scalar HyperNet test
+# run, one-row GP predictions) for the batched evaluators below.
+_EVAL_SHAPE = dict(num_cells=3, stem_channels=4, image_size=8)
+_FAST = FastEvaluator.from_samples(
+    HyperNet(num_classes=10, rng=np.random.default_rng(2), num_cells=3, stem_channels=4),
+    SyntheticCifar(image_size=8, train_size=16, val_size=24, test_size=8, seed=3),
+    collect_samples(30, seed=4, **_EVAL_SHAPE),
+    eval_batch=24,
+    **_EVAL_SHAPE,
+)
+
+
+class TestEvaluateManyInvariants:
+    @given(
+        seeds=st.lists(st.integers(0, 30), min_size=1, max_size=6),
+        cuts=st.lists(st.booleans(), min_size=5, max_size=5),
+        parallel=st.booleans(),
+    )
+    @settings(deadline=None, max_examples=20)
+    def test_any_partition_equals_per_point_evaluation(self, seeds, cuts, parallel):
+        """For any point multiset and any split of it into ``evaluate_many``
+        calls on a fresh evaluator (in-process or sharded over two
+        threads), every result is ``==`` the per-point evaluation."""
+        evaluator = ParallelEvaluator(_FAST, workers=2) if parallel else BatchEvaluator(_FAST)
+        try:
+            for part in _split(seeds, cuts):
+                results = evaluator.evaluate_many([_point(s) for s in part])
+                for seed, got in zip(part, results):
+                    assert got == _FAST.evaluate(_point(seed))
+        finally:
+            if parallel:
+                evaluator.close()
