@@ -118,6 +118,9 @@ class MixedCell(Module):
     def __call__(self, s0: np.ndarray, s1: np.ndarray, spec: CellGenotype) -> np.ndarray:  # type: ignore[override]
         return self.forward(s0, s1, spec)
 
+    def release_cache(self) -> None:
+        self._states = None
+
     # ------------------------------------------------------------------
     @staticmethod
     def _run_grouped(
@@ -500,12 +503,16 @@ class HyperNet(Module):
 
         Uses training-mode batch norm (batch statistics) — see module
         docstring for why this is required in a weight-sharing supernet.
+        Nothing backpropagates these forwards, so each one's layer caches
+        are released as soon as its logits are read.
         """
         correct = 0
         for start in range(0, len(labels), batch_size):
             x = images[start : start + batch_size]
             y = labels[start : start + batch_size]
             logits = self.forward(x, genotype)
+            for module in self._all_modules:
+                module.release_cache()
             correct += int((logits.argmax(axis=1) == y).sum())
         return correct / len(labels)
 

@@ -194,6 +194,9 @@ class ReLU(Module):
             raise RuntimeError("ReLU.backward without a training-mode forward")
         return F.relu_backward(grad_out, mask)
 
+    def release_cache(self) -> None:
+        self._mask = None
+
 
 class MaxPool2d(Module):
     def __init__(self, kernel: int = 3, stride: int = 1, pad: int | None = None) -> None:

@@ -54,6 +54,16 @@ class Module:
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return self.forward(x)
 
+    def release_cache(self) -> None:
+        """Drop this module's forward cache (not its children's).
+
+        A training-mode forward caches what its backward needs, and the
+        backward frees it.  A forward that is never backpropagated (a
+        test run with batch statistics) frees it through here instead.
+        """
+        if getattr(self, "_cache", None) is not None:
+            self._cache = None
+
     # -- parameter traversal --------------------------------------------
     def parameters(self) -> Iterator[Parameter]:
         """Yield every :class:`Parameter` owned by this module tree."""

@@ -78,6 +78,32 @@ class TestHyperNetForward:
         assert 0.0 <= acc <= 1.0
 
 
+    def test_evaluate_releases_forward_caches(self):
+        """The scalar oracle never backpropagates, so afterwards no module
+        holds forward state, and its accuracy is the argmax count of the
+        training-mode forward it always was."""
+        hn = HyperNet(num_cells=3, stem_channels=4, rng=np.random.default_rng(7))
+        twin = HyperNet(num_cells=3, stem_channels=4, rng=np.random.default_rng(7))
+        images = x32((24, 3, 8, 8), seed=8)
+        labels = np.random.default_rng(9).integers(0, 10, 24)
+        for seed in range(3):
+            g = hn.sample_genotype(np.random.default_rng(seed))
+            acc = hn.evaluate(g, images, labels, batch_size=8)
+            correct = sum(
+                int((twin.forward(images[i : i + 8], g).argmax(axis=1) == labels[i : i + 8]).sum())
+                for i in range(0, 24, 8)
+            )
+            assert acc == correct / 24
+            held = [
+                type(m).__name__
+                for m in [hn, *hn._children(set())]
+                if getattr(m, "_cache", None) is not None
+                or getattr(m, "_mask", None) is not None
+                or getattr(m, "_states", None) is not None
+            ]
+            assert held == []
+
+
 class TestEvaluateMany:
     """The batched accuracy path must be a drop-in for scalar evaluation."""
 
