@@ -40,7 +40,7 @@ __all__ = [
 RULE_IDS = (
     "determinism-rng",
     "determinism-wallclock",
-    "replica-safety",
+    "metric-handles",
     "lock-discipline",
     "error-taxonomy",
     "wire-float",
@@ -212,7 +212,7 @@ LOCK_ORDER: tuple[tuple[str, str, str], ...] = (
 
 
 # ---------------------------------------------------------------------------
-# replica-safety
+# metric-handles
 # ---------------------------------------------------------------------------
 
 #: Registry factory methods: ``<anything>.counter(...)`` / ``.gauge`` /

@@ -161,8 +161,8 @@ class DeterminismWallclockRule(Rule):
                 )
 
 
-class ReplicaSafetyRule(Rule):
-    rule_id = "replica-safety"
+class MetricHandlesRule(Rule):
+    rule_id = "metric-handles"
     summary = "metric handles stay module-level, never instance attributes"
 
     def check_module(self, module: ModuleInfo) -> Iterator[Finding]:
@@ -188,7 +188,7 @@ class ReplicaSafetyRule(Rule):
                                 stmt,
                                 f"self.{attr} holds a .{value.func.attr}(...) metric handle; "
                                 "metric handles must be module-level "
-                                "(they hold locks and do not pickle to replicas)",
+                                "(metric objects hold locks)",
                             )
 
 
@@ -451,7 +451,7 @@ class WireFloatRule(Rule):
 ALL_RULES: Tuple[Rule, ...] = (
     DeterminismRngRule(),
     DeterminismWallclockRule(),
-    ReplicaSafetyRule(),
+    MetricHandlesRule(),
     LockDisciplineRule(),
     ErrorTaxonomyRule(),
     WireFloatRule(),

@@ -280,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "lint",
         help="run the repro.analysis invariant checker (determinism, "
-             "replica-safety, lock discipline, error taxonomy, wire "
+             "metric handles, lock discipline, error taxonomy, wire "
              "floats, bench schemas — see docs/ANALYSIS.md)")
     p.add_argument("paths", nargs="*", metavar="PATH",
                    help="files/directories to lint; *.json paths are "

@@ -52,8 +52,8 @@ __all__ = [
     "compute_work_items",
 ]
 
-# Module-level registry handles (the replica-safety lint rule keeps metric
-# handles off instances).
+# Module-level registry handles (the metric-handles lint rule keeps them
+# off instances).
 _REGISTRY = get_registry()
 _M_EVAL_CALLS = _REGISTRY.counter("evaluator.calls")
 _M_EVAL_LOOKUPS = _REGISTRY.counter("evaluator.lookups")

@@ -291,7 +291,7 @@ def test_wallclock_rule_suppressed():
 
 
 # ---------------------------------------------------------------------------
-# replica-safety
+# metric-handles
 # ---------------------------------------------------------------------------
 
 
@@ -303,7 +303,7 @@ def test_instance_metric_handle_fires_in_any_class():
                 self._calls = registry.counter("x.calls")
         """
     )
-    assert rules_of(fired) == ["replica-safety"]
+    assert rules_of(fired) == ["metric-handles"]
     assert "module-level" in fired[0].message
 
 
@@ -321,13 +321,13 @@ def test_module_level_metric_handle_passes():
     )
 
 
-def test_replica_rule_suppressed():
+def test_metric_handle_rule_suppressed():
     # The metric-handle finding anchors at the assignment, so that is
     # where the annotation goes.
     src = """
     class Anything:
         def __init__(self, registry):
-            # yoso-lint: disable=replica-safety -- test fixture
+            # yoso-lint: disable=metric-handles -- test fixture
             self._calls = registry.counter("x.calls")
     """
     assert lint(src) == []
