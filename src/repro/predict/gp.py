@@ -44,12 +44,11 @@ def sq_distances(xa: np.ndarray, xb: np.ndarray) -> np.ndarray:
     return sq
 
 
-def _lml_from_chol(chol: np.ndarray, y: np.ndarray) -> float:
-    """Log marginal likelihood of ``y`` given the lower Cholesky factor of K."""
-    alpha = cho_solve((chol, True), y)
-    n = len(y)
+def _lml(chol: np.ndarray, alpha: np.ndarray, y: np.ndarray) -> float:
+    """Log marginal likelihood of ``y`` from the lower Cholesky factor of K
+    and ``alpha = K^-1 y``."""
     return float(
-        -0.5 * y @ alpha - np.sum(np.log(np.diag(chol))) - 0.5 * n * np.log(2 * np.pi)
+        -0.5 * y @ alpha - np.sum(np.log(np.diag(chol))) - 0.5 * len(y) * np.log(2 * np.pi)
     )
 
 
@@ -74,8 +73,7 @@ def neg_log_marginal_likelihood(
     if info != 0:
         return 1e12, np.zeros(3)
     alpha = cho_solve((chol, True), y, check_finite=False)
-    n = len(y)
-    lml = -0.5 * y @ alpha - np.sum(np.log(np.diag(chol))) - 0.5 * n * np.log(2 * np.pi)
+    lml = _lml(chol, alpha, y)
     k_inv, info = dpotri(chol, lower=1)
     if info != 0 or not np.isfinite(lml):
         return 1e12, np.zeros(3)
@@ -93,7 +91,7 @@ def neg_log_marginal_likelihood(
             0.5 * sn * np.trace(inner),
         ]
     )
-    return -float(lml), -grad
+    return -lml, -grad
 
 
 #: Query rows per block in :meth:`GaussianProcessRegressor._cross_kernel`.
@@ -139,7 +137,7 @@ class GaussianProcessRegressor(Regressor):
         c, lower = cho_factor(k, lower=True)
         self._chol = c
         self._alpha = cho_solve((c, lower), y)
-        self.log_marginal_likelihood_ = _lml_from_chol(c, y)
+        self.log_marginal_likelihood_ = _lml(c, self._alpha, y)
 
     def _predict(self, x: np.ndarray) -> np.ndarray:
         mean, _ = self._posterior(x, with_std=False)
@@ -166,11 +164,10 @@ class GaussianProcessRegressor(Regressor):
         assert self._x_train is not None
         ks = np.empty((len(x), len(self._x_train)))
         for lo in range(0, len(x), _POSTERIOR_BLOCK_ROWS):
-            diff = x[lo : lo + _POSTERIOR_BLOCK_ROWS, None, :] - self._x_train[None, :, :]
+            rows = slice(lo, lo + _POSTERIOR_BLOCK_ROWS)
+            diff = x[rows, None, :] - self._x_train
             sq = np.sum(diff * diff, axis=-1)
-            ks[lo : lo + _POSTERIOR_BLOCK_ROWS] = self.signal_var * np.exp(
-                -0.5 * sq / self.length_scale**2
-            )
+            ks[rows] = self.signal_var * np.exp(-0.5 * sq / self.length_scale**2)
         return ks
 
     def _posterior(self, x: np.ndarray, with_std: bool) -> tuple[np.ndarray, np.ndarray]:
@@ -191,7 +188,6 @@ class GaussianProcessRegressor(Regressor):
 
         ``neg_half_sq`` is ``-0.5 * ||x_i - x_j||^2`` over the training set.
         """
-
         rng = np.random.default_rng(self.seed)
         starts = [np.log([self.length_scale, self.signal_var, self.noise_var])]
         for _ in range(self.n_restarts):

@@ -5,11 +5,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from scipy.linalg import cholesky
+from scipy.linalg import cho_solve, cholesky
 
 from repro.predict.gp import (
     GaussianProcessRegressor,
-    _lml_from_chol,
+    _lml,
     neg_log_marginal_likelihood,
     rbf_kernel,
     sq_distances,
@@ -146,7 +146,8 @@ class TestLikelihoodObjective:
         ell, sf, sn = np.exp(theta)
         k = rbf_kernel(x, x, ell, sf)
         k[np.diag_indices_from(k)] += sn + 1e-10
-        reference = -_lml_from_chol(cholesky(k, lower=True), y)
+        chol = cholesky(k, lower=True)
+        reference = -_lml(chol, cho_solve((chol, True), y), y)
         value, _ = neg_log_marginal_likelihood(theta, -0.5 * sq_distances(x, x), y)
         assert value == reference
 
