@@ -28,7 +28,6 @@ The reason is mandatory; a bare ``disable=`` is itself a finding.  See
 contract.
 """
 
-from .benchschema import BENCH_SCHEMAS, validate_bench_file
 from .engine import Finding, LintEngine, ModuleInfo, Rule, lint_paths, lint_source
 from .registry import RULE_IDS
 from .report import render_findings_json, render_findings_text
@@ -37,7 +36,6 @@ from .suppressions import Suppressions, parse_suppressions
 
 __all__ = [
     "ALL_RULES",
-    "BENCH_SCHEMAS",
     "Finding",
     "LintEngine",
     "ModuleInfo",
@@ -49,5 +47,4 @@ __all__ = [
     "parse_suppressions",
     "render_findings_json",
     "render_findings_text",
-    "validate_bench_file",
 ]

@@ -22,11 +22,9 @@ DEFAULT_PATHS = ("src", "tests", "benchmarks")
 
 
 def default_lint_paths(root=".") -> List[str]:
-    """The source tree plus every checked-in bench report that exists."""
+    """The directories of :data:`DEFAULT_PATHS` that exist under ``root``."""
     base = Path(root)
-    paths = [str(base / p) for p in DEFAULT_PATHS if (base / p).is_dir()]
-    paths.extend(str(p) for p in sorted(base.glob("BENCH_*.json")))
-    return paths
+    return [str(base / p) for p in DEFAULT_PATHS if (base / p).is_dir()]
 
 
 def run_lint(

@@ -1,9 +1,8 @@
 """Lint engine: files in, sorted :class:`Finding` objects out.
 
 The engine owns everything rule-agnostic — walking path arguments into
-files, parsing, routing ``*.json`` arguments to the bench-schema
-validator, applying the suppression contract, and producing one stable
-sorted finding list.  Rules are plug-in objects (:class:`Rule`) that
+files, parsing, applying the suppression contract, and producing one
+stable sorted finding list.  Rules are plug-in objects (:class:`Rule`) that
 receive a parsed :class:`ModuleInfo` and yield findings; the repo's
 rule set lives in :mod:`repro.analysis.rules` and its facts in
 :mod:`repro.analysis.registry`.
@@ -156,15 +155,8 @@ class LintEngine:
         return sorted(findings, key=Finding.sort_key)
 
     def lint_file(self, path) -> List[Finding]:
-        p = Path(path)
-        if p.suffix == ".json":
-            if not self._enabled("bench-schema"):
-                return []
-            from .benchschema import validate_bench_file
-
-            return sorted(validate_bench_file(p), key=Finding.sort_key)
-        source = p.read_text(encoding="utf-8")
-        return self.lint_source(source, path=str(p))
+        source = Path(path).read_text(encoding="utf-8")
+        return self.lint_source(source, path=str(path))
 
     def lint_paths(self, paths: Iterable) -> List[Finding]:
         findings: List[Finding] = []

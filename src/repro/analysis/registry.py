@@ -26,8 +26,6 @@ __all__ = [
     "BLOCKING_DOTTED_PREFIXES",
     "BLOCKING_ATTRS",
     "LOCK_ORDER",
-    "REPLICATED_CLASSES",
-    "RISKY_REPLICA_ATTRS",
     "METRIC_FACTORY_ATTRS",
     "CLIENT_PATH_MODULES",
     "CLASSIFIED_ERRORS",
@@ -44,7 +42,6 @@ RULE_IDS = (
     "lock-discipline",
     "error-taxonomy",
     "wire-float",
-    "bench-schema",
     "suppression",
     "parse-error",
 )
@@ -72,8 +69,8 @@ def module_matches(display_path: str, prefixes: tuple[str, ...]) -> bool:
 # ---------------------------------------------------------------------------
 
 #: Modules allowed to read the wall clock: observability (span
-#: timestamps are *about* real time), the benchmark writers (they record
-#: real time), and the resilience layer (backoff sleeps and monotonic
+#: timestamps are *about* real time), the benchmarks (they time real
+#: work), and the resilience layer (backoff sleeps and monotonic
 #: budgets are timing, not results).  Everything else must not let real
 #: time near a computed value — the repo's bit-parity claims depend on
 #: it.

@@ -3,7 +3,7 @@
 The JSON schema is versioned and the finding list is sorted by
 ``(path, line, col, rule, message)``, so two lint runs over the same
 tree produce byte-identical output — CI can diff reports across
-commits the same way the bench reports are diffed.
+commits.
 """
 
 from __future__ import annotations

@@ -281,11 +281,10 @@ def build_parser() -> argparse.ArgumentParser:
         "lint",
         help="run the repro.analysis invariant checker (determinism, "
              "metric handles, lock discipline, error taxonomy, wire "
-             "floats, bench schemas — see docs/ANALYSIS.md)")
+             "floats — see docs/ANALYSIS.md)")
     p.add_argument("paths", nargs="*", metavar="PATH",
-                   help="files/directories to lint; *.json paths are "
-                        "validated as bench reports (default: src tests "
-                        "benchmarks plus every BENCH_*.json present)")
+                   help="files/directories to lint (default: src tests "
+                        "benchmarks)")
     p.add_argument("--json", action="store_true",
                    help="emit the stable sorted finding schema for CI diffing")
     p.add_argument("--rule", action="append", metavar="ID",

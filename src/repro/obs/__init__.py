@@ -11,11 +11,11 @@ Two process-wide singletons every subsystem shares:
   the scheduler's coalescing window, pool shard dispatch and store
   lookups (disabled by default; enable with :func:`configure_tracing`).
 
-Plus :func:`host_info`, the shared ``cpu_count``/``degraded_host``
-helper for the ``BENCH_*.json`` writers.  See ``docs/OBSERVABILITY.md``.
+Plus :func:`cpu_budget`, the CPUs this process may use, which gates the
+benchmarks' concurrency floors.  See ``docs/OBSERVABILITY.md``.
 """
 
-from .host import cpu_budget, host_info
+from .host import cpu_budget
 from .registry import (
     COUNT_BUCKETS,
     LATENCY_BUCKETS_S,
@@ -56,7 +56,6 @@ __all__ = [
     "get_registry",
     "get_tracer",
     "histogram_quantile",
-    "host_info",
     "merge_snapshots",
     "new_span_id",
     "new_trace_id",

@@ -1,16 +1,10 @@
-"""Shared host-capability reporting for the benchmark writers.
-
-Every ``BENCH_*.json`` records whether the host had enough CPUs for the
-benchmark's concurrency to mean anything (``degraded_host``) alongside
-the raw ``cpu_count``.  Each bench file used to compute both inline with
-slightly different spellings; this module is the one shared definition.
-"""
+"""Host-capability probe for the benchmarks' concurrency floors."""
 
 from __future__ import annotations
 
 import os
 
-__all__ = ["cpu_budget", "host_info"]
+__all__ = ["cpu_budget"]
 
 
 def cpu_budget() -> int:
@@ -24,14 +18,3 @@ def cpu_budget() -> int:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # pragma: no cover - non-Linux fallback
         return os.cpu_count() or 1
-
-
-def host_info(required_cpus: int) -> dict:
-    """The shared ``cpu_count`` / ``degraded_host`` fields for a bench JSON.
-
-    ``degraded_host`` is True when the host has fewer CPUs than the
-    benchmark's peak concurrency needs — timing-derived numbers from such
-    a run measure contention, not the code under test.
-    """
-    cpus = cpu_budget()
-    return {"cpu_count": cpus, "degraded_host": cpus < required_cpus}

@@ -29,8 +29,7 @@ Design constraints (and why):
   results (they only count and time), and the whole registry has a kill
   switch (:meth:`MetricsRegistry.set_enabled`) under which every update
   is a single attribute check — what ``benchmarks/test_obs_bench.py``
-  uses to measure the instrumented-vs-uninstrumented overhead ratio
-  recorded in ``BENCH_obs.json``.
+  uses to print the instrumented-vs-uninstrumented overhead ratio.
 """
 
 from __future__ import annotations

@@ -2,8 +2,8 @@
 
 Layout mirrors the package: engine/suppression mechanics first, then
 one fixture trio per rule (a snippet that fires, one that passes, one
-where a suppression silences it), then the bench-schema validator, the
-CLI adapter, and finally the self-hosting test asserting the repo's own
+where a suppression silences it), then report rendering, the CLI
+adapter, and finally the self-hosting test asserting the repo's own
 ``src/ tests/ benchmarks/`` tree lints clean — the same check the CI
 ``lint`` job blocks on.
 
@@ -32,9 +32,8 @@ from repro.analysis import (
     parse_suppressions,
     render_findings_json,
     render_findings_text,
-    validate_bench_file,
 )
-from repro.analysis.benchschema import BENCH_SCHEMAS
+from repro.analysis.cli import default_lint_paths
 from repro.analysis.registry import CLASSIFIED_ERRORS, CLIENT_PATH_MODULES
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -56,7 +55,7 @@ def rules_of(findings):
 def test_every_rule_id_is_registered():
     assert {r.rule_id for r in ALL_RULES} <= set(RULE_IDS)
     # engine-emitted pseudo-rules are registered too
-    assert {"suppression", "parse-error", "bench-schema"} <= set(RULE_IDS)
+    assert {"suppression", "parse-error"} <= set(RULE_IDS)
 
 
 def test_findings_are_sorted_and_stable():
@@ -566,59 +565,6 @@ def test_wire_rule_suppressed():
 
 
 # ---------------------------------------------------------------------------
-# bench-schema
-# ---------------------------------------------------------------------------
-
-
-def _write_bench(tmp_path, name, payload):
-    p = tmp_path / name
-    p.write_text(json.dumps(payload))
-    return p
-
-
-def test_bench_schema_passes_on_minimal_valid_report(tmp_path):
-    p = _write_bench(
-        tmp_path,
-        "BENCH_training.json",
-        {
-            "benchmark": "training_path",
-            "cpu_count": 4,
-            "degraded_host": False,
-            "shards": {},
-        },
-    )
-    assert validate_bench_file(p) == []
-
-
-def test_bench_schema_fires_on_missing_and_mistyped_keys(tmp_path):
-    p = _write_bench(
-        tmp_path,
-        "BENCH_training.json",
-        {"benchmark": "training_path", "cpu_count": True, "shards": {}},
-    )
-    findings = validate_bench_file(p)
-    messages = " | ".join(f.message for f in findings)
-    assert "degraded_host" in messages  # missing
-    assert "cpu_count" in messages  # bool is not an int here
-    assert all(f.rule == "bench-schema" for f in findings)
-
-
-def test_bench_schema_rejects_unknown_report_and_bad_json(tmp_path):
-    unknown = _write_bench(tmp_path, "BENCH_mystery.json", {})
-    assert "unknown bench report" in validate_bench_file(unknown)[0].message
-    bad = tmp_path / "BENCH_obs.json"
-    bad.write_text("{not json")
-    assert "not valid JSON" in validate_bench_file(bad)[0].message
-
-
-def test_checked_in_bench_reports_validate():
-    for name in BENCH_SCHEMAS:
-        path = REPO_ROOT / name
-        assert path.is_file(), name
-        assert validate_bench_file(path) == [], name
-
-
-# ---------------------------------------------------------------------------
 # report rendering
 # ---------------------------------------------------------------------------
 
@@ -684,6 +630,12 @@ def test_cli_rule_filter_and_bad_rule(tmp_path):
     assert "unknown rule" in bad.stderr
 
 
+def test_default_lint_paths_are_the_source_tree():
+    assert default_lint_paths(REPO_ROOT) == [
+        str(REPO_ROOT / name) for name in ("src", "tests", "benchmarks")
+    ]
+
+
 # ---------------------------------------------------------------------------
 # self-hosting: the repo must lint clean (what the CI lint job blocks on)
 # ---------------------------------------------------------------------------
@@ -691,7 +643,6 @@ def test_cli_rule_filter_and_bad_rule(tmp_path):
 
 def test_repo_lints_clean():
     paths = [REPO_ROOT / "src", REPO_ROOT / "tests", REPO_ROOT / "benchmarks"]
-    paths += sorted(REPO_ROOT.glob("BENCH_*.json"))
     findings = lint_paths(paths)
     rendered = render_findings_text(findings)
     assert findings == [], f"repo must lint clean:\n{rendered}"

@@ -7,6 +7,8 @@ and benchmark processes never pay their import time or memory.
 
 from __future__ import annotations
 
+import importlib
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -27,3 +29,19 @@ def test_import_repro_loads_neither_scipy_stats_nor_networkx():
         check=True,
     )
     assert proc.stdout.strip() == "[]"
+
+
+def test_every_public_name_resolves():
+    """Each ``__all__`` entry of every ``repro`` module is an attribute of
+    it, so ``from <module> import *`` cannot raise ``AttributeError``."""
+    import repro
+
+    missing = []
+    for info in pkgutil.walk_packages(repro.__path__, prefix="repro."):
+        module = importlib.import_module(info.name)
+        missing += [
+            f"{info.name}.{name}"
+            for name in getattr(module, "__all__", ())
+            if not hasattr(module, name)
+        ]
+    assert missing == []

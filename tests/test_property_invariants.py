@@ -207,13 +207,22 @@ class TestEvaluateManyInvariants:
     def test_any_partition_equals_per_point_evaluation(self, seeds, cuts, parallel):
         """For any point multiset and any split of it into ``evaluate_many``
         calls on a fresh evaluator (in-process or sharded over two
-        threads), every result is ``==`` the per-point evaluation."""
+        threads), every result is ``==`` the per-point evaluation, and
+        every accuracy ``==`` the scalar HyperNet test run (the batch has
+        already filled ``_FAST``'s accuracy cache, so ``_FAST.evaluate``
+        alone would compare the batched accuracy with itself)."""
         evaluator = ParallelEvaluator(_FAST, workers=2) if parallel else BatchEvaluator(_FAST)
         try:
             for part in _split(seeds, cuts):
                 results = evaluator.evaluate_many([_point(s) for s in part])
                 for seed, got in zip(part, results):
                     assert got == _FAST.evaluate(_point(seed))
+                    assert got.accuracy == _FAST.hypernet.evaluate(
+                        _point(seed).genotype,
+                        _FAST.val_images,
+                        _FAST.val_labels,
+                        batch_size=_FAST.eval_batch,
+                    )
         finally:
             if parallel:
                 evaluator.close()
