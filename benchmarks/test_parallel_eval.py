@@ -1,7 +1,7 @@
 """Benchmark: the sharded thread engine vs the single-threaded one.
 
-Times a COLD 256-candidate population (256 unique genotypes, fresh
-accuracy/feature/evaluation caches everywhere) through
+Times a COLD 256-candidate population (256 unique genotypes, a fresh
+evaluator per worker count) through
 ``create_evaluator(workers=1/2/4)`` and prints the wall times, the
 speedups vs the single-threaded engine and the micro-batch scheduler's
 coalescing stats.  Nothing is written to disk; perfbench's
@@ -33,7 +33,7 @@ from repro.accel.config import random_config
 from repro.nas.encoding import CoDesignPoint
 from repro.nas.space import DnnSpace
 from repro.obs import cpu_budget
-from repro.parallel import MicroBatchScheduler, ParallelEvaluator, create_evaluator
+from repro.parallel import MicroBatchScheduler, create_evaluator
 
 POPULATION = 256
 WORKER_COUNTS = (1, 2, 4)
@@ -61,39 +61,27 @@ def test_bench_parallel_sharded_speedup(demo_context):
         for _ in range(4)
     ]
 
-    # The fast evaluator's own dicts are shared session state; snapshot
-    # them so every engine starts cold and the other benchmark modules get
-    # their warm caches back.
-    saved_acc, saved_eval = dict(fast._acc_cache), dict(fast._cache)
+    # Each engine is a fresh evaluator over the uncached fast evaluator,
+    # so every worker count scores the population cold.
     evaluate_s: dict[int, float] = {}
     reference = None
-    try:
-        for workers in WORKER_COUNTS:
-            fast._acc_cache.clear()
-            fast._cache.clear()
-            evaluator = create_evaluator(fast, workers=workers)
+    for workers in WORKER_COUNTS:
+        with create_evaluator(fast, workers=workers) as evaluator:
             t0 = time.perf_counter()
-            if isinstance(evaluator, ParallelEvaluator):
+            if workers > 1:
                 evaluator.evaluate_many(warmup)  # thread start-up, off the clock
             setup_s = time.perf_counter() - t0
             t0 = time.perf_counter()
             results = evaluator.evaluate_many(points)
             evaluate_s[workers] = time.perf_counter() - t0
-            if hasattr(evaluator, "close"):
-                evaluator.close()
-            if reference is None:
-                reference = results
-            assert results == reference, f"workers={workers} diverged (bit parity)"
-            print(
-                f"\nparallel cold batch-{POPULATION}: workers={workers} "
-                f"setup {setup_s:.2f} s, evaluate {evaluate_s[workers]:.2f} s, "
-                f"speedup {evaluate_s[1] / evaluate_s[workers]:.2f}x"
-            )
-    finally:
-        fast._acc_cache.clear()
-        fast._acc_cache.update(saved_acc)
-        fast._cache.clear()
-        fast._cache.update(saved_eval)
+        if reference is None:
+            reference = results
+        assert results == reference, f"workers={workers} diverged (bit parity)"
+        print(
+            f"\nparallel cold batch-{POPULATION}: workers={workers} "
+            f"setup {setup_s:.2f} s, evaluate {evaluate_s[workers]:.2f} s, "
+            f"speedup {evaluate_s[1] / evaluate_s[workers]:.2f}x"
+        )
 
     # Scheduler coalescing on the warm single-threaded engine: 8
     # concurrent submitters, one coalesced batch per tick.

@@ -25,7 +25,6 @@ from ..accel.simulator import SystolicArraySimulator
 from ..nas.hypernet import EpochStats, HyperNet, HyperNetTrainer
 from ..nas.space import DnnSpace
 from ..nn.data import SyntheticCifar
-from ..parallel import create_evaluator
 from ..predict.dataset import PerfDataset, collect_samples
 from ..scale import ExperimentScale, get_scale
 from ..search.evaluator import BatchEvaluator, FastEvaluator
@@ -105,8 +104,7 @@ def clear_context_cache() -> None:
     threads or file locks.
     """
     for context in _CACHE.values():
-        if hasattr(context.batch_evaluator, "close"):
-            context.batch_evaluator.close()
+        context.batch_evaluator.close()
     _CACHE.clear()
     for store in _STORES.values():
         store.close()
@@ -159,13 +157,13 @@ def get_context(
 ) -> ExperimentContext:
     """Build (or fetch) the shared experiment context for a scale.
 
-    ``workers > 1`` backs the shared batch evaluator with the sharded
-    multi-threaded engine (:func:`repro.parallel.create_evaluator`), so
-    every experiment harness' candidate scoring fans out across worker
-    threads — with bit-identical results — and the harnesses'
-    stand-alone trainings shard their top-N the same way.  The expensive
-    Step-1 artefacts (trained HyperNet, simulator samples, GP fits) are
-    cached per (scale, seed) and *shared* across worker counts: only the
+    ``workers > 1`` makes the shared batch evaluator shard its cold
+    genotypes across that many threads, so every experiment harness'
+    candidate scoring fans out across worker threads — with
+    bit-identical results — and the harnesses' stand-alone trainings
+    shard their top-N the same way.  The expensive Step-1 artefacts
+    (trained HyperNet, simulator samples, GP fits) are cached per
+    (scale, seed) and *shared* across worker counts: only the
     evaluator wrapper differs, so asking for a new ``workers`` value on
     an already-built context is near-free.
 
@@ -183,7 +181,7 @@ def get_context(
     store = _get_store(store_path)
     for (cached_scale, cached_seed, *_rest), base in _CACHE.items():
         if cached_scale == scale_name and cached_seed == seed:
-            batch_evaluator = create_evaluator(
+            batch_evaluator = BatchEvaluator(
                 base.fast_evaluator, workers=workers
             )
             if store is not None:
@@ -241,7 +239,7 @@ def get_context(
     fast_evaluator.val_images = dataset.val.images[:subset]
     fast_evaluator.val_labels = dataset.val.labels[:subset]
     t_lat, t_eer = demo_thresholds(scale, simulator=simulator)
-    batch_evaluator = create_evaluator(fast_evaluator, workers=workers)
+    batch_evaluator = BatchEvaluator(fast_evaluator, workers=workers)
     if store is not None:
         batch_evaluator.attach_store(store)
     context = ExperimentContext(

@@ -3,7 +3,7 @@
 Two process-wide singletons every subsystem shares:
 
 * :func:`get_registry` — named counters / gauges / bounded-bucket
-  histograms with a pure-data, mergeable :meth:`~repro.obs.registry.
+  histograms with a pure-data :meth:`~repro.obs.registry.
   MetricsRegistry.snapshot` (surfaced by the service ``stats`` verb and
   the ``yoso stats`` CLI).
 * :func:`get_tracer` — context-manager spans with trace ids that follow
@@ -25,7 +25,6 @@ from .registry import (
     MetricsRegistry,
     get_registry,
     histogram_quantile,
-    merge_snapshots,
 )
 from .render import format_seconds, render_metrics, render_stats
 from .tracing import (
@@ -56,7 +55,6 @@ __all__ = [
     "get_registry",
     "get_tracer",
     "histogram_quantile",
-    "merge_snapshots",
     "new_span_id",
     "new_trace_id",
     "render_metrics",

@@ -3,7 +3,7 @@
 The observability substrate every subsystem reports into — the scheduler,
 worker pools, evaluators, the durable store and the service all register
 metrics here under per-subsystem namespaces (``"scheduler.ticks"``,
-``"pool.restarts"``, ``"service.latency_s.evaluate_many"``, ...).  One
+``"pool.items"``, ``"service.latency_s.evaluate_many"``, ...).  One
 process-wide default registry (:func:`get_registry`) keeps the hot paths
 trivial: a subsystem fetches its metric objects once at import time and
 then increments them with no name lookups.
@@ -17,9 +17,8 @@ Design constraints (and why):
 * **Bounded, fixed histogram buckets.**  Latency histograms use a fixed
   log-spaced boundary ladder (:data:`LATENCY_BUCKETS_S`, parsed from
   decimal literals so every process on every platform builds bit-equal
-  boundaries).  Fixed buckets make snapshots deterministic in *shape*
-  and mergeable across workers and service backends: merging is
-  bucket-wise addition (:func:`merge_snapshots`), never re-binning.
+  boundaries).  Fixed buckets make snapshots deterministic in *shape*,
+  so two snapshots compare bucket for bucket.
 * **Snapshots are pure data.**  :meth:`MetricsRegistry.snapshot` returns
   plain dicts/lists/floats — JSON-safe, and floats survive the wire
   bit-exactly under the repo's repr-round-trip discipline (``json``
@@ -48,14 +47,12 @@ __all__ = [
     "MetricsRegistry",
     "get_registry",
     "histogram_quantile",
-    "merge_snapshots",
 ]
 
 #: Fixed log-spaced latency boundaries (seconds): three per decade from
 #: 1 microsecond to 100 seconds.  Parsed from decimal literals — not
-#: computed with ``10 ** x`` — so every worker/backend builds bit-equal
-#: boundaries regardless of platform ``libm`` and merged snapshots line
-#: up bucket for bucket.
+#: computed with ``10 ** x`` — so every process builds bit-equal
+#: boundaries regardless of platform ``libm``.
 LATENCY_BUCKETS_S: tuple[float, ...] = tuple(
     float(f"{mantissa}e{exponent}")
     for exponent in range(-6, 2)
@@ -304,53 +301,6 @@ class MetricsRegistry:
             metrics = list(self._metrics.values())
         for metric in metrics:
             metric._reset()
-
-
-def merge_snapshots(*snapshots: Mapping) -> dict:
-    """Merge registry snapshots from several workers/backends into one.
-
-    Counters and histogram buckets add (fixed boundaries make bucket-wise
-    addition exact); gauges keep the last snapshot's value (point-in-time
-    semantics); min/max combine.  The result has the same shape as
-    :meth:`MetricsRegistry.snapshot`, so merging is associative and the
-    merged form can itself be merged again.
-    """
-    counters: dict[str, int] = {}
-    gauges: dict[str, float] = {}
-    histograms: dict[str, dict] = {}
-    for snap in snapshots:
-        for name, value in snap.get("counters", {}).items():
-            counters[name] = counters.get(name, 0) + value
-        for name, value in snap.get("gauges", {}).items():
-            gauges[name] = value
-        for name, hist in snap.get("histograms", {}).items():
-            merged = histograms.get(name)
-            if merged is None:
-                histograms[name] = {
-                    "count": hist["count"],
-                    "sum": hist["sum"],
-                    "min": hist["min"],
-                    "max": hist["max"],
-                    "buckets": [list(b) for b in hist["buckets"]],
-                    "overflow": hist["overflow"],
-                }
-                continue
-            merged["count"] += hist["count"]
-            merged["sum"] += hist["sum"]
-            for bound in ("min", "max"):
-                values = [
-                    v for v in (merged[bound], hist[bound]) if v is not None
-                ]
-                if values:
-                    merged[bound] = (
-                        min(values) if bound == "min" else max(values)
-                    )
-            merged["overflow"] += hist["overflow"]
-            by_le = {le: count for le, count in merged["buckets"]}
-            for le, count in hist["buckets"]:
-                by_le[le] = by_le.get(le, 0) + count
-            merged["buckets"] = [list(item) for item in sorted(by_le.items())]
-    return {"counters": counters, "gauges": gauges, "histograms": histograms}
 
 
 def histogram_quantile(hist: Mapping, q: float) -> float | None:

@@ -1,24 +1,21 @@
 """Sharded multi-threaded evaluation with a micro-batching scheduler.
 
-The batched co-design scorer (:mod:`repro.search.evaluator`) made a
-population cost one grouped HyperNet forward and one GP prediction — on
-one core.  This subsystem spreads that work across threads over the
-parent's own evaluators and coalesces concurrent request traffic, while
-keeping results bit-identical to the single-threaded engine.
+The batched co-design scorer (:class:`~repro.search.evaluator.
+BatchEvaluator`) makes a population cost one grouped HyperNet forward
+and one GP prediction.  This subsystem holds the threads it shards cold
+genotypes over at ``workers > 1``, shards Step-3 training, and coalesces
+concurrent request traffic, keeping results bit-identical to the
+single-threaded engine.
 
 * :mod:`repro.parallel.pool` — :class:`WorkerPool`: a persistent thread
   executor that runs a task over deterministic shards, each under a copy
   of the caller's context, and harvests every shard before an error
-  propagates; :class:`EvaluatorPool` runs the cold-genotype work items
-  against one :class:`~repro.search.evaluator.FastEvaluator`.
+  propagates; :class:`EvaluatorPool` runs
+  :meth:`~repro.search.evaluator.FastEvaluator.genotype_inputs` on shards
+  of cold genotypes for a ``BatchEvaluator`` with ``workers > 1``.
 * :mod:`repro.parallel.sharder` — deterministic contiguous chunking of
   genotype populations and flat hardware sweeps, with an
   order-preserving merge (``merge(shard(xs, k)) == xs`` for every k).
-* :mod:`repro.parallel.evaluator` — :class:`ParallelEvaluator`, a
-  drop-in ``BatchEvaluator`` that keeps the LRU caches, the store and the
-  GP prediction as they are and shards only the cold genotypes'
-  accuracies and feature prefixes.  :func:`create_evaluator` picks the
-  right engine for a worker count.
 * :mod:`repro.parallel.scheduler` — :class:`MicroBatchScheduler`:
   coalesces concurrent ``evaluate`` requests from many search threads or
   service clients into one sharded batch per tick.
@@ -34,25 +31,31 @@ docs/PERFORMANCE.md for the execution model and where the GIL caps the
 speedup.  :mod:`repro.service` exposes the whole stack as a long-lived
 TCP endpoint (``yoso serve``), with the scheduler coalescing concurrent
 network clients exactly as it coalesces in-process threads.
+:func:`create_evaluator` is a plain ``BatchEvaluator`` constructor, kept
+for the perfbench workloads.
 """
 
-from ..search.evaluator import ShardResult, WorkItem
-from .evaluator import ParallelEvaluator, create_evaluator
+from ..search.evaluator import BatchEvaluator, FastEvaluator
 from .pool import EvaluatorPool, WorkerPool
 from .scheduler import MicroBatchScheduler
 from .sharder import merge_shards, shard_bounds, shard_sequence
 from .training import train_accuracies
 
 __all__ = [
-    "ParallelEvaluator",
     "create_evaluator",
     "EvaluatorPool",
     "WorkerPool",
-    "WorkItem",
-    "ShardResult",
     "MicroBatchScheduler",
     "shard_bounds",
     "shard_sequence",
     "merge_shards",
     "train_accuracies",
 ]
+
+
+def create_evaluator(
+    fast: FastEvaluator, workers: int = 1, cache_size: int = 16384
+) -> BatchEvaluator:
+    """A :class:`~repro.search.evaluator.BatchEvaluator` sharding over
+    ``workers`` threads (``<= 1``: in process)."""
+    return BatchEvaluator(fast, workers=workers, cache_size=cache_size)

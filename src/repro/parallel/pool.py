@@ -9,8 +9,8 @@ types build on it:
 * :class:`EvaluatorPool` (here) computes the cold genotypes' HyperNet
   accuracies and feature prefixes against the parent's
   :class:`~repro.search.evaluator.FastEvaluator`
-  (:func:`~repro.search.evaluator.compute_work_items`, the same code the
-  in-process path runs).
+  (:meth:`~repro.search.evaluator.FastEvaluator.genotype_inputs`, the
+  same code the in-process path runs).
 * :func:`repro.parallel.training.train_accuracies` runs Step-3
   ``train_accuracy`` jobs against the parent's
   :class:`~repro.search.evaluator.AccurateEvaluator`.
@@ -25,16 +25,15 @@ execution model").
 from __future__ import annotations
 
 import contextvars
-import functools
 from concurrent.futures import ThreadPoolExecutor
 from typing import TYPE_CHECKING, Sequence
 
 from ..obs.registry import get_registry
 from ..obs.tracing import get_tracer
 from ..resilience import faults
-from ..search.evaluator import ShardResult, WorkItem, compute_work_items
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from ..nas.genotype import Genotype
     from ..search.evaluator import FastEvaluator
 
 __all__ = ["WorkerPool", "EvaluatorPool"]
@@ -132,14 +131,13 @@ class WorkerPool:
 
 
 class EvaluatorPool(WorkerPool):
-    """A thread pool computing work-item shards against one fast evaluator."""
+    """A thread pool resolving genotype shards against one fast evaluator."""
 
     def __init__(self, fast: "FastEvaluator", workers: int) -> None:
         super().__init__(workers)
         self.fast = fast
 
-    def run_shards(self, shards: Sequence[list[WorkItem]]) -> list[ShardResult]:
-        """Resolve work-item shards across the pool, in shard order."""
-        return self.run_tasks(
-            functools.partial(compute_work_items, self.fast), shards
-        )
+    def run_shards(self, shards: Sequence[list["Genotype"]]) -> list[list]:
+        """``fast.genotype_inputs`` of every shard across the pool, in
+        shard order."""
+        return self.run_tasks(self.fast.genotype_inputs, shards)

@@ -46,9 +46,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = ["MicroBatchScheduler"]
 
 # Module-level registry handles: fetched once so the warm path pays no
-# name lookups (and nothing here hangs instance state on picklable
-# objects — the scheduler itself is never pickled, but the handles keep
-# the pattern uniform across the instrumented modules).
+# name lookups (the metric-handles lint rule keeps them off instances).
 _REGISTRY = get_registry()
 _M_TICKS = _REGISTRY.counter("scheduler.ticks")
 _M_REQUESTS = _REGISTRY.counter("scheduler.requests")
@@ -76,8 +74,7 @@ class MicroBatchScheduler:
     """Coalesce concurrent evaluate requests into one batch per tick.
 
     ``evaluator`` is anything with a list-in/list-out ``evaluate_many``
-    (:class:`~repro.search.evaluator.BatchEvaluator`,
-    :class:`~repro.parallel.evaluator.ParallelEvaluator`, ...).
+    (a :class:`~repro.search.evaluator.BatchEvaluator` in production).
     ``tick_s`` is the coalescing window the scheduler thread waits after
     traffic arrives; ``max_batch_points`` bounds how many points a single
     coalesced batch may hold (a single larger request still runs whole).

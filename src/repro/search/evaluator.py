@@ -6,10 +6,12 @@ Gaussian-process predictors for latency and energy (instead of simulation).
 Step 3 rescoring uses the :class:`AccurateEvaluator` — stand-alone training
 plus the full analytical simulator — on the top-N candidates only.
 
-:class:`BatchEvaluator` wraps a fast evaluator with the batched scoring
+:class:`FastEvaluator` caches nothing: its scalar ``evaluate`` is the
+specification.  :class:`BatchEvaluator` wraps it with the batched scoring
 path the searches use: B candidates per call, one batched GP prediction
 per metric instead of B scalar ones, per-genotype reuse of the accuracy
-measurement and feature prefix, and a shared encoding-keyed LRU cache.
+measurement and feature prefix, a shared encoding-keyed LRU cache, and
+optional sharding of cold genotypes across threads.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import threading
 import time
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -27,7 +29,6 @@ from ..nas.encoding import (
     DNN_TOKENS,
     SEQUENCE_LENGTH,
     CoDesignPoint,
-    decode,
     encode,
     encode_genotype,
 )
@@ -47,9 +48,6 @@ __all__ = [
     "FastEvaluator",
     "BatchEvaluator",
     "AccurateEvaluator",
-    "WorkItem",
-    "ShardResult",
-    "compute_work_items",
 ]
 
 # Module-level registry handles (the metric-handles lint rule keeps them
@@ -93,7 +91,6 @@ class FastEvaluator:
         image_size: int = 32,
         num_classes: int = 10,
         eval_batch: int = 64,
-        cache_size: int = 4096,
     ) -> None:
         self.hypernet = hypernet
         self.val_images = val_images
@@ -105,14 +102,6 @@ class FastEvaluator:
         self.image_size = image_size
         self.num_classes = num_classes
         self.eval_batch = eval_batch
-        self.cache_size = cache_size
-        # Accuracy depends only on the genotype (not the hardware config),
-        # so it gets its own cache — the controller frequently re-pairs a
-        # converged architecture with different hardware tokens.  Keys are
-        # the frozen cell genotypes themselves (NOT ``to_json``, which
-        # embeds the per-iteration name and would never hit).
-        self._acc_cache: dict[tuple, float] = {}
-        self._cache: dict[tuple, Evaluation] = {}
 
     # ------------------------------------------------------------------
     @classmethod
@@ -138,58 +127,47 @@ class FastEvaluator:
             **kwargs,
         )
 
-    def evaluate_accuracies(self, genotypes: Sequence[Genotype]) -> list[float]:
-        """Inherited-weights accuracy for a whole population, batched.
+    def genotype_inputs(
+        self, genotypes: Sequence[Genotype]
+    ) -> list[tuple[float, np.ndarray]]:
+        """``(accuracy, feature prefix)`` of each genotype, in input order.
 
-        Returns one accuracy per input genotype, in input order.  Cached
-        genotypes are served from the accuracy cache; ALL uncached ones are
-        measured with a single :meth:`~repro.nas.hypernet.HyperNet.evaluate_many`
-        call (grouped cell forwards over the stacked population) instead of
-        one scalar test run each.  Each measured value equals the scalar
-        :meth:`~repro.nas.hypernet.HyperNet.evaluate` result exactly (the
-        batched forward's logits are bitwise the scalar ones, whatever the
-        population), so mixing scalar and batched calls on one evaluator
-        does not yield conflicting cache entries.
+        The batched half of :meth:`evaluate`: every accuracy comes from ONE
+        :meth:`~repro.nas.hypernet.HyperNet.evaluate_many` call (grouped
+        cell forwards over the stacked population, each value ``==`` the
+        scalar :meth:`~repro.nas.hypernet.HyperNet.evaluate`), every prefix
+        from :func:`~repro.predict.features.genotype_features`.  Pure:
+        nothing is cached, so threads may run it on disjoint shards.
         """
-        keys = [(g.normal, g.reduce) for g in genotypes]
-        fresh: dict[tuple, Genotype] = {}
-        for key, genotype in zip(keys, genotypes):
-            if key not in self._acc_cache and key not in fresh:
-                fresh[key] = genotype
-        measured: dict[tuple, float] = {}
-        if fresh:
-            accuracies = self.hypernet.evaluate_many(
-                list(fresh.values()),
-                self.val_images,
-                self.val_labels,
-                batch_size=self.eval_batch,
-            )
-            for key, accuracy in zip(fresh, accuracies):
-                measured[key] = accuracy
-                if len(self._acc_cache) < self.cache_size:
-                    self._acc_cache[key] = accuracy
+        accuracies = self.hypernet.evaluate_many(
+            list(genotypes),
+            self.val_images,
+            self.val_labels,
+            batch_size=self.eval_batch,
+        )
         return [
-            measured[key] if key in measured else self._acc_cache[key]
-            for key in keys
+            (
+                accuracy,
+                genotype_features(
+                    genotype,
+                    num_cells=self.num_cells,
+                    stem_channels=self.stem_channels,
+                    image_size=self.image_size,
+                    num_classes=self.num_classes,
+                ),
+            )
+            for genotype, accuracy in zip(genotypes, accuracies)
         ]
 
     def evaluate(self, point: CoDesignPoint) -> Evaluation:
-        """Predict accuracy/latency/energy of one candidate (cached)."""
-        geno_key = (point.genotype.normal, point.genotype.reduce)
-        key = (geno_key, point.config)
-        hit = self._cache.get(key)
-        if hit is not None:
-            return hit
-        accuracy = self._acc_cache.get(geno_key)
-        if accuracy is None:
-            accuracy = self.hypernet.evaluate(
-                point.genotype,
-                self.val_images,
-                self.val_labels,
-                batch_size=self.eval_batch,
-            )
-            if len(self._acc_cache) < self.cache_size:
-                self._acc_cache[geno_key] = accuracy
+        """Predict accuracy/latency/energy of one candidate: the scalar
+        specification every batched path is ``==`` to (uncached)."""
+        accuracy = self.hypernet.evaluate(
+            point.genotype,
+            self.val_images,
+            self.val_labels,
+            batch_size=self.eval_batch,
+        )
         features = feature_vector(
             point,
             num_cells=self.num_cells,
@@ -199,83 +177,32 @@ class FastEvaluator:
         )[None, :]
         latency = float(self.latency_gp.predict(features)[0])
         energy = float(self.energy_gp.predict(features)[0])
-        result = Evaluation(
+        return Evaluation(
             accuracy=accuracy,
             latency_ms=max(latency, 1e-6),
             energy_mj=max(energy, 1e-6),
         )
-        if len(self._cache) < self.cache_size:
-            self._cache[key] = result
-        return result
-
-
-@dataclass(frozen=True)
-class WorkItem:
-    """One unique genotype's outstanding work (what the LRUs miss)."""
-
-    genotype: Genotype
-    need_accuracy: bool
-    need_features: bool
-
-
-@dataclass(frozen=True)
-class ShardResult:
-    """Per-item results of a list of work items, aligned with the items."""
-
-    accuracies: list[float | None]
-    features: list[np.ndarray | None]
-
-
-def compute_work_items(fast: FastEvaluator, items: Sequence[WorkItem]) -> ShardResult:
-    """Resolve work items against a fast evaluator.
-
-    The one implementation both the in-process path and the sharded
-    threads of :class:`repro.parallel.ParallelEvaluator` run: accuracies
-    for every item that needs one come from a single batched
-    :meth:`FastEvaluator.evaluate_accuracies` call, feature prefixes from
-    :func:`~repro.predict.features.genotype_features`.
-    """
-    acc_indices = [i for i, item in enumerate(items) if item.need_accuracy]
-    accuracies: list[float | None] = [None] * len(items)
-    measured = fast.evaluate_accuracies([items[i].genotype for i in acc_indices])
-    for i, accuracy in zip(acc_indices, measured):
-        accuracies[i] = accuracy
-    features: list[np.ndarray | None] = [
-        genotype_features(
-            item.genotype,
-            num_cells=fast.num_cells,
-            stem_channels=fast.stem_channels,
-            image_size=fast.image_size,
-            num_classes=fast.num_classes,
-        )
-        if item.need_features
-        else None
-        for item in items
-    ]
-    return ShardResult(accuracies=accuracies, features=features)
 
 
 class BatchEvaluator:
-    """Batched candidate scoring with a shared encoding-keyed LRU cache.
+    """Batched candidate scoring over two LRU caches.
 
     Wraps a :class:`FastEvaluator` and scores B candidates per call:
 
     * results are cached under the candidate's 44-token action-sequence
-      encoding in a true LRU (the fast evaluator's dicts stop inserting
-      when full; this one evicts the least recently used entry instead);
-    * accuracy is measured once per *unique genotype* in the batch, and
-      every accuracy-cache miss in a call is measured by ONE batched
-      HyperNet forward (:meth:`repro.nas.hypernet.HyperNet.evaluate_many`)
-      — a cold-cache population of N fresh architectures costs one grouped
-      call, not N scalar test runs;
-    * the genotype-dependent feature prefix is cached per genotype, so a
-      converged architecture re-paired with new hardware tokens only pays
-      for the cheap hardware feature suffix;
+      encoding in an LRU of ``cache_size`` entries;
+    * each genotype's accuracy and feature prefix are cached together in a
+      second LRU, so a converged architecture re-paired with new hardware
+      tokens only pays for the cheap hardware feature suffix;
+    * every genotype missing from that LRU in a call is resolved by ONE
+      :meth:`FastEvaluator.genotype_inputs` call — a cold population of N
+      fresh architectures costs one grouped HyperNet forward, not N scalar
+      test runs.  With ``workers > 1`` and at least two cold genotypes,
+      they are sharded across the threads of an
+      :class:`~repro.parallel.pool.EvaluatorPool` (started on first use,
+      shut down by :meth:`close`); ``workers <= 1`` never starts one;
     * latency and energy come from ONE batched GP prediction per metric
-      instead of one kernel evaluation per candidate.
-
-    ``evaluate_tokens`` skips decoding cached candidates entirely, which is
-    the entry point the token-space searches use.
+      over the merged feature matrix, in the calling thread.
 
     Optionally a durable :class:`repro.store.ResultStore` sits *behind*
     the LRU as a tier-2 cache (:meth:`attach_store`): misses consult the
@@ -288,14 +215,17 @@ class BatchEvaluator:
     byte-identical to a store-less evaluator.
     """
 
-    def __init__(self, fast: FastEvaluator, cache_size: int = 16384) -> None:
+    def __init__(
+        self, fast: FastEvaluator, workers: int = 1, cache_size: int = 16384
+    ) -> None:
         if cache_size < 1:
             raise ValueError("cache_size must be >= 1")
         self.fast = fast
+        self.workers = workers
         self.cache_size = cache_size
         self._lru: OrderedDict[tuple[int, ...], Evaluation] = OrderedDict()
-        self._acc_lru: OrderedDict[tuple[int, ...], float] = OrderedDict()
-        self._feat_lru: OrderedDict[tuple[int, ...], np.ndarray] = OrderedDict()
+        self._geno_lru: OrderedDict[tuple, tuple[float, np.ndarray]] = OrderedDict()
+        self._pool = None
         self.hits = 0
         self.misses = 0
         self._store = None
@@ -306,6 +236,25 @@ class BatchEvaluator:
         #: neither.
         self.store_hits = 0
         self.store_misses = 0
+
+    # ------------------------------------------------------------------
+    @property
+    def pool(self):
+        """The :class:`~repro.parallel.pool.EvaluatorPool`, or ``None``
+        before the first sharded call."""
+        return self._pool
+
+    def close(self) -> None:
+        """Shut the pool's threads down (idempotent; the evaluator stays
+        usable and a later sharded call starts them again)."""
+        if self._pool is not None:
+            self._pool.close()
+
+    def __enter__(self) -> "BatchEvaluator":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
 
     # ------------------------------------------------------------------
     @property
@@ -371,22 +320,7 @@ class BatchEvaluator:
         the rows scored with it.
         """
         keys = [self._key_of(point) for point in points]
-        by_key = {key: point for key, point in zip(keys, points)}
-        results = self._materialise(keys, by_key)
-        return [results[key] for key in keys]
-
-    def evaluate_tokens(
-        self, token_seqs: Iterable[Sequence[int]]
-    ) -> list[Evaluation]:
-        """Score a batch of 44-token sequences; cache hits skip decoding.
-
-        Same semantics and parity guarantees as :meth:`evaluate_many`,
-        keyed directly on the 44-token action-sequence encoding so the
-        token-space searches never build :class:`CoDesignPoint` objects
-        for cached candidates.
-        """
-        keys = [tuple(tokens) for tokens in token_seqs]
-        results = self._materialise(keys, by_key=None)
+        results = self._materialise(keys, dict(zip(keys, points)))
         return [results[key] for key in keys]
 
     # ------------------------------------------------------------------
@@ -400,7 +334,7 @@ class BatchEvaluator:
     def _materialise(
         self,
         keys: Sequence[tuple],
-        by_key: dict[tuple, CoDesignPoint] | None,
+        by_key: dict[tuple, CoDesignPoint],
     ) -> dict[tuple, Evaluation]:
         """Instrumented shell around :meth:`_resolve`: one span plus
         registry counters per batched call, mirrored as deltas of the
@@ -427,7 +361,7 @@ class BatchEvaluator:
     def _resolve(
         self,
         keys: Sequence[tuple],
-        by_key: dict[tuple, CoDesignPoint] | None,
+        by_key: dict[tuple, CoDesignPoint],
     ) -> dict[tuple, Evaluation]:
         """Resolve every key, batching all miss computations.
 
@@ -484,15 +418,12 @@ class BatchEvaluator:
             if not missing:
                 return results
         fast = self.fast
-        points = [
-            by_key[key] if by_key is not None else decode(list(key))
-            for key in missing
-        ]
+        points = [by_key[key] for key in missing]
         geno_keys = [self._geno_key_of(key) for key in missing]
         accuracies, features = self._miss_inputs(points, geno_keys)
-        # The GP prediction always runs in the parent over the full merged
-        # feature matrix, so sharded accuracy/feature computation (see
-        # repro.parallel) cannot perturb the latency/energy numbers.
+        # The GP prediction always runs in the calling thread over the full
+        # merged feature matrix, so sharded accuracy/feature computation
+        # cannot perturb the latency/energy numbers.
         latencies = fast.latency_gp.predict_batch(features)
         energies = fast.energy_gp.predict_batch(features)
         for key, accuracy, latency, energy in zip(
@@ -518,61 +449,49 @@ class BatchEvaluator:
     ) -> tuple[list[float], np.ndarray]:
         """Accuracies and stacked feature rows for the missing points.
 
-        LRU hits are snapshotted up front into local maps, which pin this
-        batch's values even when inserting the fresh ones evicts them from
-        a too-small LRU mid-batch.  The outstanding work — one
-        :class:`WorkItem` per unique genotype missing from either LRU — is
-        resolved by ONE :meth:`_compute_fresh` call, so a cold population
-        costs one grouped HyperNet forward, not a scalar test run per
-        candidate.
+        Genotype-LRU hits are snapshotted up front into a local map, which
+        pins this batch's values even when inserting the fresh ones evicts
+        them from a too-small LRU mid-batch.  The unique genotypes the LRU
+        misses are resolved together by :meth:`_cold_inputs`.
         """
-        measured: dict[tuple, float] = {}
-        feats: dict[tuple, np.ndarray] = {}
-        need: dict[tuple, WorkItem] = {}
+        inputs: dict[tuple, tuple[float, np.ndarray]] = {}
+        cold: dict[tuple, Genotype] = {}
         for geno_key, point in zip(geno_keys, points):
-            if geno_key in need:
+            if geno_key in inputs or geno_key in cold:
                 continue
-            acc_hit = geno_key in self._acc_lru
-            if acc_hit and geno_key not in measured:
-                measured[geno_key] = self._acc_lru[geno_key]
-                self._acc_lru.move_to_end(geno_key)
-            feat_hit = geno_key in self._feat_lru
-            if feat_hit and geno_key not in feats:
-                feats[geno_key] = self._feat_lru[geno_key]
-                self._feat_lru.move_to_end(geno_key)
-            if not (acc_hit and feat_hit):
-                need[geno_key] = WorkItem(
-                    genotype=point.genotype,
-                    need_accuracy=not acc_hit,
-                    need_features=not feat_hit,
-                )
-        if need:
-            fresh = self._compute_fresh(list(need.values()))
-            for (geno_key, item), accuracy, row in zip(
-                need.items(), fresh.accuracies, fresh.features
-            ):
-                if item.need_accuracy:
-                    assert accuracy is not None
-                    measured[geno_key] = accuracy
-                    self._lru_put(self._acc_lru, geno_key, accuracy, self.cache_size)
-                if item.need_features:
-                    assert row is not None
-                    feats[geno_key] = row
-                    self._lru_put(self._feat_lru, geno_key, row, self.cache_size)
-        accuracies = [measured[geno_key] for geno_key in geno_keys]
+            if geno_key in self._geno_lru:
+                inputs[geno_key] = self._geno_lru[geno_key]
+                self._geno_lru.move_to_end(geno_key)
+            else:
+                cold[geno_key] = point.genotype
+        if cold:
+            fresh = self._cold_inputs(list(cold.values()))
+            for geno_key, value in zip(cold, fresh):
+                inputs[geno_key] = value
+                self._lru_put(self._geno_lru, geno_key, value, self.cache_size)
+        accuracies = [inputs[geno_key][0] for geno_key in geno_keys]
         rows = [
-            np.concatenate([feats[geno_key], config_features(point.config)])
+            np.concatenate([inputs[geno_key][1], config_features(point.config)])
             for geno_key, point in zip(geno_keys, points)
         ]
         return accuracies, np.stack(rows)
 
-    def _compute_fresh(self, items: list[WorkItem]) -> ShardResult:
-        """Resolve the unique cold genotypes of one call, in process.
+    def _cold_inputs(
+        self, genotypes: list[Genotype]
+    ) -> list[tuple[float, np.ndarray]]:
+        """:meth:`FastEvaluator.genotype_inputs` of the cold genotypes, in
+        order: inline, or sharded across the pool when ``workers > 1`` and
+        there are at least two."""
+        if self.workers <= 1 or len(genotypes) < 2:
+            return self.fast.genotype_inputs(genotypes)
+        # Imported lazily: repro.parallel imports this module.
+        from ..parallel import EvaluatorPool, merge_shards, shard_sequence
 
-        The hook :class:`repro.parallel.ParallelEvaluator` overrides to
-        shard the items across threads.
-        """
-        return compute_work_items(self.fast, items)
+        if self._pool is None:
+            self._pool = EvaluatorPool(self.fast, self.workers)
+        return merge_shards(
+            self._pool.run_shards(shard_sequence(genotypes, self.workers))
+        )
 
     # ------------------------------------------------------------------
     @property

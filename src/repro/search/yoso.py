@@ -51,11 +51,12 @@ class YosoConfig:
     #: through the batched evaluator either way).
     search_batch: int = 1
     #: Worker threads for candidate scoring AND Step-3 top-N training.
-    #: 1 (the default) keeps everything serial; > 1 routes Step 2
-    #: through :class:`~repro.parallel.ParallelEvaluator` (sharded
-    #: HyperNet accuracy + feature misses) and shards Step 3's stand-alone
-    #: trainings (:func:`~repro.parallel.train_accuracies`) — both
-    #: bit-identical to the serial paths.
+    #: 1 (the default) keeps everything serial; > 1 shards Step 2's cold
+    #: genotypes (HyperNet accuracy + feature prefix) across the
+    #: :class:`~repro.search.evaluator.BatchEvaluator`'s threads and
+    #: Step 3's stand-alone trainings
+    #: (:func:`~repro.parallel.train_accuracies`) — both bit-identical to
+    #: the serial paths.
     workers: int = 1
     #: Path of a durable :class:`repro.store.ResultStore` (``--store``).
     #: ``None`` (the default) keeps the pipeline byte-identical to the
@@ -169,11 +170,7 @@ class YosoSearch:
             raise RuntimeError("call build_fast_evaluator() first (Step 1)")
         cfg = self.config
         controller = Controller(hidden_dim=cfg.controller_hidden, seed=cfg.seed)
-        # Imported lazily: repro.parallel imports the evaluator module, so a
-        # module-level import here would be circular via the package init.
-        from ..parallel import create_evaluator
-
-        self.batch_evaluator = create_evaluator(
+        self.batch_evaluator = BatchEvaluator(
             self.fast_evaluator, workers=cfg.workers
         )
         if self._ensure_store() is not None:

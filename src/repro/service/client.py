@@ -4,11 +4,10 @@
 protocol — the thin, explicit layer (connect, evaluate, stats, health,
 shutdown).  :class:`RemoteEvaluator` wraps a client in the evaluator
 shape the search stack and the report harness expect (``evaluate`` /
-``evaluate_many`` / ``evaluate_tokens`` plus the cache-accounting
-properties), so a local search loop can be pointed at a remote service
-with one constructor swap — and, because the wire codec and the
-service's coalescing are both value-preserving, get bit-identical
-results.
+``evaluate_many`` plus the cache-accounting properties), so a local
+search loop can be pointed at a remote service with one constructor
+swap — and, because the wire codec and the service's coalescing are
+both value-preserving, get bit-identical results.
 
 Resilience (the retry-safety invariant)
 ---------------------------------------
@@ -40,7 +39,7 @@ import socket
 import threading
 from typing import Sequence
 
-from ..nas.encoding import CoDesignPoint, decode
+from ..nas.encoding import CoDesignPoint
 from ..obs.tracing import get_tracer
 from ..resilience import faults
 from ..resilience.policy import (
@@ -388,7 +387,7 @@ class RemoteEvaluator:
 
     Drop-in for a :class:`~repro.search.evaluator.BatchEvaluator` where a
     search loop or the report harness only needs ``evaluate`` /
-    ``evaluate_many`` / ``evaluate_tokens`` and the cache-accounting
+    ``evaluate_many`` and the cache-accounting
     reads (``hits`` / ``misses`` / ``hit_rate`` / ``cache_size``): calls
     go over the wire, accounting reads come from the service's ``stats``
     verb (they describe the *server-side* evaluator, which is where the
@@ -464,17 +463,6 @@ class RemoteEvaluator:
             lambda: self.client.evaluate_many(points),
             lambda: list(self.fallback.evaluate_many(points)),
         )
-
-    def evaluate_tokens(
-        self, token_lists: Sequence[Sequence[int]]
-    ) -> list[Evaluation]:
-        """Token-sequence entry point (decoded locally; names never affect
-        scores, so this matches the local ``evaluate_tokens`` exactly)."""
-        points = [
-            decode(list(tokens), name=f"remote_{i}")
-            for i, tokens in enumerate(token_lists)
-        ]
-        return self.evaluate_many(points)
 
     # -- accounting (server-side evaluator state) ------------------------
     def _stats(self) -> dict | None:

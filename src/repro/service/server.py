@@ -2,11 +2,10 @@
 
 :class:`SearchService` turns the offline co-design scorer into a
 long-lived endpoint: it owns ONE persistent evaluator (a
-:class:`~repro.search.evaluator.BatchEvaluator` or, with ``workers > 1``,
-a :class:`~repro.parallel.evaluator.ParallelEvaluator` and its worker
-threads) behind a :class:`~repro.parallel.scheduler.MicroBatchScheduler`,
-and speaks the NDJSON wire protocol of :mod:`repro.service.protocol`
-over TCP.
+:class:`~repro.search.evaluator.BatchEvaluator`, with its worker threads
+at ``workers > 1``) behind a
+:class:`~repro.parallel.scheduler.MicroBatchScheduler`, and speaks the
+NDJSON wire protocol of :mod:`repro.service.protocol` over TCP.
 
 Execution model — three layers, each with one job:
 

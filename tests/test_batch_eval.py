@@ -14,10 +14,11 @@ import pytest
 from repro.accel.config import enumerate_configs, random_config
 from repro.accel.simulator import SystolicArraySimulator
 from repro.accel.workload import network_workloads
-from repro.nas.encoding import CoDesignPoint, encode
+from repro.nas.encoding import CoDesignPoint, decode, encode
 from repro.nas.hypernet import HyperNet
 from repro.nas.space import DnnSpace
 from repro.predict.dataset import collect_samples
+from repro.predict.features import genotype_features
 from repro.search.evaluator import BatchEvaluator, FastEvaluator
 from repro.search.random_search import RandomSearch
 from repro.search.reinforce import ReinforceSearch
@@ -193,7 +194,7 @@ class TestBatchEvaluatorParity:
         batched = batch.evaluate_many(points)
         for point, b in zip(points, batched):
             s = fast_evaluator.evaluate(point)
-            assert b.accuracy == s.accuracy  # same hypernet call, cached
+            assert b.accuracy == s.accuracy
             assert b.latency_ms == pytest.approx(s.latency_ms, rel=1e-9)
             assert b.energy_mj == pytest.approx(s.energy_mj, rel=1e-9)
 
@@ -202,12 +203,16 @@ class TestBatchEvaluatorParity:
         point = random_points(1, seed=6)[0]
         assert batch.evaluate(point) == batch.evaluate_many([point])[0]
 
-    def test_evaluate_tokens_matches_points(self, fast_evaluator):
+    def test_decoded_points_share_cache_entries(self, fast_evaluator):
+        """Results are keyed on the token encoding, so a point decoded from
+        its tokens (a fresh object with another name) is a cache hit."""
         batch = BatchEvaluator(fast_evaluator)
         points = random_points(6, seed=7)
         by_points = batch.evaluate_many(points)
-        by_tokens = batch.evaluate_tokens([encode(p) for p in points])
-        assert all(a is b for a, b in zip(by_points, by_tokens))
+        decoded = [decode(encode(p), name=f"d{i}") for i, p in enumerate(points)]
+        by_decoded = batch.evaluate_many(decoded)
+        assert all(a is b for a, b in zip(by_points, by_decoded))
+        assert batch.hits == len(points)
 
 
 class TestBatchEvaluatorColdCache:
@@ -252,11 +257,11 @@ class TestBatchEvaluatorColdCache:
         self, fast_evaluator
     ):
         """A batch mixing cached genotypes with more fresh ones than the
-        accuracy LRU can hold must not lose the cached values to
+        genotype LRU can hold must not lose the cached values to
         mid-batch eviction (regression: KeyError on the evicted key)."""
         batch = BatchEvaluator(fast_evaluator, cache_size=4)
         cached_points = random_points(3, seed=23)
-        batch.evaluate_many(cached_points)  # genotypes now in the acc LRU
+        batch.evaluate_many(cached_points)  # genotypes now in the geno LRU
         fresh_points = random_points(6, seed=24)
         repaired = [
             CoDesignPoint(genotype=p.genotype, config=fresh_points[0].config)
@@ -268,15 +273,31 @@ class TestBatchEvaluatorColdCache:
             scalar = fast_evaluator.evaluate(point)
             assert result.accuracy == scalar.accuracy
 
-    def test_evaluate_accuracies_cached_and_ordered(self, fast_evaluator):
-        from repro.nas.space import DnnSpace
-
+    def test_genotype_inputs_match_scalar_oracle_in_order(self, fast_evaluator):
+        """One batched call gives, per input genotype and in input order,
+        the scalar HyperNet accuracy and the genotype feature prefix."""
         rng = np.random.default_rng(22)
         genotypes = [DnnSpace().sample(rng) for _ in range(6)]
-        first = fast_evaluator.evaluate_accuracies(genotypes)
-        # Second call is fully cached and order-preserving.
-        second = fast_evaluator.evaluate_accuracies(list(reversed(genotypes)))
-        assert second == list(reversed(first))
+        genotypes.append(genotypes[1])  # a duplicate keeps its slot
+        inputs = fast_evaluator.genotype_inputs(genotypes)
+        assert len(inputs) == len(genotypes)
+        for genotype, (accuracy, prefix) in zip(genotypes, inputs):
+            assert accuracy == fast_evaluator.hypernet.evaluate(
+                genotype,
+                fast_evaluator.val_images,
+                fast_evaluator.val_labels,
+                batch_size=fast_evaluator.eval_batch,
+            )
+            assert np.array_equal(
+                prefix,
+                genotype_features(
+                    genotype,
+                    num_cells=fast_evaluator.num_cells,
+                    stem_channels=fast_evaluator.stem_channels,
+                    image_size=fast_evaluator.image_size,
+                    num_classes=fast_evaluator.num_classes,
+                ),
+            )
 
 
 class TestBatchEvaluatorCache:
@@ -349,7 +370,23 @@ class TestBatchEvaluatorCache:
         ]
         results = batch.evaluate_many(variants)
         assert len({r.accuracy for r in results}) == 1
-        assert len(batch._acc_lru) == 1
+        assert len(batch._geno_lru) == 1
+
+    def test_warm_genotypes_make_no_hypernet_call(self, fast_evaluator, monkeypatch):
+        """New hardware for cached genotypes misses the result LRU only:
+        no HyperNet call at all, not even an empty batched one."""
+        batch = BatchEvaluator(fast_evaluator)
+        points = random_points(3, seed=14)
+        batch.evaluate_many(points)
+        calls = []
+        monkeypatch.setattr(
+            HyperNet, "evaluate_many", lambda *a, **k: calls.append(1) or []
+        )
+        rng = np.random.default_rng(15)
+        repaired = [CoDesignPoint(p.genotype, random_config(rng)) for p in points]
+        batch.evaluate_many(repaired)
+        assert batch.misses == 2 * len(points)
+        assert calls == []
 
     def test_rejects_bad_cache_size(self, fast_evaluator):
         with pytest.raises(ValueError):

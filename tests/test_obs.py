@@ -42,7 +42,6 @@ from repro.obs import (
     get_registry,
     get_tracer,
     histogram_quantile,
-    merge_snapshots,
     render_metrics,
     render_stats,
 )
@@ -130,28 +129,6 @@ class TestMetricsRegistry:
         registry.histogram("s.empty")
         empty = registry.snapshot()["histograms"]["s.empty"]
         assert empty["min"] is None and empty["max"] is None
-
-    def test_merge_snapshots_adds_counts_bucketwise(self):
-        a, b = MetricsRegistry(), MetricsRegistry()
-        a.counter("m.c").inc(2)
-        b.counter("m.c").inc(5)
-        b.counter("m.only_b").inc(1)
-        a.gauge("m.g").set(1.0)
-        b.gauge("m.g").set(9.0)
-        for v in (0.001, 0.5):
-            a.histogram("m.h").observe(v)
-        b.histogram("m.h").observe(0.001)
-
-        merged = merge_snapshots(a.snapshot(), b.snapshot())
-        assert merged["counters"] == {"m.c": 7, "m.only_b": 1}
-        assert merged["gauges"]["m.g"] == 9.0  # point-in-time: last wins
-        hist = merged["histograms"]["m.h"]
-        assert hist["count"] == 3
-        assert hist["min"] == 0.001 and hist["max"] == 0.5
-        assert sum(n for _, n in hist["buckets"]) == 3
-        # Associative: merging the merged form again just re-adds.
-        again = merge_snapshots(merged, a.snapshot())
-        assert again["counters"]["m.c"] == 9
 
     def test_histogram_quantile(self):
         registry = MetricsRegistry()

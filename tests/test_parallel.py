@@ -2,8 +2,9 @@
 
 Covers the four guarantees the subsystem makes:
 
-* **Bit-exact parity** — ``ParallelEvaluator`` results are ``==`` to the
-  in-process ``BatchEvaluator`` at any worker count (no tolerances).
+* **Bit-exact parity** — ``BatchEvaluator(workers=N)`` results are ``==``
+  to the in-process ``BatchEvaluator`` at any worker count (no
+  tolerances).
 * **Contained shard errors** — a raising shard propagates only after
   every shard has been harvested, and the pool stays usable.
 * **In-process fallback** — ``workers <= 1`` never creates a pool, and
@@ -24,11 +25,10 @@ import numpy as np
 import pytest
 
 from repro.accel.config import enumerate_configs, random_config
-from repro.nas.encoding import CoDesignPoint, encode
+from repro.nas.encoding import CoDesignPoint, decode, encode
 from repro.nas.space import DnnSpace
 from repro.parallel import (
     MicroBatchScheduler,
-    ParallelEvaluator,
     WorkerPool,
     create_evaluator,
     merge_shards,
@@ -92,35 +92,39 @@ class TestSharder:
 
 
 # ---------------------------------------------------------------------------
-# ParallelEvaluator
+# BatchEvaluator sharding cold genotypes across threads (workers > 1)
 # ---------------------------------------------------------------------------
 
 
 @pytest.fixture(scope="module")
 def pool_evaluator(smoke_context):
     """A shared 2-worker evaluator."""
-    evaluator = ParallelEvaluator(smoke_context.fast_evaluator, workers=2)
+    evaluator = BatchEvaluator(smoke_context.fast_evaluator, workers=2)
     yield evaluator
     evaluator.close()
 
 
 class TestParallelEvaluator:
+    """``BatchEvaluator`` sharding cold genotypes over ``workers`` threads."""
+
     def test_workers1_is_in_process(self, smoke_context):
         points = _population(5, seed=11)
         reference = BatchEvaluator(smoke_context.fast_evaluator).evaluate_many(points)
-        evaluator = ParallelEvaluator(smoke_context.fast_evaluator, workers=1)
+        evaluator = BatchEvaluator(smoke_context.fast_evaluator, workers=1)
         assert evaluator.evaluate_many(points) == reference
         assert evaluator.pool is None, "workers=1 must never spawn a pool"
 
     def test_create_evaluator_factory(self, smoke_context):
         fast = smoke_context.fast_evaluator
-        assert type(create_evaluator(fast, workers=1)) is BatchEvaluator
+        serial = create_evaluator(fast, workers=1, cache_size=8)
+        assert type(serial) is BatchEvaluator
+        assert (serial.workers, serial.cache_size) == (1, 8)
         parallel = create_evaluator(fast, workers=2)
-        assert isinstance(parallel, ParallelEvaluator)
+        assert type(parallel) is BatchEvaluator and parallel.workers == 2
         parallel.close()
 
     def test_small_batch_below_min_dispatch_stays_local(self, smoke_context):
-        evaluator = ParallelEvaluator(smoke_context.fast_evaluator, workers=2)
+        evaluator = BatchEvaluator(smoke_context.fast_evaluator, workers=2)
         points = _population(2, seed=17)
         # One genotype under two hardware configurations: one cold genotype.
         points = [points[0], CoDesignPoint(points[0].genotype, points[1].config)]
@@ -149,15 +153,15 @@ class TestParallelEvaluator:
 
     def test_tokens_entry_point(self, smoke_context, pool_evaluator):
         points = _population(5, seed=31)
-        tokens = [encode(p) for p in points]
-        reference = BatchEvaluator(smoke_context.fast_evaluator).evaluate_tokens(tokens)
-        assert pool_evaluator.evaluate_tokens(tokens) == reference
+        decoded = [decode(encode(p)) for p in points]
+        reference = BatchEvaluator(smoke_context.fast_evaluator).evaluate_many(points)
+        assert pool_evaluator.evaluate_many(decoded) == reference
 
     @pytest.mark.slow
     def test_three_workers_same_bits(self, smoke_context):
         points = _population(7, seed=37)
         reference = BatchEvaluator(smoke_context.fast_evaluator).evaluate_many(points)
-        with ParallelEvaluator(smoke_context.fast_evaluator, workers=3) as evaluator:
+        with BatchEvaluator(smoke_context.fast_evaluator, workers=3) as evaluator:
             assert evaluator.evaluate_many(points) == reference
 
     def test_close_is_idempotent_and_reusable(self, smoke_context, pool_evaluator):
@@ -283,7 +287,7 @@ class TestStackIntegration:
         try:
             assert context is not smoke_context, "workers is part of the cache key"
             assert context.workers == 2
-            assert isinstance(context.batch_evaluator, ParallelEvaluator)
+            assert context.batch_evaluator.workers == 2
             assert context.fast_evaluator is smoke_context.fast_evaluator, (
                 "the expensive Step-1 artefacts are shared across worker "
                 "counts — only the evaluator wrapper differs"

@@ -14,7 +14,7 @@ from repro.nas.genotype import Genotype
 from repro.nas.hypernet import HyperNet
 from repro.nas.space import DnnSpace
 from repro.nn.data import SyntheticCifar
-from repro.parallel import ParallelEvaluator
+from repro.parallel import MicroBatchScheduler
 from repro.predict.dataset import collect_samples
 from repro.predict.features import FEATURE_DIM, feature_vector
 from repro.scale import SMOKE
@@ -201,28 +201,31 @@ class TestEvaluateManyInvariants:
     @given(
         seeds=st.lists(st.integers(0, 30), min_size=1, max_size=6),
         cuts=st.lists(st.booleans(), min_size=5, max_size=5),
-        parallel=st.booleans(),
+        engine=st.sampled_from(["inline", "threads", "scheduler"]),
     )
     @settings(deadline=None, max_examples=20)
-    def test_any_partition_equals_per_point_evaluation(self, seeds, cuts, parallel):
-        """For any point multiset and any split of it into ``evaluate_many``
-        calls on a fresh evaluator (in-process or sharded over two
-        threads), every result is ``==`` the per-point evaluation, and
-        every accuracy ``==`` the scalar HyperNet test run (the batch has
-        already filled ``_FAST``'s accuracy cache, so ``_FAST.evaluate``
-        alone would compare the batched accuracy with itself)."""
-        evaluator = ParallelEvaluator(_FAST, workers=2) if parallel else BatchEvaluator(_FAST)
-        try:
-            for part in _split(seeds, cuts):
-                results = evaluator.evaluate_many([_point(s) for s in part])
-                for seed, got in zip(part, results):
-                    assert got == _FAST.evaluate(_point(seed))
-                    assert got.accuracy == _FAST.hypernet.evaluate(
-                        _point(seed).genotype,
-                        _FAST.val_images,
-                        _FAST.val_labels,
-                        batch_size=_FAST.eval_batch,
-                    )
-        finally:
-            if parallel:
-                evaluator.close()
+    def test_any_partition_equals_per_point_evaluation(self, seeds, cuts, engine):
+        """For any point multiset and any split of it into parts, every
+        result is ``==`` the per-point oracle ``_FAST.evaluate``, whether
+        the parts are consecutive ``evaluate_many`` calls on a fresh
+        evaluator (in process, or sharded over two threads) or requests
+        that a synchronous scheduler coalesces into one batch."""
+        parts = _split(seeds, cuts)
+        workers = 2 if engine == "threads" else 1
+        with BatchEvaluator(_FAST, workers=workers) as evaluator:
+            if engine == "scheduler":
+                scheduler = MicroBatchScheduler(evaluator, auto_start=False)
+                futures = [
+                    scheduler.submit([_point(s) for s in part]) for part in parts
+                ]
+                scheduler.flush()
+                assert scheduler.ticks == 1, "all parts coalesce into one batch"
+                outputs = [future.result() for future in futures]
+            else:
+                outputs = [
+                    evaluator.evaluate_many([_point(s) for s in part])
+                    for part in parts
+                ]
+        for part, results in zip(parts, outputs):
+            for seed, got in zip(part, results):
+                assert got == _FAST.evaluate(_point(seed))

@@ -870,8 +870,6 @@ class TestEndToEndChaos:
         counted in the registry, none silently swallowed.  The shard
         error propagates out of the evaluator and the scheduler's
         in-place batch retry absorbs it, like the tick fault."""
-        from repro.parallel import ParallelEvaluator
-
         fast = smoke_context.fast_evaluator
         points = _population(12, seed=59)
         reference = BatchEvaluator(fast).evaluate_many(points)
@@ -884,7 +882,7 @@ class TestEndToEndChaos:
             .add("pool.worker", "error", count=1)
             .add("store.append", "error", count=1)
         )
-        evaluator = ParallelEvaluator(fast, workers=2)
+        evaluator = BatchEvaluator(fast, workers=2)
         store = ResultStore(
             str(tmp_path / "chaos.store"),
             retry=_fast_retry(base_delay_s=0.005),

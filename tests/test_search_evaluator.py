@@ -10,7 +10,12 @@ from repro.nas.encoding import CoDesignPoint
 from repro.nas.hypernet import HyperNet
 from repro.nas.space import DnnSpace
 from repro.predict.dataset import collect_samples
-from repro.search.evaluator import AccurateEvaluator, Evaluation, FastEvaluator
+from repro.search.evaluator import (
+    AccurateEvaluator,
+    BatchEvaluator,
+    Evaluation,
+    FastEvaluator,
+)
 
 
 @pytest.fixture(scope="module")
@@ -50,11 +55,21 @@ class TestFastEvaluator:
         assert result.latency_ms > 0
         assert result.energy_mj > 0
 
-    def test_cached_result_identical(self, fast_evaluator):
-        point = make_point(2)
-        a = fast_evaluator.evaluate(point)
-        b = fast_evaluator.evaluate(point)
-        assert a is b
+    def test_oracle_runs_after_batched_scoring(self, fast_evaluator, monkeypatch):
+        """The scalar oracle caches nothing, so scoring a point through a
+        BatchEvaluator first cannot turn a later ``evaluate`` into a read
+        of the batched value: it still runs ``HyperNet.evaluate`` once."""
+        point = make_point(5)
+        batched = BatchEvaluator(fast_evaluator).evaluate_many([point])[0]
+        calls = []
+        original = HyperNet.evaluate
+        monkeypatch.setattr(
+            HyperNet,
+            "evaluate",
+            lambda self, *a, **k: calls.append(1) or original(self, *a, **k),
+        )
+        assert fast_evaluator.evaluate(point) == batched
+        assert len(calls) == 1
 
     def test_accuracy_independent_of_hw_config(self, fast_evaluator):
         point = make_point(3)
@@ -62,7 +77,7 @@ class TestFastEvaluator:
         variant = CoDesignPoint(genotype=point.genotype, config=other_cfg)
         a = fast_evaluator.evaluate(point)
         b = fast_evaluator.evaluate(variant)
-        assert a.accuracy == b.accuracy  # served from the genotype cache
+        assert a.accuracy == b.accuracy
 
     def test_hw_config_changes_performance_prediction(self, fast_evaluator):
         point = make_point(4)

@@ -28,7 +28,7 @@ import numpy as np
 import pytest
 
 from repro.accel.config import random_config
-from repro.nas.encoding import CoDesignPoint, encode
+from repro.nas.encoding import CoDesignPoint, decode, encode
 from repro.nas.space import DnnSpace
 from repro.search.evaluator import BatchEvaluator, Evaluation
 from repro.service import (
@@ -468,14 +468,13 @@ class TestSearchService:
 
     @pytest.mark.slow
     def test_service_over_parallel_evaluator(self, smoke_context):
-        """The production shape: service -> scheduler -> ParallelEvaluator
-        -> worker threads, still bit-identical to in-process scoring."""
-        from repro.parallel import ParallelEvaluator
-
+        """The production shape: service -> scheduler -> BatchEvaluator
+        (workers=2) -> worker threads, still bit-identical to in-process
+        scoring."""
         fast = smoke_context.fast_evaluator
         points = _population(10, seed=43)
         reference = BatchEvaluator(fast).evaluate_many(points)
-        evaluator = ParallelEvaluator(fast, workers=2)
+        evaluator = BatchEvaluator(fast, workers=2)
         try:
             with start_service(evaluator, tick_s=0.005) as handle:
                 host, port = handle.address
@@ -513,14 +512,13 @@ class TestRemoteEvaluator:
         points = _population(6, seed=47)
         local = BatchEvaluator(fast)
         reference = local.evaluate_many(points)
-        tokens = [encode(p) for p in points]
-        reference_tokens = BatchEvaluator(fast).evaluate_tokens(tokens)
+        decoded = [decode(encode(p)) for p in points]
         with start_service(BatchEvaluator(fast)) as handle:
             host, port = handle.address
             with RemoteEvaluator(f"{host}:{port}") as remote:
                 assert remote.evaluate_many(points) == reference
                 assert remote.evaluate(points[0]) == reference[0]
-                assert remote.evaluate_tokens(tokens) == reference_tokens
+                assert remote.evaluate_many(decoded) == reference
                 # Cache accounting reads proxy the server-side evaluator.
                 assert remote.misses == len(points)
                 assert remote.hits > 0

@@ -36,6 +36,7 @@ from hypothesis import strategies as st
 
 from repro.nas.encoding import (
     SEQUENCE_LENGTH,
+    decode,
     random_sequence,
     token_vocab_sizes,
 )
@@ -461,6 +462,10 @@ def _token_batch(n: int, seed: int = 77) -> list[tuple]:
     return [tuple(random_sequence(rng)) for _ in range(n)]
 
 
+def _point_batch(n: int, seed: int = 77) -> list:
+    return [decode(list(tokens)) for tokens in _token_batch(n, seed)]
+
+
 class TestEvaluatorTier:
     def test_warm_restart_is_bit_identical_with_zero_misses(
         self, tmp_path, smoke_context
@@ -469,22 +474,22 @@ class TestEvaluatorTier:
 
         path = str(tmp_path / "tier.store")
         fast = smoke_context.fast_evaluator
-        seqs = _token_batch(20)
+        points = _point_batch(20)
 
         cold_eval = BatchEvaluator(fast)
         with ResultStore(path) as store:
             cold_eval.attach_store(store)
-            cold = cold_eval.evaluate_tokens(seqs)
+            cold = cold_eval.evaluate_many(points)
             assert cold_eval.store_hits == 0
-            assert cold_eval.store_misses == len(seqs)
-            assert store.appends == len(seqs)
+            assert cold_eval.store_misses == len(points)
+            assert store.appends == len(points)
 
         warm_eval = BatchEvaluator(fast)  # a "restarted" evaluator: cold LRU
         with ResultStore(path) as store:
             warm_eval.attach_store(store)
-            warm = warm_eval.evaluate_tokens(seqs)
+            warm = warm_eval.evaluate_many(points)
         assert warm_eval.store_misses == 0
-        assert warm_eval.store_hits == len(seqs)
+        assert warm_eval.store_hits == len(points)
         assert warm_eval.store_hit_rate >= 0.9  # the acceptance bar (== 1.0)
         for c, w in zip(cold, warm):
             assert repr(c.accuracy) == repr(w.accuracy)
@@ -495,22 +500,22 @@ class TestEvaluatorTier:
         from repro.search.evaluator import BatchEvaluator
 
         fast = smoke_context.fast_evaluator
-        seqs = _token_batch(12, seed=5)
+        points = _point_batch(12, seed=5)
         plain = BatchEvaluator(fast)
-        results = plain.evaluate_tokens(seqs + seqs[:4])
+        results = plain.evaluate_many(points + points[:4])
         assert plain.store is None
         assert plain.store_hits == 0 and plain.store_misses == 0
         assert plain.store_hit_rate == 0.0
         # LRU counters keep their documented store-less semantics.
-        assert plain.misses == len(seqs) and plain.hits == 4
+        assert plain.misses == len(points) and plain.hits == 4
 
         other = BatchEvaluator(fast)
-        again = other.evaluate_tokens(seqs + seqs[:4])
+        again = other.evaluate_many(points + points[:4])
         assert [r.accuracy for r in results] == [r.accuracy for r in again]
 
     def test_off_grid_points_bypass_the_store(self, tmp_path, smoke_context):
         from repro.accel.config import AcceleratorConfig
-        from repro.nas.encoding import CoDesignPoint, decode
+        from repro.nas.encoding import CoDesignPoint
         from repro.search.evaluator import BatchEvaluator
 
         fast = smoke_context.fast_evaluator
@@ -534,17 +539,17 @@ class TestEvaluatorTier:
         from repro.search.evaluator import BatchEvaluator
 
         fast = smoke_context.fast_evaluator
-        seqs = _token_batch(4, seed=11)
+        points = _point_batch(4, seed=11)
         with ResultStore(str(tmp_path / "ns.store")) as store:
             first = BatchEvaluator(fast)
             first.attach_store(store, namespace="eval:producer-a")
-            first.evaluate_tokens(seqs)
+            first.evaluate_many(points)
             # A different producing context must not see those records.
             second = BatchEvaluator(fast)
             second.attach_store(store, namespace="eval:producer-b")
-            second.evaluate_tokens(seqs)
+            second.evaluate_many(points)
             assert second.store_hits == 0
-            assert second.store_misses == len(seqs)
+            assert second.store_misses == len(points)
 
 
 class TestSampleAndTrainingTier:
