@@ -13,19 +13,11 @@ from .encoding import (
 )
 from .genotype import NUM_COMPUTED, NUM_NODES, CellGenotype, Genotype, NodeSpec
 from .hypernet import EpochStats, HyperNet, HyperNetTrainer, MixedCell
-from .mutate import crossover_sequences, hamming_distance, mutate_sequence
+from .mutate import hamming_distance, mutate_sequence
 from .network import Cell, CellNetwork
 from .ops import NUM_OPS, OP_NAMES, OPS, OpSpec, build_op, op_index
 from .space import DnnSpace, paper_space_size
 from .train import TrainResult, evaluate_accuracy, train_network
-from .visualize import (
-    cell_depth,
-    cell_graph,
-    cell_to_dot,
-    describe_cell,
-    describe_genotype,
-    genotype_to_dot,
-)
 
 __all__ = [
     "CoDesignPoint",
@@ -59,12 +51,5 @@ __all__ = [
     "train_network",
     "evaluate_accuracy",
     "mutate_sequence",
-    "crossover_sequences",
     "hamming_distance",
-    "cell_graph",
-    "cell_depth",
-    "cell_to_dot",
-    "genotype_to_dot",
-    "describe_cell",
-    "describe_genotype",
 ]

@@ -1,10 +1,9 @@
-"""Genotype mutation and crossover operators.
+"""Genotype mutation operator and token distance.
 
 Used by the regularised-evolution baseline (the search strategy behind
-AmoebaNet-A, the paper's ref. [9]) and generally useful for local-search
-experiments.  All operators work on the 44-token sequence encoding so they
-cover the *joint* DNN + hardware space, mutating architecture tokens and
-accelerator tokens alike.
+AmoebaNet-A, the paper's ref. [9]), which only mutates.  Both functions
+work on the 44-token sequence encoding so they cover the *joint* DNN +
+hardware space, mutating architecture tokens and accelerator tokens alike.
 """
 
 from __future__ import annotations
@@ -13,7 +12,7 @@ import numpy as np
 
 from .encoding import SEQUENCE_LENGTH, token_vocab_sizes
 
-__all__ = ["mutate_sequence", "crossover_sequences", "hamming_distance"]
+__all__ = ["mutate_sequence", "hamming_distance"]
 
 _VOCAB = token_vocab_sizes()
 
@@ -42,16 +41,6 @@ def mutate_sequence(
             new += 1  # skip the current value -> guaranteed change
         out[pos] = new
     return out
-
-
-def crossover_sequences(
-    a: list[int], b: list[int], rng: np.random.Generator
-) -> list[int]:
-    """Uniform crossover: each position drawn from one of the two parents."""
-    if len(a) != SEQUENCE_LENGTH or len(b) != SEQUENCE_LENGTH:
-        raise ValueError("parents must be full-length sequences")
-    mask = rng.random(SEQUENCE_LENGTH) < 0.5
-    return [x if take_a else y for x, y, take_a in zip(a, b, mask)]
 
 
 def hamming_distance(a: list[int], b: list[int]) -> int:

@@ -26,7 +26,6 @@ from .layers import (
 )
 from .module import Module, Parameter
 from .optim import SGD, Adam, CosineSchedule, clip_grad_norm
-from .serialize import load_module, module_buffers, save_module
 
 __all__ = [
     "functional",
@@ -39,9 +38,6 @@ __all__ = [
     "Adam",
     "CosineSchedule",
     "clip_grad_norm",
-    "save_module",
-    "load_module",
-    "module_buffers",
     "Conv2d",
     "DepthwiseConv2d",
     "SeparableConv2d",

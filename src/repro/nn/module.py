@@ -101,20 +101,6 @@ class Module:
         for value in self.__dict__.values():
             yield from _walk_modules(value, seen)
 
-    # -- state io -----------------------------------------------------------
-    def state_arrays(self) -> list[np.ndarray]:
-        """All parameters as a flat list (order is deterministic)."""
-        return [p.data for p in self.parameters()]
-
-    def load_state_arrays(self, arrays: list[np.ndarray]) -> None:
-        params = list(self.parameters())
-        if len(params) != len(arrays):
-            raise ValueError(f"expected {len(params)} arrays, got {len(arrays)}")
-        for p, a in zip(params, arrays):
-            if p.data.shape != a.shape:
-                raise ValueError(f"shape mismatch: {p.data.shape} vs {a.shape}")
-            p.data = a.copy()
-
 
 def _walk(value: object, seen: set[int]) -> Iterator[Parameter]:
     if isinstance(value, Parameter):

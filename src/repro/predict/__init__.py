@@ -14,11 +14,9 @@ from .features import (
     genotype_features,
 )
 from .gp import GaussianProcessRegressor, rbf_kernel
-from .kernelridge import KernelRidgeRegressor
 from .knn import KNNRegressor
 from .linear import LinearRegressor, PolynomialRidgeRegressor, RidgeRegressor
 from .metrics import mae, mean_relative_error, mse, r2, rmse, spearman
-from .mlp import MLPRegressor
 from .tree import DecisionTreeRegressor, RandomForestRegressor
 
 __all__ = [
@@ -33,14 +31,12 @@ __all__ = [
     "FEATURE_DIM",
     "GaussianProcessRegressor",
     "rbf_kernel",
-    "KernelRidgeRegressor",
     "KNNRegressor",
     "LinearRegressor",
     "RidgeRegressor",
     "PolynomialRidgeRegressor",
     "DecisionTreeRegressor",
     "RandomForestRegressor",
-    "MLPRegressor",
     "mse",
     "rmse",
     "mae",
@@ -50,13 +46,9 @@ __all__ = [
 ]
 
 
-def all_regressors(seed: int = 0, extended: bool = False) -> list[Regressor]:
-    """The six-model lineup of Fig. 4 (fresh instances).
-
-    ``extended=True`` adds the kernel-ridge control regressor (not part of
-    the paper's comparison; see :mod:`repro.predict.kernelridge`).
-    """
-    models: list[Regressor] = [
+def all_regressors(seed: int = 0) -> list[Regressor]:
+    """The six-model lineup of Fig. 4 (fresh instances)."""
+    return [
         LinearRegressor(),
         RidgeRegressor(alpha=1.0),
         PolynomialRidgeRegressor(alpha=1.0),
@@ -64,6 +56,3 @@ def all_regressors(seed: int = 0, extended: bool = False) -> list[Regressor]:
         RandomForestRegressor(n_trees=20, seed=seed),
         GaussianProcessRegressor(seed=seed),
     ]
-    if extended:
-        models.append(KernelRidgeRegressor())
-    return models

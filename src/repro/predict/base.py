@@ -36,7 +36,7 @@ class Regressor:
 
     Subclasses implement ``_fit`` / ``_predict`` on standardised inputs and
     zero-mean targets; this base class handles the scaling bookkeeping so
-    every model sees comparably conditioned data (important for GP/MLP).
+    every model sees comparably conditioned data (important for GP/kNN).
     """
 
     #: Human-readable name used in the Fig. 4 comparison table.
@@ -70,22 +70,13 @@ class Regressor:
         xs = self._x_scaler.transform(np.atleast_2d(np.asarray(x, dtype=np.float64)))
         return self._predict(xs) * self._y_scale + self._y_mean
 
-    def predict_batch(self, x: np.ndarray, chunk_size: int | None = None) -> np.ndarray:
-        """Predict a whole (n, d) batch in one call, optionally chunked.
+    def predict_batch(self, x: np.ndarray) -> np.ndarray:
+        """Predict a whole (n, d) batch in one call.
 
         This is the uniform batch entry point the evaluators use: every
-        regressor accepts a matrix, and ``chunk_size`` bounds the working
-        set of models whose per-query memory grows with the batch (the GP
-        materialises an (n, n_train) kernel block per call).
+        regressor accepts a matrix.
         """
-        x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        if chunk_size is not None and chunk_size < 1:
-            raise ValueError("chunk_size must be >= 1")
-        if chunk_size is None or len(x) <= chunk_size:
-            return self.predict(x)
-        return np.concatenate(
-            [self.predict(x[lo : lo + chunk_size]) for lo in range(0, len(x), chunk_size)]
-        )
+        return self.predict(x)
 
     # -- subclass hooks ----------------------------------------------------
     def _fit(self, x: np.ndarray, y: np.ndarray) -> None:

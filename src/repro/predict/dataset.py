@@ -75,7 +75,6 @@ def collect_samples(
     image_size: int = 32,
     num_classes: int = 10,
     store=None,
-    store_namespace: str | None = None,
 ) -> PerfDataset:
     """Sample ``n`` co-design points and simulate each one.
 
@@ -84,9 +83,9 @@ def collect_samples(
     missing points are simulated (fresh values are appended) — this is
     how the GP predictors warm-start across processes: a fresh search
     rebuilds the same sample set without re-paying the simulation.
-    ``store_namespace`` defaults to ``"sim:" + samples_fingerprint``,
-    scoping records to the simulator's energy/NoC model and the network
-    expansion dims.
+    Records live in the ``"sim:" + samples_fingerprint`` namespace,
+    scoped to the simulator's energy/NoC model and the network expansion
+    dims.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -124,12 +123,11 @@ def collect_samples(
     keys: list[tuple | None] = [None] * n
     miss_idx = list(range(n))
     if store is not None:
-        if store_namespace is None:
-            from ..store import samples_fingerprint
+        from ..store import samples_fingerprint
 
-            store_namespace = "sim:" + samples_fingerprint(
-                sim, num_cells, stem_channels, image_size, num_classes
-            )
+        namespace = "sim:" + samples_fingerprint(
+            sim, num_cells, stem_channels, image_size, num_classes
+        )
         miss_idx = []
         for i, point in enumerate(points):
             try:
@@ -137,7 +135,7 @@ def collect_samples(
             except ValueError:
                 keys[i] = None  # off-grid: not store-eligible
             values = (
-                store.get(store_namespace, keys[i])
+                store.get(namespace, keys[i])
                 if keys[i] is not None
                 else None
             )
@@ -157,7 +155,7 @@ def collect_samples(
             latency[i] = float(batch.latency_ms[pos])
             energy[i] = float(batch.energy_mj[pos])
             if store is not None and keys[i] is not None:
-                store.append(store_namespace, keys[i], (latency[i], energy[i]))
+                store.append(namespace, keys[i], (latency[i], energy[i]))
     xs = [
         feature_vector(
             point,

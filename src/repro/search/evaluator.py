@@ -282,11 +282,6 @@ class BatchEvaluator:
         self._store = store
         self._store_namespace = namespace
 
-    def detach_store(self) -> None:
-        """Detach the store (the store itself is not closed)."""
-        self._store = None
-        self._store_namespace = None
-
     # ------------------------------------------------------------------
     @staticmethod
     def _key_of(point: CoDesignPoint) -> tuple:
@@ -565,11 +560,6 @@ class AccurateEvaluator:
             namespace = "train:" + accurate_evaluator_fingerprint(self)
         self._store = store
         self._store_namespace = namespace
-
-    def detach_store(self) -> None:
-        """Detach the store (the store itself is not closed)."""
-        self._store = None
-        self._store_namespace = None
 
     def train_accuracy(self, point: CoDesignPoint, seed: int | None = None) -> float:
         """Stand-alone training accuracy of one candidate (no simulation).

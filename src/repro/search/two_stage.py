@@ -84,36 +84,20 @@ def best_config_for(
     config_list = list(configs) if configs is not None else list(enumerate_configs())
     if not config_list:
         raise ValueError("no configurations to enumerate")
-    results: list[tuple[AcceleratorConfig, float, float]]
-    if hasattr(simulator, "simulate_many"):
-        # One vectorised sweep: the layer expansion is computed once and
-        # broadcast over the whole hardware enumeration.
-        layers = network_workloads(
-            genotype,
-            num_cells=num_cells,
-            stem_channels=stem_channels,
-            image_size=image_size,
-            num_classes=num_classes,
-        )
-        batch = simulator.simulate_many(layers, config_list)
-        results = [
-            (config, float(energy), float(latency))
-            for config, energy, latency in zip(
-                config_list, batch.energy_mj, batch.latency_ms
-            )
-        ]
-    else:  # duck-typed stand-in simulators keep the scalar path
-        results = []
-        for config in config_list:
-            report = simulator.simulate_genotype(
-                genotype,
-                config,
-                num_cells=num_cells,
-                stem_channels=stem_channels,
-                image_size=image_size,
-                num_classes=num_classes,
-            )
-            results.append((config, report.energy_mj, report.latency_ms))
+    # One vectorised sweep: the layer expansion is computed once and
+    # broadcast over the whole hardware enumeration.
+    layers = network_workloads(
+        genotype,
+        num_cells=num_cells,
+        stem_channels=stem_channels,
+        image_size=image_size,
+        num_classes=num_classes,
+    )
+    batch = simulator.simulate_many(layers, config_list)
+    results = [
+        (config, float(energy), float(latency))
+        for config, energy, latency in zip(config_list, batch.energy_mj, batch.latency_ms)
+    ]
     candidates = results
     if reward_spec is not None:
         passing = [

@@ -264,8 +264,7 @@ class YosoSearch:
         # Step 2 is the only consumer of the evaluator's pool; release its
         # threads before the (training-heavy) rescoring step.  The
         # evaluator stays usable — a later batch would restart them.
-        if hasattr(self.batch_evaluator, "close"):
-            self.batch_evaluator.close()
+        self.batch_evaluator.close()
         t0 = time.perf_counter()
         rescored = self.finalize()
         times["step3_rescoring"] = time.perf_counter() - t0

@@ -387,11 +387,12 @@ class RemoteEvaluator:
 
     Drop-in for a :class:`~repro.search.evaluator.BatchEvaluator` where a
     search loop or the report harness only needs ``evaluate`` /
-    ``evaluate_many`` and the cache-accounting
-    reads (``hits`` / ``misses`` / ``hit_rate`` / ``cache_size``): calls
-    go over the wire, accounting reads come from the service's ``stats``
-    verb (they describe the *server-side* evaluator, which is where the
-    caches live).
+    ``evaluate_many`` and the cache-accounting reads (:meth:`counters`
+    for ``(hits, misses)`` and :attr:`cache_size`): calls go over the
+    wire, accounting reads come from the service's ``stats`` verb (they
+    describe the *server-side* evaluator, which is where the caches
+    live).  :meth:`metrics` and :meth:`service_stats` expose the rest of
+    the remote snapshot.
 
     Graceful degradation: pass ``fallback`` (any local evaluator with
     the same ``evaluate`` / ``evaluate_many`` shape) and scoring calls
@@ -489,9 +490,8 @@ class RemoteEvaluator:
         return snapshot
 
     def counters(self) -> tuple[int, int]:
-        """(hits, misses) from ONE stats snapshot — use this for deltas;
-        reading the properties pairwise takes two snapshots and a busy
-        shared service can move between them."""
+        """(hits, misses) from ONE stats snapshot, so deltas are
+        consistent even while a busy shared service moves."""
         snapshot = self._stats()
         if snapshot is None:
             return (
@@ -501,45 +501,14 @@ class RemoteEvaluator:
         stats = snapshot["evaluator"]
         return stats.get("hits", 0), stats.get("misses", 0)
 
-    def _evaluator_stat(self, name: str, default=0):
-        snapshot = self._stats()
-        if snapshot is None:
-            return getattr(self.fallback, name, default)
-        return snapshot["evaluator"].get(name, default)
-
-    @property
-    def hits(self) -> int:
-        return self._evaluator_stat("hits")
-
-    @property
-    def misses(self) -> int:
-        return self._evaluator_stat("misses")
-
-    @property
-    def hit_rate(self) -> float:
-        return self._evaluator_stat("hit_rate", 0.0)
-
     @property
     def cache_size(self) -> int:
-        return self._evaluator_stat("cache_size")
+        snapshot = self._stats()
+        if snapshot is None:
+            return getattr(self.fallback, "cache_size", 0)
+        return snapshot["evaluator"].get("cache_size", 0)
 
     # -- live service state (stats v2 fields) ----------------------------
-    @property
-    def scheduler_queue_depth(self) -> int:
-        """Requests sitting in the remote scheduler's coalescing window."""
-        snapshot = self._stats()
-        if snapshot is None:
-            return 0
-        return snapshot["scheduler"].get("queue_depth", 0)
-
-    @property
-    def queued_requests(self) -> int:
-        """Requests queued on the remote service's points budget."""
-        snapshot = self._stats()
-        if snapshot is None:
-            return 0
-        return snapshot["service"].get("queued_requests", 0)
-
     def metrics(self) -> dict:
         """The remote registry snapshot (the stats verb's ``metrics`` key;
         empty dict from a pre-v2 server).  Degraded mode (fallback set,

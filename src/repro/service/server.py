@@ -1,7 +1,7 @@
 """Asyncio search-evaluation service over the parallel engine.
 
 :class:`SearchService` turns the offline co-design scorer into a
-long-lived endpoint: it owns ONE persistent evaluator (a
+long-lived endpoint: it serves ONE persistent evaluator (a
 :class:`~repro.search.evaluator.BatchEvaluator`, with its worker threads
 at ``workers > 1``) behind a
 :class:`~repro.parallel.scheduler.MicroBatchScheduler`, and speaks the
@@ -30,9 +30,9 @@ stack).
 Graceful shutdown (the ``shutdown`` verb, ``SIGINT``/``SIGTERM`` under
 :meth:`SearchService.run`, or :meth:`ServiceHandle.shutdown`): new work
 is rejected, every admitted *and* budget-queued request is served to
-completion, the scheduler drains and joins, and only then do the worker
-threads and the listening socket go away — no request is dropped or
-double-run.
+completion, the scheduler drains and joins, the store (if any) is synced,
+and only then does the listening socket go away — no request is dropped
+or double-run.  The evaluator and the store stay open for their owner.
 """
 
 from __future__ import annotations
@@ -138,18 +138,16 @@ class SearchService:
     ``evaluate_many``); the service wraps it in its own
     :class:`~repro.parallel.scheduler.MicroBatchScheduler` (``tick_s`` is
     the coalescing window, ``max_batch_points`` bounds one coalesced
-    batch).  ``max_inflight_points`` is the backpressure budget.  With
-    ``owns_evaluator=True`` shutdown also closes the evaluator (its worker
-    threads); otherwise the caller keeps that lifecycle.
+    batch).  ``max_inflight_points`` is the backpressure budget.  The
+    caller keeps the evaluator's lifecycle (its worker threads).
 
     A durable tier-2 result store makes restarts warm (``yoso serve
     --store PATH``): pass an open :class:`repro.store.ResultStore` as
-    ``store``, or a path as ``store_path`` and the service opens (and
-    owns) one itself.  Either way the store is attached behind the
-    evaluator's LRU if not already, flushed (``fsync``) as part of the
-    graceful drain, and closed on shutdown when owned — so every result
-    this server computed is on disk before the process exits, and the
-    next server on the same path serves them back bit-identically.
+    ``store``.  The store is attached behind the evaluator's LRU if not
+    already and flushed (``fsync``) as part of the graceful drain, so
+    every result this server computed is on disk before the process
+    exits, and the next server on the same path serves them back
+    bit-identically.  The caller that opened the store closes it.
     """
 
     def __init__(
@@ -160,24 +158,14 @@ class SearchService:
         tick_s: float = 0.002,
         max_batch_points: int = 4096,
         max_inflight_points: int = 4096,
-        owns_evaluator: bool = False,
         store=None,
-        store_path: str | None = None,
-        owns_store: bool = False,
         idle_timeout_s: float | None = None,
         retry=None,
     ) -> None:
         self.evaluator = evaluator
         self.host = host
         self.port = port  # 0 = ephemeral; bound port published by start()
-        self.owns_evaluator = owns_evaluator
-        if store is None and store_path is not None:
-            from ..store import ResultStore
-
-            store = ResultStore(store_path, mode="a")
-            owns_store = True
         self.store = store
-        self.owns_store = owns_store
         if (
             store is not None
             and hasattr(evaluator, "attach_store")
@@ -284,17 +272,10 @@ class SearchService:
         await asyncio.get_running_loop().run_in_executor(
             None, self.scheduler.close
         )
-        if self.owns_evaluator and hasattr(self.evaluator, "close"):
-            await asyncio.get_running_loop().run_in_executor(
-                None, self.evaluator.close
-            )
         # Flush the durable store as part of the drain: everything this
         # server computed is on disk before the process can exit.
         if self.store is not None and not self.store.closed:
-            await asyncio.get_running_loop().run_in_executor(
-                None,
-                self.store.close if self.owns_store else self.store.sync,
-            )
+            await asyncio.get_running_loop().run_in_executor(None, self.store.sync)
         # 4. Tear down idle connection readers (their requests are done).
         for task in list(self._conn_tasks):
             task.cancel()
@@ -327,10 +308,9 @@ class SearchService:
                 await asyncio.wait_for(self._server.wait_closed(), timeout=5.0)
         # Join the scheduler thread so the process does not leak it; any
         # in-flight tick finishes, but its connection tasks are gone, so
-        # no response escapes to a client.  The evaluator
-        # and store are deliberately NOT closed/synced — a hard kill
-        # leaves them to the owner, and the store's torn-tail recovery
-        # covers the on-disk state.
+        # no response escapes to a client.  The store is deliberately
+        # NOT synced — a hard kill leaves it to the owner, and the store's
+        # torn-tail recovery covers the on-disk state.
         await asyncio.get_running_loop().run_in_executor(
             None, self.scheduler.close
         )

@@ -167,25 +167,6 @@ class TestPredictBatch:
         batch = gp.predict_batch(samples.x[30:])
         np.testing.assert_allclose(batch, single, rtol=1e-9)
 
-    def test_chunked_matches_unchunked(self):
-        from repro.predict.gp import GaussianProcessRegressor
-
-        samples = collect_samples(40, seed=3, **SMALL)
-        gp = GaussianProcessRegressor(optimise=False)
-        gp.fit(samples.x[:30], samples.energy_mj[:30])
-        full = gp.predict_batch(samples.x)
-        chunked = gp.predict_batch(samples.x, chunk_size=7)
-        np.testing.assert_allclose(chunked, full, rtol=1e-9)
-
-    def test_invalid_chunk_size(self):
-        from repro.predict.gp import GaussianProcessRegressor
-
-        samples = collect_samples(10, seed=4, **SMALL)
-        gp = GaussianProcessRegressor(optimise=False)
-        gp.fit(samples.x, samples.energy_mj)
-        with pytest.raises(ValueError):
-            gp.predict_batch(samples.x, chunk_size=0)
-
 
 class TestBatchEvaluatorParity:
     def test_matches_fast_evaluator(self, fast_evaluator):

@@ -63,43 +63,3 @@ class TestThresholdSweep:
         b = run_threshold_sweep("smoke", 0, context=ctx, pool_size=8,
                                 accuracy_model="uniform")
         assert [c.winner_index for c in a.cells] == [c.winner_index for c in b.cells]
-
-
-class TestKernelRidge:
-    def test_extended_lineup(self):
-        from repro.predict import all_regressors
-
-        assert len(all_regressors()) == 6  # the Fig. 4 six, unchanged
-        extended = all_regressors(extended=True)
-        assert len(extended) == 7
-        assert extended[-1].name == "kernel_ridge"
-
-    def test_fits_smooth_function(self):
-        import numpy as np
-
-        from repro.predict import KernelRidgeRegressor, r2
-
-        rng = np.random.default_rng(0)
-        x = rng.normal(size=(200, 3))
-        y = np.sin(x[:, 0]) + x[:, 1]
-        model = KernelRidgeRegressor()
-        model.fit(x[:160], y[:160])
-        assert r2(y[160:], model.predict(x[160:])) > 0.85
-
-    def test_tuning_picks_grid_value(self):
-        import numpy as np
-
-        from repro.predict import KernelRidgeRegressor
-
-        rng = np.random.default_rng(1)
-        x = rng.normal(size=(40, 2))
-        y = x[:, 0]
-        model = KernelRidgeRegressor(tune=True)
-        model.fit(x, y)
-        assert model.length_scale in model.length_scale_grid
-
-    def test_rejects_bad_alpha(self):
-        from repro.predict import KernelRidgeRegressor
-
-        with pytest.raises(ValueError):
-            KernelRidgeRegressor(alpha=0.0)

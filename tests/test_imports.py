@@ -1,19 +1,25 @@
-"""Start-up cost: ``import repro`` loads only what every process needs.
+"""Start-up cost and the import surface of ``repro``.
 
-``scipy.stats`` (Spearman/Pearson correlations) and ``networkx`` (cell
-graphs) are imported by the functions that use them, so search, service
-and benchmark processes never pay their import time or memory.
+``scipy.stats`` (Spearman/Pearson correlations) is imported by the
+functions that use it, so search, service and benchmark processes never
+pay its import time or memory.  The third-party packages ``src/repro``
+imports are exactly the ones ``pyproject.toml`` declares.
 """
 
 from __future__ import annotations
 
+import ast
 import importlib
 import pkgutil
+import re
 import subprocess
 import sys
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
 
 
 def test_import_repro_loads_neither_scipy_stats_nor_networkx():
@@ -45,3 +51,20 @@ def test_every_public_name_resolves():
             if not hasattr(module, name)
         ]
     assert missing == []
+
+
+def test_declared_dependencies_match_src_imports():
+    """A dependency nothing imports, or an import nothing declares, fails."""
+    tomllib = pytest.importorskip("tomllib")
+    imported: set[str] = set()
+    for path in (SRC / "repro").rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module:
+                imported.add(node.module.split(".")[0])
+    third_party = imported - set(sys.stdlib_module_names) - {"__future__", "repro"}
+    with open(ROOT / "pyproject.toml", "rb") as fh:
+        requirements = tomllib.load(fh)["project"]["dependencies"]
+    declared = {re.match(r"[A-Za-z0-9_.-]+", r).group(0).lower() for r in requirements}
+    assert third_party == declared

@@ -88,34 +88,6 @@ class TestModes:
             bn.backward(np.ones((2, 2, 3, 3), dtype=np.float32))
 
 
-class TestStateIO:
-    def test_roundtrip(self):
-        rng = np.random.default_rng(1)
-        a = Sequential(Conv2d(2, 3, 3, rng=rng), BatchNorm2d(3), Linear(3, 2, rng=rng))
-        b = Sequential(Conv2d(2, 3, 3), BatchNorm2d(3), Linear(3, 2))
-        b.load_state_arrays(a.state_arrays())
-        for pa, pb in zip(a.parameters(), b.parameters()):
-            assert np.array_equal(pa.data, pb.data)
-
-    def test_length_mismatch_raises(self):
-        net = Sequential(Linear(2, 2))
-        with pytest.raises(ValueError):
-            net.load_state_arrays([])
-
-    def test_shape_mismatch_raises(self):
-        net = Sequential(Linear(2, 2))
-        bad = [np.zeros((3, 3)), np.zeros(2)]
-        with pytest.raises(ValueError):
-            net.load_state_arrays(bad)
-
-    def test_loaded_arrays_are_copies(self):
-        net = Sequential(Linear(2, 2))
-        arrays = [np.ones((2, 2)), np.ones(2)]
-        net.load_state_arrays(arrays)
-        arrays[0][0, 0] = 99.0
-        assert net[0].weight.data[0, 0] == 1.0
-
-
 class TestInitialisers:
     def test_kaiming_scale(self):
         rng = np.random.default_rng(0)

@@ -12,7 +12,6 @@ from repro.predict.linear import (
     RidgeRegressor,
 )
 from repro.predict.metrics import r2
-from repro.predict.mlp import MLPRegressor
 from repro.predict.tree import DecisionTreeRegressor, RandomForestRegressor
 
 
@@ -165,21 +164,3 @@ class TestRandomForest:
     def test_rejects_bad_n_trees(self):
         with pytest.raises(ValueError):
             RandomForestRegressor(n_trees=0)
-
-
-class TestMLP:
-    def test_fits_linear(self):
-        x, y = linear_data()
-        pred = MLPRegressor(epochs=200, seed=0).fit(x, y).predict(x)
-        assert r2(y, pred) > 0.95
-
-    def test_fits_nonlinear(self):
-        x, y = quadratic_data()
-        pred = MLPRegressor(epochs=300, seed=0).fit(x, y).predict(x)
-        assert r2(y, pred) > 0.8
-
-    def test_deterministic_given_seed(self):
-        x, y = linear_data(n=30)
-        a = MLPRegressor(epochs=20, seed=1).fit(x, y).predict(x[:5])
-        b = MLPRegressor(epochs=20, seed=1).fit(x, y).predict(x[:5])
-        assert np.array_equal(a, b)

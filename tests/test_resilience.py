@@ -712,8 +712,6 @@ class TestChaos:
             # Accounting reads describe the fallback evaluator — the one
             # that actually served the calls — instead of raising.
             assert remote.counters() == (fallback.hits, fallback.misses)
-            assert remote.hits == fallback.hits
-            assert remote.scheduler_queue_depth == 0
             # metrics() answers the local registry snapshot in degraded
             # mode (a dict with the registry's top-level shape).
             assert isinstance(remote.metrics(), dict)

@@ -5,8 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.nas.encoding import CoDesignPoint, SEQUENCE_LENGTH, random_sequence, token_vocab_sizes
-from repro.nas.mutate import crossover_sequences, hamming_distance, mutate_sequence
+from repro.nas.encoding import CoDesignPoint, random_sequence, token_vocab_sizes
+from repro.nas.mutate import hamming_distance, mutate_sequence
 from repro.search.bandit import BanditSearch
 from repro.search.evaluator import Evaluation
 from repro.search.evolution import EvolutionSearch
@@ -51,13 +51,6 @@ class TestMutation:
             mutate_sequence([0, 1], rng)
         with pytest.raises(ValueError):
             mutate_sequence(random_sequence(rng), rng, n_mutations=0)
-
-    def test_crossover_positions_from_parents(self, rng):
-        a = random_sequence(rng)
-        b = random_sequence(rng)
-        child = crossover_sequences(a, b, rng)
-        assert all(c in (x, y) for c, x, y in zip(child, a, b))
-        assert len(child) == SEQUENCE_LENGTH
 
     def test_hamming_requires_equal_length(self):
         with pytest.raises(ValueError):

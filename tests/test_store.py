@@ -663,21 +663,23 @@ class TestServiceWarmStart:
         ]
 
         first = BatchEvaluator(fast)
-        with start_service(first, store_path=path, tick_s=0.001) as handle:
-            host, port = handle.address
-            with RemoteEvaluator(f"{host}:{port}") as remote:
-                cold = remote.evaluate_many(points)
-                stats = remote.service_stats()
+        with ResultStore(path) as store:
+            with start_service(first, store=store, tick_s=0.001) as handle:
+                host, port = handle.address
+                with RemoteEvaluator(f"{host}:{port}") as remote:
+                    cold = remote.evaluate_many(points)
+                    stats = remote.service_stats()
         assert first.store_misses == len(points)
         assert stats["store"]["appends"] == len(points)
-        assert first.store.closed  # drain closed the owned store
+        assert first.store.closed  # closed by its opener, after the drain
 
         second = BatchEvaluator(fast)  # restart: fresh process-like state
-        with start_service(second, store_path=path, tick_s=0.001) as handle:
-            host, port = handle.address
-            with RemoteEvaluator(f"{host}:{port}") as remote:
-                warm = remote.evaluate_many(points)
-                stats = remote.service_stats()
+        with ResultStore(path) as store:
+            with start_service(second, store=store, tick_s=0.001) as handle:
+                host, port = handle.address
+                with RemoteEvaluator(f"{host}:{port}") as remote:
+                    warm = remote.evaluate_many(points)
+                    stats = remote.service_stats()
         assert second.store_misses == 0  # zero evaluator misses on restart
         assert second.store_hits == len(points)
         assert stats["evaluator"]["store_hit_rate"] >= 0.9
