@@ -70,9 +70,7 @@ def test_bench_simulate_many_batch256(points):
     )
     t_batch, batch = _timed(lambda: sim.simulate_genotypes(pairs, **kwargs))
 
-    np.testing.assert_allclose(
-        batch.energy_mj, [r.energy_mj for r in reports], rtol=1e-9
-    )
+    assert batch.energy_mj.tolist() == [r.energy_mj for r in reports]
     speedup = t_loop / t_batch
     print(
         f"\nsimulate batch-{BATCH}: loop {t_loop * 1e3:.0f} ms, "
@@ -94,9 +92,7 @@ def test_bench_simulate_many_hw_sweep(points):
     )
     t_batch, batch = _timed(lambda: sim.simulate_many(layers, configs))
 
-    np.testing.assert_allclose(
-        batch.latency_ms, [r.latency_ms for r in reports], rtol=1e-9
-    )
+    assert batch.latency_ms.tolist() == [r.latency_ms for r in reports]
     speedup = t_loop / t_batch
     print(
         f"\nhw sweep ({len(configs)} configs): loop {t_loop * 1e3:.0f} ms, "
@@ -119,9 +115,7 @@ def test_bench_simulate_many_noc_sweep(points):
     )
     t_batch, batch = _timed(lambda: sim.simulate_many(layers, configs))
 
-    np.testing.assert_allclose(
-        batch.energy_mj, [r.energy_mj for r in reports], rtol=1e-9
-    )
+    assert batch.energy_mj.tolist() == [r.energy_mj for r in reports]
     speedup = t_loop / t_batch
     print(
         f"\nNoC hw sweep ({len(configs)} configs): loop {t_loop * 1e3:.0f} ms, "
@@ -224,9 +218,7 @@ def test_bench_batch_evaluator(demo_context):
 
     t_batch, batched = _timed(run_batched)
 
-    np.testing.assert_allclose(
-        [b.energy_mj for b in batched], [s.energy_mj for s in scalar], rtol=1e-9
-    )
+    assert [b.energy_mj for b in batched] == [s.energy_mj for s in scalar]
     speedup = t_scalar / t_batch
     print(
         f"\nevaluator batch-{BATCH}: scalar {t_scalar * 1e3:.0f} ms, "

@@ -10,11 +10,12 @@ baseline enumerates all 800 hardware configurations for a fixed network.
 This module evaluates a whole *batch* of points at once: every layer of
 every point is flattened into numpy arrays, the four dataflow mapping
 models and the tiling sweep are computed as array math across the entire
-flat layer list, and per-point totals come from segment sums.  The formulas
-mirror :mod:`repro.accel.dataflow`, :mod:`repro.accel.mapper` and
-:mod:`repro.accel.simulator` operation for operation, so batch results
-agree with the scalar simulator to floating-point round-off (the parity
-tests pin this at relative 1e-9).
+flat layer list, and per-point totals add each point's layers left to
+right.  The formulas mirror :mod:`repro.accel.dataflow`,
+:mod:`repro.accel.mapper` and :mod:`repro.accel.simulator` operation for
+operation and the totals keep ``simulate_network``'s summation order, so
+every batch result is ``==`` the scalar simulator's, whatever else is in
+the batch (the parity tests pin this with ``==``).
 
 Tiling candidates are additionally deduplicated on their inputs
 ``(ifmap, weight, ofmap, gbuf)`` before the grid sweep — when one network
@@ -322,13 +323,13 @@ def simulate_flat(
 
     ``workload_lists`` holds one layer list per point (``len == len(configs)``;
     lists may be ragged — points need not share a layer count).  Passing a
-    ``noc_model`` adds the array-interconnect energy term as vectorised
-    array math (:meth:`repro.accel.noc.NocModel.energy_pj_arrays`), matching
-    ``SystolicArraySimulator(include_noc=True)`` to round-off — NoC-aware
+    ``noc_model`` adds the array-interconnect energy term: the scalar
+    :meth:`~repro.accel.noc.NocModel.mean_hops` once per point (hops depend
+    on the config alone), then vectorised
+    :meth:`~repro.accel.noc.NocModel.energy_pj_arrays` per layer — NoC-aware
     sweeps run at full batch speed, not through a scalar fallback.
     Returns per-point aggregate arrays of length ``B``
-    (:class:`BatchSimResult`); parity with the scalar simulator is pinned
-    at relative 1e-9 by the test suite.
+    (:class:`BatchSimResult`), each ``==`` the scalar simulator's.
     """
     if len(workload_lists) != len(configs):
         raise ValueError(
@@ -383,22 +384,35 @@ def simulate_flat(
         + leak_pt[rep] * cycles
     )
     if noc_model is not None:
+        # Hop counts depend on the config alone: take the scalar model's
+        # once per point and repeat them out to the layer axis.
+        point_hops = [noc_model.mean_hops(c) for c in configs]
         energy_pj = energy_pj + noc_model.energy_pj_arrays(
             macs=macs,
             has_weights=shapes["weight_bytes"] > 0,
             ifmap_reuse=mapping["ifmap_reuse"],
             weight_reuse=mapping["weight_reuse"],
             psum_reuse=mapping["psum_reuse"],
-            pe_rows=pe_rows_pt[rep],
-            pe_cols=pe_cols_pt[rep],
-            flow_codes=flow_pt[rep],
+            hops={
+                key: np.array([h[key] for h in point_hops])[rep]
+                for key in ("ifmap", "weight", "psum")
+            },
         )
 
-    cycles_total = np.add.reduceat(cycles, flat.starts)
-    energy_total = np.add.reduceat(energy_pj, flat.starts)
+    # Per-point totals summed left to right over the layers, as the scalar
+    # ``simulate_network`` does: scatter each point's layers into a row of
+    # a (points x layers) grid padded with +0.0, then add it column by
+    # column (adding +0.0 leaves a positive sum unchanged).
+    grid = np.zeros((4, len(configs), int(lengths.max())))
+    layer_pos = np.arange(len(rep)) - flat.starts[rep]
+    grid[:, rep, layer_pos] = (cycles, energy_pj, macs, dram_bytes)
+    totals = grid[:, :, 0].copy()
+    for column in range(1, grid.shape[2]):
+        totals += grid[:, :, column]
+    cycles_total, energy_total, macs_total, dram_total = totals
     return BatchSimResult(
         latency_ms=em.cycles_to_ms(cycles_total),
         energy_mj=energy_total * 1e-9,
-        total_macs=np.add.reduceat(macs, flat.starts),
-        total_dram_bytes=np.add.reduceat(dram_bytes, flat.starts),
+        total_macs=macs_total,
+        total_dram_bytes=dram_total,
     )

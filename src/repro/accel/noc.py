@@ -18,12 +18,13 @@ behaviour stable lets the Fig. 4/Table 2 numbers stand.  The extension makes
 large PE arrays pay a realistic communication cost, strengthening the
 latency/energy trade-off the co-search exploits.
 
-The model has two equivalent evaluation paths: the scalar per-layer methods
-used by :class:`~repro.accel.simulator.SystolicArraySimulator`, and the
-``*_arrays`` vectorised counterparts the batch engine
-(:mod:`repro.accel.batch`) calls so NoC-aware hardware sweeps run at full
-batch speed.  Both compute the same formulas; parity is pinned at relative
-1e-9 by the batch test suite.
+The scalar :class:`~repro.accel.simulator.SystolicArraySimulator` calls
+:meth:`NocModel.layer_energy_pj` per layer.  The batch engine
+(:mod:`repro.accel.batch`) takes :meth:`NocModel.mean_hops` once per
+point, since hop counts depend on the config alone, and applies them with
+the vectorised :meth:`NocModel.energy_pj_arrays`, so NoC-aware hardware
+sweeps run at full batch speed.  Both paths run the same float operations
+in the same order, so their energies are ``==``.
 """
 
 from __future__ import annotations
@@ -94,39 +95,8 @@ class NocModel:
         return total_hop_words * self.hop_pj
 
     # ------------------------------------------------------------------
-    # Vectorised counterparts (used by repro.accel.batch)
+    # Vectorised counterpart (used by repro.accel.batch)
     # ------------------------------------------------------------------
-
-    def mean_hops_arrays(
-        self, pe_rows: np.ndarray, pe_cols: np.ndarray, flow_codes: np.ndarray
-    ) -> dict[str, np.ndarray]:
-        """Vectorised :meth:`mean_hops` over per-layer arrays.
-
-        ``flow_codes`` uses the batch engine's dataflow coding
-        (``WS=0, OS=1, RS=2, NLR=3`` — :data:`repro.accel.batch._FLOW_CODES`).
-        Formulas mirror the scalar branches exactly, so the batch NoC
-        energies agree with the scalar simulator to round-off.
-        """
-        rows = pe_rows.astype(np.float64)
-        cols = pe_cols.astype(np.float64)
-        row_multicast = rows / 2.0
-        col_multicast = cols / 2.0
-        unicast = (rows + cols) / 4.0
-        flows = [flow_codes == 0, flow_codes == 1, flow_codes == 2]
-        ones = np.ones_like(rows)
-        return {
-            "ifmap": np.select(
-                flows, [col_multicast, ones, unicast], default=unicast
-            ),
-            "weight": np.select(
-                flows, [unicast, (rows + cols) / 2.0, col_multicast],
-                default=unicast,
-            ),
-            "psum": np.select(
-                flows, [row_multicast, np.zeros_like(rows), row_multicast],
-                default=unicast,
-            ),
-        }
 
     def energy_pj_arrays(
         self,
@@ -135,19 +105,17 @@ class NocModel:
         ifmap_reuse: np.ndarray,
         weight_reuse: np.ndarray,
         psum_reuse: np.ndarray,
-        pe_rows: np.ndarray,
-        pe_cols: np.ndarray,
-        flow_codes: np.ndarray,
+        hops: dict[str, np.ndarray],
     ) -> np.ndarray:
         """Vectorised :meth:`layer_energy_pj` over flat layer arrays.
 
-        All inputs are arrays of one value per flat layer (``macs`` and the
-        reuse factors from the batch spatial mapping, the config columns
-        repeated out to the layer axis); ``has_weights`` masks the weight
-        traffic of weightless (pooling) layers, mirroring the scalar
-        ``layer.weight_bytes`` check.  Returns NoC picojoules per layer.
+        All inputs are arrays of one value per flat layer: ``macs`` and the
+        reuse factors from the batch spatial mapping, and ``hops``, the
+        :meth:`mean_hops` of each layer's config per datatype;
+        ``has_weights`` masks the weight traffic of weightless (pooling)
+        layers, mirroring the scalar ``layer.weight_bytes`` check.  Returns
+        NoC picojoules per layer, ``==`` :meth:`layer_energy_pj`.
         """
-        hops = self.mean_hops_arrays(pe_rows, pe_cols, flow_codes)
         ifmap_words = macs / ifmap_reuse
         weight_words = np.where(has_weights, macs / weight_reuse, 0.0)
         psum_words = 2.0 * macs / psum_reuse

@@ -241,11 +241,11 @@ class SystolicArraySimulator:
 
         ``workloads`` is either one layer list — broadcast across every
         configuration, the two-stage enumeration pattern — or one layer
-        list per configuration (ragged lists are fine).  Results match
-        :meth:`simulate_network` to floating-point round-off, including
-        with ``include_noc=True``: the NoC hop/energy model is evaluated
-        as vectorised array math inside the batch engine, so NoC-aware
-        sweeps enjoy the same speedup as the baseline model.  Only
+        list per configuration (ragged lists are fine).  Results are ``==``
+        :meth:`simulate_network`'s, however the points are batched,
+        including with ``include_noc=True``: the NoC energy model is
+        evaluated as vectorised array math inside the batch engine, so
+        NoC-aware sweeps enjoy the same speedup as the baseline model.  Only
         per-point aggregates are returned
         (see :class:`~repro.accel.batch.BatchSimResult`).
         """

@@ -43,15 +43,22 @@ from ..nn.layers import (
 from ..nn.module import Module, Parameter
 from ..nn.optim import SGD, CosineSchedule, clip_grad_norm
 from .genotype import NUM_COMPUTED, NUM_NODES, CellGenotype, Genotype
-from .network import _accumulate
+from .network import CellDag, network_backward
 from .ops import OP_NAMES, build_op
 from .space import DnnSpace
 
 __all__ = ["MixedCell", "HyperNet", "HyperNetTrainer", "EpochStats"]
 
 
-class MixedCell(Module):
-    """A cell containing all candidate ops for all edges."""
+class MixedCell(CellDag):
+    """A cell containing all candidate ops for all edges.
+
+    :meth:`forward` picks one genotype's path (a preprocessing variant per
+    input width, one edge module per node slot) and runs it through the
+    Eq. 5 walk and backward it shares with the stand-alone
+    :class:`~repro.nas.network.Cell` (:class:`~repro.nas.network.CellDag`).
+    :meth:`forward_many` is the forward-only grouped path.
+    """
 
     def __init__(
         self,
@@ -88,38 +95,21 @@ class MixedCell(Module):
                     self.edge_ops[(node_idx, pred, op_name)] = build_op(
                         op_name, channels, channels, stride, rng
                     )
-        self._active: list[tuple[Module, Module]] | None = None
-        self._spec: CellGenotype | None = None
-        self._pre: tuple[Module, Module] | None = None
-        self._states: list[np.ndarray] | None = None
 
     # ------------------------------------------------------------------
     def forward(self, s0: np.ndarray, s1: np.ndarray, spec: CellGenotype) -> np.ndarray:  # type: ignore[override]
-        pre0 = self.preprocess0[s0.shape[1]]
-        pre1 = self.preprocess1[s1.shape[1]]
-        states = [pre0(s0), pre1(s1)]
-        active: list[tuple[Module, Module]] = []
-        for offset, node in enumerate(spec.nodes):
-            node_idx = offset + 2
-            op_a = self.edge_ops[(node_idx, node.input1, node.op1)]
-            op_b = self.edge_ops[(node_idx, node.input2, node.op2)]
-            if op_a is op_b:
-                # Both slots pick one edge (same input, same op): run the
-                # module once and double it, so its single cache pairs
-                # with one backward of the doubled gradient.
-                y = op_a(states[node.input1])
-                states.append(y + y)
-            else:
-                states.append(op_a(states[node.input1]) + op_b(states[node.input2]))
-            active.append((op_a, op_b))
-        self._active, self._spec, self._pre, self._states = active, spec, (pre0, pre1), states
-        return np.concatenate([states[i] for i in spec.loose_ends()], axis=1)
+        pre = (self.preprocess0[s0.shape[1]], self.preprocess1[s1.shape[1]])
+        active = [
+            (
+                self.edge_ops[(offset + 2, node.input1, node.op1)],
+                self.edge_ops[(offset + 2, node.input2, node.op2)],
+            )
+            for offset, node in enumerate(spec.nodes)
+        ]
+        return self._walk(s0, s1, pre, active, spec)
 
     def __call__(self, s0: np.ndarray, s1: np.ndarray, spec: CellGenotype) -> np.ndarray:  # type: ignore[override]
         return self.forward(s0, s1, spec)
-
-    def release_cache(self) -> None:
-        self._states = None
 
     # ------------------------------------------------------------------
     @staticmethod
@@ -286,33 +276,6 @@ class MixedCell(Module):
             result.append(out)
         return result
 
-    def backward(self, grad_out: np.ndarray) -> tuple[np.ndarray, np.ndarray]:  # type: ignore[override]
-        if self._spec is None or self._active is None or self._pre is None:
-            raise RuntimeError("backward before forward")
-        spec, c = self._spec, self.channels
-        node_grads: list[np.ndarray | None] = [None] * NUM_NODES
-        for pos, node_idx in enumerate(spec.loose_ends()):
-            node_grads[node_idx] = np.ascontiguousarray(grad_out[:, pos * c : (pos + 1) * c])
-        for offset in range(len(spec.nodes) - 1, -1, -1):
-            node_idx = offset + 2
-            g = node_grads[node_idx]
-            if g is None:
-                continue
-            node = spec.nodes[offset]
-            op_a, op_b = self._active[offset]
-            if op_a is op_b:
-                # Doubling is exact in floating point, so the edge's
-                # parameter gradients equal a two-pass sum bit for bit.
-                _accumulate(node_grads, node.input1, op_a.backward(g + g))
-            else:
-                _accumulate(node_grads, node.input1, op_a.backward(g))
-                _accumulate(node_grads, node.input2, op_b.backward(g))
-        assert self._states is not None
-        g0 = node_grads[0] if node_grads[0] is not None else np.zeros_like(self._states[0])
-        g1 = node_grads[1] if node_grads[1] is not None else np.zeros_like(self._states[1])
-        pre0, pre1 = self._pre
-        return pre0.backward(g0), pre1.backward(g1)
-
 
 class HyperNet(Module):
     """The full weight-sharing supernet."""
@@ -404,17 +367,9 @@ class HyperNet(Module):
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         if self._active_classifier is None:
             raise RuntimeError("backward before forward")
-        grad = self.global_pool.backward(self._active_classifier.backward(grad_out))
-        grads: list[np.ndarray | None] = [None] * (self.num_cells + 2)
-        grads[-1] = grad
-        for idx in range(self.num_cells - 1, -1, -1):
-            g_out = grads[idx + 2]
-            assert g_out is not None
-            g0, g1 = self.cells[idx].backward(g_out)
-            _accumulate(grads, idx, g0)
-            _accumulate(grads, idx + 1, g1)
-        assert grads[0] is not None and grads[1] is not None
-        return self.stem.backward(grads[0] + grads[1])
+        return network_backward(
+            self.stem, self.cells, self.global_pool, self._active_classifier, grad_out
+        )
 
     # ------------------------------------------------------------------
     def _forward_cells_many(

@@ -10,6 +10,8 @@ cell output concatenates the loose-end nodes.
 
 from __future__ import annotations
 
+from typing import Sequence
+
 import numpy as np
 
 from ..accel.workload import reduction_positions
@@ -29,8 +31,77 @@ from .ops import build_op
 __all__ = ["Cell", "CellNetwork"]
 
 
-class Cell(Module):
-    """One concrete cell instance with fixed operations.
+class CellDag(Module):
+    """The Eq. 5 cell DAG shared by :class:`Cell` and the HyperNet's
+    ``MixedCell``, which differ only in which modules form the path.
+
+    :meth:`_walk` runs a path forward — the two preprocessing modules,
+    then per computed node the sum of its two edge ops over earlier
+    states — and :meth:`backward` runs it in reverse.  An edge module
+    picked by both slots of a node (only in the HyperNet, where one module
+    serves each ``(input, op)`` pair) runs once and its output is doubled,
+    so its single cache pairs with one backward of the doubled gradient;
+    doubling is exact, so its parameter gradients equal a two-pass sum.
+    """
+
+    channels: int
+    _pre: tuple[Module, Module] | None = None
+    _active: Sequence[tuple[Module, Module]] | None = None
+    _spec: CellGenotype | None = None
+    _states: list[np.ndarray] | None = None
+
+    def _walk(
+        self, s0: np.ndarray, s1: np.ndarray, pre: tuple[Module, Module],
+        active: Sequence[tuple[Module, Module]], spec: CellGenotype,
+    ) -> np.ndarray:
+        states = [pre[0](s0), pre[1](s1)]
+        for (op_a, op_b), node in zip(active, spec.nodes):
+            if op_a is op_b:
+                y = op_a(states[node.input1])
+                states.append(y + y)
+            else:
+                states.append(op_a(states[node.input1]) + op_b(states[node.input2]))
+        self._pre, self._active, self._spec, self._states = pre, active, spec, states
+        return np.concatenate([states[i] for i in spec.loose_ends()], axis=1)
+
+    def release_cache(self) -> None:
+        self._states = None
+
+    def backward(self, grad_out: np.ndarray) -> tuple[np.ndarray, np.ndarray]:  # type: ignore[override]
+        """Backpropagate through the cell DAG.
+
+        Returns gradients w.r.t. the two input states ``(s0, s1)``.
+        """
+        if self._states is None:
+            raise RuntimeError("backward before forward")
+        assert self._spec is not None and self._active is not None and self._pre
+        spec, c = self._spec, self.channels
+        node_grads: list[np.ndarray | None] = [None] * NUM_NODES
+        for pos, node_idx in enumerate(spec.loose_ends()):
+            node_grads[node_idx] = np.ascontiguousarray(
+                grad_out[:, pos * c : (pos + 1) * c]
+            )
+        # Reverse topological order over computed nodes.
+        for offset in range(len(spec.nodes) - 1, -1, -1):
+            g = node_grads[offset + 2]
+            if g is None:  # node feeds nothing (can happen only for loose ends)
+                continue
+            node = spec.nodes[offset]
+            op_a, op_b = self._active[offset]
+            if op_a is op_b:
+                _accumulate(node_grads, node.input1, op_a.backward(g + g))
+            else:
+                _accumulate(node_grads, node.input1, op_a.backward(g))
+                _accumulate(node_grads, node.input2, op_b.backward(g))
+        g0 = node_grads[0] if node_grads[0] is not None else np.zeros_like(self._states[0])
+        g1 = node_grads[1] if node_grads[1] is not None else np.zeros_like(self._states[1])
+        pre0, pre1 = self._pre
+        return pre0.backward(g0), pre1.backward(g1)
+
+
+class Cell(CellDag):
+    """One concrete cell instance with fixed operations: the same path
+    through the shared :class:`CellDag` walk on every forward.
 
     Parameters
     ----------
@@ -74,51 +145,17 @@ class Cell(Module):
                 stride = 2 if (reduction and inp < 2) else 1
                 ops_pair.append(build_op(op_name, channels, channels, stride, rng))
             self.ops.append((ops_pair[0], ops_pair[1]))
-        self.loose = spec.loose_ends()
-        self.out_channels = channels * len(self.loose)
+        self.out_channels = channels * len(spec.loose_ends())
         self.channels = channels
-        self._states: list[np.ndarray] | None = None
 
     # ------------------------------------------------------------------
     def forward(self, s0: np.ndarray, s1: np.ndarray) -> np.ndarray:  # type: ignore[override]
-        states = [self.preprocess0(s0), self.preprocess1(s1)]
-        for (op_a, op_b), node in zip(self.ops, self.spec.nodes):
-            out = op_a(states[node.input1]) + op_b(states[node.input2])
-            states.append(out)
-        self._states = states
-        return np.concatenate([states[i] for i in self.loose], axis=1)
+        return self._walk(
+            s0, s1, (self.preprocess0, self.preprocess1), self.ops, self.spec
+        )
 
     def __call__(self, s0: np.ndarray, s1: np.ndarray) -> np.ndarray:  # type: ignore[override]
         return self.forward(s0, s1)
-
-    def backward(self, grad_out: np.ndarray) -> tuple[np.ndarray, np.ndarray]:  # type: ignore[override]
-        """Backpropagate through the cell DAG.
-
-        Returns gradients w.r.t. the two input states ``(s0, s1)``.
-        """
-        if self._states is None:
-            raise RuntimeError("backward before forward")
-        c = self.channels
-        node_grads: list[np.ndarray | None] = [None] * NUM_NODES
-        for pos, node_idx in enumerate(self.loose):
-            node_grads[node_idx] = np.ascontiguousarray(
-                grad_out[:, pos * c : (pos + 1) * c]
-            )
-        # Reverse topological order over computed nodes.
-        for offset in range(len(self.spec.nodes) - 1, -1, -1):
-            node_idx = offset + 2
-            g = node_grads[node_idx]
-            if g is None:  # node feeds nothing (can happen only for loose ends)
-                continue
-            node = self.spec.nodes[offset]
-            op_a, op_b = self.ops[offset]
-            _accumulate(node_grads, node.input1, op_a.backward(g))
-            _accumulate(node_grads, node.input2, op_b.backward(g))
-        zero0 = np.zeros_like(self._states[0])
-        zero1 = np.zeros_like(self._states[1])
-        g0 = node_grads[0] if node_grads[0] is not None else zero0
-        g1 = node_grads[1] if node_grads[1] is not None else zero1
-        return self.preprocess0.backward(g0), self.preprocess1.backward(g1)
 
 
 def _accumulate(grads: list, idx: int, value: np.ndarray) -> None:
@@ -126,6 +163,28 @@ def _accumulate(grads: list, idx: int, value: np.ndarray) -> None:
         grads[idx] = value
     else:
         grads[idx] = grads[idx] + value
+
+
+def network_backward(
+    stem: Module, cells: Sequence[CellDag], global_pool: Module,
+    classifier: Module, grad_out: np.ndarray,
+) -> np.ndarray:
+    """Backward of the stem -> cells -> pool -> classifier chain, shared by
+    :class:`CellNetwork` and the HyperNet.
+
+    State ``i`` is the ``s0`` input of cell ``i``: cell ``i`` consumed
+    states ``(i, i+1)`` and produced state ``i+2``.
+    """
+    grads: list[np.ndarray | None] = [None] * (len(cells) + 2)
+    grads[-1] = global_pool.backward(classifier.backward(grad_out))
+    for idx in range(len(cells) - 1, -1, -1):
+        g_out = grads[idx + 2]
+        assert g_out is not None
+        g0, g1 = cells[idx].backward(g_out)
+        _accumulate(grads, idx, g0)
+        _accumulate(grads, idx + 1, g1)
+    assert grads[0] is not None and grads[1] is not None
+    return stem.backward(grads[0] + grads[1])
 
 
 class CellNetwork(Module):
@@ -180,16 +239,6 @@ class CellNetwork(Module):
         return self.classifier(self.global_pool(s1))
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        grad = self.global_pool.backward(self.classifier.backward(grad_out))
-        # States chain: index i is the input s0 of cell i; cell i consumed
-        # states (i, i+1) and produced state (i+2).
-        grads: list[np.ndarray | None] = [None] * (self.num_cells + 2)
-        grads[-1] = grad
-        for idx in range(self.num_cells - 1, -1, -1):
-            g_out = grads[idx + 2]
-            assert g_out is not None
-            g0, g1 = self.cells[idx].backward(g_out)
-            _accumulate(grads, idx, g0)
-            _accumulate(grads, idx + 1, g1)
-        assert grads[0] is not None and grads[1] is not None
-        return self.stem.backward(grads[0] + grads[1])
+        return network_backward(
+            self.stem, self.cells, self.global_pool, self.classifier, grad_out
+        )

@@ -15,16 +15,18 @@ from typing import Callable
 
 import numpy as np
 
-from ..nas.encoding import CoDesignPoint, decode, token_vocab_sizes
+from ..nas.encoding import CoDesignPoint, token_vocab_sizes
 from .evaluator import Evaluation
-from .reinforce import SearchHistory, SearchSample
+from .reinforce import Searcher, SearchSample
 from .reward import RewardSpec
 
 __all__ = ["BanditSearch"]
 
 
-class BanditSearch:
+class BanditSearch(Searcher):
     """Factorised UCB1 over token positions."""
+
+    prefix = "bandit"
 
     def __init__(
         self,
@@ -35,12 +37,9 @@ class BanditSearch:
     ) -> None:
         if exploration < 0:
             raise ValueError("exploration must be non-negative")
-        self.evaluate = evaluate
-        self.reward_spec = reward_spec
+        super().__init__(evaluate, reward_spec, seed)
         self.exploration = exploration
-        self.rng = np.random.default_rng(seed)
         self.vocab = token_vocab_sizes()
-        self.history = SearchHistory()
         #: per-position arm statistics.
         self._counts = [np.zeros(v) for v in self.vocab]
         self._sums = [np.zeros(v) for v in self.vocab]
@@ -61,31 +60,11 @@ class BanditSearch:
     def step(self) -> SearchSample:
         t = len(self.history) + 1
         tokens = [self._pick(i, t) for i in range(len(self.vocab))]
-        point = decode(tokens, name=f"bandit{len(self.history)}")
-        evaluation = self.evaluate(point)
-        reward = self.reward_spec.reward(
-            evaluation.accuracy, evaluation.latency_ms, evaluation.energy_mj
-        )
+        sample = self._score_proposals([tokens])[0]
         for i, tok in enumerate(tokens):
             self._counts[i][tok] += 1
-            self._sums[i][tok] += reward
-        sample = SearchSample(
-            iteration=len(self.history),
-            tokens=tuple(tokens),
-            reward=reward,
-            accuracy=evaluation.accuracy,
-            latency_ms=evaluation.latency_ms,
-            energy_mj=evaluation.energy_mj,
-        )
-        self.history.append(sample)
+            self._sums[i][tok] += sample.reward
         return sample
-
-    def run(self, iterations: int) -> SearchHistory:
-        if iterations < 1:
-            raise ValueError("iterations must be >= 1")
-        while len(self.history) < iterations:
-            self.step()
-        return self.history
 
     def greedy_tokens(self) -> list[int]:
         """The current per-position empirical-mean argmax sequence."""

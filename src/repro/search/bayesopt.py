@@ -20,7 +20,7 @@ from ..nas.encoding import CoDesignPoint, decode, random_sequence
 from ..predict.features import feature_vector
 from ..predict.gp import GaussianProcessRegressor
 from .evaluator import Evaluation
-from .reinforce import SearchHistory, SearchSample
+from .reinforce import Searcher, SearchSample
 from .reward import RewardSpec
 
 __all__ = ["BayesianOptSearch", "expected_improvement"]
@@ -43,7 +43,7 @@ def _erf_vec(x: np.ndarray) -> np.ndarray:
     return erf(x)
 
 
-class BayesianOptSearch:
+class BayesianOptSearch(Searcher):
     """GP + expected-improvement search over the joint co-design space.
 
     The surrogate works on the same feature encoding the performance
@@ -54,6 +54,8 @@ class BayesianOptSearch:
     ``batch_size`` > 1 proposes the top-B EI candidates of each pool and
     scores them in one batched evaluator call (greedy q-EI).
     """
+
+    prefix = "bo"
 
     def __init__(
         self,
@@ -71,16 +73,12 @@ class BayesianOptSearch:
             raise ValueError("n_initial must be >= 2 (the GP needs data)")
         if batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        self.evaluate = evaluate
-        self.evaluate_batch = evaluate_batch
-        self.reward_spec = reward_spec
+        super().__init__(evaluate, reward_spec, seed, evaluate_batch)
         self.n_initial = n_initial
         self.pool_size = pool_size
         self.refit_every = max(1, refit_every)
         self.batch_size = batch_size
-        self.rng = np.random.default_rng(seed)
         self.feature_kwargs = feature_kwargs or {}
-        self.history = SearchHistory()
         self._features: list[np.ndarray] = []
         self._rewards: list[float] = []
         self._gp: GaussianProcessRegressor | None = None
@@ -108,9 +106,6 @@ class BayesianOptSearch:
             picked.append(random_sequence(self.rng))
         return picked
 
-    def _propose(self) -> list[int]:
-        return self._propose_batch(1)[0]
-
     def _maybe_refit(self) -> None:
         self._since_fit += 1
         have_enough = len(self._rewards) >= self.n_initial
@@ -129,42 +124,14 @@ class BayesianOptSearch:
         """Propose, score and absorb ``n`` candidates in one round."""
         if n < 1:
             raise ValueError("n must be >= 1")
-        base = len(self.history)
-        token_lists = self._propose_batch(n)
-        points = [
-            decode(tokens, name=f"bo{base + j}")
-            for j, tokens in enumerate(token_lists)
-        ]
-        if self.evaluate_batch is not None:
-            evaluations = list(self.evaluate_batch(points))
-        else:
-            evaluations = [self.evaluate(point) for point in points]
-        samples: list[SearchSample] = []
-        for tokens, point, evaluation in zip(token_lists, points, evaluations):
-            reward = self.reward_spec.reward(
-                evaluation.accuracy, evaluation.latency_ms, evaluation.energy_mj
+        samples = self._score_proposals(self._propose_batch(n))
+        for sample in samples:
+            self._features.append(
+                feature_vector(sample.point(), **self.feature_kwargs)
             )
-            self._features.append(feature_vector(point, **self.feature_kwargs))
-            self._rewards.append(reward)
+            self._rewards.append(sample.reward)
             self._maybe_refit()
-            sample = SearchSample(
-                iteration=len(self.history),
-                tokens=tuple(tokens),
-                reward=reward,
-                accuracy=evaluation.accuracy,
-                latency_ms=evaluation.latency_ms,
-                energy_mj=evaluation.energy_mj,
-            )
-            self.history.append(sample)
-            samples.append(sample)
         return samples
 
-    def run(self, iterations: int) -> SearchHistory:
-        if iterations < 1:
-            raise ValueError("iterations must be >= 1")
-        while len(self.history) < iterations:
-            if self.batch_size == 1:
-                self.step()
-            else:
-                self.step_batch(min(self.batch_size, iterations - len(self.history)))
-        return self.history
+    def _advance(self, remaining: int) -> None:
+        self.step_batch(min(self.batch_size, remaining))

@@ -14,18 +14,16 @@ from __future__ import annotations
 from collections import deque
 from typing import Callable
 
-import numpy as np
-
-from ..nas.encoding import CoDesignPoint, decode, random_sequence
+from ..nas.encoding import CoDesignPoint, random_sequence
 from ..nas.mutate import mutate_sequence
 from .evaluator import Evaluation
-from .reinforce import SearchHistory, SearchSample
+from .reinforce import Searcher, SearchSample
 from .reward import RewardSpec
 
 __all__ = ["EvolutionSearch"]
 
 
-class EvolutionSearch:
+class EvolutionSearch(Searcher):
     """Aging evolution over 44-token co-design sequences.
 
     With ``batch_size`` > 1 the loop runs generation-style: B children are
@@ -34,6 +32,8 @@ class EvolutionSearch:
     die.  ``batch_size=1`` (default) is the classic fully-sequential aging
     evolution of Real et al.
     """
+
+    prefix = "evo"
 
     def __init__(
         self,
@@ -52,50 +52,15 @@ class EvolutionSearch:
             raise ValueError("tournament_size must be in [1, population_size]")
         if not 1 <= batch_size <= population_size:
             raise ValueError("batch_size must be in [1, population_size]")
-        self.evaluate = evaluate
-        self.evaluate_batch = evaluate_batch
-        self.reward_spec = reward_spec
+        super().__init__(evaluate, reward_spec, seed, evaluate_batch)
         self.population_size = population_size
         self.tournament_size = tournament_size
         self.mutations_per_child = mutations_per_child
         self.batch_size = batch_size
-        self.rng = np.random.default_rng(seed)
-        self.history = SearchHistory()
         #: (tokens, reward) pairs, oldest first.
         self._population: deque[tuple[list[int], float]] = deque()
 
     # ------------------------------------------------------------------
-    def _evaluate_points(self, points: list[CoDesignPoint]) -> list[Evaluation]:
-        if self.evaluate_batch is not None:
-            return list(self.evaluate_batch(points))
-        return [self.evaluate(point) for point in points]
-
-    def _score_batch(self, token_lists: list[list[int]]) -> list[SearchSample]:
-        base = len(self.history)
-        points = [
-            decode(tokens, name=f"evo{base + j}")
-            for j, tokens in enumerate(token_lists)
-        ]
-        samples: list[SearchSample] = []
-        for tokens, evaluation in zip(token_lists, self._evaluate_points(points)):
-            reward = self.reward_spec.reward(
-                evaluation.accuracy, evaluation.latency_ms, evaluation.energy_mj
-            )
-            sample = SearchSample(
-                iteration=len(self.history),
-                tokens=tuple(tokens),
-                reward=reward,
-                accuracy=evaluation.accuracy,
-                latency_ms=evaluation.latency_ms,
-                energy_mj=evaluation.energy_mj,
-            )
-            self.history.append(sample)
-            samples.append(sample)
-        return samples
-
-    def _score(self, tokens: list[int]) -> SearchSample:
-        return self._score_batch([tokens])[0]
-
     def _select_parent(self) -> list[int]:
         """Tournament selection among a random subset of the population."""
         indices = self.rng.choice(
@@ -108,52 +73,36 @@ class EvolutionSearch:
 
     def step(self) -> SearchSample:
         """One evaluation: seed the population, then evolve."""
-        if len(self._population) < self.population_size:
-            tokens = random_sequence(self.rng)
-            sample = self._score(tokens)
-            self._population.append((tokens, sample.reward))
-            return sample
-        child = mutate_sequence(
-            self._select_parent(), self.rng, self.mutations_per_child
-        )
-        sample = self._score(child)
-        self._population.append((child, sample.reward))
-        self._population.popleft()  # aging: the oldest dies
-        return sample
+        return self.step_batch(1)[0]
 
     def step_batch(self, n: int) -> list[SearchSample]:
-        """Breed, score and insert ``n`` children from one snapshot."""
+        """Breed, score and insert ``n`` children from one snapshot.
+
+        While the population is not full, up to ``n`` random individuals
+        seed it instead and nobody dies.
+        """
         if not 1 <= n <= self.population_size:
             raise ValueError("n must be in [1, population_size]")
-        if len(self._population) < self.population_size:
-            # Seed phase: batch-score up to n random individuals.
+        seeding = len(self._population) < self.population_size
+        if seeding:
             n = min(n, self.population_size - len(self._population))
             token_lists = [random_sequence(self.rng) for _ in range(n)]
-            samples = self._score_batch(token_lists)
-            for tokens, sample in zip(token_lists, samples):
-                self._population.append((tokens, sample.reward))
-            return samples
-        children = [
-            mutate_sequence(self._select_parent(), self.rng, self.mutations_per_child)
-            for _ in range(n)
-        ]
-        samples = self._score_batch(children)
-        for child, sample in zip(children, samples):
-            self._population.append((child, sample.reward))
-            self._population.popleft()  # aging: the oldest dies
+        else:
+            token_lists = [
+                mutate_sequence(
+                    self._select_parent(), self.rng, self.mutations_per_child
+                )
+                for _ in range(n)
+            ]
+        samples = self._score_proposals(token_lists)
+        for tokens, sample in zip(token_lists, samples):
+            self._population.append((tokens, sample.reward))
+            if not seeding:
+                self._population.popleft()  # aging: the oldest dies
         return samples
 
-    def run(self, iterations: int) -> SearchHistory:
-        if iterations < 1:
-            raise ValueError("iterations must be >= 1")
-        while len(self.history) < iterations:
-            if self.batch_size == 1:
-                self.step()
-            else:
-                self.step_batch(
-                    min(self.batch_size, iterations - len(self.history))
-                )
-        return self.history
+    def _advance(self, remaining: int) -> None:
+        self.step_batch(min(self.batch_size, remaining))
 
     @property
     def population_best(self) -> float:

@@ -12,18 +12,18 @@ from __future__ import annotations
 
 from typing import Callable
 
-import numpy as np
-
-from ..nas.encoding import CoDesignPoint, decode, random_sequence
+from ..nas.encoding import CoDesignPoint, random_sequence
 from .evaluator import Evaluation
-from .reinforce import SearchHistory, SearchSample
+from .reinforce import Searcher, SearchSample
 from .reward import RewardSpec
 
 __all__ = ["RandomSearch"]
 
 
-class RandomSearch:
+class RandomSearch(Searcher):
     """Uniform sampling over the 44-token action space."""
+
+    prefix = "rand"
 
     def __init__(
         self,
@@ -35,58 +35,18 @@ class RandomSearch:
     ) -> None:
         if batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        self.evaluate = evaluate
-        self.evaluate_batch = evaluate_batch
-        self.reward_spec = reward_spec
+        super().__init__(evaluate, reward_spec, seed, evaluate_batch)
         self.batch_size = batch_size
-        self.rng = np.random.default_rng(seed)
-        self.history = SearchHistory()
 
     # ------------------------------------------------------------------
-    def _record(self, tokens: list[int], evaluation: Evaluation) -> SearchSample:
-        sample = SearchSample(
-            iteration=len(self.history),
-            tokens=tuple(tokens),
-            reward=self.reward_spec.reward(
-                evaluation.accuracy, evaluation.latency_ms, evaluation.energy_mj
-            ),
-            accuracy=evaluation.accuracy,
-            latency_ms=evaluation.latency_ms,
-            energy_mj=evaluation.energy_mj,
-        )
-        self.history.append(sample)
-        return sample
-
     def step(self) -> SearchSample:
-        tokens = random_sequence(self.rng)
-        point = decode(tokens, name=f"rand{len(self.history)}")
-        return self._record(tokens, self.evaluate(point))
+        return self.step_batch(1)[0]
 
     def step_batch(self, n: int) -> list[SearchSample]:
         """Draw and score ``n`` candidates in one batched evaluator call."""
         if n < 1:
             raise ValueError("n must be >= 1")
-        base = len(self.history)
-        token_lists = [random_sequence(self.rng) for _ in range(n)]
-        points = [
-            decode(tokens, name=f"rand{base + j}")
-            for j, tokens in enumerate(token_lists)
-        ]
-        if self.evaluate_batch is not None:
-            evaluations = list(self.evaluate_batch(points))
-        else:
-            evaluations = [self.evaluate(point) for point in points]
-        return [
-            self._record(tokens, evaluation)
-            for tokens, evaluation in zip(token_lists, evaluations)
-        ]
+        return self._score_proposals([random_sequence(self.rng) for _ in range(n)])
 
-    def run(self, iterations: int) -> SearchHistory:
-        if iterations < 1:
-            raise ValueError("iterations must be >= 1")
-        while len(self.history) < iterations:
-            if self.batch_size == 1:
-                self.step()
-            else:
-                self.step_batch(min(self.batch_size, iterations - len(self.history)))
-        return self.history
+    def _advance(self, remaining: int) -> None:
+        self.step_batch(min(self.batch_size, remaining))

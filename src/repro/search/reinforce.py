@@ -8,17 +8,17 @@ reward to sustain exploration, and Adam with learning rate 0.0035.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
 from ..nas.encoding import CoDesignPoint, decode
 from ..nn.optim import Adam, clip_grad_norm
-from .controller import Controller, SampledSequence
+from .controller import Controller
 from .evaluator import Evaluation
 from .reward import RewardSpec
 
-__all__ = ["SearchSample", "SearchHistory", "ReinforceSearch"]
+__all__ = ["SearchSample", "SearchHistory", "Searcher", "ReinforceSearch"]
 
 
 @dataclass(frozen=True)
@@ -45,6 +45,23 @@ class SearchHistory:
     def append(self, sample: SearchSample) -> None:
         self.samples.append(sample)
 
+    def record(
+        self, tokens: Sequence[int], evaluation: Evaluation, reward_spec: RewardSpec
+    ) -> SearchSample:
+        """Append the next iteration: ``tokens`` scored by ``reward_spec``."""
+        sample = SearchSample(
+            iteration=len(self.samples),
+            tokens=tuple(tokens),
+            reward=reward_spec.reward(
+                evaluation.accuracy, evaluation.latency_ms, evaluation.energy_mj
+            ),
+            accuracy=evaluation.accuracy,
+            latency_ms=evaluation.latency_ms,
+            energy_mj=evaluation.energy_mj,
+        )
+        self.samples.append(sample)
+        return sample
+
     def __len__(self) -> int:
         return len(self.samples)
 
@@ -58,6 +75,8 @@ class SearchHistory:
 
     def top(self, n: int) -> list[SearchSample]:
         """Top-n by reward with distinct token sequences."""
+        if n < 1:
+            raise ValueError("n must be >= 1")
         ranked = sorted(self.samples, key=lambda s: s.reward, reverse=True)
         seen: set[tuple[int, ...]] = set()
         out: list[SearchSample] = []
@@ -78,7 +97,66 @@ class SearchHistory:
         return np.maximum.accumulate(self.rewards())
 
 
-class ReinforceSearch:
+class Searcher:
+    """The scoring path and run loop every searcher shares.
+
+    Subclasses differ only in their policy: how they propose token
+    sequences and what they learn from the scored samples.
+    :meth:`_score_proposals` decodes proposals (candidate ``i`` of a
+    search is named ``f"{prefix}{i}"``), scores them in ONE
+    ``evaluate_batch`` call when one is given and with one ``evaluate``
+    call per point otherwise (both give the same :class:`Evaluation`
+    values), and records them in order.  Scoring never touches ``rng``,
+    so the choice changes wall-clock only.  :meth:`run` repeats
+    :meth:`_advance` (one :meth:`step` unless a subclass batches).
+    """
+
+    prefix = "iter"
+
+    def __init__(
+        self,
+        evaluate: Callable[[CoDesignPoint], Evaluation],
+        reward_spec: RewardSpec,
+        seed: int,
+        evaluate_batch: Callable[[list[CoDesignPoint]], list[Evaluation]] | None = None,
+    ) -> None:
+        self.evaluate = evaluate
+        self.evaluate_batch = evaluate_batch
+        self.reward_spec = reward_spec
+        self.rng = np.random.default_rng(seed)
+        self.history = SearchHistory()
+
+    def _score_proposals(
+        self, token_lists: Sequence[Sequence[int]]
+    ) -> list[SearchSample]:
+        base = len(self.history)
+        points = [
+            decode(list(tokens), name=f"{self.prefix}{base + j}")
+            for j, tokens in enumerate(token_lists)
+        ]
+        if self.evaluate_batch is not None:
+            evaluations = list(self.evaluate_batch(points))
+        else:
+            evaluations = [self.evaluate(point) for point in points]
+        return [
+            self.history.record(tokens, evaluation, self.reward_spec)
+            for tokens, evaluation in zip(token_lists, evaluations)
+        ]
+
+    def _advance(self, remaining: int) -> None:
+        """One round of the run loop (``remaining`` candidates to go)."""
+        self.step()
+
+    def run(self, iterations: int) -> SearchHistory:
+        """Score candidates until the history holds ``iterations``."""
+        if iterations < 1:
+            raise ValueError("iterations must be >= 1")
+        while len(self.history) < iterations:
+            self._advance(iterations - len(self.history))
+        return self.history
+
+
+class ReinforceSearch(Searcher):
     """The RL search loop of YOSO Step 2.
 
     ``batch_episodes`` rollouts are sampled per policy update; when an
@@ -103,44 +181,26 @@ class ReinforceSearch:
         seed: int = 0,
         evaluate_batch: Callable[[list[CoDesignPoint]], list[Evaluation]] | None = None,
     ) -> None:
+        super().__init__(evaluate, reward_spec, seed, evaluate_batch)
         self.controller = controller
-        self.evaluate = evaluate
-        self.evaluate_batch = evaluate_batch
-        self.reward_spec = reward_spec
         self.optimiser = Adam(controller.parameters(), lr=lr)
         self.baseline_decay = baseline_decay
         self.entropy_weight = entropy_weight
         self.batch_episodes = max(1, batch_episodes)
         self.grad_clip = grad_clip
-        self.rng = np.random.default_rng(seed)
         self.baseline: float | None = None
-        self.history = SearchHistory()
 
     # ------------------------------------------------------------------
-    def _evaluate_points(self, points: list[CoDesignPoint]) -> list[Evaluation]:
-        if self.evaluate_batch is not None:
-            return list(self.evaluate_batch(points))
-        return [self.evaluate(point) for point in points]
-
     def step(self) -> SearchSample:
         """Sample, evaluate and learn from ``batch_episodes`` episodes."""
         self.optimiser.zero_grad()
-        base = len(self.history)
         episodes = [
             self.controller.sample(self.rng) for _ in range(self.batch_episodes)
         ]
-        points = [
-            decode(episode.tokens, name=f"iter{base + j}")
-            for j, episode in enumerate(episodes)
-        ]
-        evaluations = self._evaluate_points(points)
-        last: SearchSample | None = None
-        for episode, evaluation in zip(episodes, evaluations):
-            reward = self.reward_spec.reward(
-                evaluation.accuracy, evaluation.latency_ms, evaluation.energy_mj
-            )
+        samples = self._score_proposals([episode.tokens for episode in episodes])
+        for episode, sample in zip(episodes, samples):
             # Entropy bonus added to the reward (Sec. IV-C).
-            shaped_reward = reward + self.entropy_weight * episode.entropy
+            shaped_reward = sample.reward + self.entropy_weight * episode.entropy
             if self.baseline is None:
                 self.baseline = shaped_reward
             advantage = shaped_reward - self.baseline
@@ -149,24 +209,6 @@ class ReinforceSearch:
                 + (1.0 - self.baseline_decay) * shaped_reward
             )
             self.controller.accumulate_policy_gradient(episode, advantage)
-            last = SearchSample(
-                iteration=len(self.history),
-                tokens=tuple(episode.tokens),
-                reward=reward,
-                accuracy=evaluation.accuracy,
-                latency_ms=evaluation.latency_ms,
-                energy_mj=evaluation.energy_mj,
-            )
-            self.history.append(last)
         clip_grad_norm(self.controller.parameters(), self.grad_clip)
         self.optimiser.step()
-        assert last is not None
-        return last
-
-    def run(self, iterations: int) -> SearchHistory:
-        """Run the search for ``iterations`` evaluated candidates."""
-        if iterations < 1:
-            raise ValueError("iterations must be >= 1")
-        while len(self.history) < iterations:
-            self.step()
-        return self.history
+        return samples[-1]

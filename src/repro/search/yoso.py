@@ -199,7 +199,7 @@ class YosoSearch:
         truth for ALL top-N candidates comes from ONE batched
         :meth:`~repro.accel.simulator.SystolicArraySimulator.
         simulate_genotypes` call instead of N scalar per-layer walks (the
-        batch engine matches the scalar simulator to relative 1e-9).
+        batch engine's results are ``==`` the scalar simulator's).
         """
         if self.search is None:
             raise RuntimeError("call run_search() first (Step 2)")

@@ -34,14 +34,16 @@ __all__ = [
     "samples_fingerprint",
 ]
 
-#: Revision of the numpy kernels that produce stored values.  Both
-#: evaluator digests fold it in, so a store filled by older kernels (whose
-#: results differ in the last float bits) is never served to newer ones.
-#: Bump it whenever a kernel change can move a stored accuracy or
-#: trained result.  Revision 2: per-tap depthwise convolution and
+#: Revision of the numpy kernels that produce stored values.  All three
+#: digests fold it in, so a store filled by older kernels (whose results
+#: differ in the last float bits) is never served to newer ones.  Bump it
+#: whenever a kernel change can move a stored accuracy, trained result
+#: or simulator sample.  Revision 2: per-tap depthwise convolution and
 #: segment-exact batch norm.  Revision 3: row-by-row GP posterior mean
-#: and the analytic-gradient GP hyperparameter fit.
-KERNEL_REVISION = 3
+#: and the analytic-gradient GP hyperparameter fit.  Revision 4: the
+#: batched simulator sums each point's layers left to right, so its
+#: totals are ``==`` the scalar simulator's.
+KERNEL_REVISION = 4
 
 #: Digest length (hex chars).  64 bits of content hash: collisions are
 #: astronomically unlikely at any realistic store population.
@@ -158,6 +160,7 @@ def samples_fingerprint(
     em = simulator.energy_model
     return digest(
         "simulator-samples",
+        KERNEL_REVISION,
         repr(em),
         bool(simulator.include_noc),
         repr(simulator.noc_model),

@@ -2,8 +2,8 @@
 
 The batch paths (``simulate_many`` / ``BatchEvaluator`` / batched searches)
 must produce the same numbers as the scalar paths they accelerate — these
-tests pin that to floating-point round-off — and the encoding-keyed LRU
-must serve repeats without recomputation.
+tests pin that with ``==`` — and the encoding-keyed LRU must serve repeats
+without recomputation.
 """
 
 from __future__ import annotations
@@ -25,8 +25,6 @@ from repro.search.reinforce import ReinforceSearch
 from repro.search.reward import BALANCED
 
 SMALL = dict(num_cells=3, stem_channels=4, image_size=8)
-#: Scalar-vs-batch agreement: identical formulas, different summation order.
-TOL = dict(rel=1e-9, abs=1e-15)
 
 
 def random_points(n: int, seed: int = 0) -> list[CoDesignPoint]:
@@ -62,12 +60,10 @@ class TestSimulateManyParity:
         batch = sim.simulate_many(layers, configs)
         for i, config in enumerate(configs):
             report = sim.simulate_network(layers, config)
-            assert batch.latency_ms[i] == pytest.approx(report.latency_ms, **TOL)
-            assert batch.energy_mj[i] == pytest.approx(report.energy_mj, **TOL)
-            assert batch.total_macs[i] == pytest.approx(report.total_macs, **TOL)
-            assert batch.total_dram_bytes[i] == pytest.approx(
-                report.total_dram_bytes, **TOL
-            )
+            assert batch.latency_ms[i] == report.latency_ms
+            assert batch.energy_mj[i] == report.energy_mj
+            assert batch.total_macs[i] == report.total_macs
+            assert batch.total_dram_bytes[i] == report.total_dram_bytes
 
     def test_many_networks_many_configs(self, sim):
         """Ragged (per-point layer list) batches must match too."""
@@ -77,8 +73,8 @@ class TestSimulateManyParity:
         assert len(batch) == 24
         for i, point in enumerate(points):
             report = sim.simulate_genotype(point.genotype, point.config, **SMALL)
-            assert batch.latency_ms[i] == pytest.approx(report.latency_ms, **TOL)
-            assert batch.energy_mj[i] == pytest.approx(report.energy_mj, **TOL)
+            assert batch.latency_ms[i] == report.latency_ms
+            assert batch.energy_mj[i] == report.energy_mj
 
     def test_every_dataflow_covered(self, sim, genotype):
         """All four mapping models agree with their scalar branches."""
@@ -92,8 +88,8 @@ class TestSimulateManyParity:
         batch = sim.simulate_many(layers, configs)
         for i, config in enumerate(configs):
             report = sim.simulate_network(layers, config)
-            assert batch.energy_mj[i] == pytest.approx(report.energy_mj, **TOL)
-            assert batch.latency_ms[i] == pytest.approx(report.latency_ms, **TOL)
+            assert batch.energy_mj[i] == report.energy_mj
+            assert batch.latency_ms[i] == report.latency_ms
 
     def test_include_noc_batch_parity(self, genotype):
         """NoC-aware batches run through the vectorised hop/energy model
@@ -104,8 +100,8 @@ class TestSimulateManyParity:
         batch = noc_sim.simulate_many(layers, configs)
         for i, config in enumerate(configs):
             report = noc_sim.simulate_network(layers, config)
-            assert batch.energy_mj[i] == pytest.approx(report.energy_mj, **TOL)
-            assert batch.latency_ms[i] == pytest.approx(report.latency_ms, **TOL)
+            assert batch.energy_mj[i] == report.energy_mj
+            assert batch.latency_ms[i] == report.latency_ms
 
     def test_include_noc_every_dataflow(self, genotype):
         """All four delivery-pattern branches of the vectorised NoC model
@@ -121,7 +117,7 @@ class TestSimulateManyParity:
         batch = noc_sim.simulate_many(layers, configs)
         for i, config in enumerate(configs):
             report = noc_sim.simulate_network(layers, config)
-            assert batch.energy_mj[i] == pytest.approx(report.energy_mj, **TOL)
+            assert batch.energy_mj[i] == report.energy_mj
 
     def test_include_noc_ragged_batch(self):
         """Per-point layer lists with NoC enabled match scalar simulation."""
@@ -131,8 +127,8 @@ class TestSimulateManyParity:
         batch = noc_sim.simulate_genotypes(pairs, **SMALL)
         for i, point in enumerate(points):
             report = noc_sim.simulate_genotype(point.genotype, point.config, **SMALL)
-            assert batch.energy_mj[i] == pytest.approx(report.energy_mj, **TOL)
-            assert batch.latency_ms[i] == pytest.approx(report.latency_ms, **TOL)
+            assert batch.energy_mj[i] == report.energy_mj
+            assert batch.latency_ms[i] == report.latency_ms
 
     def test_noc_energy_exceeds_baseline(self, sim, genotype):
         """Batched NoC energies are strictly above the baseline batch."""
@@ -142,7 +138,7 @@ class TestSimulateManyParity:
         base = sim.simulate_many(layers, configs)
         with_noc = noc_sim.simulate_many(layers, configs)
         assert np.all(with_noc.energy_mj > base.energy_mj)
-        np.testing.assert_allclose(with_noc.latency_ms, base.latency_ms, rtol=1e-12)
+        assert with_noc.latency_ms.tolist() == base.latency_ms.tolist()
 
     def test_empty_batch_rejected(self, sim, genotype):
         layers = network_workloads(genotype, **SMALL)
@@ -165,7 +161,7 @@ class TestPredictBatch:
         gp.fit(samples.x[:30], samples.energy_mj[:30])
         single = np.array([float(gp.predict(x[None, :])[0]) for x in samples.x[30:]])
         batch = gp.predict_batch(samples.x[30:])
-        np.testing.assert_allclose(batch, single, rtol=1e-9)
+        assert batch.tolist() == single.tolist()
 
 
 class TestBatchEvaluatorParity:
@@ -176,8 +172,8 @@ class TestBatchEvaluatorParity:
         for point, b in zip(points, batched):
             s = fast_evaluator.evaluate(point)
             assert b.accuracy == s.accuracy
-            assert b.latency_ms == pytest.approx(s.latency_ms, rel=1e-9)
-            assert b.energy_mj == pytest.approx(s.energy_mj, rel=1e-9)
+            assert b.latency_ms == s.latency_ms
+            assert b.energy_mj == s.energy_mj
 
     def test_scalar_entry_point(self, fast_evaluator):
         batch = BatchEvaluator(fast_evaluator)
@@ -310,7 +306,7 @@ class TestBatchEvaluatorCache:
         assert len(results) == 5
         for point, result in zip(points, results):
             scalar = fast_evaluator.evaluate(point)
-            assert result.energy_mj == pytest.approx(scalar.energy_mj, rel=1e-9)
+            assert result.energy_mj == scalar.energy_mj
         assert len(batch._lru) == 2  # cache stayed bounded
 
     def test_off_grid_config_falls_back_gracefully(self, fast_evaluator):
@@ -326,7 +322,7 @@ class TestBatchEvaluatorCache:
         )
         result = batch.evaluate(point)
         scalar = fast_evaluator.evaluate(point)
-        assert result.energy_mj == pytest.approx(scalar.energy_mj, rel=1e-9)
+        assert result.energy_mj == scalar.energy_mj
         assert batch.evaluate(point) is result  # cached under the object key
 
     def test_lru_evicts_least_recent(self, fast_evaluator):
@@ -389,7 +385,7 @@ class TestBatchedSearchParity:
         assert [s.tokens for s in scalar.samples] == [
             s.tokens for s in batched.samples
         ]
-        assert scalar.rewards() == pytest.approx(batched.rewards())
+        assert scalar.rewards().tolist() == batched.rewards().tolist()
 
     def test_reinforce_batch_eval_invariant(self, fast_evaluator):
         """Batched scoring must not change the RL trajectory or gradients."""
@@ -408,37 +404,51 @@ class TestBatchedSearchParity:
             evaluate_batch=shared.evaluate_many,
         ).run(8)
         assert [s.tokens for s in plain.samples] == [s.tokens for s in batched.samples]
-        assert plain.rewards() == pytest.approx(batched.rewards())
+        assert plain.rewards().tolist() == batched.rewards().tolist()
 
     def test_evolution_batch_runs_and_fills_population(self, fast_evaluator):
+        """Scoring through ``evaluate_batch`` must not change the evolution
+        trajectory at batch size 1 or above; the population stays full."""
         from repro.search.evolution import EvolutionSearch
 
-        shared = BatchEvaluator(fast_evaluator)
-        search = EvolutionSearch(
-            shared.evaluate,
-            BALANCED,
-            population_size=6,
-            tournament_size=2,
-            seed=5,
-            batch_size=3,
-            evaluate_batch=shared.evaluate_many,
-        )
-        history = search.run(12)
-        assert len(history) == 12
-        assert len(search._population) == 6
+        def run(batch_size: int, batched: bool) -> list:
+            shared = BatchEvaluator(fast_evaluator)
+            search = EvolutionSearch(
+                shared.evaluate,
+                BALANCED,
+                population_size=6,
+                tournament_size=2,
+                seed=5,
+                batch_size=batch_size,
+                evaluate_batch=shared.evaluate_many if batched else None,
+            )
+            history = search.run(12)
+            assert len(history) == 12
+            assert len(search._population) == 6
+            return [(s.tokens, s.reward) for s in history.samples]
+
+        for batch_size in (1, 3):
+            assert run(batch_size, batched=True) == run(batch_size, batched=False)
 
     def test_bayesopt_batch_runs(self, fast_evaluator):
+        """Scoring through ``evaluate_batch`` must not change the BO
+        trajectory at batch size 1 or above."""
         from repro.search.bayesopt import BayesianOptSearch
 
-        shared = BatchEvaluator(fast_evaluator)
-        history = BayesianOptSearch(
-            shared.evaluate,
-            BALANCED,
-            n_initial=4,
-            pool_size=8,
-            seed=6,
-            feature_kwargs=SMALL,
-            batch_size=3,
-            evaluate_batch=shared.evaluate_many,
-        ).run(9)
-        assert len(history) == 9
+        def run(batch_size: int, batched: bool) -> list:
+            shared = BatchEvaluator(fast_evaluator)
+            history = BayesianOptSearch(
+                shared.evaluate,
+                BALANCED,
+                n_initial=4,
+                pool_size=8,
+                seed=6,
+                feature_kwargs=SMALL,
+                batch_size=batch_size,
+                evaluate_batch=shared.evaluate_many if batched else None,
+            ).run(9)
+            assert len(history) == 9
+            return [(s.tokens, s.reward) for s in history.samples]
+
+        for batch_size in (1, 3):
+            assert run(batch_size, batched=True) == run(batch_size, batched=False)

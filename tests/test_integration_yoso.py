@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.nn.data import SyntheticCifar
@@ -95,12 +94,8 @@ class TestPipeline:
                 image_size=search.dataset.image_size,
                 num_classes=cfg.num_classes,
             )
-            np.testing.assert_allclose(
-                candidate.accurate.latency_ms, report.latency_ms, rtol=1e-9
-            )
-            np.testing.assert_allclose(
-                candidate.accurate.energy_mj, report.energy_mj, rtol=1e-9
-            )
+            assert candidate.accurate.latency_ms == report.latency_ms
+            assert candidate.accurate.energy_mj == report.energy_mj
 
 
 class TestTransferability:

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from repro.accel.config import random_config
 from repro.accel.simulator import SystolicArraySimulator
+from repro.accel.workload import network_workloads
 from repro.nas.encoding import CoDesignPoint, decode, random_sequence
 from repro.nas.genotype import Genotype
 from repro.nas.hypernet import HyperNet
@@ -59,6 +60,41 @@ class TestSimulatorInvariants:
                                         num_cells=3, stem_channels=4, image_size=8)
         ideal_cycles = report.total_macs / point.config.num_pes
         assert report.latency_ms >= _SIM.energy_model.cycles_to_ms(ideal_cycles)
+
+
+    @given(
+        seeds=st.lists(st.integers(0, 10_000), min_size=1, max_size=8),
+        cuts=st.lists(st.booleans(), min_size=7, max_size=7),
+    )
+    @settings(deadline=None, max_examples=15)
+    def test_any_partition_equals_scalar_simulation(self, seeds, cuts):
+        """For any point list (duplicates included) and any split of it
+        into consecutive ``simulate_many`` calls, every point's totals are
+        ``==`` the scalar ``simulate_genotype`` of that point, with the
+        NoC term off and on."""
+        shape = dict(num_cells=3, stem_channels=4, image_size=8)
+        for sim in (_SIM, SystolicArraySimulator(include_noc=True)):
+            for part in _split(seeds, cuts):
+                points = [_point(s) for s in part]
+                batch = sim.simulate_many(
+                    [network_workloads(p.genotype, **shape) for p in points],
+                    [p.config for p in points],
+                )
+                for i, point in enumerate(points):
+                    report = sim.simulate_genotype(
+                        point.genotype, point.config, **shape
+                    )
+                    assert (
+                        batch.latency_ms[i],
+                        batch.energy_mj[i],
+                        batch.total_macs[i],
+                        batch.total_dram_bytes[i],
+                    ) == (
+                        report.latency_ms,
+                        report.energy_mj,
+                        report.total_macs,
+                        report.total_dram_bytes,
+                    )
 
 
 class TestFeatureInvariants:

@@ -65,6 +65,16 @@ class TestSearchHistory:
         assert len(top) == 2
         assert top[0].reward == 0.9
 
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_top_rejects_n_below_one(self, n):
+        """``top(0)`` is not "everything": Step 3 would otherwise
+        stand-alone-train the whole history."""
+        h = SearchHistory()
+        for i in range(3):
+            h.append(make_sample(i, 0.1 * i, (i,) * SEQUENCE_LENGTH))
+        with pytest.raises(ValueError):
+            h.top(n)
+
     def test_every_subsamples(self):
         h = SearchHistory()
         for i in range(100):

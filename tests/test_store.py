@@ -185,6 +185,7 @@ class TestRoundtrip:
         self, monkeypatch, smoke_context, tiny_dataset
     ):
         """A store filled by other numpy kernels is another namespace."""
+        from repro.accel.simulator import SystolicArraySimulator
         from repro.search.evaluator import AccurateEvaluator
         from repro.store import fingerprint
 
@@ -193,19 +194,21 @@ class TestRoundtrip:
             batch_size=16, seed=0,
         )
         fast = smoke_context.fast_evaluator
-        before = (
-            fingerprint.fast_evaluator_fingerprint(fast),
-            fingerprint.accurate_evaluator_fingerprint(accurate),
-        )
+        simulator = SystolicArraySimulator()
+
+        def fingerprints():
+            return (
+                fingerprint.fast_evaluator_fingerprint(fast),
+                fingerprint.accurate_evaluator_fingerprint(accurate),
+                fingerprint.samples_fingerprint(simulator, 2, 4, 8, 10),
+            )
+
+        before = fingerprints()
         monkeypatch.setattr(
             fingerprint, "KERNEL_REVISION", fingerprint.KERNEL_REVISION + 1
         )
-        after = (
-            fingerprint.fast_evaluator_fingerprint(fast),
-            fingerprint.accurate_evaluator_fingerprint(accurate),
-        )
-        assert before[0] != after[0]
-        assert before[1] != after[1]
+        after = fingerprints()
+        assert [b != a for b, a in zip(before, after)] == [True, True, True]
 
 
 # ---------------------------------------------------------------------------
