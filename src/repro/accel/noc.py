@@ -35,7 +35,7 @@ import numpy as np
 
 from .config import AcceleratorConfig, Dataflow
 from .dataflow import MappingProfile
-from .workload import WORD_BYTES, LayerWorkload
+from .workload import LayerWorkload
 
 __all__ = ["NocModel", "DEFAULT_NOC_MODEL"]
 

@@ -16,11 +16,8 @@ double-buffering overlap) plus a fixed per-layer launch overhead.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
-
-import numpy as np
 
 from .batch import _LAYER_OVERHEAD_CYCLES, BatchSimResult, simulate_flat
 from .config import AcceleratorConfig

@@ -10,7 +10,13 @@ cell output concatenates the loose-end nodes.
 
 from __future__ import annotations
 
-from typing import Sequence
+import contextvars
+import heapq
+import operator
+import threading
+from concurrent.futures import ThreadPoolExecutor
+from functools import partial, reduce
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -30,6 +36,80 @@ from .ops import build_op
 
 __all__ = ["Cell", "CellNetwork"]
 
+# The one helper thread every task graph shares (started on first use).
+_HELPER = ThreadPoolExecutor(max_workers=1, thread_name_prefix="repro-edge")
+
+
+def run_tasks(tasks: Sequence[tuple[Callable, tuple[int, ...]]]) -> list:
+    """Run a task graph on the calling thread and the helper thread.
+
+    Task ``i`` is ``(fn, deps)`` with every index in ``deps`` below ``i``;
+    its result is ``fn(*(result[d] for d in deps))``.  Each of the two
+    runners takes the lowest-index ready task.  The helper runs under a
+    copy of the caller's :mod:`contextvars` context; if it has not started
+    (it is busy with another caller's graph) when the caller is done, it
+    is cancelled rather than waited for.  A task error is raised once
+    neither runner is still running a task.  Returns the results in task
+    order.
+    """
+    results: list = [None] * len(tasks)
+    waiting = [len(deps) for _, deps in tasks]
+    users: list[list[int]] = [[] for _ in tasks]
+    for i, (_, deps) in enumerate(tasks):
+        for d in deps:
+            users[d].append(i)
+    ready = [i for i, n in enumerate(waiting) if n == 0]  # sorted: a heap
+    running = 0
+    errors: list[BaseException] = []
+    cond = threading.Condition(threading.Lock())
+
+    def runner() -> None:
+        nonlocal running
+        with cond:
+            while True:
+                while running and not ready and not errors:
+                    cond.wait()
+                if errors or not ready:
+                    return
+                i = heapq.heappop(ready)
+                fn, deps = tasks[i]
+                running += 1
+                cond.release()
+                try:
+                    results[i] = fn(*[results[d] for d in deps])
+                except BaseException as exc:
+                    errors.append(exc)
+                finally:
+                    cond.acquire()
+                    running -= 1
+                for user in users[i]:
+                    waiting[user] -= 1
+                    if not waiting[user]:
+                        heapq.heappush(ready, user)
+                cond.notify_all()
+
+    helper = _HELPER.submit(contextvars.copy_context().run, runner)
+    try:
+        runner()
+    finally:
+        if not helper.cancel():
+            helper.result()
+    if errors:
+        raise errors[0]
+    return results
+
+
+def _double(y: np.ndarray) -> np.ndarray:
+    return y + y
+
+
+def _double_backward(op: Module, g: np.ndarray) -> np.ndarray:
+    return op.backward(g + g)
+
+
+def _left_sum(*terms: np.ndarray) -> np.ndarray:
+    return reduce(operator.add, terms)
+
 
 class CellDag(Module):
     """The Eq. 5 cell DAG shared by :class:`Cell` and the HyperNet's
@@ -37,11 +117,19 @@ class CellDag(Module):
 
     :meth:`_walk` runs a path forward — the two preprocessing modules,
     then per computed node the sum of its two edge ops over earlier
-    states — and :meth:`backward` runs it in reverse.  An edge module
-    picked by both slots of a node (only in the HyperNet, where one module
-    serves each ``(input, op)`` pair) runs once and its output is doubled,
-    so its single cache pairs with one backward of the doubled gradient;
-    doubling is exact, so its parameter gradients equal a two-pass sum.
+    states — and :meth:`backward` runs it in reverse.  Both build a small
+    task graph (one task per module call, one per sum) and hand it to
+    :func:`run_tasks`, so independent edges run on two threads.  The
+    result is bitwise the serial one: every module runs the same kernels
+    on the same arrays, each module is touched by one edge per step, and
+    every sum keeps its serial operands and order — ``ya + yb`` forward,
+    and per state a left fold over its loose-end slice and then its
+    contributions, nodes in reverse order and slot a before slot b.  An
+    edge module picked by both slots of a node (only in the HyperNet,
+    where one module serves each ``(input, op)`` pair) runs once and its
+    output is doubled, so its single cache pairs with one backward of the
+    doubled gradient; doubling is exact, so its parameter gradients equal
+    a two-pass sum.
     """
 
     channels: int
@@ -54,13 +142,20 @@ class CellDag(Module):
         self, s0: np.ndarray, s1: np.ndarray, pre: tuple[Module, Module],
         active: Sequence[tuple[Module, Module]], spec: CellGenotype,
     ) -> np.ndarray:
-        states = [pre[0](s0), pre[1](s1)]
+        tasks: list[tuple[Callable, tuple[int, ...]]] = [
+            (partial(pre[0], s0), ()), (partial(pre[1], s1), ()),
+        ]
+        state_task = [0, 1]
         for (op_a, op_b), node in zip(active, spec.nodes):
+            tasks.append((op_a, (state_task[node.input1],)))
             if op_a is op_b:
-                y = op_a(states[node.input1])
-                states.append(y + y)
+                tasks.append((_double, (len(tasks) - 1,)))
             else:
-                states.append(op_a(states[node.input1]) + op_b(states[node.input2]))
+                tasks.append((op_b, (state_task[node.input2],)))
+                tasks.append((operator.add, (len(tasks) - 2, len(tasks) - 1)))
+            state_task.append(len(tasks) - 1)
+        results = run_tasks(tasks)
+        states = [results[t] for t in state_task]
         self._pre, self._active, self._spec, self._states = pre, active, spec, states
         return np.concatenate([states[i] for i in spec.loose_ends()], axis=1)
 
@@ -75,28 +170,43 @@ class CellDag(Module):
         if self._states is None:
             raise RuntimeError("backward before forward")
         assert self._spec is not None and self._active is not None and self._pre
-        spec, c = self._spec, self.channels
-        node_grads: list[np.ndarray | None] = [None] * NUM_NODES
+        spec, c, states = self._spec, self.channels, self._states
+        tasks: list[tuple[Callable, tuple[int, ...]]] = []
+        # Per state, the tasks whose values sum to its gradient, in order.
+        terms: list[list[int]] = [[] for _ in range(NUM_NODES)]
         for pos, node_idx in enumerate(spec.loose_ends()):
-            node_grads[node_idx] = np.ascontiguousarray(
-                grad_out[:, pos * c : (pos + 1) * c]
-            )
+            grad_slice = grad_out[:, pos * c : (pos + 1) * c]
+            terms[node_idx].append(len(tasks))
+            tasks.append((partial(np.ascontiguousarray, grad_slice), ()))
+
+        def state_grad(idx: int) -> int:
+            """Task index of state ``idx``'s gradient, once its terms are in."""
+            if not terms[idx]:  # an input state no edge reads
+                tasks.append((partial(np.zeros_like, states[idx]), ()))
+            elif len(terms[idx]) > 1:
+                tasks.append((_left_sum, tuple(terms[idx])))
+            else:
+                return terms[idx][0]
+            return len(tasks) - 1
+
         # Reverse topological order over computed nodes.
         for offset in range(len(spec.nodes) - 1, -1, -1):
-            g = node_grads[offset + 2]
-            if g is None:  # node feeds nothing (can happen only for loose ends)
-                continue
+            g = state_grad(offset + 2)
             node = spec.nodes[offset]
             op_a, op_b = self._active[offset]
             if op_a is op_b:
-                _accumulate(node_grads, node.input1, op_a.backward(g + g))
+                terms[node.input1].append(len(tasks))
+                tasks.append((partial(_double_backward, op_a), (g,)))
             else:
-                _accumulate(node_grads, node.input1, op_a.backward(g))
-                _accumulate(node_grads, node.input2, op_b.backward(g))
-        g0 = node_grads[0] if node_grads[0] is not None else np.zeros_like(self._states[0])
-        g1 = node_grads[1] if node_grads[1] is not None else np.zeros_like(self._states[1])
-        pre0, pre1 = self._pre
-        return pre0.backward(g0), pre1.backward(g1)
+                terms[node.input1].append(len(tasks))
+                tasks.append((op_a.backward, (g,)))
+                terms[node.input2].append(len(tasks))
+                tasks.append((op_b.backward, (g,)))
+        g0, g1 = state_grad(0), state_grad(1)
+        tasks.append((self._pre[0].backward, (g0,)))
+        tasks.append((self._pre[1].backward, (g1,)))
+        results = run_tasks(tasks)
+        return results[-2], results[-1]
 
 
 class Cell(CellDag):

@@ -10,7 +10,6 @@ on the whole prefix) wins.  Implemented so that claim is measurable.
 
 from __future__ import annotations
 
-import math
 from typing import Callable
 
 import numpy as np

@@ -66,6 +66,11 @@ class YosoConfig:
     store_path: str | None = None
     seed: int = 0
 
+    def __post_init__(self) -> None:
+        # Step 3 rescores the top-N; fail here, not after Steps 1 and 2.
+        if self.topn < 1:
+            raise ValueError("topn must be >= 1")
+
 
 @dataclass(frozen=True)
 class RescoredCandidate:

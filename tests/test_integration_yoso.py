@@ -72,6 +72,12 @@ class TestPipeline:
         with pytest.raises(RuntimeError):
             search.finalize()
 
+    @pytest.mark.parametrize("topn", [0, -1])
+    def test_topn_below_one_rejected_at_construction(self, topn):
+        # Step 3 rescores the top-N: a bad topn must fail before Steps 1-2.
+        with pytest.raises(ValueError, match="topn"):
+            YosoConfig(topn=topn)
+
     def test_artifacts_exposed(self, pipeline_result):
         _, search = pipeline_result
         assert search.hypernet is not None
