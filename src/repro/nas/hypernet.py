@@ -25,7 +25,8 @@ Implementation notes
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from functools import partial
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -42,6 +43,7 @@ from ..nn.layers import (
 )
 from ..nn.module import Module, Parameter
 from ..nn.optim import SGD, CosineSchedule, clip_grad_norm
+from . import network
 from .genotype import NUM_COMPUTED, NUM_NODES, CellGenotype, Genotype
 from .network import CellDag, network_backward
 from .ops import OP_NAMES, build_op
@@ -176,6 +178,15 @@ class MixedCell(CellDag):
         per distinct ``(predecessor, op)`` choice.  Without tokens every
         path is treated as distinct.
 
+        The cell runs as a task graph on the calling thread and the helper
+        thread (:func:`~repro.nas.network.run_tasks`): one task per
+        preprocessing, one per edge group, and per node a chain of
+        accumulate tasks, one per group in sorted group order, that write
+        or add the group's segments into the node's state.  The chain keeps
+        every path's write-then-add order, so the schedule cannot change a
+        bit, and a state that is no path's loose end is dropped once the
+        last edge reading it has run.
+
         Batch-norm statistics stay per-path (segmented batch norm inside
         :func:`~repro.nn.infer.forward_infer`), and every kernel is
         per-sample maths, so each path's output is bitwise equal to the
@@ -190,10 +201,11 @@ class MixedCell(CellDag):
             s0_ids = list(range(num_paths))
         if s1_ids is None:
             s1_ids = list(range(num_paths))
-        states: list[np.ndarray] = [
-            self._run_grouped(self.preprocess0, s0_list, s0_ids),
-            self._run_grouped(self.preprocess1, s1_list, s1_ids),
+        tasks: list[tuple[Callable, tuple[int, ...]]] = [
+            (partial(self._run_grouped, self.preprocess0, s0_list, s0_ids), ()),
+            (partial(self._run_grouped, self.preprocess1, s1_list, s1_ids), ()),
         ]
+        state_task = [0, 1]
         # Identity tokens per state: preprocessing is deterministic, so a
         # state's identity is its input's identity; computed nodes derive
         # theirs from their two (input identity, op) pairs.
@@ -229,37 +241,33 @@ class MixedCell(CellDag):
                         node.op2,
                     )
                 )
-            acc: np.ndarray | None = None
             # First contribution per path is written, the second added —
             # every node has exactly two edge slots, so no zero-fill pass.
             written = [False] * num_paths
+            acc_task: int | None = None
             for (pred, op_name), by_id in sorted(edges.items()):
                 op = self.edge_ops[(node_idx, pred, op_name)]
-                src = states[pred]
                 reps = [members[0] for members in by_id.values()]
-                # Row-block lists let the op's first kernel fuse the
-                # gather into its padding/ReLU pass (no concatenate).
-                stacked = (
-                    [src[g * b : (g + 1) * b] for g in reps]
-                    if len(reps) > 1
-                    else src[reps[0] * b : (reps[0] + 1) * b]
+                tasks.append(
+                    (partial(_edge_forward, op, b, reps), (state_task[pred],))
                 )
-                out = forward_infer(op, stacked, segments=len(reps))
-                if acc is None:
-                    acc = np.empty(
-                        (num_paths * b, *out.shape[1:]), dtype=out.dtype
-                    )
+                plan: list[tuple[int, int, bool]] = []
                 for j, members in enumerate(by_id.values()):
-                    seg = out[j * b : (j + 1) * b]
                     for g in members:
-                        if written[g]:
-                            acc[g * b : (g + 1) * b] += seg
-                        else:
-                            acc[g * b : (g + 1) * b] = seg
-                            written[g] = True
-            assert acc is not None and all(written)
-            states.append(acc)
+                        plan.append((j, g, written[g]))
+                        written[g] = True
+                accumulate = partial(_accumulate, b, num_paths * b, plan)
+                if acc_task is None:
+                    tasks.append((accumulate, (len(tasks) - 1,)))
+                else:
+                    tasks.append((accumulate, (len(tasks) - 1, acc_task)))
+                acc_task = len(tasks) - 1
+            assert acc_task is not None and all(written)
+            state_task.append(acc_task)
             toks.append(node_toks)
+        loose_tasks = {state_task[i] for spec in specs for i in spec.loose_ends()}
+        results = network.run_tasks(tasks, loose_tasks)
+        states = [results[t] for t in state_task]
         # Cell outputs, deduplicated on identity: paths whose loose-end
         # states are all identical share one concatenated array object.
         outputs: dict[tuple, np.ndarray] = {}
@@ -275,6 +283,42 @@ class MixedCell(CellDag):
                 outputs[key] = out
             result.append(out)
         return result
+
+
+def _edge_forward(
+    op: Module, b: int, reps: list[int], src: np.ndarray
+) -> np.ndarray:
+    """One edge group: ``op`` over the stacked ``b``-row blocks ``reps`` of
+    its input state, one batch-norm segment per block."""
+    # Row-block lists let the op's first kernel fuse the gather into its
+    # padding/ReLU pass (no concatenate).
+    stacked = (
+        [src[g * b : (g + 1) * b] for g in reps]
+        if len(reps) > 1
+        else src[reps[0] * b : (reps[0] + 1) * b]
+    )
+    return forward_infer(op, stacked, segments=len(reps))
+
+
+def _accumulate(
+    b: int,
+    rows: int,
+    plan: list[tuple[int, int, bool]],
+    out: np.ndarray,
+    acc: np.ndarray | None = None,
+) -> np.ndarray:
+    """Write or add an edge group's output into a node's state ``acc``
+    (allocated with ``rows`` rows when ``None``): ``plan`` holds
+    ``(segment, path, add)`` per contribution, in order."""
+    if acc is None:
+        acc = np.empty((rows, *out.shape[1:]), dtype=out.dtype)
+    for j, g, add in plan:
+        seg = out[j * b : (j + 1) * b]
+        if add:
+            acc[g * b : (g + 1) * b] += seg
+        else:
+            acc[g * b : (g + 1) * b] = seg
+    return acc
 
 
 class HyperNet(Module):

@@ -16,7 +16,7 @@ import operator
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from functools import partial, reduce
-from typing import Callable, Sequence
+from typing import Callable, Container, Sequence
 
 import numpy as np
 
@@ -36,40 +36,54 @@ from .ops import build_op
 
 __all__ = ["Cell", "CellNetwork"]
 
-# The one helper thread every task graph shares (started on first use).
+# The one helper thread every task graph shares (started on first use),
+# and the number of graphs in flight on any thread (under its lock).
 _HELPER = ThreadPoolExecutor(max_workers=1, thread_name_prefix="repro-edge")
+_graphs = 0
+_graphs_lock = threading.Lock()
 
 
-def run_tasks(tasks: Sequence[tuple[Callable, tuple[int, ...]]]) -> list:
+def run_tasks(
+    tasks: Sequence[tuple[Callable, tuple[int, ...]]], keep: Container[int]
+) -> list:
     """Run a task graph on the calling thread and the helper thread.
 
     Task ``i`` is ``(fn, deps)`` with every index in ``deps`` below ``i``;
     its result is ``fn(*(result[d] for d in deps))``.  Each of the two
-    runners takes the lowest-index ready task.  The helper runs under a
-    copy of the caller's :mod:`contextvars` context; if it has not started
-    (it is busy with another caller's graph) when the caller is done, it
-    is cancelled rather than waited for.  A task error is raised once
+    runners takes the lowest-index ready task.  A result is dropped once
+    the last task reading it has run, unless its index is in ``keep``, so
+    a graph holds only the intermediates still to be read.  The helper
+    runs under a copy of the caller's :mod:`contextvars` context; if it
+    has not started (it is busy with another caller's graph) when the
+    caller is done, it is cancelled rather than waited for.  It takes a
+    task only while this graph is the only one in flight: callers on
+    other threads (pool threads sharding a population or a training
+    list) already keep the CPUs busy, and a third runner among them
+    stretches each graph's critical path.  A task error is raised once
     neither runner is still running a task.  Returns the results in task
-    order.
+    order: the kept ones, those no task reads, and ``None`` for the
+    dropped ones.
     """
+    global _graphs
     results: list = [None] * len(tasks)
     waiting = [len(deps) for _, deps in tasks]
     users: list[list[int]] = [[] for _ in tasks]
     for i, (_, deps) in enumerate(tasks):
         for d in deps:
             users[d].append(i)
+    unread = [len(u) for u in users]
     ready = [i for i, n in enumerate(waiting) if n == 0]  # sorted: a heap
     running = 0
     errors: list[BaseException] = []
     cond = threading.Condition(threading.Lock())
 
-    def runner() -> None:
+    def runner(helper: bool) -> None:
         nonlocal running
         with cond:
             while True:
                 while running and not ready and not errors:
                     cond.wait()
-                if errors or not ready:
+                if errors or not ready or (helper and _graphs > 1):
                     return
                 i = heapq.heappop(ready)
                 fn, deps = tasks[i]
@@ -82,18 +96,26 @@ def run_tasks(tasks: Sequence[tuple[Callable, tuple[int, ...]]]) -> list:
                 finally:
                     cond.acquire()
                     running -= 1
+                for d in deps:
+                    unread[d] -= 1
+                    if not unread[d] and d not in keep:
+                        results[d] = None
                 for user in users[i]:
                     waiting[user] -= 1
                     if not waiting[user]:
                         heapq.heappush(ready, user)
                 cond.notify_all()
 
-    helper = _HELPER.submit(contextvars.copy_context().run, runner)
+    with _graphs_lock:
+        _graphs += 1
+    helper = _HELPER.submit(contextvars.copy_context().run, runner, True)
     try:
-        runner()
+        runner(False)
     finally:
         if not helper.cancel():
             helper.result()
+        with _graphs_lock:
+            _graphs -= 1
     if errors:
         raise errors[0]
     return results
@@ -154,7 +176,7 @@ class CellDag(Module):
                 tasks.append((op_b, (state_task[node.input2],)))
                 tasks.append((operator.add, (len(tasks) - 2, len(tasks) - 1)))
             state_task.append(len(tasks) - 1)
-        results = run_tasks(tasks)
+        results = run_tasks(tasks, state_task)
         states = [results[t] for t in state_task]
         self._pre, self._active, self._spec, self._states = pre, active, spec, states
         return np.concatenate([states[i] for i in spec.loose_ends()], axis=1)
@@ -205,7 +227,7 @@ class CellDag(Module):
         g0, g1 = state_grad(0), state_grad(1)
         tasks.append((self._pre[0].backward, (g0,)))
         tasks.append((self._pre[1].backward, (g1,)))
-        results = run_tasks(tasks)
+        results = run_tasks(tasks, (len(tasks) - 2, len(tasks) - 1))
         return results[-2], results[-1]
 
 

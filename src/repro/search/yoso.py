@@ -67,9 +67,12 @@ class YosoConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        # Step 3 rescores the top-N; fail here, not after Steps 1 and 2.
-        if self.topn < 1:
-            raise ValueError("topn must be >= 1")
+        # Fail here, not mid-pipeline: Step 3 rescores the top-N, a zero
+        # eval_batch breaks the first test run after Step-1 training, and
+        # ReinforceSearch would silently clamp a zero search_batch to 1.
+        for name in ("topn", "eval_batch", "search_batch", "hypernet_batch"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
 
 
 @dataclass(frozen=True)

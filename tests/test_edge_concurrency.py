@@ -13,7 +13,10 @@ one thread; every result must be ``==`` it, never merely close:
   caller, no task is still running afterwards, and the next step is
   exact;
 * ``train_accuracies`` at ``workers=2``, whose two pool threads share
-  the one helper, and a caller whose helper is busy elsewhere.
+  the one helper, and a caller whose helper is busy elsewhere;
+* the grouped ``HyperNet.forward_many`` / ``evaluate_many`` over
+  hypothesis-sampled populations (shared first cells, aliased edges),
+  which must also equal the scalar ``HyperNet.evaluate``.
 
 CI runs this module in the parallel job, once with one BLAS thread and
 once with default BLAS threading.
@@ -24,6 +27,7 @@ from __future__ import annotations
 import sys
 import threading
 import time
+import weakref
 from functools import partial
 
 import numpy as np
@@ -39,6 +43,7 @@ from repro.nas.ops import OP_NAMES
 from repro.nas.train import train_network
 from repro.nn.data import SyntheticCifar
 from repro.nn.layers import BatchNorm2d
+from repro.nn.module import Module
 
 _DATASET = SyntheticCifar(image_size=8, train_size=48, val_size=16, test_size=16, seed=0)
 _BATCHES = list(
@@ -48,8 +53,9 @@ _BATCHES = list(
 )
 
 
-def serial_run_tasks(tasks):
-    """The reference runner: every task in index order, on this thread."""
+def serial_run_tasks(tasks, keep=()):
+    """The reference runner: every task in index order, on this thread,
+    keeping every result."""
     results: list = []
     for fn, deps in tasks:
         results.append(fn(*[results[d] for d in deps]))
@@ -74,6 +80,19 @@ def cells(draw) -> CellGenotype:
 
 
 genotypes = st.builds(Genotype, normal=cells(), reduce=cells())
+
+
+@st.composite
+def populations(draw) -> list[Genotype]:
+    """1-4 genotypes over at most two normal and two reduce cells, so
+    paths share first-cell work (equal normal cells see equal identity
+    tokens), repeat whole genotypes and alias edges."""
+    normals = draw(st.lists(cells(), min_size=1, max_size=2))
+    reduces = draw(st.lists(cells(), min_size=1, max_size=2))
+    return [
+        Genotype(normal=draw(st.sampled_from(normals)), reduce=draw(st.sampled_from(reduces)))
+        for _ in range(draw(st.integers(1, 4)))
+    ]
 
 
 def _bn_stats(modules) -> list[np.ndarray]:
@@ -154,7 +173,31 @@ class TestRunTasks:
     def test_results_in_task_order(self):
         tasks = [(lambda: 2, ()), (lambda: 3, ()), (lambda a, b: a * 10 + b, (0, 1)),
                  (lambda c, a: c - a, (2, 0))]
-        assert run_tasks(tasks) == [2, 3, 23, 21]
+        assert run_tasks(tasks, range(4)) == [2, 3, 23, 21]
+
+    def test_consumed_results_are_dropped_unless_kept(self):
+        class Box:
+            pass
+
+        refs: dict[str, weakref.ref] = {}
+
+        def make(name: str):
+            def task() -> Box:
+                box = Box()
+                refs[name] = weakref.ref(box)
+                return box
+
+            return task
+
+        def check(_) -> tuple[bool, bool]:
+            return refs["dropped"]() is None, refs["kept"]() is not None
+
+        tasks = [(make("dropped"), ()), (make("kept"), ()), (lambda a, b: None, (0, 1)),
+                 (check, (2,))]
+        results = run_tasks(tasks, keep={1})
+        assert results[3] == (True, True)
+        assert results[0] is None and results[2] is None
+        assert results[1] is refs["kept"]()
 
     def test_independent_tasks_run_on_two_threads(self):
         # Task 0 waits until task 1 has started: only a second runner can
@@ -170,7 +213,7 @@ class TestRunTasks:
             names.append(threading.current_thread().name)
             started.set()
 
-        assert run_tasks([(first, ()), (second, ())])[0] is True
+        assert run_tasks([(first, ()), (second, ())], ())[0] is True
         assert len(set(names)) == 2
 
     def test_error_is_raised_after_both_runners_stop(self):
@@ -186,8 +229,40 @@ class TestRunTasks:
 
         for order in ([slow, boom], [boom, slow]):
             with pytest.raises(ValueError, match="task failed"):
-                run_tasks([(fn, ()) for fn in order])
+                run_tasks([(fn, ()) for fn in order], ())
             assert active == []
+
+    def test_helper_stays_out_while_another_graph_runs(self):
+        # The helper is held busy until a second caller's graph is in
+        # flight; once free it must leave both graphs to their callers.
+        gate, other_started, other_release = (threading.Event() for _ in range(3))
+        blocker = network._HELPER.submit(gate.wait, 60.0)
+
+        def other_caller() -> None:
+            run_tasks([(lambda: (other_started.set(), other_release.wait(60.0)), ())], ())
+
+        other = threading.Thread(target=other_caller)
+
+        def start_other() -> None:
+            other.start()
+            assert other_started.wait(10.0)
+            gate.set()
+
+        def named() -> str:
+            time.sleep(0.02)
+            return threading.current_thread().name
+
+        tasks = [(start_other, ())] + [(lambda _: named(), (0,)) for _ in range(4)]
+        try:
+            names = run_tasks(tasks, ())[1:]
+        finally:
+            gate.set()
+            other_release.set()
+            blocker.result()
+            if other.is_alive():
+                other.join(timeout=60.0)
+        assert not other.is_alive()
+        assert set(names) == {threading.current_thread().name}
 
     def test_stress_three_callers_short_switch_interval(self):
         # Random DAGs of cheap tasks from three threads at once, sharing
@@ -208,7 +283,7 @@ class TestRunTasks:
             try:
                 for _ in range(50):
                     for tasks, expected in zip(graphs[k::3], want[k::3]):
-                        assert run_tasks(tasks) == expected
+                        assert run_tasks(tasks, range(len(tasks))) == expected
             except BaseException as exc:  # reported by the main thread
                 failures.append(exc)
 
@@ -330,6 +405,80 @@ class TestCellNetworkTraining:
 
 
 # ---------------------------------------------------------------------------
+# The grouped forward (HyperNet.forward_many / evaluate_many)
+# ---------------------------------------------------------------------------
+
+_GROUPED_NET = HyperNet(num_cells=3, stem_channels=4, rng=np.random.default_rng(0))
+_TEST = _DATASET.test
+
+
+def _grouped(population: list[Genotype]) -> tuple[list[np.ndarray], list[float]]:
+    logits = _GROUPED_NET.forward_many(_TEST.images, population)
+    accs = _GROUPED_NET.evaluate_many(
+        population, _TEST.images, _TEST.labels, batch_size=8, genotype_batch=2
+    )
+    return logits, accs
+
+
+def _serial_grouped(population: list[Genotype]) -> tuple[list[np.ndarray], list[float]]:
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(network, "run_tasks", serial_run_tasks)
+        return _grouped(population)
+
+
+class _Boom(Module):
+    """An edge op that fails: ``forward_infer`` rejects its type."""
+
+
+class TestGroupedForward:
+    @settings(deadline=None, max_examples=10)
+    @given(populations())
+    def test_equals_serial_order_and_scalar_oracle(self, population):
+        logits, accs = _grouped(population)
+        want_logits, want_accs = _serial_grouped(population)
+        _assert_same(logits, want_logits)
+        assert accs == want_accs
+        for geno, got in zip(population, logits):
+            assert np.array_equal(got, _GROUPED_NET.forward(_TEST.images, geno))
+        scalar = [
+            _GROUPED_NET.evaluate(geno, _TEST.images, _TEST.labels, batch_size=8)
+            for geno in population
+        ]
+        assert accs == scalar
+
+    def test_edge_error_reaches_caller_with_no_task_running(self, genotype, aliased_genotype):
+        population = [genotype, aliased_genotype]
+        want = _serial_grouped(population)
+        cell = _GROUPED_NET.cells[0]
+        node = genotype.normal.nodes[2]
+        key = (4, node.input1, node.op1)
+        active: list = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(network, "run_tasks", _slowed_runner(active))
+            mp.setitem(cell.edge_ops, key, _Boom())
+            with pytest.raises(TypeError):
+                _GROUPED_NET.forward_many(_TEST.images, population)
+            assert active == []
+        got = _grouped(population)
+        _assert_same(got[0], want[0])
+        assert got[1] == want[1]
+
+    def test_caller_never_waits_for_a_busy_helper(self, genotype, aliased_genotype):
+        population = [genotype, aliased_genotype]
+        want = _serial_grouped(population)
+        gate = threading.Event()
+        blocker = network._HELPER.submit(gate.wait, 60.0)
+        try:
+            got = _grouped(population)
+            assert not blocker.done()
+        finally:
+            gate.set()
+            blocker.result()
+        _assert_same(got[0], want[0])
+        assert got[1] == want[1]
+
+
+# ---------------------------------------------------------------------------
 # Failures and nesting
 # ---------------------------------------------------------------------------
 
@@ -348,7 +497,7 @@ def _slowed_runner(active: list):
 
         return task
 
-    return lambda tasks: run_tasks([(wrap(fn), deps) for fn, deps in tasks])
+    return lambda tasks, keep: run_tasks([(wrap(fn), deps) for fn, deps in tasks], keep)
 
 
 class TestFailures:

@@ -78,6 +78,14 @@ class TestPipeline:
         with pytest.raises(ValueError, match="topn"):
             YosoConfig(topn=topn)
 
+    @pytest.mark.parametrize("field", ["eval_batch", "search_batch", "hypernet_batch"])
+    @pytest.mark.parametrize("size", [0, -1])
+    def test_batch_size_below_one_rejected_at_construction(self, field, size):
+        # eval_batch=0 would fail only after Step-1 training, and
+        # search_batch=0 would be clamped to 1: reject them up front.
+        with pytest.raises(ValueError, match=field):
+            YosoConfig(**{field: size})
+
     def test_artifacts_exposed(self, pipeline_result):
         _, search = pipeline_result
         assert search.hypernet is not None
