@@ -241,8 +241,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="TCP port (0 = OS-assigned, printed on startup)")
     p.add_argument("--tick-s", type=float, default=0.002,
                    help="coalescing window: how long the scheduler waits "
-                        "after traffic arrives before batching (latency "
-                        "floor vs batch size — see docs/PERFORMANCE.md)")
+                        "after cold traffic arrives before batching (latency "
+                        "floor vs batch size; all-cached requests skip it "
+                        "— see docs/PERFORMANCE.md)")
     p.add_argument("--max-batch-points", type=int, default=4096,
                    help="largest coalesced batch the scheduler runs at once")
     p.add_argument("--max-inflight", type=int, default=4096,

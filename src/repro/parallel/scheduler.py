@@ -17,7 +17,12 @@ Operation:
 
 * ``auto_start=True`` (default) runs a daemon scheduler thread: it
   sleeps while the queue is empty, and on traffic waits ``tick_s``
-  (the coalescing window) before draining the queue.
+  (the coalescing window) before draining the queue — unless the
+  evaluator reports every pending point warm (``all_warm``), in which
+  case it drains at once.  Waiting pays off by merging HyperNet
+  forwards; a warm batch runs none (only cache reads and GP rows, which
+  cost about the same merged or not), so the window would only add
+  ``tick_s`` to every cache hit.
 * ``auto_start=False`` is the synchronous mode — callers enqueue with
   :meth:`submit` and drive batches explicitly with :meth:`flush` (the
   deterministic mode the coalescing tests use).
@@ -73,11 +78,16 @@ class _Request:
 class MicroBatchScheduler:
     """Coalesce concurrent evaluate requests into one batch per tick.
 
-    ``evaluator`` is anything with a list-in/list-out ``evaluate_many``
-    (a :class:`~repro.search.evaluator.BatchEvaluator` in production).
+    ``evaluator`` is a :class:`~repro.search.evaluator.BatchEvaluator` in
+    production.  Its contract is a list-in/list-out ``evaluate_many`` and,
+    for a scheduler thread with ``tick_s > 0``, a read-only
+    ``all_warm(points) -> bool`` that never raises (``True`` when
+    ``evaluate_many`` would run no HyperNet for any of the points).
     ``tick_s`` is the coalescing window the scheduler thread waits after
-    traffic arrives; ``max_batch_points`` bounds how many points a single
-    coalesced batch may hold (a single larger request still runs whole).
+    cold traffic arrives (warm traffic is drained at once; :meth:`flush`
+    and ``tick_s == 0`` never wait and never ask); ``max_batch_points``
+    bounds how many points a single coalesced batch may hold (a single
+    larger request still runs whole).
 
     ``retry`` (optional :class:`~repro.resilience.policy.RetryPolicy`)
     re-runs a batch whose evaluator raised a *retryable* error (transient
@@ -329,6 +339,13 @@ class MicroBatchScheduler:
                 raise RuntimeError("scheduler is closed")
             if self._thread is not None:
                 return
+            if self.tick_s > 0 and not hasattr(self.evaluator, "all_warm"):
+                # Fail here, not in the thread: a dead scheduler thread
+                # would leave every submitted future pending forever.
+                raise TypeError(
+                    "a scheduler thread with tick_s > 0 needs an evaluator "
+                    "with all_warm(points)"
+                )
             self._thread = threading.Thread(
                 target=self._loop, name="microbatch-scheduler", daemon=True
             )
@@ -341,9 +358,13 @@ class MicroBatchScheduler:
                     self._cond.wait()
                 if self._closed and not self._pending:
                     return
-                closing = self._closed
-            if self.tick_s > 0 and not closing:
+                window = self.tick_s > 0 and not self._closed
+                if window:
+                    pending = [p for request in self._pending for p in request.points]
+            if window and not self.evaluator.all_warm(pending):
                 # The coalescing window: let concurrent submitters pile in.
+                # Only cold work waits: merging is what saves HyperNet
+                # forwards, and warm points run none.
                 time.sleep(self.tick_s)
             with self._dispatch:
                 batch = self._take_batch()

@@ -302,6 +302,26 @@ class BatchEvaluator:
         """Scalar convenience entry point (drop-in for FastEvaluator)."""
         return self.evaluate_many([point])[0]
 
+    def all_warm(self, points: Sequence[CoDesignPoint]) -> bool:
+        """Whether :meth:`evaluate_many` would run no HyperNet for ``points``.
+
+        A point is warm when its key is in the result LRU or its genotype
+        is in the genotype LRU.  Read-only: LRU recency, ``hits``/
+        ``misses`` and the registry counters are untouched.  Never raises:
+        a point that cannot be keyed counts as cold (its error reaches the
+        caller from :meth:`evaluate_many`), as does a point that only the
+        durable store holds.
+        """
+        for point in points:
+            try:
+                key = self._key_of(point)
+                warm = key in self._lru or self._geno_key_of(key) in self._geno_lru
+            except Exception:  # unkeyable; evaluate_many reports why
+                return False
+            if not warm:
+                return False
+        return True
+
     def evaluate_many(self, points: Sequence[CoDesignPoint]) -> list[Evaluation]:
         """Score a batch of co-design points (cached, order-preserving).
 

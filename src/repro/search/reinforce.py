@@ -181,12 +181,14 @@ class ReinforceSearch(Searcher):
         seed: int = 0,
         evaluate_batch: Callable[[list[CoDesignPoint]], list[Evaluation]] | None = None,
     ) -> None:
+        if batch_episodes < 1:
+            raise ValueError("batch_episodes must be >= 1")
         super().__init__(evaluate, reward_spec, seed, evaluate_batch)
         self.controller = controller
         self.optimiser = Adam(controller.parameters(), lr=lr)
         self.baseline_decay = baseline_decay
         self.entropy_weight = entropy_weight
-        self.batch_episodes = max(1, batch_episodes)
+        self.batch_episodes = batch_episodes
         self.grad_clip = grad_clip
         self.baseline: float | None = None
 

@@ -20,7 +20,8 @@ Execution model — three layers, each with one job:
 * the **scheduler thread** coalesces every admitted request pending at a
   tick into one ``evaluate_many`` call on the evaluator — N concurrent
   clients cost one grouped HyperNet forward / GP prediction / pool
-  dispatch per tick, not N.
+  dispatch per tick, not N.  Only cold work waits the window; requests
+  the evaluator's caches already hold are served at once.
 
 Results are bit-identical to calling ``evaluate_many`` in-process: the
 wire codec round-trips points and evaluations exactly, and coalescing
@@ -135,10 +136,12 @@ class SearchService:
     """One persistent evaluator behind a micro-batching TCP endpoint.
 
     ``evaluator`` is anything evaluator-shaped (list-in/list-out
-    ``evaluate_many``); the service wraps it in its own
+    ``evaluate_many``, plus the read-only ``all_warm`` peek when
+    ``tick_s > 0``); the service wraps it in its own
     :class:`~repro.parallel.scheduler.MicroBatchScheduler` (``tick_s`` is
-    the coalescing window, ``max_batch_points`` bounds one coalesced
-    batch).  ``max_inflight_points`` is the backpressure budget.  The
+    the coalescing window, waited only when some pending point is cold,
+    so cache hits never sleep through it; ``max_batch_points`` bounds one
+    coalesced batch).  ``max_inflight_points`` is the backpressure budget.  The
     caller keeps the evaluator's lifecycle (its worker threads).
 
     A durable tier-2 result store makes restarts warm (``yoso serve

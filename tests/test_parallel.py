@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import threading
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -27,6 +28,8 @@ import pytest
 from repro.accel.config import enumerate_configs, random_config
 from repro.nas.encoding import CoDesignPoint, decode, encode
 from repro.nas.space import DnnSpace
+from repro.obs.registry import get_registry
+from repro.parallel import scheduler as scheduler_module
 from repro.parallel import (
     MicroBatchScheduler,
     WorkerPool,
@@ -272,6 +275,124 @@ class TestMicroBatchScheduler:
             MicroBatchScheduler(evaluator, tick_s=-1.0)
         with pytest.raises(ValueError):
             MicroBatchScheduler(evaluator, max_batch_points=0)
+
+
+@pytest.fixture
+def waits(monkeypatch) -> list[float]:
+    """The scheduler thread's coalescing waits, in order (each still
+    sleeps, so the window keeps its meaning)."""
+    recorded: list[float] = []
+
+    def sleep(seconds: float) -> None:
+        recorded.append(seconds)
+        time.sleep(seconds)
+
+    monkeypatch.setattr(
+        scheduler_module,
+        "time",
+        SimpleNamespace(perf_counter=time.perf_counter, sleep=sleep),
+    )
+    return recorded
+
+
+class _NoPeekEvaluator:
+    """Evaluator stub whose warmth check must never be consulted."""
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    def all_warm(self, points):
+        raise AssertionError("all_warm consulted")
+
+    def evaluate_many(self, points):
+        return self.inner.evaluate_many(points)
+
+
+class TestWarmWindow:
+    """The coalescing window is waited only when the HyperNet would run."""
+
+    def test_warm_batch_skips_the_window_cold_batch_waits(
+        self, smoke_context, waits
+    ):
+        evaluator = BatchEvaluator(smoke_context.fast_evaluator)
+        points = _population(4, seed=97)
+        # Warm by result key (points[:3]) and by genotype alone (a warmed
+        # architecture re-paired with a configuration never scored).
+        rehomed = CoDesignPoint(
+            points[0].genotype, random_config(np.random.default_rng(5))
+        )
+        evaluator.evaluate_many(points[:3])
+        warm = points[:3] + [rehomed]
+        reference = BatchEvaluator(smoke_context.fast_evaluator).evaluate_many(
+            points + [rehomed]
+        )
+        with MicroBatchScheduler(evaluator, tick_s=0.01) as scheduler:
+            assert scheduler.evaluate_many(warm) == reference[:3] + reference[4:]
+            assert waits == [], "an all-warm batch is dispatched with no window"
+            # One cold point among warm ones: the whole batch waits.
+            assert scheduler.evaluate_many(points) == reference[:4]
+            assert waits == [0.01]
+
+    def test_peek_is_read_only(self, smoke_context):
+        evaluator = BatchEvaluator(smoke_context.fast_evaluator)
+        points = _population(4, seed=99)
+        evaluator.evaluate_many(points[:3])
+        registry = get_registry()
+
+        def state():
+            return (
+                evaluator.hits,
+                evaluator.misses,
+                list(evaluator._lru),
+                list(evaluator._geno_lru),
+                registry.snapshot()["counters"],
+            )
+
+        before = state()
+        # Reversed, so a peek that refreshed recency would reorder the LRUs.
+        assert evaluator.all_warm(points[2::-1])
+        assert state() == before
+        assert not evaluator.all_warm(points)
+        assert state() == before
+        assert not evaluator.all_warm([object()]), "unkeyable counts as cold"
+        assert evaluator.all_warm([])
+        assert state() == before
+
+    def test_malformed_point_fails_its_own_future(self, smoke_context, waits):
+        evaluator = BatchEvaluator(smoke_context.fast_evaluator)
+        points = _population(2, seed=101)
+        reference = evaluator.evaluate_many(points)
+        with pytest.raises(Exception) as direct:
+            BatchEvaluator(smoke_context.fast_evaluator).evaluate_many([object()])
+        with MicroBatchScheduler(evaluator, tick_s=0.005) as scheduler:
+            error = scheduler.submit([object()]).exception(timeout=30.0)
+            assert type(error) is direct.type
+            assert str(error) == str(direct.value)
+            assert scheduler._thread.is_alive()
+            assert scheduler.evaluate_many(points) == reference
+        assert waits == [0.005], "the unkeyable request waited as cold work"
+
+    def test_flush_and_zero_tick_never_peek(self, smoke_context, waits):
+        inner = BatchEvaluator(smoke_context.fast_evaluator)
+        points = _population(2, seed=103)
+        reference = inner.evaluate_many(points)
+        synchronous = MicroBatchScheduler(
+            _NoPeekEvaluator(inner), tick_s=0.01, auto_start=False
+        )
+        assert synchronous.evaluate_many(points) == reference
+        with MicroBatchScheduler(_NoPeekEvaluator(inner), tick_s=0.0) as eager:
+            assert eager.evaluate_many(points) == reference
+        assert waits == []
+
+    def test_windowed_thread_requires_the_peek(self, smoke_context):
+        class _EvaluateOnly:
+            def evaluate_many(self, points):
+                return [None] * len(points)
+
+        with pytest.raises(TypeError, match="all_warm"):
+            MicroBatchScheduler(_EvaluateOnly(), tick_s=0.002)
+        MicroBatchScheduler(_EvaluateOnly(), tick_s=0.0).close()
+        MicroBatchScheduler(_EvaluateOnly(), auto_start=False).close()
 
 
 # ---------------------------------------------------------------------------

@@ -110,6 +110,17 @@ class TestReinforceSearch:
         with pytest.raises(ValueError):
             search.run(0)
 
+    @pytest.mark.parametrize("batch_episodes", [0, -1])
+    def test_batch_episodes_below_one_rejected(self, batch_episodes):
+        with pytest.raises(ValueError, match="batch_episodes"):
+            ReinforceSearch(
+                Controller(seed=0),
+                fake_eval_constant,
+                SPEC,
+                batch_episodes=batch_episodes,
+                seed=0,
+            )
+
     def test_baseline_tracks_reward(self):
         search = ReinforceSearch(Controller(seed=1), fake_eval_constant, SPEC, seed=1)
         search.run(5)

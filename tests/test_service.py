@@ -12,6 +12,10 @@ Covers the guarantees the service makes:
   request (none dropped, none double-run) before the endpoint goes away.
 * **Backpressure** — the bounded in-flight points budget queues a flood
   instead of letting it balloon the scheduler queue.
+* **Partition independence** — for any point multiset, any split of it
+  into concurrent requests and any pre-warmed subset (so some requests
+  skip the coalescing window and some wait it), every response is
+  ``==`` the scalar ``FastEvaluator.evaluate`` of its point.
 
 CI runs this module inside the tier-1 suite and as a dedicated service
 job; everything here is spawn-safe and tolerant of 1-CPU hosts (no
@@ -26,6 +30,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.accel.config import random_config
 from repro.nas.encoding import CoDesignPoint, decode, encode
@@ -156,6 +162,9 @@ class _FailingEvaluator:
         self.inner = inner
         self.fail = True
 
+    def all_warm(self, points):
+        return self.inner.all_warm(points)
+
     def evaluate_many(self, points):
         if self.fail:
             raise ValueError("injected evaluator failure")
@@ -214,38 +223,6 @@ class TestSearchService:
         assert stats["scheduler"]["points_in"] == 8 * len(points)
         assert stats["scheduler"]["errors"] == 0
         assert 1 <= stats["scheduler"]["ticks"] <= 8
-
-    def test_overlapping_chunks_after_warmup_are_exact_slices(self, smoke_context):
-        """Warm traffic: once one client has scored the population, every
-        concurrent chunk request is served as exact slices of it."""
-        fast = smoke_context.fast_evaluator
-        points = _population(20, seed=17)
-        reference = BatchEvaluator(fast).evaluate_many(points)
-        chunks = [points[(3 * i) % 15 : (3 * i) % 15 + 5] for i in range(8)]
-        expected = [reference[(3 * i) % 15 : (3 * i) % 15 + 5] for i in range(8)]
-        results: list = [None] * 8
-        failures: list = []
-        with start_service(BatchEvaluator(fast), tick_s=0.002) as handle:
-            host, port = handle.address
-            with ServiceClient(host, port) as warm:
-                assert warm.evaluate_many(points) == reference
-
-            def client(i: int) -> None:
-                try:
-                    with ServiceClient(host, port) as c:
-                        results[i] = c.evaluate_many(chunks[i])
-                except BaseException as exc:  # pragma: no cover
-                    failures.append(exc)
-
-            threads = [
-                threading.Thread(target=client, args=(i,)) for i in range(8)
-            ]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(120.0)
-        assert failures == []
-        assert results == expected
 
     def test_evaluate_single_and_stats_verbs(self, smoke_context):
         fast = smoke_context.fast_evaluator
@@ -499,6 +476,76 @@ class TestSearchService:
             assert results == [reference, reference]
         finally:
             evaluator.close()
+
+
+# Four fresh architectures plus two of them re-paired with new hardware:
+# a pre-warmed architecture makes its re-pairing warm by genotype alone.
+_POOL = _population(4, seed=61)
+_POOL += [
+    CoDesignPoint(_POOL[i].genotype, random_config(np.random.default_rng(i)))
+    for i in (0, 1)
+]
+_ORACLE: dict[int, Evaluation] = {}
+
+
+class TestServicePartitionProperty:
+    @given(
+        picks=st.lists(st.integers(0, len(_POOL) - 1), min_size=1, max_size=16),
+        cuts=st.lists(st.booleans(), min_size=15, max_size=15),
+        warm=st.sets(st.integers(0, len(_POOL) - 1)),
+    )
+    # Eight concurrent overlapping requests over a fully warm pool.
+    @example(
+        picks=[0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 5, 0, 0, 2, 1, 3],
+        cuts=[False, True] * 7 + [False],
+        warm=set(range(len(_POOL))),
+    )
+    @settings(deadline=None, max_examples=10)
+    def test_any_partition_equals_scalar_oracle(
+        self, smoke_context, picks, cuts, warm
+    ):
+        """Split a point multiset into consecutive parts, pre-warm some
+        pool points, and send every part at once as its own request
+        through a service with a coalescing window: each response is
+        ``==`` the scalar oracle of its point, whatever was coalesced
+        with it or served from the caches."""
+        fast = smoke_context.fast_evaluator
+        for i in set(picks) - set(_ORACLE):
+            _ORACLE[i] = fast.evaluate(_POOL[i])
+        parts, start = [], 0
+        for i in range(1, len(picks)):
+            if cuts[i - 1]:
+                parts.append(picks[start:i])
+                start = i
+        parts.append(picks[start:])
+        evaluator = BatchEvaluator(fast)
+        if warm:
+            evaluator.evaluate_many([_POOL[i] for i in sorted(warm)])
+        results: list = [None] * len(parts)
+        failures: list = []
+        with start_service(evaluator, tick_s=0.002) as handle:
+            host, port = handle.address
+            gate = threading.Barrier(len(parts))
+
+            def client(j: int) -> None:
+                try:
+                    with ServiceClient(host, port) as c:
+                        c.health()  # connected before the barrier
+                        gate.wait(30.0)
+                        results[j] = c.evaluate_many([_POOL[i] for i in parts[j]])
+                except BaseException as exc:  # pragma: no cover
+                    failures.append(exc)
+
+            threads = [
+                threading.Thread(target=client, args=(j,))
+                for j in range(len(parts))
+            ]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(120.0)
+        assert failures == []
+        assert results == [[_ORACLE[i] for i in part] for part in parts]
 
 
 # ---------------------------------------------------------------------------
