@@ -2,17 +2,12 @@
 
 Every function here is a pure forward or backward computation on
 ``numpy.ndarray`` inputs.  Array layout is NCHW throughout; compute dtype
-is float32.  The convolution and pooling kernels come in three families:
+is float32.  The convolution and pooling kernels come in two families:
 
-* **standard** (``conv2d_forward``/``_backward`` & friends, ``im2col``,
-  the training branch of ``batchnorm_forward`` and
-  ``batchnorm_backward``): the textbook im2col lowering, column layout
-  ``(N, C*K*K, OH*OW)``.  It has no production caller; it is kept as the
-  reference specification the kernel-parity tests hold the compact-cache
-  kernels to.  (``col2im`` is shared: strided compact-cache backwards
-  scatter through it.)
 * **compact-cache** (``*_fast``): the training kernels every layer runs,
   with O(input) backward state instead of the K*K-fold column tensor.
+  Strided dense-convolution backwards scatter their column gradients
+  through ``col2im``.
 * **inference** (``*_infer``): forward-only, no backward state; eval-mode
   layers and the batched HyperNet forward run them.
 
@@ -22,6 +17,11 @@ outputs: the batched HyperNet forward reproduces the scalar oracle's
 logits exactly, not to a tolerance.  Both families compute per-sample
 (per-segment, for batch norm) maths whose result never depends on how
 many rows a call stacks or where its buffers sit in memory.
+
+The test oracle of both families is a float64 direct-sum reference kept
+with the tests (``tests/kernel_reference.py``): every output element is a
+sum, max or mean over one sliding window of the padded input, so it
+shares no lowering with the kernels here.
 """
 
 from __future__ import annotations
@@ -34,16 +34,7 @@ DTYPE = np.float32
 
 __all__ = [
     "DTYPE",
-    "im2col",
     "col2im",
-    "conv2d_forward",
-    "conv2d_backward",
-    "depthwise_conv2d_forward",
-    "depthwise_conv2d_backward",
-    "maxpool2d_forward",
-    "maxpool2d_backward",
-    "avgpool2d_forward",
-    "avgpool2d_backward",
     "conv2d_infer",
     "depthwise_conv2d_infer",
     "maxpool2d_infer",
@@ -62,7 +53,6 @@ __all__ = [
     "relu_forward",
     "relu_backward",
     "batchnorm_forward",
-    "batchnorm_backward",
     "linear_forward",
     "linear_backward",
     "softmax",
@@ -84,43 +74,6 @@ def pad_same(kernel: int) -> int:
     return (kernel - 1) // 2
 
 
-def im2col(
-    x: np.ndarray, kernel: int, stride: int, pad: int, pad_value: float = 0.0
-) -> np.ndarray:
-    """Lower sliding windows of ``x`` into column form.
-
-    Parameters
-    ----------
-    x:
-        Input of shape ``(N, C, H, W)``.
-    kernel, stride, pad:
-        Square window geometry.
-    pad_value:
-        Fill value for the padded border (``-inf`` for max pooling).
-
-    Returns
-    -------
-    Array of shape ``(N, C * kernel * kernel, OH * OW)``.
-    """
-    n, c, h, w = x.shape
-    oh = conv_out_size(h, kernel, stride, pad)
-    ow = conv_out_size(w, kernel, stride, pad)
-    if pad > 0:
-        xp = np.full(
-            (n, c, h + 2 * pad, w + 2 * pad), pad_value, dtype=x.dtype
-        )
-        xp[:, :, pad : pad + h, pad : pad + w] = x
-    else:
-        xp = x
-    cols = np.empty((n, c, kernel, kernel, oh, ow), dtype=x.dtype)
-    for ki in range(kernel):
-        h_end = ki + stride * oh
-        for kj in range(kernel):
-            w_end = kj + stride * ow
-            cols[:, :, ki, kj] = xp[:, :, ki:h_end:stride, kj:w_end:stride]
-    return cols.reshape(n, c * kernel * kernel, oh * ow)
-
-
 def col2im(
     cols: np.ndarray,
     x_shape: tuple[int, int, int, int],
@@ -128,7 +81,10 @@ def col2im(
     stride: int,
     pad: int,
 ) -> np.ndarray:
-    """Inverse of :func:`im2col`: scatter-add columns back to image layout."""
+    """Scatter-add ``(N, C*K*K, OH*OW)`` columns back to image layout: the
+    adjoint of gathering every K*K window of the padded input into one
+    column (row ``(c*K + ki)*K + kj``, column ``i*OW + j`` reads padded
+    cell ``(c, i*S + ki, j*S + kj)``).  Cells in the padding are dropped."""
     n, c, h, w = x_shape
     oh = conv_out_size(h, kernel, stride, pad)
     ow = conv_out_size(w, kernel, stride, pad)
@@ -146,158 +102,16 @@ def col2im(
 
 
 # ---------------------------------------------------------------------------
-# Convolution
-# ---------------------------------------------------------------------------
-
-
-def conv2d_forward(
-    x: np.ndarray, weight: np.ndarray, stride: int, pad: int
-) -> tuple[np.ndarray, tuple]:
-    """Standard convolution.
-
-    ``weight`` has shape ``(K, C, R, S)`` with square ``R == S`` kernels.
-    Returns ``(out, cache)`` with ``out`` of shape ``(N, K, OH, OW)``.
-    """
-    n, c, h, w = x.shape
-    k, cw, r, s = weight.shape
-    if cw != c or r != s:
-        raise ValueError(f"weight shape {weight.shape} incompatible with input {x.shape}")
-    cols = im2col(x, r, stride, pad)  # (N, C*R*S, P)
-    w2 = weight.reshape(k, -1)
-    out = np.matmul(w2, cols)  # (N, K, P)
-    oh = conv_out_size(h, r, stride, pad)
-    ow = conv_out_size(w, r, stride, pad)
-    cache = (cols, x.shape, weight, stride, pad)
-    return out.reshape(n, k, oh, ow), cache
-
-
-def conv2d_backward(grad_out: np.ndarray, cache: tuple) -> tuple[np.ndarray, np.ndarray]:
-    """Backward pass of :func:`conv2d_forward`.
-
-    Returns ``(grad_x, grad_weight)``.
-    """
-    cols, x_shape, weight, stride, pad = cache
-    k = weight.shape[0]
-    r = weight.shape[2]
-    n = grad_out.shape[0]
-    g = grad_out.reshape(n, k, -1)  # (N, K, P)
-    # grad_w[k, ckk] = sum_n g[n] @ cols[n].T
-    grad_w = np.einsum("nkp,ncp->kc", g, cols, optimize=True).reshape(weight.shape)
-    grad_cols = np.matmul(weight.reshape(k, -1).T, g)  # (N, C*R*S, P)
-    grad_x = col2im(grad_cols, x_shape, r, stride, pad)
-    return grad_x, grad_w
-
-
-# ---------------------------------------------------------------------------
-# Depthwise convolution
-# ---------------------------------------------------------------------------
-
-
-def depthwise_conv2d_forward(
-    x: np.ndarray, weight: np.ndarray, stride: int, pad: int
-) -> tuple[np.ndarray, tuple]:
-    """Depthwise convolution: one ``(R, S)`` filter per input channel.
-
-    ``weight`` has shape ``(C, R, S)``.  Returns ``(out, cache)`` with ``out``
-    of shape ``(N, C, OH, OW)``.
-    """
-    n, c, h, w = x.shape
-    cw, r, s = weight.shape
-    if cw != c or r != s:
-        raise ValueError(f"weight shape {weight.shape} incompatible with input {x.shape}")
-    cols = im2col(x, r, stride, pad)  # (N, C*R*S, P)
-    oh = conv_out_size(h, r, stride, pad)
-    ow = conv_out_size(w, r, stride, pad)
-    cols4 = cols.reshape(n, c, r * s, -1)
-    out = np.einsum("nckp,ck->ncp", cols4, weight.reshape(c, r * s), optimize=True)
-    cache = (cols, x.shape, weight, stride, pad)
-    return out.reshape(n, c, oh, ow), cache
-
-
-def depthwise_conv2d_backward(
-    grad_out: np.ndarray, cache: tuple
-) -> tuple[np.ndarray, np.ndarray]:
-    """Backward pass of :func:`depthwise_conv2d_forward`."""
-    cols, x_shape, weight, stride, pad = cache
-    c, r, _ = weight.shape
-    n = grad_out.shape[0]
-    g = grad_out.reshape(n, c, -1)  # (N, C, P)
-    cols4 = cols.reshape(n, c, r * r, -1)
-    grad_w = np.einsum("ncp,nckp->ck", g, cols4, optimize=True).reshape(weight.shape)
-    grad_cols = g[:, :, None, :] * weight.reshape(1, c, r * r, 1)
-    grad_x = col2im(grad_cols.reshape(n, c * r * r, -1), x_shape, r, stride, pad)
-    return grad_x, grad_w
-
-
-# ---------------------------------------------------------------------------
-# Pooling
-# ---------------------------------------------------------------------------
-
-
-def maxpool2d_forward(
-    x: np.ndarray, kernel: int, stride: int, pad: int
-) -> tuple[np.ndarray, tuple]:
-    """Max pooling.  Padded cells are ``-inf`` so they never win the max."""
-    n, c, h, w = x.shape
-    oh = conv_out_size(h, kernel, stride, pad)
-    ow = conv_out_size(w, kernel, stride, pad)
-    cols = im2col(x, kernel, stride, pad, pad_value=-np.inf)
-    cols4 = cols.reshape(n, c, kernel * kernel, oh * ow)
-    arg = np.argmax(cols4, axis=2)  # (N, C, P)
-    out = np.take_along_axis(cols4, arg[:, :, None, :], axis=2)[:, :, 0, :]
-    cache = (arg, x.shape, kernel, stride, pad)
-    return out.reshape(n, c, oh, ow), cache
-
-
-def maxpool2d_backward(grad_out: np.ndarray, cache: tuple) -> np.ndarray:
-    """Route gradients to the argmax cell of every window."""
-    arg, x_shape, kernel, stride, pad = cache
-    n, c, oh, ow = grad_out.shape
-    cols4 = np.zeros((n, c, kernel * kernel, oh * ow), dtype=grad_out.dtype)
-    np.put_along_axis(
-        cols4, arg[:, :, None, :], grad_out.reshape(n, c, 1, -1), axis=2
-    )
-    return col2im(cols4.reshape(n, c * kernel * kernel, -1), x_shape, kernel, stride, pad)
-
-
-def avgpool2d_forward(
-    x: np.ndarray, kernel: int, stride: int, pad: int
-) -> tuple[np.ndarray, tuple]:
-    """Average pooling (count includes padded zeros, matching common practice)."""
-    n, c, h, w = x.shape
-    oh = conv_out_size(h, kernel, stride, pad)
-    ow = conv_out_size(w, kernel, stride, pad)
-    cols = im2col(x, kernel, stride, pad)
-    cols4 = cols.reshape(n, c, kernel * kernel, oh * ow)
-    out = cols4.mean(axis=2)
-    cache = (x.shape, kernel, stride, pad)
-    return out.reshape(n, c, oh, ow), cache
-
-
-def avgpool2d_backward(grad_out: np.ndarray, cache: tuple) -> np.ndarray:
-    """Spread gradients uniformly over each window."""
-    x_shape, kernel, stride, pad = cache
-    n, c, oh, ow = grad_out.shape
-    kk = kernel * kernel
-    g = grad_out.reshape(n, c, 1, oh * ow) / kk
-    cols4 = np.broadcast_to(g, (n, c, kk, oh * ow))
-    return col2im(
-        np.ascontiguousarray(cols4).reshape(n, c * kk, -1), x_shape, kernel, stride, pad
-    )
-
-
-# ---------------------------------------------------------------------------
 # Forward-only inference kernels
 # ---------------------------------------------------------------------------
 #
-# The standard kernels above materialise im2col columns (and argmax indices)
-# because their backward passes need them.  Inference-only consumers — the
-# batched HyperNet evaluation path — use cheaper algorithms: separable
-# shifted pooling, per-tap depthwise convolution on a channel-major padded
-# buffer (no column tensor), 1x1 convolution as a plain matmul (its im2col
-# is the identity).  The training forwards run these same kernels (or, for
-# dense convolution and batch norm, the same per-sample op sequence), so
-# inference and training outputs are bitwise equal.
+# Inference-only consumers — the batched HyperNet evaluation path — keep no
+# backward state and use the cheapest algorithms: separable shifted
+# pooling, per-tap depthwise convolution on a channel-major padded buffer
+# (no column tensor), 1x1 convolution as a plain matmul (its window
+# columns are the input itself).  The training forwards run these same
+# kernels (or, for dense convolution and batch norm, the same per-sample
+# op sequence), so inference and training outputs are bitwise equal.
 
 
 #: The inference kernels accept either one ``(N, C, H, W)`` array or a
@@ -382,7 +196,7 @@ def _empty_padded(
 #: convolutions and pools: the K*K sliding-window copy of a whole stacked
 #: population can exceed the cache many times over, where the strided
 #: gather slows down ~4x — chunking the batch axis keeps each copy
-#: L2-sized.  400k (1.6 MB, against a 2 MB L2) ran the dense im2col 1.2x
+#: L2-sized.  400k (1.6 MB, against a 2 MB L2) ran the dense column copy 1.2x
 #: and the pools 1.3x faster than 1.5M on demo-shape calls.  Per-sample
 #: maths, so chunking never changes results.
 _INFER_CHUNK_ELEMS = 400_000
@@ -415,12 +229,12 @@ def _pool_row_chunk(c: int, oh: int, ow: int) -> int:
 def conv2d_infer(
     x, weight: np.ndarray, stride: int, pad: int, relu: bool = False
 ) -> np.ndarray:
-    """Forward-only convolution; 1x1 kernels skip im2col entirely and larger
-    kernels build the column tensor with one strided-view copy instead of the
-    K*K slice loop (bitwise-identical columns), chunked along the batch axis
-    so the copy stays cache-sized.  ``relu=True`` applies ``maximum(x, 0)``
-    to the input as part of the padding pass (the ReLU→conv fusion); ``x``
-    may be a list of row blocks (:data:`Rows`) gathered in that same pass."""
+    """Forward-only convolution; 1x1 kernels build no columns at all and
+    larger kernels build the ``(C*K*K, OH*OW)`` column tensor with one
+    strided-view copy, chunked along the batch axis so the copy stays
+    cache-sized.  ``relu=True`` applies ``maximum(x, 0)`` to the input as
+    part of the padding pass (the ReLU→conv fusion); ``x`` may be a list
+    of row blocks (:data:`Rows`) gathered in that same pass."""
     k, c, r, s = weight.shape
     if r == 1 and pad == 0:
         if isinstance(x, list):
@@ -661,7 +475,7 @@ def avgpool2d_infer(x, kernel: int, stride: int, pad: int) -> np.ndarray:
     """Forward-only average pooling, separably: a k*1 column sum followed
     by a 1*k row sum — 2k shifted passes instead of k*k.  The training
     forward runs this kernel too; the re-associated window sum matches the
-    standard reference to float round-off.  Chunked along the batch axis
+    direct window mean to float round-off.  Chunked along the batch axis
     to keep the passes cache-sized."""
     if isinstance(x, list):
         x = _stack_rows(x)
@@ -714,10 +528,7 @@ def batchnorm_infer(
     receive one update with the across-segment mean.
     """
     if not training:
-        out, _ = batchnorm_forward(
-            x, gamma, beta, running_mean, running_var, momentum, eps, False
-        )
-        return out
+        return batchnorm_forward(x, gamma, beta, running_mean, running_var, eps)
     n, c, h, w = x.shape
     if n % segments:
         raise ValueError(f"batch of {n} rows does not split into {segments} segments")
@@ -765,10 +576,9 @@ def global_avgpool_backward(grad_out: np.ndarray, cache: tuple) -> np.ndarray:
 # Compact-cache training kernels (what every training-mode layer runs)
 # ---------------------------------------------------------------------------
 #
-# The standard reference kernels above hold the full im2col column tensor
-# (K*K times the input) from forward to backward.  The `*_fast` variants
-# keep only O(input) state and adopt the inference tricks where a backward
-# pass still exists:
+# The `*_fast` kernels keep only O(input) state from forward to backward,
+# never a whole batch's K*K-times-the-input column tensor, and adopt the
+# inference tricks where a backward pass still exists:
 #
 # * pointwise (1x1) convolution never builds columns in either direction —
 #   forward is one matmul on the (reshaped) input, backward is one matmul
@@ -786,12 +596,13 @@ def global_avgpool_backward(grad_out: np.ndarray, cache: tuple) -> np.ndarray:
 #   argmax/put_along_axis traversals.
 #
 # Numerics: every training forward is bitwise equal to its inference
-# counterpart.  Against the standard reference kernels, conv/max-pool
-# forwards are bitwise identical (identical columns, per-sample matmul,
-# associative max); depthwise/average forwards re-associate the window
-# reduction.  Those forwards and all backward gradients match the
-# reference to float round-off (chunked or float32-demoted accumulation
-# re-associates sums); `tests/test_nn_fast_kernels.py` pins parity at
+# counterpart.  The test oracle is the float64 direct-sum reference
+# (`tests/kernel_reference.py`): each output a sum, max or mean over one
+# sliding window, each gradient scattered back window by window.  Max-pool
+# forwards and first-max routing match it exactly; every other forward and
+# gradient matches to float round-off (GEMMs, per-tap sums and separable
+# pools re-associate the window sums, and the float32 column cache demotes
+# grad_w's inputs).  `tests/test_nn_fast_kernels.py` pins that parity at
 # relative 1e-6.
 
 #: Column-cache budget (elements) for the fast training convolutions: a
@@ -802,8 +613,8 @@ _TRAIN_CACHE_ELEMS = 4_000_000
 
 
 def _train_cols(xp: np.ndarray, kernel: int, stride: int, oh: int, ow: int) -> np.ndarray:
-    """Contiguous ``(N, C*K*K, OH*OW)`` columns via ONE sliding-window copy
-    (bitwise-identical to :func:`im2col`, ~1.4x faster)."""
+    """Contiguous ``(N, C*K*K, OH*OW)`` columns via ONE sliding-window copy,
+    in :func:`col2im`'s layout."""
     n, c = xp.shape[:2]
     win = _window_view(xp, kernel, stride, oh, ow)
     return np.ascontiguousarray(win).reshape(n, c * kernel * kernel, oh * ow)
@@ -812,7 +623,8 @@ def _train_cols(xp: np.ndarray, kernel: int, stride: int, oh: int, ow: int) -> n
 def conv2d_forward_fast(
     x: np.ndarray, weight: np.ndarray, stride: int, pad: int
 ) -> tuple[np.ndarray, tuple]:
-    """Compact-cache convolution forward (same values as :func:`conv2d_forward`).
+    """Compact-cache convolution forward: bitwise :func:`conv2d_infer`'s
+    output (the same columns and per-sample matmul).
 
     The cache holds a *reference* to ``x`` (already alive in the caller)
     plus, for K>1 layers under the column budget, a float32 copy of the
@@ -973,14 +785,13 @@ def depthwise_conv2d_backward_fast(
 def maxpool2d_forward_fast(
     x: np.ndarray, kernel: int, stride: int, pad: int
 ) -> tuple[np.ndarray, tuple]:
-    """Compact-cache max pooling: separable forward (bitwise-identical to
-    :func:`maxpool2d_forward`) plus a boolean first-max mask for backward —
+    """Compact-cache max pooling: the separable forward of
+    :func:`maxpool2d_infer` plus a boolean first-max mask for backward —
     no float column tensor, no argmax traversal.
 
-    The mask marks, per window, the first cell (in the standard kernel's
-    ``(ki, kj)`` scan order) that attains the window maximum, so gradient
-    routing is exactly the argmax routing of the standard kernel, ties
-    included.
+    The mask marks, per window, the first cell in row-major ``(ki, kj)``
+    scan order that attains the window maximum: the cell ``np.argmax``
+    over the flattened window picks, ties included.
     """
     out = maxpool2d_infer(x, kernel, stride, pad)
     n, c, h, w = x.shape
@@ -1018,11 +829,10 @@ def _tap_span(k_off: int, stride: int, pad: int, size: int, out_size: int):
 
 
 def maxpool2d_backward_fast(grad_out: np.ndarray, cache: tuple) -> np.ndarray:
-    """Backward of :func:`maxpool2d_forward_fast`: K*K shifted masked adds,
-    clipped to the unpadded image (same sums, in the same order, as the
-    standard kernel's put_along_axis + col2im — taps landing in the padding
-    are discarded there too).  The result is contiguous and no padded
-    buffer is ever allocated."""
+    """Backward of :func:`maxpool2d_forward_fast`: K*K shifted masked adds
+    in ascending ``(ki, kj)`` order, clipped to the unpadded image (taps
+    landing in the padding are discarded).  The result is contiguous and
+    no padded buffer is ever allocated."""
     mask, x_shape, kernel, stride, pad = cache
     n, c, h, w = x_shape
     oh, ow = grad_out.shape[2], grad_out.shape[3]
@@ -1047,17 +857,17 @@ def maxpool2d_backward_fast(grad_out: np.ndarray, cache: tuple) -> np.ndarray:
 def avgpool2d_forward_fast(
     x: np.ndarray, kernel: int, stride: int, pad: int
 ) -> tuple[np.ndarray, tuple]:
-    """Compact-cache average pooling: separable forward (matches
-    :func:`avgpool2d_forward` to float round-off), geometry-only cache."""
+    """Compact-cache average pooling: the separable forward of
+    :func:`avgpool2d_infer` and a geometry-only cache."""
     out = avgpool2d_infer(x, kernel, stride, pad)
     return out, (x.shape, kernel, stride, pad)
 
 
 def avgpool2d_backward_fast(grad_out: np.ndarray, cache: tuple) -> np.ndarray:
     """Backward of :func:`avgpool2d_forward_fast`: K*K shifted adds of the
-    uniformly spread gradient, clipped to the unpadded image — no broadcast
-    column tensor, no padded buffer (bitwise-identical to
-    :func:`avgpool2d_backward`, whose padding-region adds are discarded)."""
+    uniformly spread gradient, clipped to the unpadded image (taps landing
+    in the padding are discarded) — no broadcast column tensor, no padded
+    buffer."""
     x_shape, kernel, stride, pad = cache
     n, c, h, w = x_shape
     oh, ow = grad_out.shape[2], grad_out.shape[3]
@@ -1084,18 +894,12 @@ def batchnorm_forward_fast(
     running_var: np.ndarray,
     momentum: float,
     eps: float,
-    training: bool,
-) -> tuple[np.ndarray, tuple | None]:
-    """Lean training-mode batch norm: the centred tensor is normalised in
-    place (it becomes the cached ``xhat``) — three fewer full-size
-    temporaries than :func:`batchnorm_forward`, same values to float
-    round-off, same cache layout.  :func:`batchnorm_infer` runs this op
-    sequence per segment, bitwise.  Eval mode delegates to the standard
-    kernel."""
-    if not training:
-        return batchnorm_forward(
-            x, gamma, beta, running_mean, running_var, momentum, eps, False
-        )
+) -> tuple[np.ndarray, tuple]:
+    """Training-mode batch norm with batch statistics: the centred tensor
+    is normalised in place (it becomes the cached ``xhat``) and the
+    running statistics move by ``momentum``.  :func:`batchnorm_infer` runs
+    this op sequence per segment, bitwise; eval mode is
+    :func:`batchnorm_forward`."""
     mean = x.mean(axis=(0, 2, 3))
     xhat = x - _plane(mean, x)
     # One scratch buffer serves the squared deviations AND the output; the
@@ -1117,11 +921,9 @@ def batchnorm_forward_fast(
 def batchnorm_backward_fast(
     grad_out: np.ndarray, cache: tuple
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Backward of training-mode batch norm with ONE reused scratch buffer
-    and in-place accumulation (``gxhat`` becomes grad_x) — three fewer
-    full-size temporaries than :func:`batchnorm_backward`.  All reductions
-    stay on numpy's pairwise-summing paths, so values match the standard
-    kernel to float round-off; works on either forward's cache."""
+    """Backward of :func:`batchnorm_forward_fast` with ONE reused scratch
+    buffer and in-place accumulation (``gxhat`` becomes grad_x).  All
+    reductions stay on numpy's pairwise-summing paths."""
     xhat, inv_std, gamma = cache
     n, c, h, w = grad_out.shape
     m = n * h * w
@@ -1178,49 +980,17 @@ def batchnorm_forward(
     beta: np.ndarray,
     running_mean: np.ndarray,
     running_var: np.ndarray,
-    momentum: float,
     eps: float,
-    training: bool,
-) -> tuple[np.ndarray, tuple | None]:
-    """Batch normalisation over the channel axis of an NCHW tensor.
-
-    In training mode the running statistics are updated in place and a cache
-    for the backward pass is returned; in eval mode the cache is ``None``.
-    Eval-mode layers run this; the training branch is the reference for
-    :func:`batchnorm_forward_fast`.  Segmented (per-sub-batch) statistics
-    are :func:`batchnorm_infer`'s job.
-    """
-    if training:
-        mean = x.mean(axis=(0, 2, 3))
-        var = x.var(axis=(0, 2, 3))
-        running_mean *= 1.0 - momentum
-        running_mean += momentum * mean
-        running_var *= 1.0 - momentum
-        running_var += momentum * var
-    else:
-        mean, var = running_mean, running_var
-    inv_std = (1.0 / np.sqrt(var + eps)).astype(x.dtype)
-    xhat = (x - mean.astype(x.dtype)[None, :, None, None]) * inv_std[None, :, None, None]
+) -> np.ndarray:
+    """Eval-mode batch normalisation over the channel axis of an NCHW
+    tensor, with the running statistics; nothing is updated or cached.
+    Training mode is :func:`batchnorm_forward_fast`, segmented
+    (per-sub-batch) statistics :func:`batchnorm_infer`."""
+    inv_std = (1.0 / np.sqrt(running_var + eps)).astype(x.dtype)
+    xhat = (x - running_mean.astype(x.dtype)[None, :, None, None]) * inv_std[None, :, None, None]
     out = gamma.astype(x.dtype)[None, :, None, None] * xhat
     out += beta.astype(x.dtype)[None, :, None, None]
-    cache = (xhat, inv_std, gamma) if training else None
-    return out, cache
-
-
-def batchnorm_backward(
-    grad_out: np.ndarray, cache: tuple
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Backward pass of training-mode batch norm."""
-    xhat, inv_std, gamma = cache
-    n, c, h, w = grad_out.shape
-    m = n * h * w
-    grad_gamma = (grad_out * xhat).sum(axis=(0, 2, 3))
-    grad_beta = grad_out.sum(axis=(0, 2, 3))
-    gxhat = grad_out * gamma.astype(grad_out.dtype)[None, :, None, None]
-    sum_g = gxhat.sum(axis=(0, 2, 3), keepdims=True)
-    sum_gx = (gxhat * xhat).sum(axis=(0, 2, 3), keepdims=True)
-    grad_x = (gxhat - sum_g / m - xhat * sum_gx / m) * inv_std[None, :, None, None]
-    return grad_x, grad_gamma, grad_beta
+    return out
 
 
 def softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:

@@ -6,13 +6,15 @@ at a time (standard for define-by-run training loops).
 
 Training-mode forwards run the compact-cache ``*_fast`` kernels, whose
 backward state is O(input): a reference to the input, float32 columns
-under a fixed budget, a boolean first-max mask for max pooling.
+under a fixed budget, a boolean first-max mask for max pooling.  They are
+the only training kernels; the tests hold them to a float64 direct-sum
+reference (``tests/kernel_reference.py``).
 ``backward`` takes the cache and releases it, so a network holds no
 training state between steps — a weight-sharing HyperNet, which runs a
 different single path every step, would otherwise keep the caches of
 every op it has ever sampled.  Eval-mode convolution, pooling, BN and
 ReLU forwards run the forward-only ``*_infer`` kernels (BN: the
-running-statistics branch of ``batchnorm_forward``) and write no cache.
+running-statistics ``batchnorm_forward``) and write no cache.
 """
 
 from __future__ import annotations
@@ -156,18 +158,10 @@ class BatchNorm2d(Module):
         self._cache: tuple | None = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        args = (
-            x,
-            self.gamma.data,
-            self.beta.data,
-            self.running_mean,
-            self.running_var,
-            self.momentum,
-            self.eps,
-        )
+        stats = (x, self.gamma.data, self.beta.data, self.running_mean, self.running_var)
         if not self.training:
-            return F.batchnorm_forward(*args, False)[0]
-        out, self._cache = F.batchnorm_forward_fast(*args, True)
+            return F.batchnorm_forward(*stats, self.eps)
+        out, self._cache = F.batchnorm_forward_fast(*stats, self.momentum, self.eps)
         return out
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:

@@ -4,17 +4,21 @@ training-mode layer runs).
 Three layers of guarantees, mirroring docs/PERFORMANCE.md ("Training
 path"):
 
-* **Kernel-level parity** — every ``*_fast`` forward/backward pair matches
-  the standard reference kernels at relative 1e-6 (float64; conv/max-pool
-  forwards and pool backwards are bitwise identical), across kernel
-  sizes, strides, odd map shapes and the stored-columns vs
-  chunked-recompute (dense) or row-chunk (depthwise) regimes.
-* **Gradcheck** — fast-kernel gradients match central-difference numerical
-  gradients, independently of the standard kernels.
+* **Kernel-level parity** — every ``*_fast`` forward/backward pair
+  matches the standard definition of its op, the float64 direct-sum
+  reference of ``tests/kernel_reference.py`` (each output a sum, max or
+  mean over one sliding window; each gradient scattered back window by
+  window), at relative 1e-6 in float64, across kernel sizes, strides, odd
+  map shapes and the stored-columns vs chunked-recompute (dense) or
+  row-chunk (depthwise) regimes.  Max-pool forwards and first-max
+  gradient routing match it bitwise.  Batch-norm gradients are held to
+  central differences of the reference forward.
+* **Gradcheck** — fast-kernel gradients match central-difference
+  numerical gradients of their own forwards.
 * **Layers and networks** — each layer's training forward/backward equals
-  the reference kernels called directly, eval-mode forwards write no
-  cache, and whole float64 networks (a ``CellNetwork`` and a HyperNet
-  path with aliased edges) match directional finite differences.
+  the reference, eval-mode forwards write no cache, and whole float64
+  networks (a ``CellNetwork`` and a HyperNet path with aliased edges)
+  match directional finite differences.
 """
 
 from __future__ import annotations
@@ -25,20 +29,36 @@ import pytest
 from repro.nn import functional as F
 from repro.nn import layers as L
 
+from tests import kernel_reference as ref
 from tests.conftest import numerical_gradient
+from tests.kernel_reference import REL, rel_err
 
-REL = 1e-6
+#: Central-difference step for the batch-norm gradient checks: the
+#: reference forward is float64, so truncation and round-off both stay
+#: near 1e-10 relative at this step.
+FD_EPS = 1e-4
 
 
 def rand(shape, seed=0):
     return np.random.default_rng(seed).normal(size=shape).astype(np.float64)
 
 
-def rel_err(a: np.ndarray, b: np.ndarray) -> float:
-    scale = np.max(np.abs(b))
-    if scale == 0.0:
-        return float(np.max(np.abs(a - b)))
-    return float(np.max(np.abs(a - b)) / scale)
+def first_max_mask(x, kernel, stride, pad):
+    """The ``(N, C, K*K, OH, OW)`` one-hot of the reference's first-max
+    argmax: the layout of the max-pool kernel's cached mask."""
+    arg = ref.maxpool2d_argmax(x, kernel, stride, pad)
+    return np.moveaxis(arg[..., None] == np.arange(kernel * kernel), -1, 2)
+
+
+def batchnorm_grads(x, gamma, beta, grad_out, eps=1e-5):
+    """Central differences of ``<reference batch norm, grad_out>`` with
+    respect to ``x``, ``gamma`` and ``beta`` (float64 copies)."""
+    x, gamma, beta = (np.array(a, dtype=np.float64) for a in (x, gamma, beta))
+
+    def loss() -> float:
+        return float(np.sum(ref.batchnorm_train(x, gamma, beta, eps)[0] * grad_out))
+
+    return tuple(numerical_gradient(loss, a, eps=FD_EPS) for a in (x, gamma, beta))
 
 
 # Geometry grid: stride-1 "same" ops (the normal-cell shapes, transposed
@@ -58,31 +78,29 @@ class TestConvParity:
     def test_forward_and_grads_match_standard(self, c, k, r, stride, pad):
         x = rand((3, c, 10, 10), seed=1)
         w = rand((k, c, r, r), seed=2)
-        out_s, cache_s = F.conv2d_forward(x, w, stride, pad)
-        out_f, cache_f = F.conv2d_forward_fast(x, w, stride, pad)
-        assert np.array_equal(out_s, out_f), "conv fast forward is bitwise"
-        g = rand(out_s.shape, seed=3)
-        gx_s, gw_s = F.conv2d_backward(g, cache_s)
-        gx_f, gw_f = F.conv2d_backward_fast(g, cache_f)
-        assert rel_err(gx_f, gx_s) <= REL
-        assert rel_err(gw_f, gw_s) <= REL
+        out, cache = F.conv2d_forward_fast(x, w, stride, pad)
+        assert rel_err(out, ref.conv2d(x, w, stride, pad)) <= REL
+        g = rand(out.shape, seed=3)
+        gx, gw = F.conv2d_backward_fast(g, cache)
+        assert rel_err(gx, ref.conv2d_grad_x(g, w, x.shape, stride, pad)) <= REL
+        assert rel_err(gw, ref.conv2d_grad_w(x, g, r, stride, pad)) <= REL
 
     def test_chunked_recompute_regime(self, monkeypatch):
         """Columns over the cache budget are recomputed chunk by chunk in
         backward — same gradients, no stored column tensor."""
-        monkeypatch.setattr(F, "_TRAIN_CACHE_ELEMS", 1)
-        monkeypatch.setattr(F, "_INFER_CHUNK_ELEMS", 500)
         x = rand((5, 4, 8, 8), seed=4)
         w = rand((6, 4, 3, 3), seed=5)
-        out_s, cache_s = F.conv2d_forward(x, w, 1, 1)
-        out_f, cache_f = F.conv2d_forward_fast(x, w, 1, 1)
-        assert cache_f[4] is None, "over-budget columns must not be stored"
-        assert np.array_equal(out_s, out_f)
-        g = rand(out_s.shape, seed=6)
-        gx_s, gw_s = F.conv2d_backward(g, cache_s)
-        gx_f, gw_f = F.conv2d_backward_fast(g, cache_f)
-        assert rel_err(gx_f, gx_s) <= REL
-        assert rel_err(gw_f, gw_s) <= REL
+        stored, _ = F.conv2d_forward_fast(x, w, 1, 1)
+        monkeypatch.setattr(F, "_TRAIN_CACHE_ELEMS", 1)
+        monkeypatch.setattr(F, "_INFER_CHUNK_ELEMS", 500)
+        out, cache = F.conv2d_forward_fast(x, w, 1, 1)
+        assert cache[4] is None, "over-budget columns must not be stored"
+        assert np.array_equal(out, stored), "chunking is per-sample maths"
+        assert rel_err(out, ref.conv2d(x, w, 1, 1)) <= REL
+        g = rand(out.shape, seed=6)
+        gx, gw = F.conv2d_backward_fast(g, cache)
+        assert rel_err(gx, ref.conv2d_grad_x(g, w, x.shape, 1, 1)) <= REL
+        assert rel_err(gw, ref.conv2d_grad_w(x, g, 3, 1, 1)) <= REL
 
     def test_stored_columns_are_float32(self):
         x = rand((2, 4, 8, 8), seed=7)
@@ -105,20 +123,21 @@ class TestConvParity:
         assert np.allclose(gw, numerical_gradient(loss, w), rtol=1e-4, atol=1e-5)
 
 
+def assert_depthwise_matches_reference(x, w, stride, pad):
+    out, cache = F.depthwise_conv2d_forward_fast(x, w, stride, pad)
+    assert rel_err(out, ref.depthwise_conv2d(x, w, stride, pad)) <= REL
+    g = rand(out.shape, seed=42)
+    gx, gw = F.depthwise_conv2d_backward_fast(g, cache)
+    assert rel_err(gx, ref.depthwise_conv2d_grad_x(g, w, x.shape, stride, pad)) <= REL
+    assert rel_err(gw, ref.depthwise_conv2d_grad_w(x, g, w.shape[1], stride, pad)) <= REL
+
+
 class TestDepthwiseParity:
     @pytest.mark.parametrize("r,stride", [(3, 1), (5, 1), (3, 2), (5, 2)])
     def test_forward_and_grads_match_standard(self, r, stride):
-        pad = F.pad_same(r)
         x = rand((3, 6, 10, 10), seed=12)
         w = rand((6, r, r), seed=13)
-        out_s, cache_s = F.depthwise_conv2d_forward(x, w, stride, pad)
-        out_f, cache_f = F.depthwise_conv2d_forward_fast(x, w, stride, pad)
-        assert rel_err(out_f, out_s) <= REL
-        g = rand(out_s.shape, seed=14)
-        gx_s, gw_s = F.depthwise_conv2d_backward(g, cache_s)
-        gx_f, gw_f = F.depthwise_conv2d_backward_fast(g, cache_f)
-        assert rel_err(gx_f, gx_s) <= REL
-        assert rel_err(gw_f, gw_s) <= REL
+        assert_depthwise_matches_reference(x, w, stride, F.pad_same(r))
 
     def test_row_chunks_are_exact(self, monkeypatch):
         """Row chunks of the per-tap kernel change no output bit, and the
@@ -145,17 +164,9 @@ class TestDepthwiseParity:
     def test_odd_shapes_match_standard(self, shape, r, stride):
         """Odd and non-square maps: strided sweeps leave input border
         cells unread, which must get a zero gradient."""
-        pad = F.pad_same(r)
         x = rand(shape, seed=40)
         w = rand((shape[1], r, r), seed=41)
-        out_s, cache_s = F.depthwise_conv2d_forward(x, w, stride, pad)
-        out_f, cache_f = F.depthwise_conv2d_forward_fast(x, w, stride, pad)
-        assert rel_err(out_f, out_s) <= REL
-        g = rand(out_s.shape, seed=42)
-        gx_s, gw_s = F.depthwise_conv2d_backward(g, cache_s)
-        gx_f, gw_f = F.depthwise_conv2d_backward_fast(g, cache_f)
-        assert rel_err(gx_f, gx_s) <= REL
-        assert rel_err(gw_f, gw_s) <= REL
+        assert_depthwise_matches_reference(x, w, stride, F.pad_same(r))
 
     @pytest.mark.parametrize("stride", [1, 2])
     def test_gradcheck_numerical_strided(self, stride):
@@ -190,37 +201,37 @@ class TestDepthwiseParity:
 class TestPoolParity:
     @pytest.mark.parametrize("stride", [1, 2])
     def test_maxpool_bitwise(self, stride):
+        """The forward and the first-max routing mask are bitwise the
+        reference's; the routed gradient matches its scatter."""
         x = rand((3, 5, 9, 9), seed=21)
-        out_s, cache_s = F.maxpool2d_forward(x, 3, stride, 1)
-        out_f, cache_f = F.maxpool2d_forward_fast(x, 3, stride, 1)
-        assert np.array_equal(out_s, out_f)
-        g = rand(out_s.shape, seed=22)
-        assert np.array_equal(
-            F.maxpool2d_backward(g, cache_s), F.maxpool2d_backward_fast(g, cache_f)
-        )
+        out, cache = F.maxpool2d_forward_fast(x, 3, stride, 1)
+        assert np.array_equal(out, ref.maxpool2d(x, 3, stride, 1))
+        assert np.array_equal(cache[0], first_max_mask(x, 3, stride, 1))
+        g = rand(out.shape, seed=22)
+        gx = F.maxpool2d_backward_fast(g, cache)
+        assert rel_err(gx, ref.maxpool2d_grad_x(x, g, 3, stride, 1)) <= REL
 
     def test_maxpool_tie_routing_matches_argmax(self):
         """Repeated window maxima route the gradient to the FIRST max in
-        scan order, exactly like the standard kernel's argmax."""
-        x = np.ones((1, 1, 4, 4), dtype=np.float64)  # every window all-ties
-        out_s, cache_s = F.maxpool2d_forward(x, 3, 1, 1)
-        out_f, cache_f = F.maxpool2d_forward_fast(x, 3, 1, 1)
-        assert np.array_equal(out_s, out_f)
-        g = rand(out_s.shape, seed=23)
-        assert np.array_equal(
-            F.maxpool2d_backward(g, cache_s), F.maxpool2d_backward_fast(g, cache_f)
-        )
+        row-major scan order, exactly as a first-occurrence ``np.argmax``
+        over the reference windows does."""
+        ties = np.random.default_rng(23).integers(0, 3, size=(2, 3, 6, 6))
+        for x in (np.ones((1, 1, 4, 4)), ties.astype(np.float64)):
+            out, cache = F.maxpool2d_forward_fast(x, 3, 1, 1)
+            assert np.array_equal(out, ref.maxpool2d(x, 3, 1, 1))
+            assert np.array_equal(cache[0], first_max_mask(x, 3, 1, 1))
+            g = rand(out.shape, seed=23)
+            gx = F.maxpool2d_backward_fast(g, cache)
+            assert rel_err(gx, ref.maxpool2d_grad_x(x, g, 3, 1, 1)) <= REL
 
     @pytest.mark.parametrize("stride", [1, 2])
     def test_avgpool(self, stride):
         x = rand((3, 5, 9, 9), seed=24)
-        out_s, cache_s = F.avgpool2d_forward(x, 3, stride, 1)
-        out_f, cache_f = F.avgpool2d_forward_fast(x, 3, stride, 1)
-        assert rel_err(out_f, out_s) <= REL
-        g = rand(out_s.shape, seed=25)
-        assert np.array_equal(
-            F.avgpool2d_backward(g, cache_s), F.avgpool2d_backward_fast(g, cache_f)
-        ), "avgpool fast backward is bitwise (same adds, same order)"
+        out, cache = F.avgpool2d_forward_fast(x, 3, stride, 1)
+        assert rel_err(out, ref.avgpool2d(x, 3, stride, 1)) <= REL
+        g = rand(out.shape, seed=25)
+        gx = F.avgpool2d_backward_fast(g, cache)
+        assert rel_err(gx, ref.avgpool2d_grad_x(g, x.shape, 3, stride, 1)) <= REL
 
     def test_maxpool_cache_is_boolean(self):
         x = rand((2, 3, 8, 8), seed=26)
@@ -230,36 +241,23 @@ class TestPoolParity:
 
 class TestBatchNormParity:
     def test_forward_backward_and_running_stats(self):
+        """Forward and running statistics against the reference; the
+        gradients against central differences of the reference forward."""
         x = rand((6, 5, 7, 7), seed=27)
         gamma = rand((5,), seed=28)
         beta = rand((5,), seed=29)
-        rm_s, rv_s = np.zeros(5), np.ones(5)
-        rm_f, rv_f = np.zeros(5), np.ones(5)
-        out_s, cache_s = F.batchnorm_forward(
-            x, gamma, beta, rm_s, rv_s, 0.1, 1e-5, True
-        )
-        out_f, cache_f = F.batchnorm_forward_fast(
-            x, gamma, beta, rm_f, rv_f, 0.1, 1e-5, True
-        )
-        assert rel_err(out_f, out_s) <= REL
-        assert rel_err(rm_f, rm_s) <= REL and rel_err(rv_f, rv_s) <= REL
-        g = rand(out_s.shape, seed=30)
-        gx_s, gg_s, gb_s = F.batchnorm_backward(g, cache_s)
-        gx_f, gg_f, gb_f = F.batchnorm_backward_fast(g, cache_f)
-        assert rel_err(gx_f, gx_s) <= REL
-        assert rel_err(gg_f, gg_s) <= REL
-        assert np.array_equal(gb_f, gb_s)
-
-    def test_eval_mode_delegates_to_standard(self):
-        x = rand((4, 3, 6, 6), seed=31)
-        gamma, beta = np.ones(3), np.zeros(3)
-        rm, rv = rand((3,), seed=32) * 0.1, np.abs(rand((3,), seed=33)) + 0.5
-        out_s, _ = F.batchnorm_forward(x, gamma, beta, rm, rv, 0.1, 1e-5, False)
-        out_f, cache = F.batchnorm_forward_fast(
-            x, gamma, beta, rm, rv, 0.1, 1e-5, False
-        )
-        assert np.array_equal(out_s, out_f)
-        assert cache is None
+        rm, rv = np.zeros(5), np.ones(5)
+        out, cache = F.batchnorm_forward_fast(x, gamma, beta, rm, rv, 0.1, 1e-5)
+        want, mean, var = ref.batchnorm_train(x, gamma, beta, 1e-5)
+        assert rel_err(out, want) <= REL
+        assert rel_err(rm, 0.1 * mean) <= REL and rel_err(rv, 0.9 + 0.1 * var) <= REL
+        g = rand(out.shape, seed=30)
+        gx, gg, gb = F.batchnorm_backward_fast(g, cache)
+        gx_fd, gg_fd, gb_fd = batchnorm_grads(x, gamma, beta, g)
+        assert rel_err(gx, gx_fd) <= REL
+        assert rel_err(gg, gg_fd) <= REL
+        assert rel_err(gb, gb_fd) <= REL
+        assert np.array_equal(gb, g.sum(axis=(0, 2, 3)))
 
 
 class TestTrainFastScope:
@@ -277,49 +275,57 @@ class TestTrainFastScope:
         assert relu._mask is None
 
     def test_layer_grads_match_standard(self):
-        """Layer by layer: the training forward/backward equals the standard
-        reference kernels called directly, at relative 1e-6, and backward
-        releases the cache."""
+        """Layer by layer: the training forward/backward equals the
+        reference (batch norm's gradients: central differences of the
+        reference forward) at relative 1e-6, and backward releases the
+        cache."""
         x = rand((3, 4, 8, 8), seed=38)
         cases = [
             (
                 L.Conv2d(4, 4, kernel=3, rng=np.random.default_rng(1)),
-                lambda m: F.conv2d_forward(x, m.weight.data, 1, 1),
-                F.conv2d_backward,
+                lambda m: ref.conv2d(x, m.weight.data, 1, 1),
+                lambda m, g: (
+                    ref.conv2d_grad_x(g, m.weight.data, x.shape, 1, 1),
+                    ref.conv2d_grad_w(x, g, 3, 1, 1),
+                ),
             ),
             (
                 L.Conv2d(4, 4, kernel=1, pad=0, rng=np.random.default_rng(1)),
-                lambda m: F.conv2d_forward(x, m.weight.data, 1, 0),
-                F.conv2d_backward,
+                lambda m: ref.conv2d(x, m.weight.data, 1, 0),
+                lambda m, g: (
+                    ref.conv2d_grad_x(g, m.weight.data, x.shape, 1, 0),
+                    ref.conv2d_grad_w(x, g, 1, 1, 0),
+                ),
             ),
             (
                 L.DepthwiseConv2d(4, kernel=3, rng=np.random.default_rng(1)),
-                lambda m: F.depthwise_conv2d_forward(x, m.weight.data, 1, 1),
-                F.depthwise_conv2d_backward,
+                lambda m: ref.depthwise_conv2d(x, m.weight.data, 1, 1),
+                lambda m, g: (
+                    ref.depthwise_conv2d_grad_x(g, m.weight.data, x.shape, 1, 1),
+                    ref.depthwise_conv2d_grad_w(x, g, 3, 1, 1),
+                ),
             ),
             (
                 L.MaxPool2d(3),
-                lambda m: F.maxpool2d_forward(x, 3, 1, 1),
-                lambda g, cache: (F.maxpool2d_backward(g, cache),),
+                lambda m: ref.maxpool2d(x, 3, 1, 1),
+                lambda m, g: (ref.maxpool2d_grad_x(x, g, 3, 1, 1),),
             ),
             (
                 L.AvgPool2d(3),
-                lambda m: F.avgpool2d_forward(x, 3, 1, 1),
-                lambda g, cache: (F.avgpool2d_backward(g, cache),),
+                lambda m: ref.avgpool2d(x, 3, 1, 1),
+                lambda m, g: (ref.avgpool2d_grad_x(g, x.shape, 3, 1, 1),),
             ),
             (
                 L.BatchNorm2d(4),
-                lambda m: F.batchnorm_forward(
-                    x, m.gamma.data, m.beta.data, np.zeros(4), np.ones(4), 0.1, 1e-5, True
-                ),
-                F.batchnorm_backward,
+                lambda m: ref.batchnorm_train(x, m.gamma.data, m.beta.data, m.eps)[0],
+                lambda m, g: batchnorm_grads(x, m.gamma.data, m.beta.data, g, m.eps),
             ),
         ]
-        for layer, ref_forward, ref_backward in cases:
+        for layer, ref_forward, ref_grads in cases:
             name = type(layer).__name__
-            out_ref, cache_ref = ref_forward(layer)
+            out_ref = ref_forward(layer)
             g = rand(out_ref.shape, seed=39)
-            grads_ref = ref_backward(g, cache_ref)
+            grads_ref = ref_grads(layer, g)
             out = layer(x)
             gx = layer.backward(g)
             assert layer._cache is None, f"{name} kept its cache"
