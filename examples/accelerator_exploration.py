@@ -22,6 +22,7 @@ from collections import defaultdict
 
 from repro.accel.config import enumerate_configs
 from repro.accel.simulator import SystolicArraySimulator
+from repro.accel.workload import network_workloads
 from repro.baselines.genotypes import TWO_STAGE_BASELINES, baseline_by_name
 from repro.experiments.common import format_table
 from repro.experiments.fig6 import pareto_front
@@ -44,9 +45,13 @@ def main() -> None:
                     image_size=args.image_size)
 
     print(f"Sweeping all accelerator configurations for {model.name} ...")
+    configs = list(enumerate_configs())
+    # One batched sweep of the network's layers over every configuration;
+    # only the final profile needs a per-layer report.
+    sweep = sim.simulate_many(network_workloads(model.genotype, **geometry), configs)
     reports = [
-        (cfg, sim.simulate_genotype(model.genotype, cfg, **geometry))
-        for cfg in enumerate_configs()
+        (cfg, float(latency), float(energy))
+        for cfg, latency, energy in zip(configs, sweep.latency_ms, sweep.energy_mj)
     ]
     print(f"simulated {len(reports)} configurations")
 
@@ -64,30 +69,30 @@ def main() -> None:
     # Pareto front.
     import numpy as np
 
-    points = np.asarray([(r.latency_ms, -r.energy_mj) for _, r in reports])
+    points = np.asarray([(latency, -energy) for _, latency, energy in reports])
     front = pareto_front(points)
     print(f"\n=== Latency-energy Pareto front ({len(front)} points) ===")
     front_set = {(round(c, 9), round(q, 9)) for c, q in front}
     rows = []
-    for cfg, r in reports:
-        key = (round(r.latency_ms, 9), round(-r.energy_mj, 9))
+    for cfg, latency, energy in reports:
+        key = (round(latency, 9), round(-energy, 9))
         if key in front_set:
-            rows.append([cfg.describe(), f"{r.latency_ms:.4f}", f"{r.energy_mj:.4f}"])
+            rows.append([cfg.describe(), f"{latency:.4f}", f"{energy:.4f}"])
     rows.sort(key=lambda row: float(row[1]))
     print(format_table(["configuration", "latency (ms)", "energy (mJ)"], rows))
 
     # Per-dataflow summary.
     print("\n=== Per-dataflow summary ===")
     by_flow: dict[str, list] = defaultdict(list)
-    for cfg, r in reports:
-        by_flow[cfg.dataflow].append(r)
+    for cfg, latency, energy in reports:
+        by_flow[cfg.dataflow].append((latency, energy))
     rows = []
     for flow, rs in sorted(by_flow.items()):
         rows.append([
             flow,
-            f"{min(x.latency_ms for x in rs):.4f}",
-            f"{min(x.energy_mj for x in rs):.4f}",
-            f"{sum(x.energy_mj for x in rs) / len(rs):.4f}",
+            f"{min(lat for lat, _ in rs):.4f}",
+            f"{min(eer for _, eer in rs):.4f}",
+            f"{sum(eer for _, eer in rs) / len(rs):.4f}",
         ])
     print(format_table(
         ["dataflow", "best latency (ms)", "best energy (mJ)", "mean energy (mJ)"],

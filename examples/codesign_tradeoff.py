@@ -43,10 +43,11 @@ def main() -> None:
               f"alpha2={spec.alpha2}, omega2={spec.omega2}) ...")
         search = ReinforceSearch(
             Controller(seed=args.seed),
-            context.fast_evaluator.evaluate,
+            context.batch_evaluator.evaluate,
             spec,
             lr=search_lr(context, None),
             seed=args.seed,
+            evaluate_batch=context.batch_evaluator.evaluate_many,
         )
         history = search.run(iterations)
         best = history.best()

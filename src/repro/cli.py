@@ -140,7 +140,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         host=args.host,
         port=args.port,
         tick_s=args.tick_s,
-        max_batch_points=args.max_batch_points,
         max_inflight_points=args.max_inflight,
         idle_timeout_s=args.idle_timeout_s,
         # The context opened the store (shared with sample collection) and
@@ -244,8 +243,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "after cold traffic arrives before batching (latency "
                         "floor vs batch size; all-cached requests skip it "
                         "— see docs/PERFORMANCE.md)")
-    p.add_argument("--max-batch-points", type=int, default=4096,
-                   help="largest coalesced batch the scheduler runs at once")
     p.add_argument("--max-inflight", type=int, default=4096,
                    help="backpressure budget: points admitted concurrently "
                         "before further requests queue")

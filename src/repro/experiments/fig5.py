@@ -89,18 +89,17 @@ def run_fig5b(
     scale = context.scale
     n = n_models if n_models is not None else scale.correlation_models
     rng = np.random.default_rng(seed + 17)
-    hyper_accs: list[float] = []
+    genotypes = [
+        context.hypernet.sample_genotype(rng, name=f"corr{i}") for i in range(n)
+    ]
+    hyper_accs = context.hypernet.evaluate_many(
+        genotypes,
+        context.dataset.val.images,
+        context.dataset.val.labels,
+        batch_size=min(128, scale.val_size),
+    )
     alone_accs: list[float] = []
-    for i in range(n):
-        genotype = context.hypernet.sample_genotype(rng, name=f"corr{i}")
-        hyper_accs.append(
-            context.hypernet.evaluate(
-                genotype,
-                context.dataset.val.images,
-                context.dataset.val.labels,
-                batch_size=min(128, scale.val_size),
-            )
-        )
+    for i, genotype in enumerate(genotypes):
         network = CellNetwork(
             genotype,
             num_cells=scale.hypernet_cells,

@@ -17,11 +17,11 @@ latency reduction (vs Yoso_lat) at the same level of precision.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from ..baselines.genotypes import TWO_STAGE_BASELINES
-from ..nas.genotype import Genotype
 from ..search.controller import Controller
 from ..search.evaluator import AccurateEvaluator, Evaluation
 from ..search.reinforce import ReinforceSearch
@@ -252,17 +252,16 @@ def run_table2(
     n_top = topn if topn is not None else scale.topn
     spec_bal = scaled_reward(ENERGY_FOCUS, context)
 
-    def accuracy_of(genotype: Genotype) -> float:
-        return context.hypernet.evaluate(
-            genotype,
-            context.dataset.val.images,
-            context.dataset.val.labels,
-            batch_size=min(128, scale.val_size),
-        )
+    full_accuracies = partial(
+        context.hypernet.evaluate_many,
+        images=context.dataset.val.images,
+        labels=context.dataset.val.labels,
+        batch_size=min(128, scale.val_size),
+    )
 
     two_stage = run_two_stage(
         context.simulator,
-        accuracy_of,
+        full_accuracies,
         objective="reward",
         reward_spec=spec_bal,
         num_cells=scale.hypernet_cells,
@@ -285,17 +284,16 @@ def run_table2(
     ]
     # Executed two-stage flow: accuracy-only NAS (same fast accuracy signal
     # and sample budget as one YOSO search) followed by HW enumeration.
-    def fast_accuracy_of(genotype: Genotype) -> float:
-        return context.hypernet.evaluate(
-            genotype,
-            context.fast_evaluator.val_images,
-            context.fast_evaluator.val_labels,
-            batch_size=context.fast_evaluator.eval_batch,
-        )
-
-    for objective in ("energy", "latency"):
-        nas_row = two_stage_nas(
-            fast_accuracy_of,
+    fast = context.fast_evaluator
+    fast_accuracies = partial(
+        context.hypernet.evaluate_many,
+        images=fast.val_images,
+        labels=fast.val_labels,
+        batch_size=fast.eval_batch,
+    )
+    nas_rows = [
+        two_stage_nas(
+            fast_accuracies,
             context.simulator,
             objective=objective,
             reward_spec=spec_bal,
@@ -306,22 +304,24 @@ def run_table2(
             image_size=scale.image_size,
             num_classes=context.dataset.num_classes,
         )
-        assert nas_row.genotype is not None
-        # Report accuracy on the same (full) validation split as YOSO's
-        # Step 3 rescoring, so the precision comparison is fair.
-        full_accuracy = accuracy_of(nas_row.genotype)
-        rows.append(
-            Table2Row(
-                model=nas_row.model,
-                method="two-stage-nas",
-                search_gpu_days=None,
-                paper_test_error=None,
-                test_error=100.0 * (1.0 - full_accuracy),
-                energy_mj=nas_row.energy_mj,
-                latency_ms=nas_row.latency_ms,
-                configuration=nas_row.config.describe(),
-            )
+        for objective in ("energy", "latency")
+    ]
+    # Report accuracy on the same (full) validation split as YOSO's Step 3
+    # rescoring, so the precision comparison is fair.
+    full = full_accuracies([nas_row.genotype for nas_row in nas_rows])
+    rows.extend(
+        Table2Row(
+            model=nas_row.model,
+            method="two-stage-nas",
+            search_gpu_days=None,
+            paper_test_error=None,
+            test_error=100.0 * (1.0 - full_accuracy),
+            energy_mj=nas_row.energy_mj,
+            latency_ms=nas_row.latency_ms,
+            configuration=nas_row.config.describe(),
         )
+        for nas_row, full_accuracy in zip(nas_rows, full)
+    )
     # Two policy restarts per objective at reduced scales (see _yoso_row).
     restarts = 1 if scale.name == "paper" else 2
     # ONE rescorer serves both YOSO rows: the dataset + recipe are
@@ -331,7 +331,6 @@ def run_table2(
     if rescore_training:
         rescorer = AccurateEvaluator(
             context.dataset,
-            simulator=context.simulator,
             num_cells=scale.hypernet_cells,
             stem_channels=scale.hypernet_channels,
             num_classes=context.dataset.num_classes,

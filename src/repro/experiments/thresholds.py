@@ -21,7 +21,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..accel.config import random_config
-from ..accel.simulator import SystolicArraySimulator
 from ..nas.encoding import CoDesignPoint
 from ..nas.space import DnnSpace
 from ..search.reward import RewardSpec
@@ -86,36 +85,40 @@ def run_threshold_sweep(
     """
     if pool_size < 2:
         raise ValueError("pool_size must be >= 2")
+    if accuracy_model not in ("hypernet", "uniform"):
+        raise ValueError("accuracy_model must be 'hypernet' or 'uniform'")
     context = context or get_context(scale_name, seed)
     scale = context.scale
     rng = np.random.default_rng(seed + 77)
     space = DnnSpace()
-    sim: SystolicArraySimulator = context.simulator
-    pool: list[tuple[float, float, float]] = []  # (accuracy, latency, energy)
-    for i in range(pool_size):
-        point = CoDesignPoint(
+    points = [
+        CoDesignPoint(
             genotype=space.sample(rng, name=f"sweep{i}"), config=random_config(rng)
         )
-        report = sim.simulate_genotype(
-            point.genotype,
-            point.config,
-            num_cells=scale.hypernet_cells,
-            stem_channels=scale.hypernet_channels,
-            image_size=scale.image_size,
-            num_classes=context.dataset.num_classes,
+        for i in range(pool_size)
+    ]
+    sims = context.simulator.simulate_genotypes(
+        [(point.genotype, point.config) for point in points],
+        num_cells=scale.hypernet_cells,
+        stem_channels=scale.hypernet_channels,
+        image_size=scale.image_size,
+        num_classes=context.dataset.num_classes,
+    )
+    if accuracy_model == "hypernet":
+        fast = context.fast_evaluator
+        accuracies = context.hypernet.evaluate_many(
+            [point.genotype for point in points],
+            fast.val_images,
+            fast.val_labels,
+            batch_size=fast.eval_batch,
         )
-        if accuracy_model == "hypernet":
-            accuracy = context.hypernet.evaluate(
-                point.genotype,
-                context.fast_evaluator.val_images,
-                context.fast_evaluator.val_labels,
-                batch_size=context.fast_evaluator.eval_batch,
-            )
-        elif accuracy_model == "uniform":
-            accuracy = 1.0
-        else:
-            raise ValueError("accuracy_model must be 'hypernet' or 'uniform'")
-        pool.append((accuracy, report.latency_ms, report.energy_mj))
+    else:
+        accuracies = [1.0] * pool_size
+    # (accuracy, latency, energy) per candidate.
+    pool = [
+        (accuracy, float(latency), float(energy))
+        for accuracy, latency, energy in zip(accuracies, sims.latency_ms, sims.energy_mj)
+    ]
 
     base = RewardSpec(
         0.5, -0.4, 0.5, -0.4,

@@ -511,24 +511,18 @@ def batchnorm_infer(
     x: np.ndarray,
     gamma: np.ndarray,
     beta: np.ndarray,
-    running_mean: np.ndarray,
-    running_var: np.ndarray,
-    momentum: float,
     eps: float,
-    training: bool,
     segments: int = 1,
 ) -> np.ndarray:
-    """Forward-only batch norm with per-segment statistics (no cache).
+    """Forward-only training-mode batch norm with per-segment statistics.
 
     Each of the ``segments`` contiguous sub-batches runs
     :func:`batchnorm_forward_fast`'s op sequence on its own rows (mean,
     subtract, ``square().mean()``, ``*= inv_std``, ``*= gamma``,
     ``+= beta``), so every segment's output is bitwise equal to a
-    training-mode forward of that segment alone.  Running statistics
-    receive one update with the across-segment mean.
+    training-mode forward of that segment alone.  Nothing is cached and
+    no running statistics are written: inference never reads them.
     """
-    if not training:
-        return batchnorm_forward(x, gamma, beta, running_mean, running_var, eps)
     n, c, h, w = x.shape
     if n % segments:
         raise ValueError(f"batch of {n} rows does not split into {segments} segments")
@@ -538,23 +532,15 @@ def batchnorm_infer(
     scratch = np.empty_like(xs[0])
     gamma32 = _plane(gamma, x)
     beta32 = _plane(beta, x)
-    mean_all = np.empty((segments, c), dtype=x.dtype)
-    var_all = np.empty((segments, c), dtype=x.dtype)
     for seg in range(segments):
         dst = out[seg]
         mean = xs[seg].mean(axis=(0, 2, 3))
         np.subtract(xs[seg], _plane(mean, x), out=dst)
         np.square(dst, out=scratch)
         var = scratch.mean(axis=(0, 2, 3))
-        mean_all[seg] = mean
-        var_all[seg] = var
         dst *= _plane(1.0 / np.sqrt(var + eps), x)
         dst *= gamma32
         dst += beta32
-    running_mean *= 1.0 - momentum
-    running_mean += momentum * mean_all.mean(axis=0)
-    running_var *= 1.0 - momentum
-    running_var += momentum * var_all.mean(axis=0)
     return out.reshape(n, c, h, w)
 
 

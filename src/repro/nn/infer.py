@@ -61,10 +61,12 @@ def forward_infer(module: Module, x: np.ndarray, segments: int = 1) -> np.ndarra
     ``segments`` scopes batch normalisation only: every BatchNorm2d in the
     tree normalises each of the ``segments`` contiguous sub-batches of the
     batch axis independently (training mode), exactly as if the segments
-    had been forwarded one at a time.  All other layers are per-sample
-    maths, so stacking needs no special handling.  A ReLU immediately
-    followed by a convolution inside a Sequential is fused into the
-    convolution's padding pass.  Unknown module types raise
+    had been forwarded one at a time.  No running statistics are written,
+    and an eval-mode BatchNorm2d raises ``ValueError`` rather than being
+    silently normalised with batch statistics.  All other layers are
+    per-sample maths, so stacking needs no special handling.  A ReLU
+    immediately followed by a convolution inside a Sequential is fused
+    into the convolution's padding pass.  Unknown module types raise
     ``TypeError``: their ``forward`` would neither see ``segments`` nor
     skip its caches.
     """
@@ -94,16 +96,13 @@ def forward_infer(module: Module, x: np.ndarray, segments: int = 1) -> np.ndarra
         # natively; everything else sees one gathered array.
         x = F._stack_rows(x)
     if isinstance(module, BatchNorm2d):
+        if not module.training:
+            raise ValueError(
+                "forward_infer normalises with batch statistics; an eval-mode "
+                "BatchNorm2d would use its running statistics"
+            )
         return F.batchnorm_infer(
-            x,
-            module.gamma.data,
-            module.beta.data,
-            module.running_mean,
-            module.running_var,
-            module.momentum,
-            module.eps,
-            module.training,
-            segments=segments,
+            x, module.gamma.data, module.beta.data, module.eps, segments=segments
         )
     if isinstance(module, MaxPool2d):
         return F.maxpool2d_infer(x, module.kernel, module.stride, module.pad)

@@ -60,7 +60,8 @@ LATENCY_BUCKETS_S: tuple[float, ...] = tuple(
 ) + (100.0,)
 
 #: Power-of-two boundaries for size-ish histograms (batch points, shard
-#: items): 1, 2, 4, ... 4096 — the scheduler's max_batch_points default.
+#: items): 1, 2, 4, ... 4096 — the service's default ``--max-inflight``
+#: budget, which also bounds one coalesced scheduler batch.
 COUNT_BUCKETS: tuple[float, ...] = tuple(float(2**k) for k in range(13))
 
 

@@ -85,9 +85,10 @@ class MicroBatchScheduler:
     ``evaluate_many`` would run no HyperNet for any of the points).
     ``tick_s`` is the coalescing window the scheduler thread waits after
     cold traffic arrives (warm traffic is drained at once; :meth:`flush`
-    and ``tick_s == 0`` never wait and never ask); ``max_batch_points``
-    bounds how many points a single coalesced batch may hold (a single
-    larger request still runs whole).
+    and ``tick_s == 0`` never wait and never ask).  A batch takes every
+    request pending when it is taken: a service admits at most its
+    ``PointsBudget`` of points, and the grouped HyperNet forward bounds
+    its own memory by chunking genotypes.
 
     ``retry`` (optional :class:`~repro.resilience.policy.RetryPolicy`)
     re-runs a batch whose evaluator raised a *retryable* error (transient
@@ -102,17 +103,13 @@ class MicroBatchScheduler:
         self,
         evaluator,
         tick_s: float = 0.002,
-        max_batch_points: int = 4096,
         auto_start: bool = True,
         retry: "RetryPolicy | None" = None,
     ) -> None:
         if tick_s < 0:
             raise ValueError("tick_s must be >= 0")
-        if max_batch_points < 1:
-            raise ValueError("max_batch_points must be >= 1")
         self.evaluator = evaluator
         self.tick_s = tick_s
-        self.max_batch_points = max_batch_points
         self.retry = retry
         self._pending: deque[_Request] = deque()
         self._cond = threading.Condition()
@@ -200,24 +197,19 @@ class MicroBatchScheduler:
 
     # -- batching core ---------------------------------------------------
     def _take_batch(self) -> list[_Request]:
-        """Pop pending requests up to ``max_batch_points`` (>= 1 request).
+        """Pop every pending request.
 
         Each popped request's future is flipped to RUNNING; a request whose
         caller cancelled the future while it was queued is dropped here, so
         ``_run_batch`` never races a cancellation with ``set_result``.
         """
         with self._cond:
-            batch: list[_Request] = []
-            points = 0
-            while self._pending:
-                request = self._pending[0]
-                if batch and points + len(request.points) > self.max_batch_points:
-                    break
-                self._pending.popleft()
-                if not request.future.set_running_or_notify_cancel():
-                    continue  # cancelled while queued; nothing to evaluate
-                batch.append(request)
-                points += len(request.points)
+            batch = [
+                request
+                for request in self._pending
+                if request.future.set_running_or_notify_cancel()
+            ]
+            self._pending.clear()
         taken = time.perf_counter()
         tracer = get_tracer()
         for request in batch:

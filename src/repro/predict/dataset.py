@@ -2,14 +2,13 @@
 
 Sec. III-E: *"We collect 3600 samples from the simulation ... every model is
 built with 3000 training samples and tested on 600 testing samples."*
-:func:`collect_samples` draws uniform co-design points, runs the analytical
-simulator as ground truth and records wall-clock timings so the ~2000x
-prediction-speedup claim can be measured rather than asserted.
+:func:`collect_samples` draws uniform co-design points and runs the batched
+analytical simulator as ground truth.  The ~2000x prediction-speedup claim
+is measured by :func:`repro.experiments.fig4.run_fig4`.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,13 +31,6 @@ class PerfDataset:
     latency_ms: np.ndarray  # (n,)
     energy_mj: np.ndarray  # (n,)
     points: list[CoDesignPoint]
-    #: Per-sample cost of the *scalar* simulator (measured on a probe) —
-    #: the per-candidate oracle a predictor replaces in a search loop;
-    #: this is the denominator of the paper's ~2000x speedup claim.
-    sim_seconds_per_sample: float
-    #: Amortised per-sample cost of the vectorised batch simulation that
-    #: actually collected this dataset (see ``repro.accel.batch``).
-    batch_sim_seconds_per_sample: float = 0.0
 
     def __len__(self) -> int:
         return len(self.latency_ms)
@@ -52,16 +44,12 @@ class PerfDataset:
             self.latency_ms[:n_train],
             self.energy_mj[:n_train],
             self.points[:n_train],
-            self.sim_seconds_per_sample,
-            self.batch_sim_seconds_per_sample,
         )
         tail = PerfDataset(
             self.x[n_train:],
             self.latency_ms[n_train:],
             self.energy_mj[n_train:],
             self.points[n_train:],
-            self.sim_seconds_per_sample,
-            self.batch_sim_seconds_per_sample,
         )
         return head, tail
 
@@ -110,14 +98,6 @@ def collect_samples(
         )
         for point in points
     ]
-    # Probe the scalar oracle on a few points so the Fig. 4 speedup column
-    # keeps comparing prediction against the per-candidate simulator call
-    # it replaces (ground truth itself comes from the batch engine below).
-    n_probe = min(8, n)
-    t0 = time.perf_counter()
-    for layers, point in zip(workload_lists[:n_probe], points[:n_probe]):
-        sim.simulate_network(layers, point.config)
-    scalar_time = (time.perf_counter() - t0) / n_probe
     latency = np.empty(n, dtype=float)
     energy = np.empty(n, dtype=float)
     keys: list[tuple | None] = [None] * n
@@ -143,14 +123,11 @@ def collect_samples(
                 latency[i], energy[i] = values
             else:
                 miss_idx.append(i)
-    sim_time = 0.0
     if miss_idx:
-        t0 = time.perf_counter()
         batch = sim.simulate_many(
             [workload_lists[i] for i in miss_idx],
             [points[i].config for i in miss_idx],
         )
-        sim_time = time.perf_counter() - t0
         for pos, i in enumerate(miss_idx):
             latency[i] = float(batch.latency_ms[pos])
             energy[i] = float(batch.energy_mj[pos])
@@ -172,6 +149,4 @@ def collect_samples(
         latency_ms=latency,
         energy_mj=energy,
         points=points,
-        sim_seconds_per_sample=scalar_time,
-        batch_sim_seconds_per_sample=sim_time / n,
     )

@@ -4,7 +4,7 @@ Step 1 of YOSO builds the :class:`FastEvaluator` — HyperNet-inherited
 weights for accuracy (one test run instead of full training) plus the two
 Gaussian-process predictors for latency and energy (instead of simulation).
 Step 3 rescoring uses the :class:`AccurateEvaluator` — stand-alone training
-plus the full analytical simulator — on the top-N candidates only.
+— on the top-N candidates only, next to one batched simulator call.
 
 :class:`FastEvaluator` caches nothing: its scalar ``evaluate`` is the
 specification.  :class:`BatchEvaluator` wraps it with the batched scoring
@@ -24,7 +24,6 @@ from typing import Sequence
 
 import numpy as np
 
-from ..accel.simulator import SystolicArraySimulator
 from ..nas.encoding import (
     DNN_TOKENS,
     SEQUENCE_LENGTH,
@@ -523,12 +522,16 @@ class BatchEvaluator:
 
 
 class AccurateEvaluator:
-    """Full training + accurate simulation (Step 3 rescoring)."""
+    """Stand-alone training accuracy (Step 3 rescoring).
+
+    Latency and energy of the rescored candidates come from one batched
+    :meth:`~repro.accel.simulator.SystolicArraySimulator.simulate_genotypes`
+    call next to :meth:`train_accuracies`.
+    """
 
     def __init__(
         self,
         dataset: SyntheticCifar,
-        simulator: SystolicArraySimulator | None = None,
         num_cells: int = 6,
         stem_channels: int = 16,
         num_classes: int = 10,
@@ -537,7 +540,6 @@ class AccurateEvaluator:
         seed: int = 0,
     ) -> None:
         self.dataset = dataset
-        self.simulator = simulator or SystolicArraySimulator()
         self.num_cells = num_cells
         self.stem_channels = stem_channels
         self.num_classes = num_classes
@@ -582,17 +584,12 @@ class AccurateEvaluator:
         self._store_namespace = namespace
 
     def train_accuracy(self, point: CoDesignPoint, seed: int | None = None) -> float:
-        """Stand-alone training accuracy of one candidate (no simulation).
+        """Stand-alone training accuracy of one candidate.
 
-        Split out of :meth:`evaluate` so Step-3 rescoring can train each
-        top-N candidate individually (accuracy genuinely needs per-model
-        training) while batching ALL their latency/energy simulations
-        into one :meth:`~repro.accel.simulator.SystolicArraySimulator.
-        simulate_genotypes` call.  ``seed`` overrides the evaluator seed
-        for one candidate; each call is deterministic and independent of
-        every other call, which is what lets
-        :meth:`train_accuracies` shard candidates across threads with
-        bit-identical results.
+        ``seed`` overrides the evaluator seed for one candidate; each call
+        is deterministic and independent of every other call, which is
+        what lets :meth:`train_accuracies` shard candidates across threads
+        with bit-identical results.
 
         With a durable store attached, a persisted accuracy for this
         (genotype, seed) is returned bit-exactly instead of retraining,
@@ -660,20 +657,3 @@ class AccurateEvaluator:
         from ..parallel.training import train_accuracies
 
         return train_accuracies(self, points, workers=workers, seeds=seeds)
-
-    def evaluate(self, point: CoDesignPoint) -> Evaluation:
-        """Train the candidate from scratch and simulate it accurately."""
-        accuracy = self.train_accuracy(point)
-        report = self.simulator.simulate_genotype(
-            point.genotype,
-            point.config,
-            num_cells=self.num_cells,
-            stem_channels=self.stem_channels,
-            image_size=self.dataset.image_size,
-            num_classes=self.num_classes,
-        )
-        return Evaluation(
-            accuracy=accuracy,
-            latency_ms=report.latency_ms,
-            energy_mj=report.energy_mj,
-        )

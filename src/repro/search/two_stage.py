@@ -16,12 +16,17 @@ Two stage-1 variants are provided:
   "design an application-specific DNN model with the highest accuracy,
   then build an accelerator for it" means when the application is not
   CIFAR-10).
+
+Both score accuracy through a batched callable (``Sequence[Genotype] ->
+list[float]``, e.g. a bound
+:meth:`~repro.nas.hypernet.HyperNet.evaluate_many`), called once for all
+of a flow's networks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -115,7 +120,7 @@ def best_config_for(
 
 def run_two_stage(
     simulator: SystolicArraySimulator,
-    accuracy_of: Callable[[Genotype], float],
+    accuracies_of: Callable[[Sequence[Genotype]], list[float]],
     objective: str = "energy",
     reward_spec: RewardSpec | None = None,
     baselines: tuple[BaselineModel, ...] = TWO_STAGE_BASELINES,
@@ -127,13 +132,15 @@ def run_two_stage(
 ) -> list[TwoStageRow]:
     """Produce the two-stage side of Table 2.
 
-    ``accuracy_of`` supplies each network's accuracy (full training at
-    paper scale; HyperNet-inherited weights at demo scale).  ``configs``
-    restricts the hardware enumeration (tests); default is the full space.
+    ``accuracies_of`` maps the baseline networks, in order, to their
+    accuracies in one call (full training at paper scale;
+    HyperNet-inherited weights at demo scale).  ``configs`` restricts the
+    hardware enumeration (tests); default is the full space.
     """
     config_list = list(configs) if configs is not None else None
+    accuracies = accuracies_of([model.genotype for model in baselines])
     rows: list[TwoStageRow] = []
-    for model in baselines:
+    for model, accuracy in zip(baselines, accuracies):
         config, energy, latency = best_config_for(
             model.genotype,
             simulator,
@@ -150,7 +157,7 @@ def run_two_stage(
                 model=model.name,
                 search_gpu_days=model.search_gpu_days,
                 paper_test_error=model.paper_test_error,
-                accuracy=accuracy_of(model.genotype),
+                accuracy=accuracy,
                 energy_mj=energy,
                 latency_ms=latency,
                 config=config,
@@ -160,7 +167,7 @@ def run_two_stage(
 
 
 def two_stage_nas(
-    accuracy_of: Callable[[Genotype], float],
+    accuracies_of: Callable[[Sequence[Genotype]], list[float]],
     simulator: SystolicArraySimulator,
     objective: str,
     reward_spec: RewardSpec | None = None,
@@ -174,26 +181,24 @@ def two_stage_nas(
 ) -> TwoStageRow:
     """Execute the full two-stage flow from scratch.
 
-    Stage 1: sample ``nas_samples`` architectures uniformly and keep the one
-    with the highest accuracy under ``accuracy_of`` (the paper's "designing
-    an application-specific DNN model with the highest accuracy" — no
-    hardware feedback whatsoever).  Stage 2: enumerate the accelerator space
-    for that fixed architecture and keep the best configuration under
-    ``objective`` (screened by ``reward_spec`` thresholds when given).
+    Stage 1: sample ``nas_samples`` architectures uniformly, score them
+    with one ``accuracies_of`` call and keep the first one with the
+    highest accuracy (the paper's "designing an application-specific DNN
+    model with the highest accuracy" — no hardware feedback whatsoever).
+    Stage 2: enumerate the accelerator space for that fixed architecture
+    and keep the best configuration under ``objective`` (screened by
+    ``reward_spec`` thresholds when given).
     """
     if nas_samples < 1:
         raise ValueError("nas_samples must be >= 1")
     rng = np.random.default_rng(seed)
     space = DnnSpace()
-    best_genotype: Genotype | None = None
-    best_accuracy = -1.0
-    for i in range(nas_samples):
-        genotype = space.sample(rng, name=f"two_stage_nas{i}")
-        accuracy = accuracy_of(genotype)
-        if accuracy > best_accuracy:
-            best_accuracy = accuracy
-            best_genotype = genotype
-    assert best_genotype is not None
+    genotypes = [
+        space.sample(rng, name=f"two_stage_nas{i}") for i in range(nas_samples)
+    ]
+    accuracies = accuracies_of(genotypes)
+    best = max(range(nas_samples), key=accuracies.__getitem__)  # first maximum
+    best_genotype = genotypes[best]
     config, energy, latency = best_config_for(
         best_genotype,
         simulator,
@@ -209,7 +214,7 @@ def two_stage_nas(
         model=f"TwoStage_{objective}",
         search_gpu_days=0.5,
         paper_test_error=float("nan"),
-        accuracy=best_accuracy,
+        accuracy=accuracies[best],
         energy_mj=energy,
         latency_ms=latency,
         config=config,

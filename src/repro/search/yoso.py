@@ -214,7 +214,6 @@ class YosoSearch:
         cfg = self.config
         accurate = AccurateEvaluator(
             self.dataset,
-            simulator=self.simulator,
             num_cells=cfg.num_cells,
             stem_channels=cfg.stem_channels,
             num_classes=cfg.num_classes,

@@ -82,9 +82,8 @@ class PointsBudget:
     ``limit``; waiters are admitted strictly FIFO (head-of-line blocking,
     so a large request is never starved by a stream of small ones).  A
     single request larger than the whole limit is admitted only when
-    nothing else is in flight (it runs alone, mirroring the scheduler's
-    ``max_batch_points`` semantics), so an oversized request degrades to
-    exclusive access instead of deadlocking.
+    nothing else is in flight (it runs alone), so an oversized request
+    degrades to exclusive access instead of deadlocking.
     """
 
     def __init__(self, limit: int) -> None:
@@ -140,8 +139,8 @@ class SearchService:
     ``tick_s > 0``); the service wraps it in its own
     :class:`~repro.parallel.scheduler.MicroBatchScheduler` (``tick_s`` is
     the coalescing window, waited only when some pending point is cold,
-    so cache hits never sleep through it; ``max_batch_points`` bounds one
-    coalesced batch).  ``max_inflight_points`` is the backpressure budget.  The
+    so cache hits never sleep through it).  ``max_inflight_points`` is the
+    backpressure budget, and so also bounds one coalesced batch.  The
     caller keeps the evaluator's lifecycle (its worker threads).
 
     A durable tier-2 result store makes restarts warm (``yoso serve
@@ -159,7 +158,6 @@ class SearchService:
         host: str = "127.0.0.1",
         port: int = 0,
         tick_s: float = 0.002,
-        max_batch_points: int = 4096,
         max_inflight_points: int = 4096,
         store=None,
         idle_timeout_s: float | None = None,
@@ -175,12 +173,7 @@ class SearchService:
             and getattr(evaluator, "store", None) is None
         ):
             evaluator.attach_store(store)
-        self.scheduler = MicroBatchScheduler(
-            evaluator,
-            tick_s=tick_s,
-            max_batch_points=max_batch_points,
-            retry=retry,
-        )
+        self.scheduler = MicroBatchScheduler(evaluator, tick_s=tick_s, retry=retry)
         self.max_inflight_points = max_inflight_points
         #: Per-connection idle timeout: a peer that sends nothing for this
         #: long is disconnected (None = never) so dead clients cannot pin
@@ -581,7 +574,6 @@ class SearchService:
                     scheduler.requests / ticks if ticks else None
                 ),
                 "tick_s": scheduler.tick_s,
-                "max_batch_points": scheduler.max_batch_points,
             },
             "evaluator": self._evaluator_stats(),
         }

@@ -119,6 +119,7 @@ class TestFig4:
         assert targets == {"energy", "latency"}
         assert len(result.rows) == 12  # 6 models x 2 targets
         assert result.n_train == SMOKE.predictor_train
+        assert result.sim_seconds_per_sample > 0
 
     def test_best_returns_lowest_mse(self):
         result = run_fig4("smoke", seed=0)
@@ -140,12 +141,30 @@ class TestFig5:
         assert len(result.epochs) == SMOKE.hypernet_epochs
         assert all(0 <= a <= 1 for a in result.accuracy)
 
-    def test_fig5b_shapes(self, ctx):
-        result = run_fig5b("smoke", 0, context=ctx, n_models=3)
-        assert len(result.hypernet_accuracy) == 3
-        assert len(result.standalone_accuracy) == 3
-        assert -1.0 <= result.spearman_rho <= 1.0
-        assert "pearson" in result.to_text()
+    @pytest.fixture(scope="class")
+    def fig5b(self, ctx):
+        return run_fig5b("smoke", 0, context=ctx, n_models=3)
+
+    def test_fig5b_shapes(self, fig5b):
+        assert len(fig5b.hypernet_accuracy) == 3
+        assert len(fig5b.standalone_accuracy) == 3
+        assert -1.0 <= fig5b.spearman_rho <= 1.0
+        assert "pearson" in fig5b.to_text()
+
+    def test_fig5b_hypernet_matches_scalar_oracle(self, ctx, fig5b):
+        """One ``evaluate_many`` call scores the sampled sub-models; it
+        must ``==`` a scalar ``HyperNet.evaluate`` per sub-model."""
+        rng = np.random.default_rng(0 + 17)
+        expected = [
+            ctx.hypernet.evaluate(
+                ctx.hypernet.sample_genotype(rng, name=f"corr{i}"),
+                ctx.dataset.val.images,
+                ctx.dataset.val.labels,
+                batch_size=min(128, ctx.scale.val_size),
+            )
+            for i in range(3)
+        ]
+        assert fig5b.hypernet_accuracy.tolist() == expected
 
 
 class TestFig6:

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
+from repro.accel.config import random_config
 from repro.experiments import get_context
 from repro.experiments.thresholds import run_threshold_sweep
+from repro.nas.space import DnnSpace
 
 
 @pytest.fixture(scope="module")
@@ -49,6 +52,45 @@ class TestThresholdSweep:
         sweep = run_threshold_sweep("smoke", 0, context=ctx, pool_size=4,
                                     accuracy_model="hypernet")
         assert all(0.0 <= c.winner_accuracy <= 1.0 for c in sweep.cells)
+
+    def test_hypernet_sweep_matches_scalar_oracle(self, ctx):
+        """The pool is scored by one ``simulate_genotypes`` and one
+        ``evaluate_many`` call; every cell must ``==`` the cell rebuilt
+        from a scalar ``simulate_genotype`` / ``HyperNet.evaluate`` pool."""
+        sweep = run_threshold_sweep("smoke", 0, context=ctx, pool_size=8,
+                                    accuracy_model="hypernet")
+        scale, fast = ctx.scale, ctx.fast_evaluator
+        rng = np.random.default_rng(0 + 77)
+        space = DnnSpace()
+        pool = []
+        for i in range(8):
+            genotype = space.sample(rng, name=f"sweep{i}")
+            report = ctx.simulator.simulate_genotype(
+                genotype, random_config(rng),
+                num_cells=scale.hypernet_cells,
+                stem_channels=scale.hypernet_channels,
+                image_size=scale.image_size,
+                num_classes=ctx.dataset.num_classes,
+            )
+            accuracy = ctx.hypernet.evaluate(
+                genotype, fast.val_images, fast.val_labels, batch_size=fast.eval_batch
+            )
+            pool.append((accuracy, report.latency_ms, report.energy_mj))
+        for cell in sweep.cells:
+            spec = sweep.base_spec.scaled(cell.t_lat_ms, cell.t_eer_mj)
+            feasible = [
+                i for i, (_, lat, eer) in enumerate(pool)
+                if spec.meets_thresholds(lat, eer)
+            ] or range(len(pool))
+            rewards = {
+                i: spec.reward(*pool[i]) if pool[i][0] > 0 else 0.0 for i in feasible
+            }
+            winner = max(rewards, key=rewards.get)
+            assert cell.winner_index == winner
+            assert (
+                cell.winner_accuracy, cell.winner_latency_ms, cell.winner_energy_mj
+            ) == pool[winner]
+            assert cell.winner_reward == rewards[winner]
 
     def test_invalid_args(self, ctx):
         with pytest.raises(ValueError):

@@ -2,8 +2,9 @@
 never depends on which other samples share its call.
 
 Hypothesis draws a stacked float32 batch and an arbitrary partition of its
-rows.  Every ``*_infer`` forward, the two convolutional training forwards
-and the convolutional training backwards' ``grad_x`` must give a
+rows.  Every per-sample ``*_infer`` forward, the eval-mode batch norm
+(``batchnorm_forward``), the two convolutional training forwards and the
+convolutional training backwards' ``grad_x`` must give a
 whole-batch result ``np.array_equal`` to the concatenation of the per-part
 results.  Kernel sizes 1/3/5 and strides 1/2 are drawn, and batches of up
 to 160 rows of 16 channels on 16x16 maps cross every row-chunk budget
@@ -107,9 +108,7 @@ def test_infer_forwards(case):
         lambda lo, hi: F.depthwise_conv2d_infer(x[lo:hi], depthwise, s, p, relu=True),
         lambda lo, hi: F.maxpool2d_infer(x[lo:hi], k, s, p),
         lambda lo, hi: F.avgpool2d_infer(x[lo:hi], k, s, p),
-        lambda lo, hi: F.batchnorm_infer(
-            x[lo:hi], gamma, beta, mean, var, 0.1, 1e-5, training=False
-        ),
+        lambda lo, hi: F.batchnorm_forward(x[lo:hi], gamma, beta, mean, var, 1e-5),
     ]
     for kernel in kernels:
         assert_row_independent(case, kernel)

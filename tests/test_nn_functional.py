@@ -485,10 +485,7 @@ class TestSegmentedBatchNorm:
             for segments in (1, 2, 4):
                 x = rand((rows * segments, 3, 4, 4), seed=52) * 3.0 + 1.0
                 x = x.astype(dtype)
-                seg_out = F.batchnorm_infer(
-                    x, gamma, beta, np.zeros(3, np.float32), np.ones(3, np.float32),
-                    0.1, 1e-5, True, segments=segments,
-                )
+                seg_out = F.batchnorm_infer(x, gamma, beta, 1e-5, segments=segments)
                 for s in range(segments):
                     part, _ = F.batchnorm_forward_fast(
                         x[s * rows : (s + 1) * rows], gamma, beta,
@@ -502,19 +499,15 @@ class TestSegmentedBatchNorm:
         reference, to round-off)."""
         x = rand((8, 3, 4, 4), seed=53)
         gamma, beta = self._params(3)
-        rm, rv = np.zeros(3, np.float32), np.ones(3, np.float32)
         plain, _, _ = ref.batchnorm_train(x, gamma, beta, 1e-5)
-        seg = F.batchnorm_infer(x, gamma, beta, rm, rv, 0.1, 1e-5, True, segments=1)
+        seg = F.batchnorm_infer(x, gamma, beta, 1e-5, segments=1)
         np.testing.assert_allclose(plain, seg, rtol=1e-12, atol=1e-12)  # float64 round-off
 
     def test_indivisible_batch_rejected(self):
         x = rand((10, 3, 4, 4), seed=54)
         gamma, beta = self._params(3)
         with pytest.raises(ValueError):
-            F.batchnorm_infer(
-                x, gamma, beta, np.zeros(3, np.float32), np.ones(3, np.float32),
-                0.1, 1e-5, True, segments=4,
-            )
+            F.batchnorm_infer(x, gamma, beta, 1e-5, segments=4)
 
     def test_forward_infer_matches_module(self):
         from repro.nn.infer import forward_infer
@@ -525,6 +518,23 @@ class TestSegmentedBatchNorm:
         np.testing.assert_allclose(
             forward_infer(op, x), op(x), rtol=1e-5, atol=1e-6
         )
+
+    def test_forward_infer_writes_no_running_stats(self):
+        from repro.nn.infer import forward_infer
+        from repro.nn.layers import BatchNorm2d
+
+        bn = BatchNorm2d(3)
+        forward_infer(bn, rand((4, 3, 4, 4), seed=59) + 2.0, segments=2)
+        assert np.array_equal(bn.running_mean, np.zeros(3, np.float32))
+        assert np.array_equal(bn.running_var, np.ones(3, np.float32))
+
+    def test_forward_infer_rejects_eval_mode_batchnorm(self):
+        from repro.nn.infer import forward_infer
+        from repro.nn.layers import ReLUConvBN
+
+        op = ReLUConvBN(4, 4, kernel=3, rng=np.random.default_rng(57)).eval()
+        with pytest.raises(ValueError, match="eval-mode"):
+            forward_infer(op, rand((2, 4, 8, 8), seed=56))
 
     def test_forward_infer_rejects_unknown_module(self):
         from repro.nn.infer import forward_infer

@@ -235,16 +235,6 @@ class TestMicroBatchScheduler:
         assert scheduler.ticks >= 1
         assert scheduler.requests == 2 + len(points)
 
-    def test_max_batch_points_splits_ticks(self, smoke_context):
-        inner = _CountingEvaluator(BatchEvaluator(smoke_context.fast_evaluator))
-        scheduler = MicroBatchScheduler(inner, max_batch_points=4, auto_start=False)
-        points = _population(6, seed=67)
-        futures = [scheduler.submit(points[:3]), scheduler.submit(points[3:])]
-        scheduler.flush()
-        assert scheduler.ticks == 2, "the cap bounds each coalesced batch"
-        assert inner.calls == [3, 3]
-        assert [len(f.result()) for f in futures] == [3, 3]
-
     def test_exception_propagates_to_every_coalesced_caller(self, smoke_context):
         inner = _CountingEvaluator(
             BatchEvaluator(smoke_context.fast_evaluator), fail=True
@@ -273,8 +263,6 @@ class TestMicroBatchScheduler:
         evaluator = BatchEvaluator(smoke_context.fast_evaluator)
         with pytest.raises(ValueError):
             MicroBatchScheduler(evaluator, tick_s=-1.0)
-        with pytest.raises(ValueError):
-            MicroBatchScheduler(evaluator, max_batch_points=0)
 
 
 @pytest.fixture

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.accel.config import AcceleratorConfig
+from repro.accel.simulator import SystolicArraySimulator
 from repro.nas.encoding import CoDesignPoint
 from repro.nas.hypernet import HyperNet
 from repro.nas.space import DnnSpace
@@ -89,7 +90,6 @@ class TestFastEvaluator:
 
     def test_gp_predictions_track_simulator(self, fast_evaluator, tiny_dataset):
         """Fast-evaluator latency/energy must correlate with ground truth."""
-        from repro.accel.simulator import SystolicArraySimulator
         from repro.predict.metrics import spearman
 
         sim = SystolicArraySimulator()
@@ -105,20 +105,28 @@ class TestFastEvaluator:
         assert spearman(truths, preds) > 0.7
 
 
+def simulate(point: CoDesignPoint):
+    """Step-3 ground truth of one point, at the evaluators' geometry."""
+    return SystolicArraySimulator().simulate_genotype(
+        point.genotype, point.config, num_cells=3, stem_channels=4, image_size=8
+    )
+
+
 class TestAccurateEvaluator:
     def test_end_to_end(self, tiny_dataset):
         evaluator = AccurateEvaluator(
             tiny_dataset, num_cells=3, stem_channels=4, train_epochs=1, seed=0
         )
-        result = evaluator.evaluate(make_point(5))
-        assert 0.0 <= result.accuracy <= 1.0
-        assert result.latency_ms > 0
-        assert result.energy_mj > 0
+        point = make_point(5)
+        assert 0.0 <= evaluator.train_accuracy(point) <= 1.0
+        report = simulate(point)
+        assert report.latency_ms > 0
+        assert report.energy_mj > 0
 
     def test_deterministic(self, tiny_dataset):
         point = make_point(6)
         kwargs = dict(num_cells=3, stem_channels=4, train_epochs=1, seed=3)
-        a = AccurateEvaluator(tiny_dataset, **kwargs).evaluate(point)
-        b = AccurateEvaluator(tiny_dataset, **kwargs).evaluate(point)
-        assert a.accuracy == b.accuracy
-        assert a.latency_ms == b.latency_ms
+        a = AccurateEvaluator(tiny_dataset, **kwargs).train_accuracy(point)
+        b = AccurateEvaluator(tiny_dataset, **kwargs).train_accuracy(point)
+        assert a == b
+        assert simulate(point).latency_ms == simulate(point).latency_ms

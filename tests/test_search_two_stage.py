@@ -122,19 +122,24 @@ class TestBestConfigFor:
             best_config_for(genotype, sim, objective="energy", configs=[], **SMALL)
 
 
+def constant(value):
+    """A batch accuracy callable scoring every genotype ``value``."""
+    return lambda genotypes: [value] * len(genotypes)
+
+
 class TestTwoStageNas:
     def test_executes_both_stages(self, sim):
         from repro.search.two_stage import two_stage_nas
 
         calls = []
 
-        def accuracy_of(genotype):
-            calls.append(genotype.name)
-            return 0.1 + 0.8 * (hash(genotype.to_json()) % 100) / 100.0
+        def accuracies_of(genotypes):
+            calls.append([g.name for g in genotypes])
+            return [0.1 + 0.8 * (hash(g.to_json()) % 100) / 100.0 for g in genotypes]
 
-        row = two_stage_nas(accuracy_of, sim, objective="energy",
+        row = two_stage_nas(accuracies_of, sim, objective="energy",
                             nas_samples=12, seed=0, configs=SUBSET, **SMALL)
-        assert len(calls) == 12
+        assert len(calls) == 1 and len(calls[0]) == 12  # one batched call
         assert row.model == "TwoStage_energy"
         assert row.genotype is not None
         assert row.energy_mj > 0 and row.latency_ms > 0
@@ -144,22 +149,36 @@ class TestTwoStageNas:
 
         accuracies = {}
 
-        def accuracy_of(genotype):
-            value = (hash(genotype.to_json()) % 97) / 97.0
-            accuracies[genotype.to_json()] = value
-            return value
+        def accuracies_of(genotypes):
+            values = [(hash(g.to_json()) % 97) / 97.0 for g in genotypes]
+            accuracies.update((g.to_json(), v) for g, v in zip(genotypes, values))
+            return values
 
-        row = two_stage_nas(accuracy_of, sim, objective="latency",
+        row = two_stage_nas(accuracies_of, sim, objective="latency",
                             nas_samples=10, seed=1, configs=SUBSET, **SMALL)
         assert row.genotype is not None
         assert accuracies[row.genotype.to_json()] == max(accuracies.values())
         assert row.accuracy == max(accuracies.values())
 
+    def test_ties_keep_the_first_maximum(self, sim):
+        from repro.search.two_stage import two_stage_nas
+
+        def accuracies_of(genotypes):
+            return [0.9 if i in (2, 4) else 0.1 for i in range(len(genotypes))]
+
+        row = two_stage_nas(accuracies_of, sim, objective="energy",
+                            nas_samples=6, seed=2, configs=SUBSET, **SMALL)
+        assert row.genotype.name == "two_stage_nas2"
+        assert row.accuracy == 0.9
+        row = two_stage_nas(constant(0.5), sim, objective="energy",
+                            nas_samples=6, seed=2, configs=SUBSET, **SMALL)
+        assert row.genotype.name == "two_stage_nas0"
+
     def test_deterministic(self, sim):
         from repro.search.two_stage import two_stage_nas
 
         rows = [
-            two_stage_nas(lambda g: 0.5, sim, objective="energy",
+            two_stage_nas(constant(0.5), sim, objective="energy",
                           nas_samples=5, seed=3, configs=SUBSET, **SMALL)
             for _ in range(2)
         ]
@@ -170,18 +189,18 @@ class TestTwoStageNas:
         from repro.search.two_stage import two_stage_nas
 
         with pytest.raises(ValueError):
-            two_stage_nas(lambda g: 0.5, sim, objective="energy",
+            two_stage_nas(constant(0.5), sim, objective="energy",
                           nas_samples=0, configs=SUBSET, **SMALL)
 
 
 class TestRunTwoStage:
     def test_produces_one_row_per_baseline(self, sim):
-        rows = run_two_stage(sim, lambda g: 0.8, objective="energy", configs=SUBSET, **SMALL)
+        rows = run_two_stage(sim, constant(0.8), objective="energy", configs=SUBSET, **SMALL)
         assert len(rows) == 6
         assert {r.model for r in rows} == {m.name for m in TWO_STAGE_BASELINES}
 
     def test_rows_carry_accuracy_and_metadata(self, sim):
-        rows = run_two_stage(sim, lambda g: 0.75, objective="latency", configs=SUBSET, **SMALL)
+        rows = run_two_stage(sim, constant(0.75), objective="latency", configs=SUBSET, **SMALL)
         for row in rows:
             assert row.accuracy == 0.75
             assert row.test_error == pytest.approx(25.0)
@@ -189,7 +208,95 @@ class TestRunTwoStage:
             assert row.energy_mj > 0 and row.latency_ms > 0
 
     def test_accuracy_callback_sees_each_genotype(self, sim):
-        seen = []
-        run_two_stage(sim, lambda g: seen.append(g.name) or 0.5,
-                      objective="energy", configs=SUBSET, **SMALL)
-        assert sorted(seen) == sorted(m.name for m in TWO_STAGE_BASELINES)
+        calls = []
+
+        def accuracies_of(genotypes):
+            calls.append([g.name for g in genotypes])
+            return [0.5] * len(genotypes)
+
+        run_two_stage(sim, accuracies_of, objective="energy", configs=SUBSET, **SMALL)
+        assert calls == [[m.name for m in TWO_STAGE_BASELINES]]
+
+
+class TestScalarOracleParity:
+    """The flows score through the batched engines (``evaluate_many``,
+    ``simulate_many``); every number must ``==`` the scalar
+    ``HyperNet.evaluate`` / ``simulate_genotype`` oracles."""
+
+    @pytest.fixture(scope="class")
+    def setup(self, smoke_context):
+        ctx = smoke_context
+        scale = ctx.scale
+        geometry = dict(
+            num_cells=scale.hypernet_cells,
+            stem_channels=scale.hypernet_channels,
+            image_size=scale.image_size,
+            num_classes=ctx.dataset.num_classes,
+        )
+        fast = ctx.fast_evaluator
+        spec = RewardSpec(
+            0.5, -0.4, 0.5, -0.4, t_lat_ms=ctx.t_lat_ms, t_eer_mj=ctx.t_eer_mj
+        )
+
+        def batched(genotypes):
+            return ctx.hypernet.evaluate_many(
+                genotypes, fast.val_images, fast.val_labels, batch_size=fast.eval_batch
+            )
+
+        def scalar(genotype):
+            return ctx.hypernet.evaluate(
+                genotype, fast.val_images, fast.val_labels, batch_size=fast.eval_batch
+            )
+
+        return ctx, geometry, spec, batched, scalar
+
+    @staticmethod
+    def scalar_best_config(ctx, genotype, objective, spec, geometry):
+        """``best_config_for`` rebuilt from scalar ``simulate_genotype``."""
+        reports = [
+            (cfg, ctx.simulator.simulate_genotype(genotype, cfg, **geometry))
+            for cfg in SUBSET
+        ]
+        passing = [
+            (cfg, r) for cfg, r in reports
+            if spec.meets_thresholds(r.latency_ms, r.energy_mj)
+        ]
+        key = {
+            "energy": lambda item: item[1].energy_mj,
+            "latency": lambda item: item[1].latency_ms,
+            "reward": lambda item: -spec.reward(1.0, item[1].latency_ms, item[1].energy_mj),
+        }[objective]
+        cfg, report = min(passing or reports, key=key)
+        return cfg, report.energy_mj, report.latency_ms
+
+    def test_run_two_stage_matches_scalar_oracle(self, setup):
+        ctx, geometry, spec, batched, scalar = setup
+        rows = run_two_stage(ctx.simulator, batched, objective="reward",
+                             reward_spec=spec, configs=SUBSET, **geometry)
+        for model, row in zip(TWO_STAGE_BASELINES, rows):
+            assert row.accuracy == scalar(model.genotype)
+            expected = self.scalar_best_config(ctx, model.genotype, "reward", spec, geometry)
+            assert (row.config, row.energy_mj, row.latency_ms) == expected
+
+    @pytest.mark.parametrize("objective", ["energy", "latency"])
+    def test_two_stage_nas_matches_scalar_oracle(self, setup, objective):
+        from repro.nas.space import DnnSpace
+        from repro.search.two_stage import two_stage_nas
+
+        ctx, geometry, spec, batched, scalar = setup
+        row = two_stage_nas(batched, ctx.simulator, objective=objective,
+                            reward_spec=spec, nas_samples=8, seed=21,
+                            configs=SUBSET, **geometry)
+        # Stage 1 as a scalar loop: the first strictly better genotype wins.
+        rng = np.random.default_rng(21)
+        space = DnnSpace()
+        best, best_accuracy = None, -1.0
+        for i in range(8):
+            genotype = space.sample(rng, name=f"two_stage_nas{i}")
+            accuracy = scalar(genotype)
+            if accuracy > best_accuracy:
+                best, best_accuracy = genotype, accuracy
+        assert row.genotype == best
+        assert row.accuracy == best_accuracy
+        expected = self.scalar_best_config(ctx, best, objective, spec, geometry)
+        assert (row.config, row.energy_mj, row.latency_ms) == expected

@@ -114,7 +114,6 @@ class TestStackWiring:
 
         rescorer = AccurateEvaluator(
             smoke_context.dataset,
-            simulator=smoke_context.simulator,
             num_cells=smoke_context.scale.hypernet_cells,
             stem_channels=smoke_context.scale.hypernet_channels,
             train_epochs=1,
