@@ -26,7 +26,7 @@ from ..search.controller import Controller
 from ..search.evaluator import AccurateEvaluator, Evaluation
 from ..search.reinforce import ReinforceSearch
 from ..search.reward import ENERGY_FOCUS, LATENCY_FOCUS, RewardSpec
-from ..search.two_stage import run_two_stage, two_stage_nas
+from ..search.two_stage import run_two_stage, two_stage_nas_rows
 from .common import ExperimentContext, format_table, get_context, scaled_reward
 from .fig6 import search_lr
 
@@ -291,21 +291,20 @@ def run_table2(
         labels=fast.val_labels,
         batch_size=fast.eval_batch,
     )
-    nas_rows = [
-        two_stage_nas(
-            fast_accuracies,
-            context.simulator,
-            objective=objective,
-            reward_spec=spec_bal,
-            nas_samples=n_iter,
-            seed=seed + 21,
-            num_cells=scale.hypernet_cells,
-            stem_channels=scale.hypernet_channels,
-            image_size=scale.image_size,
-            num_classes=context.dataset.num_classes,
-        )
-        for objective in ("energy", "latency")
-    ]
+    # Stage 1 is objective-free: one sampled-and-scored architecture
+    # search serves both Stage-2 objectives.
+    nas_rows = two_stage_nas_rows(
+        fast_accuracies,
+        context.simulator,
+        ("energy", "latency"),
+        reward_spec=spec_bal,
+        nas_samples=n_iter,
+        seed=seed + 21,
+        num_cells=scale.hypernet_cells,
+        stem_channels=scale.hypernet_channels,
+        image_size=scale.image_size,
+        num_classes=context.dataset.num_classes,
+    )
     # Report accuracy on the same (full) validation split as YOSO's Step 3
     # rescoring, so the precision comparison is fair.
     full = full_accuracies([nas_row.genotype for nas_row in nas_rows])

@@ -11,11 +11,20 @@ The 4 hardware tokens index the PE-array, g_buf, r_buf and dataflow choice
 lists of :mod:`repro.accel.config`.  Every position has its own vocabulary
 size (input choices grow with the node index), which the RL controller's
 per-step softmax heads consume directly.
+
+The tokens are a point's identity all the way through the stack: the
+evaluator caches key on them and the service sends them over the wire.
+:attr:`CoDesignPoint.tokens` computes them once per point, and
+:func:`decode` presets it to the sequence it decoded, so a decoded point
+is never encoded again.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
+from typing import Sequence
 
 import numpy as np
 
@@ -54,6 +63,16 @@ class CoDesignPoint:
     genotype: Genotype
     config: AcceleratorConfig
 
+    @cached_property
+    def tokens(self) -> tuple[int, ...]:
+        """The 44-token action sequence, computed at most once per point.
+
+        Not a dataclass field, so ``==`` and ``hash`` ignore it.  Raises
+        ``ValueError`` (on every access, as nothing is cached) when the
+        configuration lies off the Table 1 choice lists.
+        """
+        return (*encode_genotype(self.genotype), *_config_tokens(self.config))
+
     def describe(self) -> str:
         return f"{self.genotype.name} @ {self.config.describe()}"
 
@@ -73,21 +92,14 @@ def token_vocab_sizes() -> tuple[int, ...]:
 _VOCAB = token_vocab_sizes()
 
 
+#: Bound of each :func:`decode` memo (distinct cell halves, hardware
+#: suffixes).  The memoised objects are frozen and ``==`` fresh ones.
+_MEMO_SIZE = 1024
+
+
 def encode(point: CoDesignPoint) -> list[int]:
     """Encode a co-design point as the 44-token action sequence."""
-    tokens: list[int] = []
-    for cell in (point.genotype.normal, point.genotype.reduce):
-        for node in cell.nodes:
-            tokens.extend(
-                [node.input1, node.input2, op_index(node.op1), op_index(node.op2)]
-            )
-    cfg = point.config
-    tokens.append(PE_CHOICES.index((cfg.pe_rows, cfg.pe_cols)))
-    tokens.append(GBUF_KB_CHOICES.index(cfg.gbuf_kb))
-    tokens.append(RBUF_B_CHOICES.index(cfg.rbuf_bytes))
-    tokens.append(DATAFLOW_CHOICES.index(cfg.dataflow))
-    _check(tokens)
-    return tokens
+    return list(point.tokens)
 
 
 def encode_genotype(genotype: Genotype) -> list[int]:
@@ -108,35 +120,69 @@ def encode_genotype(genotype: Genotype) -> list[int]:
         raise ValueError(
             f"genotype must encode to {DNN_TOKENS} tokens, got {len(tokens)}"
         )
-    for i, (tok, vocab) in enumerate(zip(tokens, _VOCAB)):
-        if not 0 <= tok < vocab:
-            raise ValueError(f"token {tok} at position {i} out of range [0, {vocab})")
+    _check_range(tokens)
     return tokens
 
 
-def decode(tokens: list[int], name: str = "decoded") -> CoDesignPoint:
-    """Decode a 44-token action sequence back into a co-design point."""
-    _check(tokens)
-    cells: list[CellGenotype] = []
-    pos = 0
-    for _cell in range(2):
-        nodes: list[NodeSpec] = []
-        for _node in range(NUM_COMPUTED):
-            in1, in2, op1, op2 = tokens[pos : pos + 4]
-            pos += 4
-            nodes.append(NodeSpec(in1, in2, OP_NAMES[op1], OP_NAMES[op2]))
-        cells.append(CellGenotype(nodes=tuple(nodes)))
-    pe_idx, gbuf_idx, rbuf_idx, flow_idx = tokens[pos : pos + 4]
+def _config_tokens(cfg: AcceleratorConfig) -> tuple[int, int, int, int]:
+    """The 4 hardware tokens; ``ValueError`` for an off-grid config."""
+    return (
+        PE_CHOICES.index((cfg.pe_rows, cfg.pe_cols)),
+        GBUF_KB_CHOICES.index(cfg.gbuf_kb),
+        RBUF_B_CHOICES.index(cfg.rbuf_bytes),
+        DATAFLOW_CHOICES.index(cfg.dataflow),
+    )
+
+
+def decode(tokens: Sequence[int], name: str = "decoded") -> CoDesignPoint:
+    """Decode a 44-token action sequence back into a co-design point.
+
+    The point's :attr:`~CoDesignPoint.tokens` is the validated sequence as
+    a tuple of plain ints.  Each distinct cell half and hardware suffix is
+    built once and then shared through a bounded memo.
+    """
+    try:
+        seq = tuple(map(operator.index, tokens))
+    except TypeError as exc:
+        raise ValueError(f"tokens must be integers: {exc}") from None
+    if len(seq) != SEQUENCE_LENGTH:
+        raise ValueError(f"sequence must have {SEQUENCE_LENGTH} tokens, got {len(seq)}")
+    half = DNN_TOKENS // 2
+    genotype = Genotype(
+        normal=_decode_cell(seq[:half], 0),
+        reduce=_decode_cell(seq[half:DNN_TOKENS], half),
+        name=name,
+    )
+    point = CoDesignPoint(genotype=genotype, config=_decode_config(seq[DNN_TOKENS:]))
+    point.__dict__["tokens"] = seq  # preset the cached property
+    return point
+
+
+@lru_cache(maxsize=_MEMO_SIZE)
+def _decode_cell(half: tuple[int, ...], offset: int) -> CellGenotype:
+    """The cell of one 20-token half starting at sequence ``offset``."""
+    _check_range(half, offset)
+    return CellGenotype(
+        nodes=tuple(
+            NodeSpec(half[i], half[i + 1], OP_NAMES[half[i + 2]], OP_NAMES[half[i + 3]])
+            for i in range(0, len(half), 4)
+        )
+    )
+
+
+@lru_cache(maxsize=_MEMO_SIZE)
+def _decode_config(suffix: tuple[int, ...]) -> AcceleratorConfig:
+    """The accelerator configuration of the 4 hardware tokens."""
+    _check_range(suffix, DNN_TOKENS)
+    pe_idx, gbuf_idx, rbuf_idx, flow_idx = suffix
     rows, cols = PE_CHOICES[pe_idx]
-    config = AcceleratorConfig(
+    return AcceleratorConfig(
         pe_rows=rows,
         pe_cols=cols,
         gbuf_kb=GBUF_KB_CHOICES[gbuf_idx],
         rbuf_bytes=RBUF_B_CHOICES[rbuf_idx],
         dataflow=DATAFLOW_CHOICES[flow_idx],
     )
-    genotype = Genotype(normal=cells[0], reduce=cells[1], name=name)
-    return CoDesignPoint(genotype=genotype, config=config)
 
 
 def random_sequence(rng: np.random.Generator) -> list[int]:
@@ -144,9 +190,9 @@ def random_sequence(rng: np.random.Generator) -> list[int]:
     return [int(rng.integers(0, v)) for v in _VOCAB]
 
 
-def _check(tokens: list[int]) -> None:
-    if len(tokens) != SEQUENCE_LENGTH:
-        raise ValueError(f"sequence must have {SEQUENCE_LENGTH} tokens, got {len(tokens)}")
-    for i, (tok, vocab) in enumerate(zip(tokens, _VOCAB)):
+def _check_range(tokens: Sequence[int], offset: int = 0) -> None:
+    """Range-check ``tokens`` as sequence positions ``offset, offset+1, ...``."""
+    for i, tok in enumerate(tokens, offset):
+        vocab = _VOCAB[i]
         if not 0 <= tok < vocab:
             raise ValueError(f"token {tok} at position {i} out of range [0, {vocab})")

@@ -59,14 +59,15 @@ OPS: tuple[OpSpec, ...] = (
 OP_NAMES: tuple[str, ...] = tuple(op.name for op in OPS)
 NUM_OPS: int = len(OPS)
 _BY_NAME = {op.name: op for op in OPS}
+_INDEX = {name: i for i, name in enumerate(OP_NAMES)}
 
 
 def op_index(name: str) -> int:
     """Index of an op name in the canonical :data:`OPS` order."""
-    for i, op in enumerate(OPS):
-        if op.name == name:
-            return i
-    raise KeyError(f"unknown operation {name!r}")
+    try:
+        return _INDEX[name]
+    except KeyError:
+        raise KeyError(f"unknown operation {name!r}") from None
 
 
 def get_op(name: str) -> OpSpec:

@@ -16,7 +16,7 @@ import numpy as np
 from ..accel.config import random_config
 from ..accel.simulator import SystolicArraySimulator
 from ..accel.workload import network_workloads
-from ..nas.encoding import CoDesignPoint, encode
+from ..nas.encoding import CoDesignPoint
 from ..nas.space import DnnSpace
 from .features import feature_vector
 
@@ -111,7 +111,7 @@ def collect_samples(
         miss_idx = []
         for i, point in enumerate(points):
             try:
-                keys[i] = tuple(encode(point))
+                keys[i] = point.tokens
             except ValueError:
                 keys[i] = None  # off-grid: not store-eligible
             values = (

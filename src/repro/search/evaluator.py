@@ -28,7 +28,6 @@ from ..nas.encoding import (
     DNN_TOKENS,
     SEQUENCE_LENGTH,
     CoDesignPoint,
-    encode,
     encode_genotype,
 )
 from ..nas.genotype import Genotype
@@ -284,11 +283,12 @@ class BatchEvaluator:
     # ------------------------------------------------------------------
     @staticmethod
     def _key_of(point: CoDesignPoint) -> tuple:
-        """Canonical cache key: the token encoding when the point is on the
-        search grids, otherwise the frozen (cells, config) objects (a valid
-        AcceleratorConfig need not lie on the Table 1 choice lists)."""
+        """Canonical cache key: the point's :attr:`~CoDesignPoint.tokens`
+        when it is on the search grids, otherwise the frozen (cells,
+        config) objects (a valid AcceleratorConfig need not lie on the
+        Table 1 choice lists)."""
         try:
-            return tuple(encode(point))
+            return point.tokens
         except ValueError:
             return (point.genotype.normal, point.genotype.reduce, point.config)
 

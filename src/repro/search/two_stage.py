@@ -15,7 +15,8 @@ Two stage-1 variants are provided:
   flows are compared at matched accuracy on any dataset (this is what
   "design an application-specific DNN model with the highest accuracy,
   then build an accelerator for it" means when the application is not
-  CIFAR-10).
+  CIFAR-10).  :func:`two_stage_nas_rows` runs its Stage 1 once for
+  several Stage-2 objectives.
 
 Both score accuracy through a batched callable (``Sequence[Genotype] ->
 list[float]``, e.g. a bound
@@ -38,7 +39,13 @@ from ..nas.genotype import Genotype
 from ..nas.space import DnnSpace
 from .reward import RewardSpec
 
-__all__ = ["TwoStageRow", "best_config_for", "run_two_stage", "two_stage_nas"]
+__all__ = [
+    "TwoStageRow",
+    "best_config_for",
+    "run_two_stage",
+    "two_stage_nas",
+    "two_stage_nas_rows",
+]
 
 
 @dataclass(frozen=True)
@@ -189,6 +196,40 @@ def two_stage_nas(
     and keep the best configuration under ``objective`` (screened by
     ``reward_spec`` thresholds when given).
     """
+    return two_stage_nas_rows(
+        accuracies_of,
+        simulator,
+        (objective,),
+        reward_spec=reward_spec,
+        nas_samples=nas_samples,
+        seed=seed,
+        num_cells=num_cells,
+        stem_channels=stem_channels,
+        image_size=image_size,
+        num_classes=num_classes,
+        configs=configs,
+    )[0]
+
+
+def two_stage_nas_rows(
+    accuracies_of: Callable[[Sequence[Genotype]], list[float]],
+    simulator: SystolicArraySimulator,
+    objectives: Sequence[str],
+    reward_spec: RewardSpec | None = None,
+    nas_samples: int = 100,
+    seed: int = 0,
+    num_cells: int = 6,
+    stem_channels: int = 16,
+    image_size: int = 32,
+    num_classes: int = 10,
+    configs: Iterable[AcceleratorConfig] | None = None,
+) -> list[TwoStageRow]:
+    """:func:`two_stage_nas` for several objectives, one row each.
+
+    Stage 1 does not depend on the objective, so it samples and scores
+    its architectures once; only Stage 2 runs once per objective.  Each
+    row is ``==`` the matching :func:`two_stage_nas` call's.
+    """
     if nas_samples < 1:
         raise ValueError("nas_samples must be >= 1")
     rng = np.random.default_rng(seed)
@@ -199,24 +240,30 @@ def two_stage_nas(
     accuracies = accuracies_of(genotypes)
     best = max(range(nas_samples), key=accuracies.__getitem__)  # first maximum
     best_genotype = genotypes[best]
-    config, energy, latency = best_config_for(
-        best_genotype,
-        simulator,
-        objective=objective,
-        reward_spec=reward_spec,
-        num_cells=num_cells,
-        stem_channels=stem_channels,
-        image_size=image_size,
-        num_classes=num_classes,
-        configs=list(configs) if configs is not None else None,
-    )
-    return TwoStageRow(
-        model=f"TwoStage_{objective}",
-        search_gpu_days=0.5,
-        paper_test_error=float("nan"),
-        accuracy=accuracies[best],
-        energy_mj=energy,
-        latency_ms=latency,
-        config=config,
-        genotype=best_genotype,
-    )
+    config_list = list(configs) if configs is not None else None
+    rows: list[TwoStageRow] = []
+    for objective in objectives:
+        config, energy, latency = best_config_for(
+            best_genotype,
+            simulator,
+            objective=objective,
+            reward_spec=reward_spec,
+            num_cells=num_cells,
+            stem_channels=stem_channels,
+            image_size=image_size,
+            num_classes=num_classes,
+            configs=config_list,
+        )
+        rows.append(
+            TwoStageRow(
+                model=f"TwoStage_{objective}",
+                search_gpu_days=0.5,
+                paper_test_error=float("nan"),
+                accuracy=accuracies[best],
+                energy_mj=energy,
+                latency_ms=latency,
+                config=config,
+                genotype=best_genotype,
+            )
+        )
+    return rows

@@ -6,9 +6,11 @@ message carries the wire version (``"v"``) and requests carry a caller
 ``"id"`` that the matching response echoes, so a client can pipeline.
 
 Co-design points travel as their canonical 44-token action sequence
-(:func:`repro.nas.encoding.encode`) plus the genotype name — the exact
-encoding the evaluator caches key on, so the server reconstructs a point
-that scores *bit-identically* to the caller's original.  Evaluations
+(:attr:`repro.nas.encoding.CoDesignPoint.tokens`) plus the genotype name
+— the exact key the evaluator caches on, so the server reconstructs a
+point that scores *bit-identically* to the caller's original, and keys
+it by the decoded tokens without encoding it again.  Tokens must be JSON
+integers; ``true``/``false`` are rejected, not read as 1/0.  Evaluations
 travel as their three floats; ``json`` serialises Python floats with
 ``repr`` (shortest round-tripping form), so values survive the wire
 without any loss — the parity tests assert ``==`` across the socket, no
@@ -42,7 +44,7 @@ from __future__ import annotations
 import json
 from typing import Sequence
 
-from ..nas.encoding import CoDesignPoint, decode, encode
+from ..nas.encoding import CoDesignPoint, decode
 from ..search.evaluator import Evaluation
 
 __all__ = [
@@ -82,7 +84,7 @@ class ProtocolError(ValueError):
 
 def point_to_wire(point: CoDesignPoint) -> dict:
     """Serialise a co-design point as its token sequence + genotype name."""
-    return {"tokens": encode(point), "name": point.genotype.name}
+    return {"tokens": list(point.tokens), "name": point.genotype.name}
 
 
 def point_from_wire(obj: object) -> CoDesignPoint:
@@ -90,7 +92,8 @@ def point_from_wire(obj: object) -> CoDesignPoint:
     if not isinstance(obj, dict) or "tokens" not in obj:
         raise ProtocolError(f"point must be an object with 'tokens', got {obj!r}")
     tokens = obj["tokens"]
-    if not isinstance(tokens, list) or not all(isinstance(t, int) for t in tokens):
+    # Exact type: bool is an int subclass, and JSON true/false are no tokens.
+    if not isinstance(tokens, list) or not set(map(type, tokens)) <= {int}:
         raise ProtocolError("point 'tokens' must be a list of integers")
     name = obj.get("name", "wire")
     if not isinstance(name, str):

@@ -406,6 +406,33 @@ class TestBatchedSearchParity:
         assert [s.tokens for s in plain.samples] == [s.tokens for s in batched.samples]
         assert plain.rewards().tolist() == batched.rewards().tolist()
 
+    def test_reinforce_step_encodes_no_proposal(self, fast_evaluator, monkeypatch):
+        """Proposals are keyed by the tokens they were decoded from: a
+        REINFORCE step scores its episodes without re-encoding any."""
+        from repro.nas import encoding
+        from repro.search.controller import Controller
+
+        calls = []
+        encode_genotype = encoding.encode_genotype
+
+        def counting(genotype):
+            calls.append(genotype)
+            return encode_genotype(genotype)
+
+        monkeypatch.setattr(encoding, "encode_genotype", counting)
+        shared = BatchEvaluator(fast_evaluator)
+        search = ReinforceSearch(
+            Controller(seed=6),
+            shared.evaluate,
+            BALANCED,
+            batch_episodes=3,
+            seed=6,
+            evaluate_batch=shared.evaluate_many,
+        )
+        search.step()
+        assert len(search.history) == 3
+        assert calls == []
+
     def test_evolution_batch_runs_and_fills_population(self, fast_evaluator):
         """Scoring through ``evaluate_batch`` must not change the evolution
         trajectory at batch size 1 or above; the population stays full."""

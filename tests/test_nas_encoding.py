@@ -12,7 +12,9 @@ from repro.accel.config import (
     GBUF_KB_CHOICES,
     PE_CHOICES,
     RBUF_B_CHOICES,
+    AcceleratorConfig,
 )
+from repro.nas import encoding
 from repro.nas.encoding import (
     DNN_TOKENS,
     HW_TOKENS,
@@ -23,8 +25,9 @@ from repro.nas.encoding import (
     random_sequence,
     token_vocab_sizes,
 )
-from repro.nas.genotype import NUM_COMPUTED
-from repro.nas.ops import NUM_OPS
+from repro.nas.genotype import NUM_COMPUTED, CellGenotype, Genotype, NodeSpec
+from repro.nas.ops import NUM_OPS, OP_NAMES
+from repro.search.evaluator import BatchEvaluator
 
 
 def token_sequences():
@@ -118,3 +121,95 @@ class TestValidation:
         text = point.describe()
         assert "fixture" in text
         assert "16*16" in text
+
+
+def fresh_point(seq: list[int], name: str = "decoded") -> CoDesignPoint:
+    """The point of ``seq`` built from new objects, bypassing ``decode``."""
+    cells = []
+    for cell in range(2):
+        nodes = []
+        for node in range(NUM_COMPUTED):
+            i = cell * (DNN_TOKENS // 2) + node * 4
+            nodes.append(
+                NodeSpec(seq[i], seq[i + 1], OP_NAMES[seq[i + 2]], OP_NAMES[seq[i + 3]])
+            )
+        cells.append(CellGenotype(nodes=tuple(nodes)))
+    rows, cols = PE_CHOICES[seq[DNN_TOKENS]]
+    config = AcceleratorConfig(
+        pe_rows=rows,
+        pe_cols=cols,
+        gbuf_kb=GBUF_KB_CHOICES[seq[DNN_TOKENS + 1]],
+        rbuf_bytes=RBUF_B_CHOICES[seq[DNN_TOKENS + 2]],
+        dataflow=DATAFLOW_CHOICES[seq[DNN_TOKENS + 3]],
+    )
+    return CoDesignPoint(Genotype(cells[0], cells[1], name=name), config)
+
+
+class TestTokensKey:
+    """``CoDesignPoint.tokens`` is the point's key: decoded once, never
+    re-encoded, and blind to how the point's objects were built."""
+
+    @given(token_sequences())
+    @settings(deadline=None, max_examples=100)
+    def test_decode_presets_the_validated_tokens(self, seq):
+        point = decode(seq)
+        assert encode(point) == seq
+        assert point.tokens == tuple(seq)
+        assert all(type(tok) is int for tok in point.tokens)
+
+    @given(token_sequences())
+    @settings(deadline=None, max_examples=100)
+    def test_decoded_point_equals_a_freshly_built_one(self, seq):
+        decoded, fresh = decode(seq), fresh_point(seq)
+        assert decoded == fresh
+        assert hash(decoded) == hash(fresh)
+        assert "tokens" not in vars(fresh)
+        assert fresh.tokens == decoded.tokens
+
+    @given(token_sequences())
+    @settings(deadline=None, max_examples=25)
+    def test_batch_evaluator_keys_both_as_one_entry(self, smoke_context, seq):
+        evaluator = BatchEvaluator(smoke_context.fast_evaluator)
+        decoded, fresh = decode(seq), fresh_point(seq)
+        first = evaluator.evaluate(decoded)
+        assert evaluator.evaluate(fresh) is first
+        assert list(evaluator._lru) == [tuple(seq)]
+        assert (evaluator.hits, evaluator.misses) == (1, 1)
+
+    @given(token_sequences())
+    @settings(deadline=None, max_examples=25)
+    def test_off_grid_config_keys_by_objects_and_caches_no_tokens(self, seq):
+        genotype = decode(seq).genotype
+        off_grid = AcceleratorConfig(
+            pe_rows=3, pe_cols=5, gbuf_kb=100, rbuf_bytes=100, dataflow="WS"
+        )
+        point = CoDesignPoint(genotype, off_grid)
+        key = BatchEvaluator._key_of(point)
+        assert key == (genotype.normal, genotype.reduce, off_grid)
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                point.tokens
+            assert "tokens" not in vars(point)
+
+    def test_bool_and_numpy_tokens_decode_to_plain_ints(self, rng):
+        seq = random_sequence(rng)
+        seq[0] = bool(seq[0])  # node 2's first input is always 0 or 1
+        mixed = [np.int64(tok) for tok in seq[1:]]
+        point = decode([seq[0], *mixed])
+        assert all(type(tok) is int for tok in point.tokens)
+        assert point.tokens == tuple(int(tok) for tok in seq)
+
+    def test_non_integer_tokens_rejected(self, rng):
+        seq = random_sequence(rng)
+        seq[5] = 1.0
+        with pytest.raises(ValueError, match="integers"):
+            decode(seq)
+
+    def test_decode_memo_is_bounded_and_shares_frozen_objects(self, rng):
+        seq = random_sequence(rng)
+        a, b = decode(seq, name="a"), decode(seq, name="b")
+        assert a != b  # the genotype name is part of the point
+        assert a.genotype.normal is b.genotype.normal
+        assert a.config is b.config
+        for memo in (encoding._decode_cell, encoding._decode_config):
+            assert memo.cache_info().maxsize == encoding._MEMO_SIZE

@@ -185,6 +185,27 @@ class TestTwoStageNas:
         assert rows[0].genotype.to_json() == rows[1].genotype.to_json()
         assert rows[0].config == rows[1].config
 
+    def test_rows_run_stage1_once_for_all_objectives(self, sim):
+        from repro.search.two_stage import two_stage_nas, two_stage_nas_rows
+
+        calls = []
+
+        def accuracies_of(genotypes):
+            calls.append(len(genotypes))
+            return [(hash(g.to_json()) % 89) / 89.0 for g in genotypes]
+
+        objectives = ("energy", "latency")
+        rows = two_stage_nas_rows(accuracies_of, sim, objectives,
+                                  nas_samples=7, seed=4, configs=SUBSET, **SMALL)
+        assert calls == [7]
+        singles = [
+            two_stage_nas(accuracies_of, sim, objective=objective,
+                          nas_samples=7, seed=4, configs=SUBSET, **SMALL)
+            for objective in objectives
+        ]
+        # repr, not ==: paper_test_error is NaN.
+        assert repr(rows) == repr(singles)
+
     def test_invalid_samples(self, sim):
         from repro.search.two_stage import two_stage_nas
 

@@ -113,6 +113,14 @@ class TestWireCodec:
         with pytest.raises(ProtocolError):
             protocol.evaluation_from_wire({"accuracy": 0.5})
 
+    def test_bool_tokens_rejected(self):
+        # isinstance(True, int) holds, so a bare isinstance check would
+        # read JSON true/false as tokens 1/0.
+        wire = protocol.point_to_wire(_population(1, seed=13)[0])
+        wire["tokens"][0] = bool(wire["tokens"][0])
+        with pytest.raises(ProtocolError, match="integers"):
+            protocol.point_from_wire(wire)
+
     def test_parse_endpoint(self):
         assert parse_endpoint("10.1.2.3:7777") == ("10.1.2.3", 7777)
         assert parse_endpoint(":8000") == ("127.0.0.1", 8000)
@@ -443,6 +451,32 @@ class TestSearchService:
             assert response["ok"] is False
             assert response["error"]["type"] == "protocol"
 
+    def test_bool_tokens_in_a_raw_frame_are_rejected(self, smoke_context):
+        tokens = encode(_population(1, seed=17)[0])
+        rest = ",".join(map(str, tokens[1:]))
+        # Node 2's first input is 0 or 1: the frames differ only in
+        # spelling it as a JSON bool or as a JSON integer.
+        firsts = ("true" if tokens[0] else "false", str(tokens[0]))
+        frames = [
+            (
+                f'{{"v":{protocol.WIRE_VERSION},"id":{i},"op":"evaluate",'
+                f'"point":{{"tokens":[{first},{rest}],"name":"raw"}}}}\n'
+            ).encode()
+            for i, first in enumerate(firsts)
+        ]
+        with start_service(BatchEvaluator(smoke_context.fast_evaluator)) as handle:
+            with socket.create_connection(handle.address, timeout=10.0) as sock:
+                reader = sock.makefile("rb")
+                responses = []
+                for frame in frames:
+                    sock.sendall(frame)
+                    responses.append(protocol.decode_message(reader.readline()))
+        rejected, accepted = responses
+        assert rejected["ok"] is False
+        assert rejected["error"]["type"] == "protocol"
+        assert "integers" in rejected["error"]["message"]
+        assert accepted["ok"] is True
+
     @pytest.mark.slow
     def test_service_over_parallel_evaluator(self, smoke_context):
         """The production shape: service -> scheduler -> BatchEvaluator
@@ -551,6 +585,37 @@ class TestServicePartitionProperty:
 # ---------------------------------------------------------------------------
 # RemoteEvaluator (the --endpoint client adapter)
 # ---------------------------------------------------------------------------
+
+
+class TestKeyOnce:
+    """The wire's tokens are the evaluator's key: the server decodes each
+    point once and never encodes it, and a client encodes a point at
+    most once however often it sends it."""
+
+    def test_warm_request_runs_no_encoder(self, smoke_context, monkeypatch):
+        from repro.nas import encoding
+
+        calls = []
+        encode_genotype = encoding.encode_genotype
+
+        def counting(genotype):
+            calls.append(threading.current_thread().name)
+            return encode_genotype(genotype)
+
+        points = _population(4, seed=23)
+        evaluator = BatchEvaluator(smoke_context.fast_evaluator)
+        reference = evaluator.evaluate_many(points)  # warms the LRU
+        # Same candidates, new objects: nothing cached on them yet.
+        fresh = [CoDesignPoint(p.genotype, p.config) for p in points]
+        monkeypatch.setattr(encoding, "encode_genotype", counting)
+        with start_service(evaluator) as handle:
+            with ServiceClient(*handle.address) as client:
+                assert client.evaluate_many(fresh) == reference
+                assert len(calls) == len(fresh)  # the client, once per point
+                assert client.evaluate_many(fresh) == reference
+        assert len(calls) == len(fresh)
+        assert set(calls) == {threading.current_thread().name}
+        assert evaluator.misses == len(points)  # both requests were warm
 
 
 class TestRemoteEvaluator:
