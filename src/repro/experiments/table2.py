@@ -26,7 +26,7 @@ from ..search.controller import Controller
 from ..search.evaluator import AccurateEvaluator, Evaluation
 from ..search.reinforce import ReinforceSearch
 from ..search.reward import ENERGY_FOCUS, LATENCY_FOCUS, RewardSpec
-from ..search.two_stage import run_two_stage, two_stage_nas_rows
+from ..search.two_stage import run_two_stage, two_stage_nas
 from .common import ExperimentContext, format_table, get_context, scaled_reward
 from .fig6 import search_lr
 
@@ -293,7 +293,7 @@ def run_table2(
     )
     # Stage 1 is objective-free: one sampled-and-scored architecture
     # search serves both Stage-2 objectives.
-    nas_rows = two_stage_nas_rows(
+    nas_rows = two_stage_nas(
         fast_accuracies,
         context.simulator,
         ("energy", "latency"),

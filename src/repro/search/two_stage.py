@@ -15,8 +15,7 @@ Two stage-1 variants are provided:
   flows are compared at matched accuracy on any dataset (this is what
   "design an application-specific DNN model with the highest accuracy,
   then build an accelerator for it" means when the application is not
-  CIFAR-10).  :func:`two_stage_nas_rows` runs its Stage 1 once for
-  several Stage-2 objectives.
+  CIFAR-10).
 
 Both score accuracy through a batched callable (``Sequence[Genotype] ->
 list[float]``, e.g. a bound
@@ -39,13 +38,7 @@ from ..nas.genotype import Genotype
 from ..nas.space import DnnSpace
 from .reward import RewardSpec
 
-__all__ = [
-    "TwoStageRow",
-    "best_config_for",
-    "run_two_stage",
-    "two_stage_nas",
-    "two_stage_nas_rows",
-]
+__all__ = ["TwoStageRow", "best_config_for", "run_two_stage", "two_stage_nas"]
 
 
 @dataclass(frozen=True)
@@ -176,44 +169,6 @@ def run_two_stage(
 def two_stage_nas(
     accuracies_of: Callable[[Sequence[Genotype]], list[float]],
     simulator: SystolicArraySimulator,
-    objective: str,
-    reward_spec: RewardSpec | None = None,
-    nas_samples: int = 100,
-    seed: int = 0,
-    num_cells: int = 6,
-    stem_channels: int = 16,
-    image_size: int = 32,
-    num_classes: int = 10,
-    configs: Iterable[AcceleratorConfig] | None = None,
-) -> TwoStageRow:
-    """Execute the full two-stage flow from scratch.
-
-    Stage 1: sample ``nas_samples`` architectures uniformly, score them
-    with one ``accuracies_of`` call and keep the first one with the
-    highest accuracy (the paper's "designing an application-specific DNN
-    model with the highest accuracy" — no hardware feedback whatsoever).
-    Stage 2: enumerate the accelerator space for that fixed architecture
-    and keep the best configuration under ``objective`` (screened by
-    ``reward_spec`` thresholds when given).
-    """
-    return two_stage_nas_rows(
-        accuracies_of,
-        simulator,
-        (objective,),
-        reward_spec=reward_spec,
-        nas_samples=nas_samples,
-        seed=seed,
-        num_cells=num_cells,
-        stem_channels=stem_channels,
-        image_size=image_size,
-        num_classes=num_classes,
-        configs=configs,
-    )[0]
-
-
-def two_stage_nas_rows(
-    accuracies_of: Callable[[Sequence[Genotype]], list[float]],
-    simulator: SystolicArraySimulator,
     objectives: Sequence[str],
     reward_spec: RewardSpec | None = None,
     nas_samples: int = 100,
@@ -224,11 +179,16 @@ def two_stage_nas_rows(
     num_classes: int = 10,
     configs: Iterable[AcceleratorConfig] | None = None,
 ) -> list[TwoStageRow]:
-    """:func:`two_stage_nas` for several objectives, one row each.
+    """Execute the full two-stage flow from scratch, one row per objective.
 
-    Stage 1 does not depend on the objective, so it samples and scores
-    its architectures once; only Stage 2 runs once per objective.  Each
-    row is ``==`` the matching :func:`two_stage_nas` call's.
+    Stage 1: sample ``nas_samples`` architectures uniformly, score them
+    with one ``accuracies_of`` call and keep the first one with the
+    highest accuracy (the paper's "designing an application-specific DNN
+    model with the highest accuracy" — no hardware feedback whatsoever).
+    Stage 1 does not depend on the objective, so it runs once.
+    Stage 2: for each of ``objectives``, enumerate the accelerator space
+    for that fixed architecture and keep the best configuration under it
+    (screened by ``reward_spec`` thresholds when given).
     """
     if nas_samples < 1:
         raise ValueError("nas_samples must be >= 1")

@@ -137,8 +137,8 @@ class TestTwoStageNas:
             calls.append([g.name for g in genotypes])
             return [0.1 + 0.8 * (hash(g.to_json()) % 100) / 100.0 for g in genotypes]
 
-        row = two_stage_nas(accuracies_of, sim, objective="energy",
-                            nas_samples=12, seed=0, configs=SUBSET, **SMALL)
+        [row] = two_stage_nas(accuracies_of, sim, ("energy",),
+                              nas_samples=12, seed=0, configs=SUBSET, **SMALL)
         assert len(calls) == 1 and len(calls[0]) == 12  # one batched call
         assert row.model == "TwoStage_energy"
         assert row.genotype is not None
@@ -154,8 +154,8 @@ class TestTwoStageNas:
             accuracies.update((g.to_json(), v) for g, v in zip(genotypes, values))
             return values
 
-        row = two_stage_nas(accuracies_of, sim, objective="latency",
-                            nas_samples=10, seed=1, configs=SUBSET, **SMALL)
+        [row] = two_stage_nas(accuracies_of, sim, ("latency",),
+                              nas_samples=10, seed=1, configs=SUBSET, **SMALL)
         assert row.genotype is not None
         assert accuracies[row.genotype.to_json()] == max(accuracies.values())
         assert row.accuracy == max(accuracies.values())
@@ -166,27 +166,27 @@ class TestTwoStageNas:
         def accuracies_of(genotypes):
             return [0.9 if i in (2, 4) else 0.1 for i in range(len(genotypes))]
 
-        row = two_stage_nas(accuracies_of, sim, objective="energy",
-                            nas_samples=6, seed=2, configs=SUBSET, **SMALL)
+        [row] = two_stage_nas(accuracies_of, sim, ("energy",),
+                              nas_samples=6, seed=2, configs=SUBSET, **SMALL)
         assert row.genotype.name == "two_stage_nas2"
         assert row.accuracy == 0.9
-        row = two_stage_nas(constant(0.5), sim, objective="energy",
-                            nas_samples=6, seed=2, configs=SUBSET, **SMALL)
+        [row] = two_stage_nas(constant(0.5), sim, ("energy",),
+                              nas_samples=6, seed=2, configs=SUBSET, **SMALL)
         assert row.genotype.name == "two_stage_nas0"
 
     def test_deterministic(self, sim):
         from repro.search.two_stage import two_stage_nas
 
         rows = [
-            two_stage_nas(constant(0.5), sim, objective="energy",
-                          nas_samples=5, seed=3, configs=SUBSET, **SMALL)
+            two_stage_nas(constant(0.5), sim, ("energy",),
+                          nas_samples=5, seed=3, configs=SUBSET, **SMALL)[0]
             for _ in range(2)
         ]
         assert rows[0].genotype.to_json() == rows[1].genotype.to_json()
         assert rows[0].config == rows[1].config
 
     def test_rows_run_stage1_once_for_all_objectives(self, sim):
-        from repro.search.two_stage import two_stage_nas, two_stage_nas_rows
+        from repro.search.two_stage import two_stage_nas
 
         calls = []
 
@@ -195,12 +195,13 @@ class TestTwoStageNas:
             return [(hash(g.to_json()) % 89) / 89.0 for g in genotypes]
 
         objectives = ("energy", "latency")
-        rows = two_stage_nas_rows(accuracies_of, sim, objectives,
-                                  nas_samples=7, seed=4, configs=SUBSET, **SMALL)
+        rows = two_stage_nas(accuracies_of, sim, objectives,
+                             nas_samples=7, seed=4, configs=SUBSET, **SMALL)
         assert calls == [7]
+        assert [row.model for row in rows] == ["TwoStage_energy", "TwoStage_latency"]
         singles = [
-            two_stage_nas(accuracies_of, sim, objective=objective,
-                          nas_samples=7, seed=4, configs=SUBSET, **SMALL)
+            two_stage_nas(accuracies_of, sim, (objective,),
+                          nas_samples=7, seed=4, configs=SUBSET, **SMALL)[0]
             for objective in objectives
         ]
         # repr, not ==: paper_test_error is NaN.
@@ -210,7 +211,7 @@ class TestTwoStageNas:
         from repro.search.two_stage import two_stage_nas
 
         with pytest.raises(ValueError):
-            two_stage_nas(constant(0.5), sim, objective="energy",
+            two_stage_nas(constant(0.5), sim, ("energy",),
                           nas_samples=0, configs=SUBSET, **SMALL)
 
 
@@ -305,9 +306,9 @@ class TestScalarOracleParity:
         from repro.search.two_stage import two_stage_nas
 
         ctx, geometry, spec, batched, scalar = setup
-        row = two_stage_nas(batched, ctx.simulator, objective=objective,
-                            reward_spec=spec, nas_samples=8, seed=21,
-                            configs=SUBSET, **geometry)
+        [row] = two_stage_nas(batched, ctx.simulator, (objective,),
+                              reward_spec=spec, nas_samples=8, seed=21,
+                              configs=SUBSET, **geometry)
         # Stage 1 as a scalar loop: the first strictly better genotype wins.
         rng = np.random.default_rng(21)
         space = DnnSpace()
