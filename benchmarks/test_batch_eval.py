@@ -5,9 +5,7 @@ point) and the batched path (one array-math call per batch) and asserts
 the throughput ratios the batch engine exists to deliver:
 
 * ``simulate_many`` on a batch of 256 (network, configuration) points and
-  on an 800-configuration hardware sweep — >= 3x over the scalar loop —
-  including the NoC-aware sweep, which runs through the vectorised
-  hop/energy model instead of a scalar fallback;
+  on an 800-configuration hardware sweep — >= 3x over the scalar loop;
 * ``BatchEvaluator`` scoring 256 candidates that re-pair a handful of
   architectures with fresh hardware tokens (the RL search's steady-state
   access pattern) — the accuracy term is measured once per architecture
@@ -96,29 +94,6 @@ def test_bench_simulate_many_hw_sweep(points):
     speedup = t_loop / t_batch
     print(
         f"\nhw sweep ({len(configs)} configs): loop {t_loop * 1e3:.0f} ms, "
-        f"batch {t_batch * 1e3:.0f} ms -> {speedup:.1f}x"
-    )
-    assert speedup >= 3.0
-
-
-def test_bench_simulate_many_noc_sweep(points):
-    """NoC-aware 800-configuration sweep: vectorised hop/energy model vs
-    the scalar per-layer loop (this path used to fall back to the loop)."""
-    sim = SystolicArraySimulator(include_noc=True)
-    layers = network_workloads(
-        points[0].genotype, num_cells=6, stem_channels=16, image_size=32
-    )
-    configs = list(enumerate_configs())
-
-    t_loop, reports = _timed(
-        lambda: [sim.simulate_network(layers, c) for c in configs]
-    )
-    t_batch, batch = _timed(lambda: sim.simulate_many(layers, configs))
-
-    assert batch.energy_mj.tolist() == [r.energy_mj for r in reports]
-    speedup = t_loop / t_batch
-    print(
-        f"\nNoC hw sweep ({len(configs)} configs): loop {t_loop * 1e3:.0f} ms, "
         f"batch {t_batch * 1e3:.0f} ms -> {speedup:.1f}x"
     )
     assert speedup >= 3.0

@@ -27,7 +27,7 @@ that factor.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -35,9 +35,6 @@ from .config import AcceleratorConfig, Dataflow
 from .energy import EnergyModel
 from .mapper import _GBUF_USABLE, _NC, _NK, _NS
 from .workload import _POOL_OP_COST, WORD_BYTES, LayerWorkload
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (noc is optional)
-    from .noc import NocModel
 
 __all__ = ["BatchSimResult", "flatten_workloads", "simulate_flat"]
 
@@ -86,11 +83,10 @@ class _FlatLayers:
     in_size: np.ndarray
     kernel: np.ndarray
     stride: np.ndarray
-    batch: np.ndarray
 
 
 def _layer_columns(layers: Sequence[LayerWorkload]) -> np.ndarray:
-    """Gather one layer list into a (L, 7) int64 matrix."""
+    """Gather one layer list into a (L, 6) int64 matrix."""
     return np.array(
         [
             (
@@ -100,7 +96,6 @@ def _layer_columns(layers: Sequence[LayerWorkload]) -> np.ndarray:
                 l.in_size,
                 l.kernel,
                 l.stride,
-                l.batch,
             )
             for l in layers
         ],
@@ -129,7 +124,6 @@ def flatten_workloads(
         in_size=cols[:, 3],
         kernel=cols[:, 4],
         stride=cols[:, 5],
-        batch=cols[:, 6],
     )
 
 
@@ -142,7 +136,7 @@ def _derived_shapes(flat: _FlatLayers) -> dict[str, np.ndarray]:
     """Vectorised macs / out_size / footprint formulas of LayerWorkload."""
     kind = flat.kind
     c, k = flat.in_channels, flat.out_channels
-    r, stride, batch = flat.kernel, flat.stride, flat.batch
+    r, stride = flat.kernel, flat.stride
     is_linear = kind == _KIND_CODES["linear"]
     out_size = np.where(
         is_linear, 1, np.maximum(1, (flat.in_size + stride - 1) // stride)
@@ -153,7 +147,7 @@ def _derived_shapes(flat: _FlatLayers) -> dict[str, np.ndarray]:
     dw_macs = c * r**2 * plane + k * c * plane
     pool_ops = c * r**2 * plane
     lin_macs = c * k
-    per_image = np.select(
+    macs = np.select(
         [kind == 0, kind == 1, kind == 2],
         [
             conv_macs.astype(np.float64),
@@ -162,7 +156,6 @@ def _derived_shapes(flat: _FlatLayers) -> dict[str, np.ndarray]:
         ],
         default=lin_macs.astype(np.float64),
     )
-    macs = per_image * batch
     weight_bytes = (
         np.select(
             [kind == 0, kind == 1, kind == 3],
@@ -171,10 +164,8 @@ def _derived_shapes(flat: _FlatLayers) -> dict[str, np.ndarray]:
         )
         * WORD_BYTES
     )
-    ifmap_bytes = (
-        np.where(is_linear, c, c * flat.in_size**2) * WORD_BYTES * batch
-    )
-    ofmap_bytes = np.where(is_linear, k, k * plane) * WORD_BYTES * batch
+    ifmap_bytes = np.where(is_linear, c, c * flat.in_size**2) * WORD_BYTES
+    ofmap_bytes = np.where(is_linear, k, k * plane) * WORD_BYTES
     return {
         "out_size": out_size,
         "macs": macs,
@@ -317,19 +308,13 @@ def simulate_flat(
     workload_lists: Sequence[Sequence[LayerWorkload]],
     configs: Sequence[AcceleratorConfig],
     energy_model: EnergyModel,
-    noc_model: "NocModel | None" = None,
 ) -> BatchSimResult:
     """Simulate ``B`` (layers, config) points with one pass of array math.
 
     ``workload_lists`` holds one layer list per point (``len == len(configs)``;
-    lists may be ragged — points need not share a layer count).  Passing a
-    ``noc_model`` adds the array-interconnect energy term: the scalar
-    :meth:`~repro.accel.noc.NocModel.mean_hops` once per point (hops depend
-    on the config alone), then vectorised
-    :meth:`~repro.accel.noc.NocModel.energy_pj_arrays` per layer — NoC-aware
-    sweeps run at full batch speed, not through a scalar fallback.
-    Returns per-point aggregate arrays of length ``B``
-    (:class:`BatchSimResult`), each ``==`` the scalar simulator's.
+    lists may be ragged — points need not share a layer count).  Returns
+    per-point aggregate arrays of length ``B`` (:class:`BatchSimResult`),
+    each ``==`` the scalar simulator's.
     """
     if len(workload_lists) != len(configs):
         raise ValueError(
@@ -383,21 +368,6 @@ def simulate_flat(
         + (dram_bytes / WORD_BYTES) * em.dram_pj
         + leak_pt[rep] * cycles
     )
-    if noc_model is not None:
-        # Hop counts depend on the config alone: take the scalar model's
-        # once per point and repeat them out to the layer axis.
-        point_hops = [noc_model.mean_hops(c) for c in configs]
-        energy_pj = energy_pj + noc_model.energy_pj_arrays(
-            macs=macs,
-            has_weights=shapes["weight_bytes"] > 0,
-            ifmap_reuse=mapping["ifmap_reuse"],
-            weight_reuse=mapping["weight_reuse"],
-            psum_reuse=mapping["psum_reuse"],
-            hops={
-                key: np.array([h[key] for h in point_hops])[rep]
-                for key in ("ifmap", "weight", "psum")
-            },
-        )
 
     # Per-point totals summed left to right over the layers, as the scalar
     # ``simulate_network`` does: scatter each point's layers into a row of

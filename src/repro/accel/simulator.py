@@ -43,13 +43,12 @@ class EnergyBreakdown:
     gbuf_pj: float
     dram_pj: float
     leakage_pj: float
-    noc_pj: float = 0.0
 
     @property
     def total_pj(self) -> float:
         return (
             self.mac_pj + self.rbuf_pj + self.gbuf_pj + self.dram_pj
-            + self.leakage_pj + self.noc_pj
+            + self.leakage_pj
         )
 
     def fractions(self) -> dict[str, float]:
@@ -61,7 +60,6 @@ class EnergyBreakdown:
             "gbuf": self.gbuf_pj / total,
             "dram": self.dram_pj / total,
             "leakage": self.leakage_pj / total,
-            "noc": self.noc_pj / total,
         }
 
 
@@ -116,7 +114,6 @@ class NetworkReport:
             gbuf_pj=sum(r.breakdown.gbuf_pj for r in self.layers),
             dram_pj=sum(r.breakdown.dram_pj for r in self.layers),
             leakage_pj=sum(r.breakdown.leakage_pj for r in self.layers),
-            noc_pj=sum(r.breakdown.noc_pj for r in self.layers),
         )
 
     def to_text(self, top: int = 5) -> str:
@@ -140,27 +137,10 @@ class NetworkReport:
 
 
 class SystolicArraySimulator:
-    """Ground-truth oracle mapping (network, config) -> latency & energy.
+    """Ground-truth oracle mapping (network, config) -> latency & energy."""
 
-    ``include_noc=True`` adds the array-interconnect energy term of
-    :mod:`repro.accel.noc` (off by default to keep the baseline model
-    faithful to the paper's; see the NoC module docstring).
-    """
-
-    def __init__(
-        self,
-        energy_model: EnergyModel | None = None,
-        include_noc: bool = False,
-        noc_model=None,
-    ) -> None:
+    def __init__(self, energy_model: EnergyModel | None = None) -> None:
         self.energy_model = energy_model or DEFAULT_ENERGY_MODEL
-        self.include_noc = include_noc
-        if include_noc:
-            from .noc import DEFAULT_NOC_MODEL
-
-            self.noc_model = noc_model or DEFAULT_NOC_MODEL
-        else:
-            self.noc_model = noc_model
 
     # ------------------------------------------------------------------
     def simulate_layer(self, layer: LayerWorkload, config: AcceleratorConfig) -> LayerReport:
@@ -185,16 +165,12 @@ class SystolicArraySimulator:
         # Register-file traffic: every MAC moves ~3 operands at the RF level.
         rbuf_words = 3.0 * macs
 
-        noc_pj = 0.0
-        if self.include_noc and self.noc_model is not None:
-            noc_pj = self.noc_model.layer_energy_pj(layer, config, mapping)
         breakdown = EnergyBreakdown(
             mac_pj=macs * em.mac_pj,
             rbuf_pj=rbuf_words * em.rbuf_pj,
             gbuf_pj=gbuf_words * em.gbuf_pj,
             dram_pj=(dram_bytes / WORD_BYTES) * em.dram_pj,
             leakage_pj=em.leakage_pj_per_cycle(config) * cycles,
-            noc_pj=noc_pj,
         )
         return LayerReport(
             name=layer.name,
@@ -239,10 +215,7 @@ class SystolicArraySimulator:
         ``workloads`` is either one layer list — broadcast across every
         configuration, the two-stage enumeration pattern — or one layer
         list per configuration (ragged lists are fine).  Results are ``==``
-        :meth:`simulate_network`'s, however the points are batched,
-        including with ``include_noc=True``: the NoC energy model is
-        evaluated as vectorised array math inside the batch engine, so
-        NoC-aware sweeps enjoy the same speedup as the baseline model.  Only
+        :meth:`simulate_network`'s, however the points are batched.  Only
         per-point aggregates are returned
         (see :class:`~repro.accel.batch.BatchSimResult`).
         """
@@ -257,12 +230,7 @@ class SystolicArraySimulator:
             raise ValueError(
                 f"{len(workload_lists)} workload lists but {len(configs)} configs"
             )
-        return simulate_flat(
-            workload_lists,
-            configs,
-            self.energy_model,
-            noc_model=self.noc_model if self.include_noc else None,
-        )
+        return simulate_flat(workload_lists, configs, self.energy_model)
 
     # ------------------------------------------------------------------
     def simulate_genotypes(
@@ -272,7 +240,6 @@ class SystolicArraySimulator:
         stem_channels: int = 16,
         image_size: int = 32,
         num_classes: int = 10,
-        batch: int = 1,
     ) -> BatchSimResult:
         """Batch counterpart of :meth:`simulate_genotype`.
 
@@ -286,7 +253,6 @@ class SystolicArraySimulator:
                 stem_channels=stem_channels,
                 image_size=image_size,
                 num_classes=num_classes,
-                batch=batch,
             )
             for genotype, _config in pairs
         ]
@@ -301,7 +267,6 @@ class SystolicArraySimulator:
         stem_channels: int = 16,
         image_size: int = 32,
         num_classes: int = 10,
-        batch: int = 1,
     ) -> NetworkReport:
         """Convenience wrapper: expand a genotype and simulate it."""
         layers = network_workloads(
@@ -310,6 +275,5 @@ class SystolicArraySimulator:
             stem_channels=stem_channels,
             image_size=image_size,
             num_classes=num_classes,
-            batch=batch,
         )
         return self.simulate_network(layers, config)

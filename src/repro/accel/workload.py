@@ -26,7 +26,10 @@ _POOL_OP_COST: float = 0.25
 
 @dataclass(frozen=True)
 class LayerWorkload:
-    """One operator with fully resolved shapes.
+    """One operator with fully resolved shapes, for batch-1 inference.
+
+    The paper scores single-image inference latency and energy, so every
+    byte and MAC count below is per image.
 
     Attributes
     ----------
@@ -40,9 +43,6 @@ class LayerWorkload:
         Input spatial size (square feature maps).
     kernel, stride:
         Square window geometry; padding is SAME (size only shrinks by stride).
-    batch:
-        Inference batch size (the paper evaluates single-image inference,
-        batch 1; larger batches amortise weight traffic).
     """
 
     name: str
@@ -52,13 +52,12 @@ class LayerWorkload:
     in_size: int
     kernel: int
     stride: int
-    batch: int = 1
 
     def __post_init__(self) -> None:
         if self.kind not in ("conv", "dwconv", "pool", "linear"):
             raise ValueError(f"unknown layer kind {self.kind!r}")
         if min(self.in_channels, self.out_channels, self.in_size, self.kernel,
-               self.stride, self.batch) < 1:
+               self.stride) < 1:
             raise ValueError(f"non-positive dimension in workload {self.name!r}")
 
     # -- derived shapes ----------------------------------------------------
@@ -83,7 +82,7 @@ class LayerWorkload:
             per_image = self.in_channels * self.kernel**2 * oh * ow * _POOL_OP_COST
         else:  # linear
             per_image = self.in_channels * self.out_channels
-        return float(per_image) * self.batch
+        return float(per_image)
 
     @property
     def weight_bytes(self) -> int:
@@ -100,14 +99,14 @@ class LayerWorkload:
     @property
     def ifmap_bytes(self) -> int:
         if self.kind == "linear":
-            return self.in_channels * WORD_BYTES * self.batch
-        return self.in_channels * self.in_size**2 * WORD_BYTES * self.batch
+            return self.in_channels * WORD_BYTES
+        return self.in_channels * self.in_size**2 * WORD_BYTES
 
     @property
     def ofmap_bytes(self) -> int:
         if self.kind == "linear":
-            return self.out_channels * WORD_BYTES * self.batch
-        return self.out_channels * self.out_size**2 * WORD_BYTES * self.batch
+            return self.out_channels * WORD_BYTES
+        return self.out_channels * self.out_size**2 * WORD_BYTES
 
     @property
     def total_bytes(self) -> int:
@@ -125,7 +124,6 @@ def network_workloads(
     stem_channels: int = 16,
     image_size: int = 32,
     num_classes: int = 10,
-    batch: int = 1,
 ) -> list[LayerWorkload]:
     """Expand a genotype into the full per-layer workload list.
 
@@ -135,7 +133,7 @@ def network_workloads(
     of every computed node, and a final global-pool + linear classifier.
     """
     layers: list[LayerWorkload] = [
-        LayerWorkload("stem", "conv", 3, stem_channels, image_size, 3, 1, batch)
+        LayerWorkload("stem", "conv", 3, stem_channels, image_size, 3, 1)
     ]
     reduction_at = reduction_positions(num_cells)
     channels = stem_channels
@@ -153,8 +151,7 @@ def network_workloads(
             stride = max(1, s_in // size)
             layers.append(
                 LayerWorkload(
-                    f"cell{cell_idx}.{tag}", "conv", c_in, channels, s_in, 1,
-                    stride, batch,
+                    f"cell{cell_idx}.{tag}", "conv", c_in, channels, s_in, 1, stride
                 )
             )
         out_size = size // 2 if is_reduction else size
@@ -179,7 +176,6 @@ def network_workloads(
                         in_size,
                         kernel,
                         stride,
-                        batch,
                     )
                 )
         loose = cell.loose_ends()
@@ -187,7 +183,7 @@ def network_workloads(
         prev = (channels * len(loose), out_size)
         size = out_size
     layers.append(
-        LayerWorkload("classifier", "linear", prev[0], num_classes, 1, 1, 1, batch)
+        LayerWorkload("classifier", "linear", prev[0], num_classes, 1, 1, 1)
     )
     return layers
 

@@ -23,7 +23,10 @@ class SGD:
 
     Weight decay is applied only to parameters flagged ``weight_decay=True``
     (i.e. convolution/linear weights, not batch-norm scale/shift), mirroring
-    standard practice and the paper's L2 regularisation of 4e-5.
+    standard practice and the paper's L2 regularisation of 4e-5.  A
+    parameter whose gradient is exactly zero is left untouched, decay and
+    momentum included: the HyperNet's "only update the selected path"
+    training rule (Sec. III-D).
     """
 
     def __init__(
@@ -32,7 +35,6 @@ class SGD:
         lr: float = 0.05,
         momentum: float = 0.9,
         weight_decay: float = 4e-5,
-        skip_zero_grad: bool = True,
     ) -> None:
         self.parameters = list(parameters)
         if not self.parameters:
@@ -40,16 +42,12 @@ class SGD:
         self.lr = lr
         self.momentum = momentum
         self.weight_decay = weight_decay
-        #: when True, parameters whose gradient is exactly zero are left
-        #: untouched — required by the HyperNet's "only update the selected
-        #: path" training rule (Sec. III-D).
-        self.skip_zero_grad = skip_zero_grad
         self._velocity = [np.zeros_like(p.data) for p in self.parameters]
 
     def step(self) -> None:
         for p, v in zip(self.parameters, self._velocity):
             grad = p.grad
-            if self.skip_zero_grad and not grad.any():
+            if not grad.any():
                 continue
             if self.weight_decay and p.weight_decay:
                 grad = grad + self.weight_decay * p.data

@@ -72,7 +72,7 @@ def collect_samples(
     how the GP predictors warm-start across processes: a fresh search
     rebuilds the same sample set without re-paying the simulation.
     Records live in the ``"sim:" + samples_fingerprint`` namespace,
-    scoped to the simulator's energy/NoC model and the network expansion
+    scoped to the simulator's energy model and the network expansion
     dims.
     """
     if n < 1:

@@ -157,13 +157,10 @@ def samples_fingerprint(
     A persisted (latency, energy) sample is valid for any process whose
     analytical simulator and network-expansion dims match.
     """
-    em = simulator.energy_model
     return digest(
         "simulator-samples",
         KERNEL_REVISION,
-        repr(em),
-        bool(simulator.include_noc),
-        repr(simulator.noc_model),
+        repr(simulator.energy_model),
         num_cells,
         stem_channels,
         image_size,

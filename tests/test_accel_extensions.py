@@ -1,4 +1,4 @@
-"""Tests for simulator extensions: energy breakdown and batched inference."""
+"""Tests for the simulator's per-component energy breakdown."""
 
 from __future__ import annotations
 
@@ -6,7 +6,7 @@ import pytest
 
 from repro.accel.config import AcceleratorConfig
 from repro.accel.simulator import SystolicArraySimulator
-from repro.accel.workload import LayerWorkload, network_workloads
+from repro.accel.workload import LayerWorkload
 
 
 @pytest.fixture(scope="module")
@@ -54,45 +54,3 @@ class TestEnergyBreakdown:
         """Eyeriss's classic observation: data movement outweighs compute."""
         b = sim.simulate_layer(CONV, cfg()).breakdown
         assert b.gbuf_pj + b.dram_pj + b.rbuf_pj > b.mac_pj
-
-
-class TestBatchedInference:
-    def test_macs_scale_linearly(self):
-        one = LayerWorkload("l", "conv", 8, 8, 16, 3, 1, batch=1)
-        four = LayerWorkload("l", "conv", 8, 8, 16, 3, 1, batch=4)
-        assert four.macs == 4 * one.macs
-
-    def test_fmaps_scale_weights_do_not(self):
-        one = LayerWorkload("l", "conv", 8, 8, 16, 3, 1, batch=1)
-        four = LayerWorkload("l", "conv", 8, 8, 16, 3, 1, batch=4)
-        assert four.ifmap_bytes == 4 * one.ifmap_bytes
-        assert four.ofmap_bytes == 4 * one.ofmap_bytes
-        assert four.weight_bytes == one.weight_bytes
-
-    def test_invalid_batch_rejected(self):
-        with pytest.raises(ValueError):
-            LayerWorkload("l", "conv", 8, 8, 16, 3, 1, batch=0)
-
-    def test_network_workloads_batch_passthrough(self, genotype):
-        b1 = network_workloads(genotype, num_cells=3, stem_channels=8,
-                               image_size=16, batch=1)
-        b8 = network_workloads(genotype, num_cells=3, stem_channels=8,
-                               image_size=16, batch=8)
-        assert sum(l.macs for l in b8) == pytest.approx(
-            8 * sum(l.macs for l in b1)
-        )
-
-    def test_batching_amortises_weight_energy(self, sim, genotype):
-        """Energy per image must drop with batch size (weight-traffic reuse)."""
-        r1 = sim.simulate_genotype(genotype, cfg(), num_cells=3, stem_channels=8,
-                                   image_size=16, batch=1)
-        r8 = sim.simulate_genotype(genotype, cfg(), num_cells=3, stem_channels=8,
-                                   image_size=16, batch=8)
-        assert r8.energy_mj / 8 < r1.energy_mj
-
-    def test_batching_increases_total_latency(self, sim, genotype):
-        r1 = sim.simulate_genotype(genotype, cfg(), num_cells=3, stem_channels=8,
-                                   image_size=16, batch=1)
-        r8 = sim.simulate_genotype(genotype, cfg(), num_cells=3, stem_channels=8,
-                                   image_size=16, batch=8)
-        assert r8.latency_ms > r1.latency_ms

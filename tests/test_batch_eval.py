@@ -91,55 +91,6 @@ class TestSimulateManyParity:
             assert batch.energy_mj[i] == report.energy_mj
             assert batch.latency_ms[i] == report.latency_ms
 
-    def test_include_noc_batch_parity(self, genotype):
-        """NoC-aware batches run through the vectorised hop/energy model
-        (no scalar fallback) and still match the scalar simulator."""
-        noc_sim = SystolicArraySimulator(include_noc=True)
-        layers = network_workloads(genotype, **SMALL)
-        configs = list(enumerate_configs())[::17]
-        batch = noc_sim.simulate_many(layers, configs)
-        for i, config in enumerate(configs):
-            report = noc_sim.simulate_network(layers, config)
-            assert batch.energy_mj[i] == report.energy_mj
-            assert batch.latency_ms[i] == report.latency_ms
-
-    def test_include_noc_every_dataflow(self, genotype):
-        """All four delivery-pattern branches of the vectorised NoC model
-        agree with their scalar counterparts."""
-        from repro.accel.config import AcceleratorConfig
-
-        noc_sim = SystolicArraySimulator(include_noc=True)
-        layers = network_workloads(genotype, **SMALL)
-        configs = [
-            AcceleratorConfig(14, 16, 196, 128, flow)
-            for flow in ("WS", "OS", "RS", "NLR")
-        ]
-        batch = noc_sim.simulate_many(layers, configs)
-        for i, config in enumerate(configs):
-            report = noc_sim.simulate_network(layers, config)
-            assert batch.energy_mj[i] == report.energy_mj
-
-    def test_include_noc_ragged_batch(self):
-        """Per-point layer lists with NoC enabled match scalar simulation."""
-        noc_sim = SystolicArraySimulator(include_noc=True)
-        points = random_points(12, seed=2)
-        pairs = [(p.genotype, p.config) for p in points]
-        batch = noc_sim.simulate_genotypes(pairs, **SMALL)
-        for i, point in enumerate(points):
-            report = noc_sim.simulate_genotype(point.genotype, point.config, **SMALL)
-            assert batch.energy_mj[i] == report.energy_mj
-            assert batch.latency_ms[i] == report.latency_ms
-
-    def test_noc_energy_exceeds_baseline(self, sim, genotype):
-        """Batched NoC energies are strictly above the baseline batch."""
-        noc_sim = SystolicArraySimulator(include_noc=True)
-        layers = network_workloads(genotype, **SMALL)
-        configs = list(enumerate_configs())[::100]
-        base = sim.simulate_many(layers, configs)
-        with_noc = noc_sim.simulate_many(layers, configs)
-        assert np.all(with_noc.energy_mj > base.energy_mj)
-        assert with_noc.latency_ms.tolist() == base.latency_ms.tolist()
-
     def test_empty_batch_rejected(self, sim, genotype):
         layers = network_workloads(genotype, **SMALL)
         with pytest.raises(ValueError):

@@ -129,8 +129,7 @@ class TestCellNetwork:
         net = CellNetwork(genotype, num_cells=3, stem_channels=4, rng=rng)
         x = x32((8, 3, 8, 8), seed=4)
         y = np.random.default_rng(5).integers(0, 10, 8)
-        opt = SGD(net.parameters(), lr=0.05, momentum=0.0, weight_decay=0.0,
-                  skip_zero_grad=False)
+        opt = SGD(net.parameters(), lr=0.05, momentum=0.0, weight_decay=0.0)
         logits = net(x)
         loss0, grad = F.softmax_cross_entropy(logits, y)
         net.backward(grad)

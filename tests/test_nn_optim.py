@@ -18,12 +18,12 @@ def make_param(value=1.0, grad=0.5, weight_decay=True):
 class TestSGD:
     def test_basic_step(self):
         p = make_param(weight_decay=False)
-        SGD([p], lr=0.1, momentum=0.0, weight_decay=0.0, skip_zero_grad=False).step()
+        SGD([p], lr=0.1, momentum=0.0, weight_decay=0.0).step()
         assert np.allclose(p.data, 1.0 - 0.1 * 0.5)
 
     def test_momentum_accumulates(self):
         p = Parameter(np.zeros(1))
-        opt = SGD([p], lr=1.0, momentum=0.5, weight_decay=0.0, skip_zero_grad=False)
+        opt = SGD([p], lr=1.0, momentum=0.5, weight_decay=0.0)
         p.grad[:] = 1.0
         opt.step()  # v = -1, x = -1
         p.grad[:] = 1.0
@@ -31,25 +31,25 @@ class TestSGD:
         assert np.isclose(p.data[0], -2.5)
 
     def test_weight_decay_applied_only_when_flagged(self):
-        decayed = make_param(grad=0.0)
-        plain = make_param(grad=0.0, weight_decay=False)
-        # Force non-zero grad check off so the decay path runs.
-        opt = SGD([decayed, plain], lr=0.1, momentum=0.0, weight_decay=0.1,
-                  skip_zero_grad=False)
+        decayed = make_param()
+        plain = make_param(weight_decay=False)
+        opt = SGD([decayed, plain], lr=0.1, momentum=0.0, weight_decay=0.1)
         opt.step()
-        assert np.all(decayed.data < 1.0)
-        assert np.allclose(plain.data, 1.0)
+        # Same gradient: the decay term moves the flagged parameter further.
+        assert np.allclose(plain.data, 1.0 - 0.1 * 0.5)
+        assert np.all(decayed.data < plain.data)
+        assert np.allclose(decayed.data, 1.0 - 0.1 * (0.5 + 0.1 * 1.0))
 
     def test_skip_zero_grad_leaves_param_untouched(self):
         p = Parameter(np.ones(2))
-        opt = SGD([p], lr=0.1, weight_decay=0.1, skip_zero_grad=True)
+        opt = SGD([p], lr=0.1, weight_decay=0.1)
         opt.step()
         assert np.allclose(p.data, 1.0)
 
     def test_skip_zero_grad_velocity_frozen(self):
         """A parameter off the sampled path must not coast on old momentum."""
         p = Parameter(np.zeros(1))
-        opt = SGD([p], lr=1.0, momentum=0.9, weight_decay=0.0, skip_zero_grad=True)
+        opt = SGD([p], lr=1.0, momentum=0.9, weight_decay=0.0)
         p.grad[:] = 1.0
         opt.step()
         moved = p.data.copy()

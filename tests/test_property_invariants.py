@@ -70,31 +70,27 @@ class TestSimulatorInvariants:
     def test_any_partition_equals_scalar_simulation(self, seeds, cuts):
         """For any point list (duplicates included) and any split of it
         into consecutive ``simulate_many`` calls, every point's totals are
-        ``==`` the scalar ``simulate_genotype`` of that point, with the
-        NoC term off and on."""
+        ``==`` the scalar ``simulate_genotype`` of that point."""
         shape = dict(num_cells=3, stem_channels=4, image_size=8)
-        for sim in (_SIM, SystolicArraySimulator(include_noc=True)):
-            for part in _split(seeds, cuts):
-                points = [_point(s) for s in part]
-                batch = sim.simulate_many(
-                    [network_workloads(p.genotype, **shape) for p in points],
-                    [p.config for p in points],
+        for part in _split(seeds, cuts):
+            points = [_point(s) for s in part]
+            batch = _SIM.simulate_many(
+                [network_workloads(p.genotype, **shape) for p in points],
+                [p.config for p in points],
+            )
+            for i, point in enumerate(points):
+                report = _SIM.simulate_genotype(point.genotype, point.config, **shape)
+                assert (
+                    batch.latency_ms[i],
+                    batch.energy_mj[i],
+                    batch.total_macs[i],
+                    batch.total_dram_bytes[i],
+                ) == (
+                    report.latency_ms,
+                    report.energy_mj,
+                    report.total_macs,
+                    report.total_dram_bytes,
                 )
-                for i, point in enumerate(points):
-                    report = sim.simulate_genotype(
-                        point.genotype, point.config, **shape
-                    )
-                    assert (
-                        batch.latency_ms[i],
-                        batch.energy_mj[i],
-                        batch.total_macs[i],
-                        batch.total_dram_bytes[i],
-                    ) == (
-                        report.latency_ms,
-                        report.energy_mj,
-                        report.total_macs,
-                        report.total_dram_bytes,
-                    )
 
 
 class TestFeatureInvariants:

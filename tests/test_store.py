@@ -22,10 +22,12 @@ job; everything here is spawn-safe and tolerant of 1-CPU hosts.
 
 from __future__ import annotations
 
+import functools
 import json
 import multiprocessing
 import os
 import struct
+import tempfile
 import threading
 import zlib
 
@@ -47,6 +49,7 @@ from repro.store import (
     StoreLockedError,
     digest,
 )
+from tests.test_property_invariants import _split
 
 _U32 = struct.Struct("<I")
 
@@ -209,6 +212,29 @@ class TestRoundtrip:
         )
         after = fingerprints()
         assert [b != a for b, a in zip(before, after)] == [True, True, True]
+
+    def test_samples_fingerprint_covers_every_producer_input(self):
+        """The ``sim:`` namespace moves with the energy model and each of
+        the four expansion dims, and nothing else of a default simulator
+        (two fresh ones share it)."""
+        from repro.accel.energy import EnergyModel
+        from repro.accel.simulator import SystolicArraySimulator
+        from repro.store import samples_fingerprint
+
+        dims = dict(num_cells=2, stem_channels=4, image_size=8, num_classes=10)
+
+        def namespace(simulator=None, **changed):
+            return "sim:" + samples_fingerprint(
+                simulator or SystolicArraySimulator(), **{**dims, **changed}
+            )
+
+        base = namespace()
+        assert namespace() == base
+        assert namespace(SystolicArraySimulator(EnergyModel(freq_mhz=500.0))) != base
+        for dim, value in dict(
+            num_cells=3, stem_channels=8, image_size=16, num_classes=100
+        ).items():
+            assert namespace(**{dim: value}) != base, dim
 
 
 # ---------------------------------------------------------------------------
@@ -553,6 +579,136 @@ class TestEvaluatorTier:
             second.evaluate_many(points)
             assert second.store_hits == 0
             assert second.store_misses == len(points)
+
+
+_REPLAY_DIMS = dict(num_cells=2, stem_channels=4, image_size=8)
+
+
+@functools.lru_cache(maxsize=1)
+def _replay_fast():
+    """A small, untrained FastEvaluator that any process rebuilds
+    identically, so its default store namespace matches across processes."""
+    from repro.nas.hypernet import HyperNet
+    from repro.nn.data import SyntheticCifar
+    from repro.predict.dataset import collect_samples
+    from repro.search.evaluator import FastEvaluator
+
+    hypernet = HyperNet(
+        num_cells=2, stem_channels=4, num_classes=10, rng=np.random.default_rng(0)
+    )
+    dataset = SyntheticCifar(
+        image_size=8, train_size=16, val_size=16, test_size=8, seed=0
+    )
+    samples = collect_samples(20, seed=0, **_REPLAY_DIMS)
+    return FastEvaluator.from_samples(
+        hypernet, dataset, samples, eval_batch=16, **_REPLAY_DIMS
+    )
+
+
+#: The distinct candidates a replayed multiset is drawn from.
+_REPLAY_POOL = 6
+
+
+@functools.lru_cache(maxsize=1)
+def _replay_oracle() -> list[tuple]:
+    """The per-point ``FastEvaluator.evaluate`` value of every pool point."""
+    fast = _replay_fast()
+    return [_values(fast.evaluate(p)) for p in _point_batch(_REPLAY_POOL, seed=31)]
+
+
+def _values(evaluation) -> tuple:
+    return (evaluation.accuracy, evaluation.latency_ms, evaluation.energy_mj)
+
+
+def _replay(path: str, parts: list[list[int]]) -> tuple[list[tuple], object]:
+    """Evaluate the pool indices of ``parts`` as consecutive
+    ``evaluate_many`` calls of one fresh BatchEvaluator on the store at
+    ``path``; returns the values in order and the evaluator."""
+    from repro.search.evaluator import BatchEvaluator
+
+    pool = _point_batch(_REPLAY_POOL, seed=31)
+    evaluator = BatchEvaluator(_replay_fast())
+    values: list[tuple] = []
+    with ResultStore(path) as store:
+        evaluator.attach_store(store)
+        for part in parts:
+            values += map(_values, evaluator.evaluate_many([pool[i] for i in part]))
+    return values, evaluator
+
+
+def _replay_in_child(path: str, parts: list[list[int]], queue) -> None:
+    """Spawn target: replay ``parts`` from the store, report the values
+    and the evaluator's store counters."""
+    try:
+        values, evaluator = _replay(path, parts)
+        queue.put((values, evaluator.store_hits, evaluator.store_misses))
+    except Exception as exc:  # pragma: no cover - diagnostic path
+        queue.put(("error", repr(exc)))
+
+
+_MULTISETS = st.lists(st.integers(0, _REPLAY_POOL - 1), min_size=1, max_size=10)
+_CUTS = st.lists(st.booleans(), min_size=9, max_size=9)
+
+
+class TestStoreReplay:
+    """A point multiset evaluated cold with a store attached, over any
+    partition into consecutive calls, replays from the store ``==`` the
+    per-point oracle, with one store hit per unique key the store holds."""
+
+    @given(indices=_MULTISETS, cuts=_CUTS)
+    @settings(deadline=None, max_examples=25)
+    def test_replay_in_process_equals_the_oracle(self, indices, cuts):
+        oracle = _replay_oracle()
+        expected = [oracle[i] for i in indices]
+        parts = _split(indices, cuts)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "replay.store")
+            cold, cold_eval = _replay(path, parts)
+            assert cold == expected
+            assert cold_eval.store_misses == len(set(indices))
+            warm, warm_eval = _replay(path, parts)
+        assert warm == expected
+        assert warm_eval.store_hits == len(set(indices))
+        assert warm_eval.store_misses == 0
+
+    def test_replay_in_a_spawned_process_equals_the_oracle(self, tmp_path):
+        oracle = _replay_oracle()
+        parts = [[0, 1, 0], [2], [3, 1, 4, 4], [5, 0]]
+        path = str(tmp_path / "spawned.store")
+        _replay(path, parts)
+        ctx = multiprocessing.get_context("spawn")
+        queue = ctx.Queue()
+        child = ctx.Process(target=_replay_in_child, args=(path, parts, queue))
+        child.start()
+        outcome = queue.get(timeout=120)
+        child.join(60)
+        assert child.exitcode == 0
+        assert len(outcome) == 3, outcome
+        values, store_hits, store_misses = outcome
+        assert values == [oracle[i] for part in parts for i in part]
+        assert (store_hits, store_misses) == (_REPLAY_POOL, 0)
+
+    @given(indices=_MULTISETS, cuts=_CUTS, cut=st.integers(1, 40))
+    @settings(deadline=None, max_examples=25)
+    def test_replay_after_a_torn_tail_recomputes_only_the_dropped_key(
+        self, indices, cuts, cut
+    ):
+        oracle = _replay_oracle()
+        expected = [oracle[i] for i in indices]
+        parts = _split(indices, cuts)
+        unique = len(set(indices))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "torn.store")
+            _replay(path, parts)
+            os.truncate(path, os.path.getsize(path) - cut)
+            with ResultStore(path, mode="r") as store:
+                assert store.loaded_records == unique - 1
+            warm, warm_eval = _replay(path, parts)
+            with ResultStore(path, mode="r") as store:
+                assert store.loaded_records == unique
+        assert warm == expected
+        assert warm_eval.store_hits == unique - 1
+        assert warm_eval.store_misses == 1
 
 
 class TestSampleAndTrainingTier:
