@@ -23,6 +23,13 @@ Operation:
   forwards; a warm batch runs none (only cache reads and GP rows, which
   cost about the same merged or not), so the window would only add
   ``tick_s`` to every cache hit.
+* With that thread running and ``tick_s > 0``, a request whose points
+  are all warm and that finds the evaluator idle is served on the
+  submitting thread: :meth:`~MicroBatchScheduler.submit` runs its batch
+  inline and returns a future that is already resolved, so a cache hit
+  crosses no thread (in the service, the submitting thread is the event
+  loop).  Cold requests, and warm ones that arrive while a batch runs,
+  queue for the scheduler thread as above.
 * ``auto_start=False`` is the synchronous mode — callers enqueue with
   :meth:`submit` and drive batches explicitly with :meth:`flush` (the
   deterministic mode the coalescing tests use).
@@ -57,6 +64,7 @@ _M_TICKS = _REGISTRY.counter("scheduler.ticks")
 _M_REQUESTS = _REGISTRY.counter("scheduler.requests")
 _M_POINTS_IN = _REGISTRY.counter("scheduler.points_in")
 _M_ERRORS = _REGISTRY.counter("scheduler.errors")
+_M_INLINE = _REGISTRY.counter("scheduler.inline")
 _M_QUEUE_WAIT_S = _REGISTRY.histogram("scheduler.queue_wait_s")
 _M_BATCH_POINTS = _REGISTRY.histogram("scheduler.batch_points", COUNT_BUCKETS)
 
@@ -84,8 +92,9 @@ class MicroBatchScheduler:
     ``all_warm(points) -> bool`` that never raises (``True`` when
     ``evaluate_many`` would run no HyperNet for any of the points).
     ``tick_s`` is the coalescing window the scheduler thread waits after
-    cold traffic arrives (warm traffic is drained at once; :meth:`flush`
-    and ``tick_s == 0`` never wait and never ask).  A batch takes every
+    cold traffic arrives (warm traffic is drained at once, or served on
+    the submitting thread when no batch is running; :meth:`flush` and
+    ``tick_s == 0`` never wait and never ask).  A batch takes every
     request pending when it is taken: a service admits at most its
     ``PointsBudget`` of points, and the grouped HyperNet forward bounds
     its own memory by chunking genotypes.
@@ -113,10 +122,15 @@ class MicroBatchScheduler:
         self.retry = retry
         self._pending: deque[_Request] = deque()
         self._cond = threading.Condition()
-        # Serialises batch execution: the underlying evaluator is not safe
-        # under concurrent evaluate_many calls, and in synchronous mode
-        # several submitter threads may flush() at once.
+        # Serialises every evaluator access (batches and all_warm peeks):
+        # the underlying evaluator is not safe under concurrent calls, in
+        # synchronous mode several submitter threads may flush() at once,
+        # and submitters run warm batches inline.
         self._dispatch = threading.Lock()
+        #: Thread serving an inline batch (set under _dispatch), so that a
+        #: close() from inside that batch is treated like one from the
+        #: scheduler thread.
+        self._inline_ident: int | None = None
         self._closed = False
         # Shutdown coordination: exactly one caller performs the close
         # (join + drain); everyone else waits on _close_done, so close()
@@ -131,6 +145,8 @@ class MicroBatchScheduler:
         self.points_in = 0
         self.largest_batch = 0
         self.errors = 0
+        #: Requests served on the submitting thread (they never queued).
+        self.inline = 0
         #: Batches re-run after a retryable evaluator failure (requires a
         #: ``retry`` policy; each re-run also counts in resilience.retries).
         self.retried_batches = 0
@@ -151,18 +167,52 @@ class MicroBatchScheduler:
         the batch that serves this request links its spans under it.
         Cross-thread handoff has to be explicit — the scheduler thread
         that runs the batch cannot see the submitter's contextvars.
+
+        With the scheduler thread running and ``tick_s > 0``, an all-warm
+        request that finds no batch running is served right here, and the
+        returned future is already done.
         """
         request = _Request(list(points), trace)
+        # _thread is read without the lock: a stale answer only sends the
+        # request down the queued path, and _admit re-checks _closed.
+        if (
+            self.tick_s > 0
+            and self._thread is not None
+            and self._dispatch.acquire(blocking=False)
+        ):
+            try:
+                if self.evaluator.all_warm(request.points):
+                    # Admitted while holding _dispatch, and served before
+                    # it is released: a racing close() either rejects it
+                    # here or drains after it (its drain takes _dispatch).
+                    self._admit(request, inline=True)
+                    self._inline_ident = threading.get_ident()
+                    try:
+                        self._run_batch([request])
+                    finally:
+                        self._inline_ident = None
+                    return request.future
+            finally:
+                self._dispatch.release()
+        self._admit(request, inline=False)
+        return request.future
+
+    def _admit(self, request: _Request, inline: bool) -> None:
+        """Count the request, and queue it unless it is served inline."""
         with self._cond:
             if self._closed:
                 raise RuntimeError("scheduler is closed")
-            self._pending.append(request)
             self.requests += 1
             self.points_in += len(request.points)
-            self._cond.notify_all()
+            if inline:
+                self.inline += 1
+            else:
+                self._pending.append(request)
+                self._cond.notify_all()
         _M_REQUESTS.inc()
         _M_POINTS_IN.inc(len(request.points))
-        return request.future
+        if inline:
+            _M_INLINE.inc()
 
     def evaluate_many(
         self, points: Sequence["CoDesignPoint"]
@@ -353,11 +403,14 @@ class MicroBatchScheduler:
                 window = self.tick_s > 0 and not self._closed
                 if window:
                     pending = [p for request in self._pending for p in request.points]
-            if window and not self.evaluator.all_warm(pending):
-                # The coalescing window: let concurrent submitters pile in.
-                # Only cold work waits: merging is what saves HyperNet
-                # forwards, and warm points run none.
-                time.sleep(self.tick_s)
+            if window:
+                with self._dispatch:
+                    cold = not self.evaluator.all_warm(pending)
+                if cold:
+                    # The coalescing window: let concurrent submitters pile
+                    # in.  Only cold work waits: merging is what saves
+                    # HyperNet forwards, and warm points run none.
+                    time.sleep(self.tick_s)
             with self._dispatch:
                 batch = self._take_batch()
                 if batch:
@@ -379,12 +432,15 @@ class MicroBatchScheduler:
         with self._cond:
             self._closed = True
             self._cond.notify_all()
-            if threading.current_thread() is self._thread:
-                # Called from the scheduler thread itself (an evaluator
-                # closing mid-batch): just flag the shutdown — this loop
-                # exits after the current batch, and a real closer
-                # performs the join + drain.  Joining or waiting here
-                # would deadlock on ourselves.
+            if (
+                threading.current_thread() is self._thread
+                or threading.get_ident() == self._inline_ident
+            ):
+                # Called from inside a batch the scheduler thread or an
+                # inline submitter is running (an evaluator closing
+                # mid-batch): just flag the shutdown — the batch finishes,
+                # and a real closer performs the join + drain.  Joining
+                # or draining here would deadlock on ourselves.
                 return
             if self._close_started:
                 reentrant = self._closer_ident == threading.get_ident()

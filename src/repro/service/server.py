@@ -20,8 +20,10 @@ Execution model — three layers, each with one job:
 * the **scheduler thread** coalesces every admitted request pending at a
   tick into one ``evaluate_many`` call on the evaluator — N concurrent
   clients cost one grouped HyperNet forward / GP prediction / pool
-  dispatch per tick, not N.  Only cold work waits the window; requests
-  the evaluator's caches already hold are served at once.
+  dispatch per tick, not N.  Only cold work waits the window.  A request
+  the evaluator's caches already hold is served at once: on the event
+  loop itself when no batch is running (no thread hop), otherwise by the
+  scheduler thread right after the running batch.
 
 Results are bit-identical to calling ``evaluate_many`` in-process: the
 wire codec round-trips points and evaluations exactly, and coalescing
@@ -139,7 +141,9 @@ class SearchService:
     ``tick_s > 0``); the service wraps it in its own
     :class:`~repro.parallel.scheduler.MicroBatchScheduler` (``tick_s`` is
     the coalescing window, waited only when some pending point is cold,
-    so cache hits never sleep through it).  ``max_inflight_points`` is the
+    so cache hits never sleep through it; an all-warm request that finds
+    the evaluator idle is served on the event loop, with no hop to the
+    scheduler thread).  ``max_inflight_points`` is the
     backpressure budget, and so also bounds one coalesced batch.  The
     caller keeps the evaluator's lifecycle (its worker threads).
 
@@ -505,6 +509,10 @@ class SearchService:
                 future = self.scheduler.submit(points, trace=trace)
             except RuntimeError as exc:  # "scheduler is closed"
                 raise ServiceClosedError(str(exc)) from exc
+            if future.done():
+                # Served inline on this loop: wrapping a done future would
+                # still cost a call_soon_threadsafe wake-up.
+                return future.result()
             return await asyncio.wrap_future(future)
         finally:
             await self._budget.release(len(points))
@@ -568,6 +576,7 @@ class SearchService:
                 "largest_batch": scheduler.largest_batch,
                 "errors": scheduler.errors,
                 "retried_batches": scheduler.retried_batches,
+                "inline": scheduler.inline,
                 "queue_depth": queue_depth,
                 "queued_points": queued_points,
                 "coalescing_ratio": (

@@ -10,7 +10,8 @@ Covers the four guarantees the subsystem makes:
 * **In-process fallback** — ``workers <= 1`` never creates a pool, and
   fewer than two cold genotypes run inline.
 * **Micro-batch coalescing** — concurrent submitters are served from one
-  batched evaluator call per tick.
+  batched evaluator call per tick, and an all-warm request that finds the
+  evaluator idle is served on its own thread under the same lock.
 
 CI runs this module both inside the tier-1 suite and as a dedicated
 job, so the threaded path is exercised on every push.
@@ -18,6 +19,9 @@ job, so the threaded path is exercised on every push.
 
 from __future__ import annotations
 
+import contextlib
+import itertools
+import sys
 import threading
 import time
 from types import SimpleNamespace
@@ -381,6 +385,265 @@ class TestWarmWindow:
             MicroBatchScheduler(_EvaluateOnly(), tick_s=0.002)
         MicroBatchScheduler(_EvaluateOnly(), tick_s=0.0).close()
         MicroBatchScheduler(_EvaluateOnly(), auto_start=False).close()
+
+
+class _ThreadRecorder:
+    """Evaluator wrapper that records the thread of every
+    ``evaluate_many`` and counts evaluator accesses (``all_warm``
+    included) that overlap another one.  ``gated`` batches block inside
+    ``evaluate_many`` until :attr:`release` is set."""
+
+    def __init__(self, inner, gated: bool = False):
+        self.inner = inner
+        self.threads: list[int] = []
+        self.overlaps = 0
+        self.entered = threading.Event()
+        self.release = threading.Event()
+        if not gated:
+            self.release.set()
+        self._active = 0
+        self._lock = threading.Lock()
+
+    @contextlib.contextmanager
+    def _access(self):
+        with self._lock:
+            self._active += 1
+            self.overlaps += self._active > 1
+        try:
+            yield
+        finally:
+            with self._lock:
+                self._active -= 1
+
+    def all_warm(self, points):
+        with self._access():
+            return self.inner.all_warm(points)
+
+    def evaluate_many(self, points):
+        with self._access():
+            self.threads.append(threading.get_ident())
+            self.entered.set()
+            assert self.release.wait(30.0), "gate was never released"
+            return self.inner.evaluate_many(points)
+
+
+class TestInlineWarm:
+    """An all-warm request that finds the evaluator idle is served on the
+    submitting thread; everything else queues for the scheduler thread."""
+
+    def test_all_warm_submit_is_served_on_the_submitting_thread(
+        self, smoke_context, waits
+    ):
+        points = _population(4, seed=151)
+        reference = BatchEvaluator(smoke_context.fast_evaluator).evaluate_many(points)
+        inner = BatchEvaluator(smoke_context.fast_evaluator)
+        inner.evaluate_many(points[:3])
+        evaluator = _ThreadRecorder(inner)
+        queue_waits = get_registry().histogram("scheduler.queue_wait_s")
+        with MicroBatchScheduler(evaluator, tick_s=0.01) as scheduler:
+            waits_before = queue_waits.count
+            future = scheduler.submit(points[:3])
+            assert future.done(), "an inline request returns resolved"
+            assert future.result() == reference[:3]
+            assert evaluator.threads == [threading.get_ident()]
+            assert (scheduler.ticks, scheduler.inline) == (1, 1)
+            assert scheduler.queue_depth == 0
+            assert queue_waits.count == waits_before, "it never queued"
+            # One cold point: the request queues, waits the window and is
+            # served by the scheduler thread.
+            assert scheduler.submit(points).result(30.0) == reference
+            assert evaluator.threads[1] == scheduler._thread.ident
+            assert (scheduler.ticks, scheduler.inline) == (2, 1)
+            assert scheduler.requests == 2
+        assert waits == [0.01]
+        assert evaluator.overlaps == 0
+
+    def test_submit_during_a_running_batch_queues_without_blocking(
+        self, smoke_context, waits
+    ):
+        points = _population(4, seed=153)
+        reference = BatchEvaluator(smoke_context.fast_evaluator).evaluate_many(points)
+        inner = BatchEvaluator(smoke_context.fast_evaluator)
+        inner.evaluate_many(points[:2])
+        evaluator = _ThreadRecorder(inner, gated=True)
+        with MicroBatchScheduler(evaluator, tick_s=0.01) as scheduler:
+            cold = scheduler.submit(points[2:])
+            assert evaluator.entered.wait(30.0), "the cold batch never started"
+            submitted: list = []
+            submitter = threading.Thread(
+                target=lambda: submitted.append(scheduler.submit(points[:2])),
+                daemon=True,
+            )
+            submitter.start()
+            submitter.join(10.0)
+            assert not submitter.is_alive(), "submit blocked on a running batch"
+            (warm,) = submitted
+            assert not warm.done() and scheduler.queue_depth == 1
+            evaluator.release.set()
+            assert cold.result(30.0) == reference[2:]
+            assert warm.result(30.0) == reference[:2]
+            assert evaluator.threads == [scheduler._thread.ident] * 2
+            assert (scheduler.ticks, scheduler.inline) == (2, 0)
+        assert waits == [0.01], "the queued warm request waited no window"
+        assert evaluator.overlaps == 0
+
+    def test_a_running_inline_batch_holds_off_the_scheduler_thread(
+        self, smoke_context
+    ):
+        points = _population(4, seed=155)
+        reference = BatchEvaluator(smoke_context.fast_evaluator).evaluate_many(points)
+        inner = BatchEvaluator(smoke_context.fast_evaluator)
+        inner.evaluate_many(points[:2])
+        evaluator = _ThreadRecorder(inner, gated=True)
+        with MicroBatchScheduler(evaluator, tick_s=0.005) as scheduler:
+            submitted: list = []
+            submitter = threading.Thread(
+                target=lambda: submitted.append(scheduler.submit(points[:2])),
+                daemon=True,
+            )
+            submitter.start()
+            assert evaluator.entered.wait(30.0), "the inline batch never started"
+            # The scheduler thread wakes for this cold request; its warmth
+            # peek must wait for the inline batch to finish.
+            cold = scheduler.submit(points[2:])
+            time.sleep(0.05)
+            assert not cold.done()
+            evaluator.release.set()
+            submitter.join(30.0)
+            assert submitted[0].result() == reference[:2]
+            assert cold.result(30.0) == reference[2:]
+            assert scheduler.inline == 1
+        assert evaluator.overlaps == 0
+
+    @pytest.mark.parametrize("warm", [True, False], ids=["inline", "queued"])
+    def test_faults_and_retries_act_on_inline_batches_too(
+        self, smoke_context, warm
+    ):
+        from repro.resilience import FaultPlan, InjectedFault, RetryPolicy, faults
+
+        points = _population(3, seed=157)
+        failing = _population(2, seed=158)
+        reference = BatchEvaluator(smoke_context.fast_evaluator).evaluate_many(points)
+        inner = BatchEvaluator(smoke_context.fast_evaluator)
+        if warm:
+            inner.evaluate_many(points + failing)
+        evaluator = _ThreadRecorder(inner)
+        retry = RetryPolicy(max_attempts=3, base_delay_s=0.001, seed=7)
+        with MicroBatchScheduler(evaluator, tick_s=0.005, retry=retry) as scheduler:
+            submitter = threading.get_ident() if warm else scheduler._thread.ident
+            plan = FaultPlan(seed=3).add("scheduler.tick", "error", count=1)
+            with faults.installed(plan):
+                future = scheduler.submit(points)
+                assert future.done() is warm
+                assert future.result(30.0) == reference
+            assert plan.injected == {"scheduler.tick": 1}
+            assert (scheduler.retried_batches, scheduler.errors) == (1, 0)
+            # Without a policy the fault fails the request, and the failed
+            # batch still counts as a tick.
+            scheduler.retry = None
+            with faults.installed(
+                FaultPlan(seed=3).add("scheduler.tick", "error", count=1)
+            ):
+                error = scheduler.submit(failing).exception(30.0)
+            assert isinstance(error, InjectedFault)
+            assert (scheduler.ticks, scheduler.errors) == (2, 1)
+            assert scheduler.inline == (2 if warm else 0)
+        assert evaluator.threads == [submitter]
+
+    def test_close_drains_every_request_admitted_by_racing_submitters(
+        self, smoke_context
+    ):
+        warm_points = _population(3, seed=159)
+        cold_points = _population(6, seed=161)
+        fast = smoke_context.fast_evaluator
+        reference = BatchEvaluator(fast).evaluate_many(warm_points + cold_points)
+        inner = BatchEvaluator(fast)
+        inner.evaluate_many(warm_points)
+        evaluator = _ThreadRecorder(inner)
+        scheduler = MicroBatchScheduler(evaluator, tick_s=0.002)
+        admitted: list = []
+        lock = threading.Lock()
+        started = threading.Barrier(4)
+
+        def submitter(j: int) -> None:
+            started.wait(30.0)
+            for i in itertools.count():
+                # Mostly warm requests, with a cold one now and then to
+                # keep the scheduler thread busy too.
+                index = 3 + (j + i) % 6 if i % 5 == 4 else i % 3
+                try:
+                    future = scheduler.submit(
+                        [(warm_points + cold_points)[index]]
+                    )
+                except RuntimeError:
+                    return
+                with lock:
+                    admitted.append((index, future))
+
+        threads = [
+            threading.Thread(target=submitter, args=(j,), daemon=True)
+            for j in range(3)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            started.wait(30.0)
+            _wait_for(lambda: len(admitted) >= 40)
+            scheduler.close()
+            for t in threads:
+                t.join(30.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert all(future.done() for _, future in admitted), (
+            "close() returned with an admitted request still pending"
+        )
+        assert [future.result() for _, future in admitted] == [
+            [reference[index]] for index, _ in admitted
+        ]
+        assert scheduler.requests == len(admitted)
+        assert scheduler.inline > 0
+        assert evaluator.overlaps == 0
+        with pytest.raises(RuntimeError, match="closed"):
+            scheduler.submit(warm_points)
+
+    def test_close_from_inside_an_inline_batch_does_not_deadlock(
+        self, smoke_context
+    ):
+        class _ClosingEvaluator(_ThreadRecorder):
+            scheduler = None
+
+            def evaluate_many(self, points):
+                self.scheduler.close()  # runs on the inline submitter
+                return super().evaluate_many(points)
+
+        points = _population(2, seed=163)
+        inner = BatchEvaluator(smoke_context.fast_evaluator)
+        reference = inner.evaluate_many(points)
+        evaluator = _ClosingEvaluator(inner)
+        scheduler = MicroBatchScheduler(evaluator, tick_s=0.005)
+        evaluator.scheduler = scheduler
+        submitted: list = []
+        submitter = threading.Thread(
+            target=lambda: submitted.append(scheduler.submit(points)),
+            daemon=True,
+        )
+        submitter.start()
+        submitter.join(20.0)
+        assert not submitter.is_alive(), "an inline close() deadlocked"
+        assert submitted[0].result() == reference
+        assert scheduler.inline == 1
+        scheduler.close()  # the real closer joins the thread
+        assert scheduler._thread is None
+
+
+def _wait_for(predicate, timeout: float = 30.0) -> None:
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        assert time.monotonic() < deadline, "condition never became true"
+        time.sleep(0.005)
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,8 @@ Covers the guarantees the service makes:
   into concurrent requests and any pre-warmed subset (so some requests
   skip the coalescing window and some wait it), every response is
   ``==`` the scalar ``FastEvaluator.evaluate`` of its point.
+* **Warm requests on the event loop** — an all-warm request on an idle
+  service is evaluated on the event-loop thread, with no scheduler hop.
 
 CI runs this module inside the tier-1 suite and as a dedicated service
 job; everything here is spawn-safe and tolerant of 1-CPU hosts (no
@@ -580,6 +582,38 @@ class TestServicePartitionProperty:
                 t.join(120.0)
         assert failures == []
         assert results == [[_ORACLE[i] for i in part] for part in parts]
+
+
+class TestInlineWarm:
+    def test_warm_request_is_served_on_the_event_loop(self, smoke_context):
+        """An all-warm request on an idle service is evaluated on the
+        event-loop thread itself (no hop to the scheduler thread), and its
+        response is ``==`` the scalar oracle."""
+        from repro.obs import render_stats
+
+        fast = smoke_context.fast_evaluator
+        points = _population(3, seed=29)
+        oracle = [fast.evaluate(p) for p in points]
+        inner = BatchEvaluator(fast)
+        inner.evaluate_many(points)
+        threads: list[int] = []
+
+        class _Recording:
+            def all_warm(self, points):
+                return inner.all_warm(points)
+
+            def evaluate_many(self, points):
+                threads.append(threading.get_ident())
+                return inner.evaluate_many(points)
+
+        with start_service(_Recording()) as handle:
+            with ServiceClient(*handle.address) as client:
+                assert client.evaluate_many(points) == oracle
+                stats = client.stats()
+        assert threads == [handle._thread.ident]
+        scheduler = stats["scheduler"]
+        assert (scheduler["inline"], scheduler["ticks"]) == (1, 1)
+        assert "inline" in render_stats(stats)
 
 
 # ---------------------------------------------------------------------------
