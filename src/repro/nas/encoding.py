@@ -46,6 +46,7 @@ __all__ = [
     "encode",
     "encode_genotype",
     "decode",
+    "decode_config",
     "random_sequence",
     "CoDesignPoint",
 ]
@@ -156,6 +157,15 @@ def decode(tokens: Sequence[int], name: str = "decoded") -> CoDesignPoint:
     point = CoDesignPoint(genotype=genotype, config=_decode_config(seq[DNN_TOKENS:]))
     point.__dict__["tokens"] = seq  # preset the cached property
     return point
+
+
+def decode_config(suffix: tuple[int, ...]) -> AcceleratorConfig:
+    """The accelerator configuration of a 4-token hardware suffix (a tuple
+    of ints), through :func:`decode`'s memo; ``ValueError`` when a token
+    is out of range or the length is not :data:`HW_TOKENS`."""
+    if len(suffix) != HW_TOKENS:
+        raise ValueError(f"hardware suffix must have {HW_TOKENS} tokens, got {len(suffix)}")
+    return _decode_config(suffix)
 
 
 @lru_cache(maxsize=_MEMO_SIZE)

@@ -616,10 +616,10 @@ class HyperNetTrainer:
 
     def _clip_parameters(self) -> list[Parameter]:
         """The optimiser's parameters on the sampled path, in optimiser
-        order.  Every other gradient is exactly zero, and dropping ``0.0``
-        terms from a float sum of squares leaves it unchanged, so the
-        clipped norm and gradients are bit-identical to clipping the
-        whole list."""
+        order: the only ones a step clips, updates and then zeroes.  Every
+        other gradient is exactly zero, and dropping ``0.0`` terms from a
+        float sum of squares leaves it unchanged, so the clipped norm and
+        gradients are bit-identical to clipping the whole list."""
         on_path: set[int] = set()
         for module in self.hypernet.path_modules():
             params = self._params_of.get(id(module))
@@ -637,17 +637,24 @@ class HyperNetTrainer:
         total_loss = 0.0
         total_correct = 0
         total_seen = 0
+        # Between steps only the last path's parameters hold gradient, so
+        # each step zeroes and updates that list alone; every other
+        # gradient is exactly zero, which SGD.step would skip anyway.
+        self.optimiser.zero_grad()
+        path: list[Parameter] = []
         for x, y in batches:
             if self.sampling == "biased":
                 genotype = self.hypernet.space.sample_biased(self.rng)
             else:
                 genotype = self.hypernet.sample_genotype(self.rng)
-            self.optimiser.zero_grad()
+            for p in path:
+                p.zero_grad()
             logits = self.hypernet.forward(x, genotype)
             loss, grad = F.softmax_cross_entropy(logits, y)
             self.hypernet.backward(grad)
-            clip_grad_norm(self._clip_parameters(), self.grad_clip)
-            self.optimiser.step()
+            path = self._clip_parameters()
+            clip_grad_norm(path, self.grad_clip)
+            self.optimiser.step(path)
             total_loss += loss * len(y)
             total_correct += int((logits.argmax(axis=1) == y).sum())
             total_seen += len(y)

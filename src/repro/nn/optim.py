@@ -9,7 +9,7 @@ controller (Sec. IV-C).
 from __future__ import annotations
 
 import math
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -43,9 +43,17 @@ class SGD:
         self.momentum = momentum
         self.weight_decay = weight_decay
         self._velocity = [np.zeros_like(p.data) for p in self.parameters]
+        self._slot = {id(p): i for i, p in enumerate(self.parameters)}
 
-    def step(self) -> None:
-        for p, v in zip(self.parameters, self._velocity):
+    def step(self, parameters: Sequence[Parameter] | None = None) -> None:
+        """Update every parameter, or only ``parameters`` (a subset of this
+        optimiser's, such as the sampled path's).  A parameter left out
+        keeps its weight and velocity, exactly as a zero gradient would."""
+        if parameters is None:
+            pairs = zip(self.parameters, self._velocity)
+        else:
+            pairs = ((p, self._velocity[self._slot[id(p)]]) for p in parameters)
+        for p, v in pairs:
             grad = p.grad
             if not grad.any():
                 continue

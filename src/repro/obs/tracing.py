@@ -34,10 +34,11 @@ when configured, one JSONL line per span in a sink file (``--trace-out``).
 from __future__ import annotations
 
 import contextvars
+import itertools
 import json
+import os
 import threading
 import time
-import uuid
 from collections import deque
 from typing import IO
 
@@ -58,14 +59,32 @@ _CURRENT: contextvars.ContextVar[tuple[str, str] | None] = contextvars.ContextVa
 )
 
 
+def _draw_id_prefixes() -> None:
+    """Draw this process's random id prefixes and restart the counter.
+
+    Runs at import (so a spawned process draws its own) and in the child
+    after a fork, which would otherwise repeat the parent's ids."""
+    global _TRACE_PREFIX, _SPAN_PREFIX, _ID_COUNTER
+    _TRACE_PREFIX = os.urandom(8).hex()
+    _SPAN_PREFIX = os.urandom(4).hex()
+    _ID_COUNTER = itertools.count()
+
+
+_draw_id_prefixes()
+os.register_at_fork(after_in_child=_draw_id_prefixes)
+
+
 def new_trace_id() -> str:
-    """A fresh 32-hex-char trace id."""
-    return uuid.uuid4().hex
+    """A fresh 32-hex-char trace id: the process's 16-hex random prefix
+    and a 16-hex counter (``next`` on an ``itertools.count`` is atomic
+    under the GIL, so threads never share an id)."""
+    return f"{_TRACE_PREFIX}{next(_ID_COUNTER):016x}"
 
 
 def new_span_id() -> str:
-    """A fresh 16-hex-char span id."""
-    return uuid.uuid4().hex[:16]
+    """A fresh 16-hex-char span id: the process's 8-hex random prefix and
+    the low 32 bits of the counter trace ids share."""
+    return f"{_SPAN_PREFIX}{next(_ID_COUNTER) & 0xFFFFFFFF:08x}"
 
 
 def current_context() -> tuple[str, str] | None:
@@ -259,17 +278,21 @@ class Tracer:
         parent_id: str | None,
         start_s: float,
         duration_s: float,
+        *,
+        span_id: str | None = None,
         **attrs,
     ) -> None:
         """Emit an already-measured span (e.g. per-request queue wait,
         timed with plain floats where a context manager cannot wrap the
-        interval).  No-op when disabled or the request was untraced."""
+        interval).  ``span_id`` is the span's id when its children were
+        already recorded under one drawn in advance (a fresh one
+        otherwise).  No-op when disabled or the request was untraced."""
         if not self.enabled or trace_id is None:
             return
         span = {
             "name": name,
             "trace": trace_id,
-            "span": new_span_id(),
+            "span": span_id if span_id is not None else new_span_id(),
             "parent": parent_id,
             "start_s": start_s,
             "duration_s": duration_s,
@@ -284,6 +307,8 @@ class Tracer:
         trace_id: str | None,
         parent_id: str | None,
         ago_s: float,
+        *,
+        span_id: str | None = None,
         **attrs,
     ) -> None:
         """Emit a span that *ended now* and lasted ``ago_s`` seconds.
@@ -295,7 +320,10 @@ class Tracer:
         No-op when disabled or the request was untraced."""
         if not self.enabled or trace_id is None:
             return
-        self.record(name, trace_id, parent_id, time.time() - ago_s, ago_s, **attrs)
+        self.record(
+            name, trace_id, parent_id, time.time() - ago_s, ago_s,
+            span_id=span_id, **attrs,
+        )
 
     # -- collection ------------------------------------------------------
     def _finish(self, span: Span) -> None:

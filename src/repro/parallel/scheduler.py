@@ -15,24 +15,23 @@ or not — is bit-exact against the standalone calls.
 
 Operation:
 
-* ``auto_start=True`` (default) runs a daemon scheduler thread: it
-  sleeps while the queue is empty, and on traffic waits ``tick_s``
-  (the coalescing window) before draining the queue — unless the
-  evaluator reports every pending point warm (``all_warm``), in which
-  case it drains at once.  Waiting pays off by merging HyperNet
-  forwards; a warm batch runs none (only cache reads and GP rows, which
-  cost about the same merged or not), so the window would only add
-  ``tick_s`` to every cache hit.
-* With that thread running and ``tick_s > 0``, a request whose points
-  are all warm and that finds the evaluator idle is served on the
-  submitting thread: :meth:`~MicroBatchScheduler.submit` runs its batch
-  inline and returns a future that is already resolved, so a cache hit
-  crosses no thread (in the service, the submitting thread is the event
-  loop).  Cold requests, and warm ones that arrive while a batch runs,
-  queue for the scheduler thread as above.
+* Warm requests never queue.  With the scheduler thread running,
+  :meth:`~MicroBatchScheduler.submit` first tries the evaluator's atomic
+  warm read (``read_warm``), which returns every result of the request
+  from the caches or nothing.  A hit is served on the submitting thread
+  whether or not a batch is running: the read takes the evaluator's
+  short cache lock, never the scheduler's dispatch lock, and the
+  returned future is already resolved.  (The service calls
+  :meth:`~MicroBatchScheduler.read` itself, with keys built straight
+  from the wire tokens, on its event loop.)
+* ``auto_start=True`` (default) runs a daemon scheduler thread for every
+  other request: it sleeps while the queue is empty, and on traffic
+  waits ``tick_s`` (the coalescing window) before draining the queue
+  into one batch.  Only cold work queues, so only cold work waits, and
+  merging is what saves HyperNet forwards.
 * ``auto_start=False`` is the synchronous mode — callers enqueue with
   :meth:`submit` and drive batches explicitly with :meth:`flush` (the
-  deterministic mode the coalescing tests use).
+  deterministic mode the coalescing tests use).  It never reads.
 
 The scheduler is itself evaluator-shaped (``evaluate`` /
 ``evaluate_many``), so a search loop can be pointed at it unchanged.
@@ -47,7 +46,7 @@ from concurrent.futures import Future
 from typing import TYPE_CHECKING, Sequence
 
 from ..obs.registry import COUNT_BUCKETS, get_registry
-from ..obs.tracing import NULL_SPAN, current_context, get_tracer
+from ..obs.tracing import NULL_SPAN, current_context, get_tracer, new_span_id
 from ..resilience import faults
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -88,16 +87,14 @@ class MicroBatchScheduler:
 
     ``evaluator`` is a :class:`~repro.search.evaluator.BatchEvaluator` in
     production.  Its contract is a list-in/list-out ``evaluate_many`` and,
-    for a scheduler thread with ``tick_s > 0``, a read-only
-    ``all_warm(points) -> bool`` that never raises (``True`` when
-    ``evaluate_many`` would run no HyperNet for any of the points).
-    ``tick_s`` is the coalescing window the scheduler thread waits after
-    cold traffic arrives (warm traffic is drained at once, or served on
-    the submitting thread when no batch is running; :meth:`flush` and
-    ``tick_s == 0`` never wait and never ask).  A batch takes every
-    request pending when it is taken: a service admits at most its
-    ``PointsBudget`` of points, and the grouped HyperNet forward bounds
-    its own memory by chunking genotypes.
+    optionally, ``key_of(point)`` with the atomic warm read
+    ``read_warm(keys, trace) -> list | None``; an evaluator without them
+    has every request queued.  ``tick_s`` is the coalescing window the
+    scheduler thread waits after a request queues (:meth:`flush` and
+    ``tick_s == 0`` never wait).  A batch takes every request pending
+    when it is taken: a service admits at most its ``PointsBudget`` of
+    points, and the grouped HyperNet forward bounds its own memory by
+    chunking genotypes.
 
     ``retry`` (optional :class:`~repro.resilience.policy.RetryPolicy`)
     re-runs a batch whose evaluator raised a *retryable* error (transient
@@ -122,15 +119,15 @@ class MicroBatchScheduler:
         self.retry = retry
         self._pending: deque[_Request] = deque()
         self._cond = threading.Condition()
-        # Serialises every evaluator access (batches and all_warm peeks):
-        # the underlying evaluator is not safe under concurrent calls, in
-        # synchronous mode several submitter threads may flush() at once,
-        # and submitters run warm batches inline.
+        # Serialises batches: evaluate_many calls never overlap, and in
+        # synchronous mode several submitter threads may flush() at once.
+        # Warm reads never take it.
         self._dispatch = threading.Lock()
-        #: Thread serving an inline batch (set under _dispatch), so that a
-        #: close() from inside that batch is treated like one from the
-        #: scheduler thread.
-        self._inline_ident: int | None = None
+        if hasattr(evaluator, "read_warm") and hasattr(evaluator, "key_of"):
+            self._read_warm = evaluator.read_warm
+            self._key_of = evaluator.key_of
+        else:
+            self._read_warm = self._key_of = None
         self._closed = False
         # Shutdown coordination: exactly one caller performs the close
         # (join + drain); everyone else waits on _close_done, so close()
@@ -159,7 +156,7 @@ class MicroBatchScheduler:
         points: Sequence["CoDesignPoint"],
         trace: tuple[str, str | None] | None = None,
     ) -> Future:
-        """Enqueue a request; the future resolves to one Evaluation per
+        """Submit a request; the future resolves to one Evaluation per
         point, in input order.  Thread-safe.
 
         ``trace`` is an optional ``(trace_id, parent_span_id)`` pair from
@@ -168,51 +165,111 @@ class MicroBatchScheduler:
         Cross-thread handoff has to be explicit — the scheduler thread
         that runs the batch cannot see the submitter's contextvars.
 
-        With the scheduler thread running and ``tick_s > 0``, an all-warm
-        request that finds no batch running is served right here, and the
+        With the scheduler thread running, a request that the evaluator's
+        caches hold whole is served right here by :meth:`read`, and the
         returned future is already done.
         """
-        request = _Request(list(points), trace)
-        # _thread is read without the lock: a stale answer only sends the
-        # request down the queued path, and _admit re-checks _closed.
-        if (
-            self.tick_s > 0
-            and self._thread is not None
-            and self._dispatch.acquire(blocking=False)
-        ):
+        points = list(points)
+        keys = None
+        if self._key_of is not None and self._thread is not None:
             try:
-                if self.evaluator.all_warm(request.points):
-                    # Admitted while holding _dispatch, and served before
-                    # it is released: a racing close() either rejects it
-                    # here or drains after it (its drain takes _dispatch).
-                    self._admit(request, inline=True)
-                    self._inline_ident = threading.get_ident()
-                    try:
-                        self._run_batch([request])
-                    finally:
-                        self._inline_ident = None
-                    return request.future
-            finally:
-                self._dispatch.release()
-        self._admit(request, inline=False)
-        return request.future
-
-    def _admit(self, request: _Request, inline: bool) -> None:
-        """Count the request, and queue it unless it is served inline."""
+                keys = [self._key_of(point) for point in points]
+            except Exception:  # unkeyable: queued, evaluate_many says why
+                keys = None
+        if keys is not None:
+            future: Future = Future()
+            try:
+                results = self.read(keys, trace)
+            except Exception as exc:  # a fault at the tick boundary
+                future.set_exception(exc)
+                return future
+            if results is not None:
+                future.set_result(results)
+                return future
+        request = _Request(points, trace)
         with self._cond:
             if self._closed:
                 raise RuntimeError("scheduler is closed")
             self.requests += 1
-            self.points_in += len(request.points)
-            if inline:
-                self.inline += 1
-            else:
-                self._pending.append(request)
-                self._cond.notify_all()
+            self.points_in += len(points)
+            self._pending.append(request)
+            self._cond.notify_all()
         _M_REQUESTS.inc()
-        _M_POINTS_IN.inc(len(request.points))
-        if inline:
-            _M_INLINE.inc()
+        _M_POINTS_IN.inc(len(points))
+        return request.future
+
+    def read(
+        self,
+        keys: Sequence[tuple],
+        trace: tuple[str, str | None] | None = None,
+    ) -> list["Evaluation"] | None:
+        """Serve one request from the evaluator's caches, on this thread.
+
+        ``keys`` are the evaluator's cache keys of the request's points
+        (``key_of``; the service builds them from the wire tokens).
+        Returns one Evaluation per key when the evaluator's atomic warm
+        read holds them all.  Returns ``None``, having counted nothing,
+        when any key is cold, in synchronous mode, for an evaluator
+        without the read, or once the scheduler is closed; the caller
+        then queues the request with :meth:`submit`.
+
+        A served read counts as a request, an inline request and a tick.
+        It passes the ``scheduler.tick`` fault point under the retry
+        policy, as a batch does, and raises the fault when it is not
+        retried.  When traced it records a ``scheduler.batch`` span over
+        the evaluator's span.  No scheduler lock is held while reading,
+        so a running batch never delays it.  A read that began before
+        :meth:`close` may finish after it; it never queues, so the drain
+        has nothing to wait for.
+        """
+        read_warm = self._read_warm
+        if read_warm is None or self._thread is None or self._closed:
+            return None
+        tracer = get_tracer()
+        parent = batch = None
+        if tracer.enabled:
+            parent = trace if trace is not None else current_context()
+            if parent is not None:
+                batch = (parent[0], new_span_id())
+        t0 = time.perf_counter()
+        results = read_warm(keys, batch)
+        if results is None:
+            return None
+        error = None
+        try:
+            self._tick(lambda: results)
+        except Exception as exc:
+            error = exc
+        n = len(keys)
+        with self._cond:
+            self.requests += 1
+            self.points_in += n
+            self.inline += 1
+            self.ticks += 1
+            self.largest_batch = max(self.largest_batch, n)
+            if error is not None:
+                self.errors += 1
+        _M_REQUESTS.inc()
+        _M_POINTS_IN.inc(n)
+        _M_INLINE.inc()
+        _M_TICKS.inc()
+        _M_BATCH_POINTS.observe(n)
+        if parent is not None:
+            attrs = {"error": type(error).__name__} if error is not None else {}
+            tracer.record_ago(
+                "scheduler.batch",
+                parent[0],
+                parent[1],
+                time.perf_counter() - t0,
+                span_id=batch[1],
+                requests=1,
+                points=n,
+                **attrs,
+            )
+        if error is not None:
+            _M_ERRORS.inc()
+            raise error
+        return results
 
     def evaluate_many(
         self, points: Sequence["CoDesignPoint"]
@@ -301,7 +358,7 @@ class MicroBatchScheduler:
         _M_BATCH_POINTS.observe(len(points))
         try:
             with span:
-                results = self._evaluate_batch(points)
+                results = self._tick(lambda: self.evaluator.evaluate_many(points))
         except BaseException as exc:  # propagate to every coalesced caller
             # A failed batch is still a tick the evaluator ran — the stats
             # must not under-report traffic (or hide errors) under faults.
@@ -323,21 +380,21 @@ class MicroBatchScheduler:
             request.future.set_result(results[offset : offset + len(request.points)])
             offset += len(request.points)
 
-    def _evaluate_batch(self, points: list) -> list:
-        """One evaluator call, optionally under the retry policy.
+    def _tick(self, call):
+        """``call()`` at a tick boundary, optionally under the retry policy.
 
-        ``faults.hit`` marks the tick boundary (a no-op without an
-        installed plan); with a policy, a retryable failure re-runs the
-        SAME batch — deterministic evaluation makes the re-run's results
+        ``faults.hit`` marks the boundary (a no-op without an installed
+        plan); with a policy, a retryable failure re-runs the boundary and
+        ``call`` — deterministic evaluation makes the re-run's results
         identical, so coalesced callers cannot observe the retry.
         """
         if self.retry is None:
             faults.hit("scheduler.tick")
-            return self.evaluator.evaluate_many(points)
+            return call()
 
-        def attempt(n: int) -> list:
+        def attempt(n: int):
             faults.hit("scheduler.tick")
-            return self.evaluator.evaluate_many(points)
+            return call()
 
         def note_retry(exc: BaseException, n: int, delay: float) -> None:
             with self._cond:
@@ -381,13 +438,6 @@ class MicroBatchScheduler:
                 raise RuntimeError("scheduler is closed")
             if self._thread is not None:
                 return
-            if self.tick_s > 0 and not hasattr(self.evaluator, "all_warm"):
-                # Fail here, not in the thread: a dead scheduler thread
-                # would leave every submitted future pending forever.
-                raise TypeError(
-                    "a scheduler thread with tick_s > 0 needs an evaluator "
-                    "with all_warm(points)"
-                )
             self._thread = threading.Thread(
                 target=self._loop, name="microbatch-scheduler", daemon=True
             )
@@ -401,16 +451,11 @@ class MicroBatchScheduler:
                 if self._closed and not self._pending:
                     return
                 window = self.tick_s > 0 and not self._closed
-                if window:
-                    pending = [p for request in self._pending for p in request.points]
             if window:
-                with self._dispatch:
-                    cold = not self.evaluator.all_warm(pending)
-                if cold:
-                    # The coalescing window: let concurrent submitters pile
-                    # in.  Only cold work waits: merging is what saves
-                    # HyperNet forwards, and warm points run none.
-                    time.sleep(self.tick_s)
+                # The coalescing window: let concurrent submitters pile in.
+                # Warm requests were served by read() and never queued, so
+                # this waits only for work that merging can save.
+                time.sleep(self.tick_s)
             with self._dispatch:
                 batch = self._take_batch()
                 if batch:
@@ -432,15 +477,12 @@ class MicroBatchScheduler:
         with self._cond:
             self._closed = True
             self._cond.notify_all()
-            if (
-                threading.current_thread() is self._thread
-                or threading.get_ident() == self._inline_ident
-            ):
-                # Called from inside a batch the scheduler thread or an
-                # inline submitter is running (an evaluator closing
-                # mid-batch): just flag the shutdown — the batch finishes,
-                # and a real closer performs the join + drain.  Joining
-                # or draining here would deadlock on ourselves.
+            if threading.current_thread() is self._thread:
+                # Called from inside a batch the scheduler thread is
+                # running (an evaluator closing mid-batch): just flag the
+                # shutdown — the batch finishes, and a real closer
+                # performs the join + drain.  Joining or draining here
+                # would deadlock on ourselves.
                 return
             if self._close_started:
                 reentrant = self._closer_ident == threading.get_ident()

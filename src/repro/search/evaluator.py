@@ -11,7 +11,10 @@ specification.  :class:`BatchEvaluator` wraps it with the batched scoring
 path the searches use: B candidates per call, one batched GP prediction
 per metric instead of B scalar ones, per-genotype reuse of the accuracy
 measurement and feature prefix, a shared encoding-keyed LRU cache, and
-optional sharding of cold genotypes across threads.
+optional sharding of cold genotypes across threads.  A short cache lock
+guards the LRUs and counters, never the compute, so its atomic warm read
+(:meth:`BatchEvaluator.read_warm`) is served even while a cold batch
+runs.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ from ..nas.encoding import (
     DNN_TOKENS,
     SEQUENCE_LENGTH,
     CoDesignPoint,
+    decode_config,
     encode_genotype,
 )
 from ..nas.genotype import Genotype
@@ -36,7 +40,7 @@ from ..nas.network import CellNetwork
 from ..nas.train import train_network
 from ..nn.data import SyntheticCifar
 from ..obs.registry import get_registry
-from ..obs.tracing import get_tracer
+from ..obs.tracing import current_context, get_tracer
 from ..predict.dataset import PerfDataset
 from ..predict.features import config_features, feature_vector, genotype_features
 from ..predict.gp import GaussianProcessRegressor
@@ -202,6 +206,15 @@ class BatchEvaluator:
     * latency and energy come from ONE batched GP prediction per metric
       over the merged feature matrix, in the calling thread.
 
+    One short cache lock guards both LRUs and the ``hits``/``misses`` and
+    store counters; no HyperNet forward, store read or GP prediction of a
+    cold batch runs under it.  :meth:`evaluate_many` classifies its keys
+    under the lock, computes the misses without it and inserts them under
+    it again; :meth:`read_warm` serves a request wholly from the caches
+    in one critical section.  Any thread may read while a batch computes;
+    results are a function of the point alone, so no interleaving changes
+    a value.
+
     Optionally a durable :class:`repro.store.ResultStore` sits *behind*
     the LRU as a tier-2 cache (:meth:`attach_store`): misses consult the
     store before computing, and fresh results are appended to it.  Store
@@ -221,6 +234,8 @@ class BatchEvaluator:
         self.fast = fast
         self.workers = workers
         self.cache_size = cache_size
+        #: Guards the two LRUs and every counter below (never compute).
+        self._lock = threading.Lock()
         self._lru: OrderedDict[tuple[int, ...], Evaluation] = OrderedDict()
         self._geno_lru: OrderedDict[tuple, tuple[float, np.ndarray]] = OrderedDict()
         self._pool = None
@@ -282,7 +297,7 @@ class BatchEvaluator:
 
     # ------------------------------------------------------------------
     @staticmethod
-    def _key_of(point: CoDesignPoint) -> tuple:
+    def key_of(point: CoDesignPoint) -> tuple:
         """Canonical cache key: the point's :attr:`~CoDesignPoint.tokens`
         when it is on the search grids, otherwise the frozen (cells,
         config) objects (a valid AcceleratorConfig need not lie on the
@@ -297,29 +312,15 @@ class BatchEvaluator:
         """The genotype-only part of a cache key (either key flavour)."""
         return key[:DNN_TOKENS] if len(key) != 3 else key[:2]
 
+    @staticmethod
+    def _config_of(key: tuple):
+        """The accelerator configuration of a cache key (either flavour);
+        ``ValueError`` for a token suffix off the Table 1 lists."""
+        return key[2] if len(key) == 3 else decode_config(key[DNN_TOKENS:])
+
     def evaluate(self, point: CoDesignPoint) -> Evaluation:
         """Scalar convenience entry point (drop-in for FastEvaluator)."""
         return self.evaluate_many([point])[0]
-
-    def all_warm(self, points: Sequence[CoDesignPoint]) -> bool:
-        """Whether :meth:`evaluate_many` would run no HyperNet for ``points``.
-
-        A point is warm when its key is in the result LRU or its genotype
-        is in the genotype LRU.  Read-only: LRU recency, ``hits``/
-        ``misses`` and the registry counters are untouched.  Never raises:
-        a point that cannot be keyed counts as cold (its error reaches the
-        caller from :meth:`evaluate_many`), as does a point that only the
-        durable store holds.
-        """
-        for point in points:
-            try:
-                key = self._key_of(point)
-                warm = key in self._lru or self._geno_key_of(key) in self._geno_lru
-            except Exception:  # unkeyable; evaluate_many reports why
-                return False
-            if not warm:
-                return False
-        return True
 
     def evaluate_many(self, points: Sequence[CoDesignPoint]) -> list[Evaluation]:
         """Score a batch of co-design points (cached, order-preserving).
@@ -333,9 +334,102 @@ class BatchEvaluator:
         HyperNet logits and the GP prediction of a row never depend on
         the rows scored with it.
         """
-        keys = [self._key_of(point) for point in points]
+        keys = [self.key_of(point) for point in points]
         results = self._materialise(keys, dict(zip(keys, points)))
         return [results[key] for key in keys]
+
+    def read_warm(
+        self,
+        keys: Sequence[tuple],
+        trace: tuple[str, str | None] | None = None,
+    ) -> list[Evaluation] | None:
+        """Every key's result from the caches, or ``None``: one critical
+        section of the cache lock.
+
+        Serves result-LRU hits, and genotype-LRU hits with their GP rows
+        (a cached architecture paired with a new configuration).  When
+        any key needs the HyperNet, or the durable store is attached and
+        the result LRU misses it, or a key's hardware tokens do not
+        decode, it returns ``None`` and changes nothing; the caller then
+        takes the :meth:`evaluate_many` path, which reports any error.
+        On success the effects are exactly those :meth:`evaluate_many`
+        has on the same keys: LRU recency and inserts, ``hits``/
+        ``misses``, the registry counters and, when ``trace`` (a
+        ``(trace_id, parent_span_id)`` pair) or the thread's span is
+        traced, one ``evaluator.evaluate_many`` span.  Safe on any
+        thread, concurrently with :meth:`evaluate_many`.
+        """
+        t0 = time.perf_counter()
+        with self._lock:
+            found = self._read_locked(keys)
+        if found is None:
+            return None
+        results, misses = found
+        seconds = time.perf_counter() - t0
+        self._count(len(keys), misses, 0, seconds)
+        tracer = get_tracer()
+        if tracer.enabled:
+            ctx = trace if trace is not None else current_context()
+            if ctx is not None:
+                tracer.record_ago(
+                    "evaluator.evaluate_many",
+                    ctx[0],
+                    ctx[1],
+                    seconds,
+                    points=len(keys),
+                    hits=len(keys) - misses,
+                    misses=misses,
+                )
+        return results
+
+    def _read_locked(
+        self, keys: Sequence[tuple]
+    ) -> tuple[list[Evaluation], int] | None:
+        """:meth:`read_warm`'s critical section: ``(results, misses)``.
+
+        It makes the state changes of :meth:`_resolve` plus
+        :meth:`_miss_inputs` in the same order, so a read and an
+        :meth:`evaluate_many` of the same keys leave the same LRUs."""
+        lru, geno_lru = self._lru, self._geno_lru
+        found: dict[tuple, Evaluation] = {}
+        fresh: dict[tuple, tuple[float, np.ndarray]] = {}
+        for key in keys:
+            if key in found or key in fresh:
+                continue
+            value = lru.get(key)
+            if value is not None:
+                found[key] = value
+                continue
+            if self._store is not None:
+                return None  # the store is consulted before the genotype LRU
+            inputs = geno_lru.get(self._geno_key_of(key))
+            if inputs is None:
+                return None
+            fresh[key] = inputs
+        scored: list[Evaluation] = []
+        if fresh:
+            try:
+                rows = [
+                    np.concatenate([prefix, config_features(self._config_of(key))])
+                    for key, (_, prefix) in fresh.items()
+                ]
+            except ValueError:
+                return None
+            scored = self._scored(
+                [accuracy for accuracy, _ in fresh.values()], np.stack(rows)
+            )
+        for key in keys:
+            if key not in fresh:
+                lru.move_to_end(key)
+        for geno_key in dict.fromkeys(map(self._geno_key_of, fresh)):
+            geno_lru.move_to_end(geno_key)
+        for key, result in zip(fresh, scored):
+            found[key] = result
+            self._lru_put(lru, key, result, self.cache_size)
+        misses = len(fresh)
+        self.hits += len(keys) - misses
+        self.misses += misses
+        return [found[key] for key in keys], misses
 
     # ------------------------------------------------------------------
     @staticmethod
@@ -345,61 +439,84 @@ class BatchEvaluator:
         while len(lru) > cap:
             lru.popitem(last=False)
 
+    @staticmethod
+    def _count(lookups: int, misses: int, store_hits: int, seconds: float) -> None:
+        """Registry counters of one evaluator call (zero increments are
+        skipped: a warm read pays only for what it changes)."""
+        _M_EVAL_CALL_S.observe(seconds)
+        _M_EVAL_CALLS.inc()
+        _M_EVAL_LOOKUPS.inc(lookups)
+        _M_EVAL_HITS.inc(lookups - misses)
+        if misses:
+            _M_EVAL_MISSES.inc(misses)
+        if store_hits:
+            _M_EVAL_STORE_HITS.inc(store_hits)
+
+    def _scored(
+        self, accuracies: Sequence[float], features: np.ndarray
+    ) -> list[Evaluation]:
+        """Evaluations from accuracies and full feature rows: one batched
+        GP prediction per metric."""
+        fast = self.fast
+        latencies = fast.latency_gp.predict_batch(features)
+        energies = fast.energy_gp.predict_batch(features)
+        return [
+            Evaluation(
+                accuracy=accuracy,
+                latency_ms=max(float(latency), 1e-6),
+                energy_mj=max(float(energy), 1e-6),
+            )
+            for accuracy, latency, energy in zip(accuracies, latencies, energies)
+        ]
+
     def _materialise(
         self,
         keys: Sequence[tuple],
         by_key: dict[tuple, CoDesignPoint],
     ) -> dict[tuple, Evaluation]:
         """Instrumented shell around :meth:`_resolve`: one span plus
-        registry counters per batched call, mirrored as deltas of the
-        instance counters so both accountings always agree."""
-        hits0, misses0 = self.hits, self.misses
-        store_hits0 = self.store_hits
+        registry counters per batched call, from this call's own counts
+        (other threads may read the caches meanwhile)."""
         t0 = time.perf_counter()
         with get_tracer().span(
             "evaluator.evaluate_many", points=len(keys)
         ) as span:
-            results = self._resolve(keys, by_key)
-            span.set(
-                hits=self.hits - hits0,
-                misses=self.misses - misses0,
-            )
-        _M_EVAL_CALL_S.observe(time.perf_counter() - t0)
-        _M_EVAL_CALLS.inc()
-        _M_EVAL_LOOKUPS.inc(len(keys))
-        _M_EVAL_HITS.inc(self.hits - hits0)
-        _M_EVAL_MISSES.inc(self.misses - misses0)
-        _M_EVAL_STORE_HITS.inc(self.store_hits - store_hits0)
+            results, misses, store_hits = self._resolve(keys, by_key)
+            span.set(hits=len(keys) - misses, misses=misses)
+        self._count(len(keys), misses, store_hits, time.perf_counter() - t0)
         return results
 
     def _resolve(
         self,
         keys: Sequence[tuple],
         by_key: dict[tuple, CoDesignPoint],
-    ) -> dict[tuple, Evaluation]:
+    ) -> tuple[dict[tuple, Evaluation], int, int]:
         """Resolve every key, batching all miss computations.
 
-        Returns a key -> Evaluation mapping covering the whole request; the
-        LRU is a cache on top of it, so results survive even when the batch
-        holds more unique candidates than ``cache_size``.
+        Returns a key -> Evaluation mapping covering the whole request, with
+        the call's LRU misses and store hits; the LRU is a cache on top of
+        it, so results survive even when the batch holds more unique
+        candidates than ``cache_size``.  The cache lock is held to classify
+        the keys and to insert results, never while computing.
         """
         results: dict[tuple, Evaluation] = {}
         missing: list[tuple] = []
-        for key in keys:
-            if key in self._lru:
-                self.hits += 1
-                self._lru.move_to_end(key)
-                results[key] = self._lru[key]
-            elif key in results:
-                # Intra-batch duplicate of a miss: one materialisation
-                # serves it, which is a hit for accounting purposes.
-                self.hits += 1
-            else:
-                self.misses += 1
-                results[key] = None  # type: ignore[assignment]  # placeholder
-                missing.append(key)
+        lru = self._lru
+        with self._lock:
+            for key in keys:
+                if key in lru:
+                    lru.move_to_end(key)
+                    results[key] = lru[key]
+                elif key not in results:
+                    results[key] = None  # type: ignore[assignment]  # placeholder
+                    missing.append(key)
+                # else: an intra-batch duplicate of a miss.  One
+                # materialisation serves it, which is a hit for accounting.
+            self.hits += len(keys) - len(missing)
+            self.misses += len(missing)
+        misses, store_hits = len(missing), 0
         if not missing:
-            return results
+            return results, misses, store_hits
         store = self._store
         if store is not None:
             # Tier 2: the durable store.  Only canonical 44-token keys are
@@ -408,55 +525,52 @@ class BatchEvaluator:
             # so it is bit-exact (``==``) with the cold computation.
             still_missing: list[tuple] = []
             with get_tracer().span("store.lookup", keys=len(missing)) as span:
-                for key in missing:
-                    values = (
-                        store.get(self._store_namespace, key)
-                        if len(key) == SEQUENCE_LENGTH
-                        else None
-                    )
-                    if values is not None and len(values) == 3:
-                        self.store_hits += 1
-                        result = Evaluation(
-                            accuracy=values[0],
-                            latency_ms=values[1],
-                            energy_mj=values[2],
-                        )
-                        results[key] = result
-                        self._lru_put(self._lru, key, result, self.cache_size)
-                    else:
-                        if len(key) == SEQUENCE_LENGTH:
-                            self.store_misses += 1
-                        still_missing.append(key)
-                span.set(hits=len(missing) - len(still_missing))
+                stored = [
+                    store.get(self._store_namespace, key)
+                    if len(key) == SEQUENCE_LENGTH
+                    else None
+                    for key in missing
+                ]
+                with self._lock:
+                    for key, values in zip(missing, stored):
+                        if values is not None and len(values) == 3:
+                            store_hits += 1
+                            result = Evaluation(
+                                accuracy=values[0],
+                                latency_ms=values[1],
+                                energy_mj=values[2],
+                            )
+                            results[key] = result
+                            self._lru_put(lru, key, result, self.cache_size)
+                        else:
+                            if len(key) == SEQUENCE_LENGTH:
+                                self.store_misses += 1
+                            still_missing.append(key)
+                    self.store_hits += store_hits
+                span.set(hits=store_hits)
             missing = still_missing
             if not missing:
-                return results
-        fast = self.fast
+                return results, misses, store_hits
         points = [by_key[key] for key in missing]
         geno_keys = [self._geno_key_of(key) for key in missing]
         accuracies, features = self._miss_inputs(points, geno_keys)
         # The GP prediction always runs in the calling thread over the full
         # merged feature matrix, so sharded accuracy/feature computation
         # cannot perturb the latency/energy numbers.
-        latencies = fast.latency_gp.predict_batch(features)
-        energies = fast.energy_gp.predict_batch(features)
-        for key, accuracy, latency, energy in zip(
-            missing, accuracies, latencies, energies
-        ):
-            result = Evaluation(
-                accuracy=accuracy,
-                latency_ms=max(float(latency), 1e-6),
-                energy_mj=max(float(energy), 1e-6),
-            )
-            results[key] = result
-            self._lru_put(self._lru, key, result, self.cache_size)
-            if store is not None and len(key) == SEQUENCE_LENGTH:
-                store.append(
-                    self._store_namespace,
-                    key,
-                    (result.accuracy, result.latency_ms, result.energy_mj),
-                )
-        return results
+        scored = self._scored(accuracies, features)
+        with self._lock:
+            for key, result in zip(missing, scored):
+                results[key] = result
+                self._lru_put(lru, key, result, self.cache_size)
+        if store is not None:
+            for key, result in zip(missing, scored):
+                if len(key) == SEQUENCE_LENGTH:
+                    store.append(
+                        self._store_namespace,
+                        key,
+                        (result.accuracy, result.latency_ms, result.energy_mj),
+                    )
+        return results, misses, store_hits
 
     def _miss_inputs(
         self, points: Sequence[CoDesignPoint], geno_keys: Sequence[tuple]
@@ -470,19 +584,23 @@ class BatchEvaluator:
         """
         inputs: dict[tuple, tuple[float, np.ndarray]] = {}
         cold: dict[tuple, Genotype] = {}
-        for geno_key, point in zip(geno_keys, points):
-            if geno_key in inputs or geno_key in cold:
-                continue
-            if geno_key in self._geno_lru:
-                inputs[geno_key] = self._geno_lru[geno_key]
-                self._geno_lru.move_to_end(geno_key)
-            else:
-                cold[geno_key] = point.genotype
+        geno_lru = self._geno_lru
+        with self._lock:
+            for geno_key, point in zip(geno_keys, points):
+                if geno_key in inputs or geno_key in cold:
+                    continue
+                value = geno_lru.get(geno_key)
+                if value is not None:
+                    inputs[geno_key] = value
+                    geno_lru.move_to_end(geno_key)
+                else:
+                    cold[geno_key] = point.genotype
         if cold:
             fresh = self._cold_inputs(list(cold.values()))
-            for geno_key, value in zip(cold, fresh):
-                inputs[geno_key] = value
-                self._lru_put(self._geno_lru, geno_key, value, self.cache_size)
+            with self._lock:
+                for geno_key, value in zip(cold, fresh):
+                    inputs[geno_key] = value
+                    self._lru_put(geno_lru, geno_key, value, self.cache_size)
         accuracies = [inputs[geno_key][0] for geno_key in geno_keys]
         rows = [
             np.concatenate([inputs[geno_key][1], config_features(point.config)])

@@ -7,10 +7,12 @@ message carries the wire version (``"v"``) and requests carry a caller
 
 Co-design points travel as their canonical 44-token action sequence
 (:attr:`repro.nas.encoding.CoDesignPoint.tokens`) plus the genotype name
-— the exact key the evaluator caches on, so the server reconstructs a
-point that scores *bit-identically* to the caller's original, and keys
-it by the decoded tokens without encoding it again.  Tokens must be JSON
-integers; ``true``/``false`` are rejected, not read as 1/0.  Evaluations
+— the exact key the evaluator caches on.  The server keys a request
+straight from its token lists (:func:`wire_keys`) and decodes a point
+(:func:`points_from_wire`) only when the evaluator's caches miss it; a
+decoded point scores *bit-identically* to the caller's original and is
+never encoded again.  Tokens must be JSON integers; ``true``/``false``
+are rejected, not read as 1/0, on both paths.  Evaluations
 travel as their three floats; ``json`` serialises Python floats with
 ``repr`` (shortest round-tripping form), so values survive the wire
 without any loss — the parity tests assert ``==`` across the socket, no
@@ -44,7 +46,7 @@ from __future__ import annotations
 import json
 from typing import Sequence
 
-from ..nas.encoding import CoDesignPoint, decode
+from ..nas.encoding import SEQUENCE_LENGTH, CoDesignPoint, decode
 from ..search.evaluator import Evaluation
 
 __all__ = [
@@ -54,6 +56,7 @@ __all__ = [
     "point_to_wire",
     "point_from_wire",
     "points_from_wire",
+    "wire_keys",
     "evaluation_to_wire",
     "evaluation_from_wire",
     "encode_message",
@@ -193,3 +196,35 @@ def points_from_wire(objs: Sequence[object]) -> list[CoDesignPoint]:
     if not isinstance(objs, (list, tuple)):
         raise ProtocolError("'points' must be a list")
     return [point_from_wire(obj) for obj in objs]
+
+
+def wire_keys(objs: object) -> list[tuple[int, ...]] | None:
+    """A request's cache keys, read from its wire points without decoding.
+
+    Each key is a point's token tuple.  It is returned only when every
+    point is well-formed on its face: an object whose ``name``, if
+    present, is a string, and whose ``tokens`` are a list of exactly
+    ``SEQUENCE_LENGTH`` JSON integers.  The exact-``int`` check runs
+    before any tuple is built or hashed, because ``True`` hashes and
+    compares like ``1``.  Otherwise this returns ``None``, and the caller
+    decodes with :func:`points_from_wire`, which raises the precise
+    error.  Token ranges are not checked here: a key with an out-of-range
+    token is in no cache, so the warm read misses it and the decode
+    rejects it.
+    """
+    if not isinstance(objs, list):
+        return None
+    keys = []
+    for obj in objs:
+        if not isinstance(obj, dict):
+            return None
+        tokens = obj.get("tokens")
+        if (
+            not isinstance(tokens, list)
+            or len(tokens) != SEQUENCE_LENGTH
+            or not set(map(type, tokens)) <= {int}
+            or not isinstance(obj.get("name", ""), str)
+        ):
+            return None
+        keys.append(tuple(tokens))
+    return keys

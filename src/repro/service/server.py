@@ -11,19 +11,21 @@ Execution model — three layers, each with one job:
 
 * the **asyncio loop** (one thread) accepts connections and parses
   frames; one lightweight task per connection, requests on a connection
-  are served in order, connections are independent;
+  are served in order, connections are independent.  It keys an
+  ``evaluate``/``evaluate_many`` request straight from its wire tokens
+  (:func:`~repro.service.protocol.wire_keys`) and tries the scheduler's
+  atomic warm read first: a request the evaluator's caches hold whole is
+  answered right there, with no point decoded, no thread hop and no
+  wait for a batch that may be running.  Only a miss decodes its points;
 * the **points budget** (:class:`PointsBudget`) is the backpressure
-  valve: at most ``max_inflight_points`` decoded points may sit between
+  valve: at most ``max_inflight_points`` points may sit between
   "admitted" and "answered" at once, so a flood of clients degrades to
   *queueing* (their requests wait in the budget's FIFO) instead of
   ballooning the scheduler queue without bound;
-* the **scheduler thread** coalesces every admitted request pending at a
+* the **scheduler thread** coalesces every cold request pending at a
   tick into one ``evaluate_many`` call on the evaluator — N concurrent
   clients cost one grouped HyperNet forward / GP prediction / pool
-  dispatch per tick, not N.  Only cold work waits the window.  A request
-  the evaluator's caches already hold is served at once: on the event
-  loop itself when no batch is running (no thread hop), otherwise by the
-  scheduler thread right after the running batch.
+  dispatch per tick, not N.
 
 Results are bit-identical to calling ``evaluate_many`` in-process: the
 wire codec round-trips points and evaluations exactly, and coalescing
@@ -44,7 +46,6 @@ import asyncio
 import contextlib
 import threading
 import time
-from typing import Sequence
 
 from ..obs.registry import get_registry
 from ..obs.tracing import NULL_SPAN, get_tracer
@@ -110,7 +111,20 @@ class PointsBudget:
     def _fits(self, n: int) -> bool:
         return self._used == 0 or self._used + n <= self.limit
 
+    def try_acquire(self, n: int) -> bool:
+        """Admit ``n`` points at once when no request waits and they fit.
+
+        The fast path, with no Condition: ``False`` leaves the budget
+        untouched, and the caller waits its turn in :meth:`acquire`."""
+        if self._queue or not self._fits(n):
+            return False
+        self._used += n
+        self.peak = max(self.peak, self._used)
+        return True
+
     async def acquire(self, n: int) -> None:
+        if self.try_acquire(n):
+            return
         ticket = object()
         async with self._cond:
             self._queue.append(ticket)
@@ -128,22 +142,22 @@ class PointsBudget:
             self._cond.notify_all()  # let the new head re-check
 
     async def release(self, n: int) -> None:
-        async with self._cond:
-            self._used -= n
-            self._cond.notify_all()
+        self._used -= n
+        if self._queue:  # only a queued request waits on the Condition
+            async with self._cond:
+                self._cond.notify_all()
 
 
 class SearchService:
     """One persistent evaluator behind a micro-batching TCP endpoint.
 
     ``evaluator`` is anything evaluator-shaped (list-in/list-out
-    ``evaluate_many``, plus the read-only ``all_warm`` peek when
-    ``tick_s > 0``); the service wraps it in its own
-    :class:`~repro.parallel.scheduler.MicroBatchScheduler` (``tick_s`` is
-    the coalescing window, waited only when some pending point is cold,
-    so cache hits never sleep through it; an all-warm request that finds
-    the evaluator idle is served on the event loop, with no hop to the
-    scheduler thread).  ``max_inflight_points`` is the
+    ``evaluate_many``, plus ``key_of`` and the atomic warm read
+    ``read_warm`` for cache hits to skip the queue); the service wraps it
+    in its own :class:`~repro.parallel.scheduler.MicroBatchScheduler`
+    (``tick_s`` is the coalescing window, which only queued, cold
+    requests wait; a request the caches hold whole is served on the
+    event loop, even while a cold batch runs).  ``max_inflight_points`` is the
     backpressure budget, and so also bounds one coalesced batch.  The
     caller keeps the evaluator's lifecycle (its worker threads).
 
@@ -453,14 +467,12 @@ class SearchService:
     ) -> dict:
         try:
             if op == "evaluate":
-                points = protocol.points_from_wire([message.get("point")])
-                results = await self._evaluate(points, trace)
+                results = await self._evaluate([message.get("point")], trace)
                 return protocol.ok_response(
                     request_id, evaluation=protocol.evaluation_to_wire(results[0])
                 )
             if op == "evaluate_many":
-                points = protocol.points_from_wire(message.get("points"))
-                results = await self._evaluate(points, trace)
+                results = await self._evaluate(message.get("points"), trace)
                 return protocol.ok_response(
                     request_id,
                     evaluations=[protocol.evaluation_to_wire(r) for r in results],
@@ -495,13 +507,30 @@ class SearchService:
 
     async def _evaluate(
         self,
-        points: Sequence,
+        objs: object,
         trace: tuple[str, str | None] | None = None,
     ) -> list:
+        """Score a request's wire points: from the evaluator's caches when
+        they hold every point, otherwise decoded and queued.
+
+        A malformed request fails exactly as the decode would fail it,
+        whatever its other points: :func:`protocol.wire_keys` accepts only
+        well-formed points, and a key with an out-of-range token misses
+        every cache, so such requests reach :func:`points_from_wire`."""
+        budget = self._budget
+        assert budget is not None
+        keys = None if self._closing else protocol.wire_keys(objs)
+        if keys and budget.try_acquire(len(keys)):
+            try:
+                results = self.scheduler.read(keys, trace)
+            finally:
+                await budget.release(len(keys))
+            if results is not None:
+                return results
+        points = protocol.points_from_wire(objs)
         if self._closing:
             raise ServiceClosedError("service is shutting down")
-        assert self._budget is not None
-        await self._budget.acquire(len(points))
+        await budget.acquire(len(points))
         try:
             if not points:
                 return []
@@ -510,12 +539,12 @@ class SearchService:
             except RuntimeError as exc:  # "scheduler is closed"
                 raise ServiceClosedError(str(exc)) from exc
             if future.done():
-                # Served inline on this loop: wrapping a done future would
-                # still cost a call_soon_threadsafe wake-up.
+                # Served by the read: wrapping a done future would still
+                # cost a call_soon_threadsafe wake-up.
                 return future.result()
             return await asyncio.wrap_future(future)
         finally:
-            await self._budget.release(len(points))
+            await budget.release(len(points))
 
     # -- health ----------------------------------------------------------
     def health(self) -> dict:

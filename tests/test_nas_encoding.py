@@ -190,7 +190,7 @@ class TestTokensKey:
             pe_rows=3, pe_cols=5, gbuf_kb=100, rbuf_bytes=100, dataflow="WS"
         )
         point = CoDesignPoint(genotype, off_grid)
-        key = BatchEvaluator._key_of(point)
+        key = BatchEvaluator.key_of(point)
         assert key == (genotype.normal, genotype.reduce, off_grid)
         for _ in range(2):
             with pytest.raises(ValueError):

@@ -263,6 +263,33 @@ class TestHyperNetTrainer:
         assert len(restricted) == len(full)
         assert all(np.array_equal(a, b) for a, b in zip(restricted, full))
 
+    def test_path_step_matches_full_list_step(self, tiny_dataset, monkeypatch):
+        """Zeroing and stepping only the sampled path's parameters leaves
+        every weight and momentum buffer ``==`` zeroing, clipping and
+        stepping the whole list (the gradients off the path are exactly
+        zero)."""
+
+        def train(full_list: bool):
+            hn = HyperNet(num_cells=3, stem_channels=4, rng=np.random.default_rng(15))
+            trainer = HyperNetTrainer(hn, epochs=1, seed=3)
+            optimiser = trainer.optimiser
+            if full_list:
+                monkeypatch.setattr(
+                    trainer, "_clip_parameters", lambda: optimiser.parameters
+                )
+            images, labels = tiny_dataset.train.images, tiny_dataset.train.labels
+            batches = [
+                (images[i : i + 16], labels[i : i + 16]) for i in range(0, 96, 16)
+            ]
+            trainer.train_epoch(batches, epoch=0)
+            trainer.train_epoch(batches[:3], epoch=1)
+            return [p.data for p in optimiser.parameters], optimiser._velocity
+
+        (weights, velocity), (full_weights, full_velocity) = train(False), train(True)
+        assert all(np.array_equal(a, b) for a, b in zip(weights, full_weights))
+        assert all(np.array_equal(a, b) for a, b in zip(velocity, full_velocity))
+        assert any(np.any(v) for v in velocity), "the steps moved nothing"
+
     def test_clip_parameters_cover_the_path_in_optimiser_order(self, tiny_dataset):
         hn = HyperNet(num_cells=3, stem_channels=4, rng=np.random.default_rng(14))
         trainer = HyperNetTrainer(hn, epochs=1, seed=0)

@@ -21,6 +21,8 @@ from __future__ import annotations
 
 import json
 import os
+import subprocess
+import sys
 import threading
 import time
 
@@ -42,6 +44,8 @@ from repro.obs import (
     get_registry,
     get_tracer,
     histogram_quantile,
+    new_span_id,
+    new_trace_id,
     render_metrics,
     render_stats,
 )
@@ -290,6 +294,84 @@ class TestTracer:
         assert current_context() is None  # context restored on the way out
 
 
+class TestSpanIds:
+    """Span and trace ids are a per-process random prefix plus a counter:
+    fixed hex lengths, unique across threads and across processes."""
+
+    @staticmethod
+    def _hex(ident: str, length: int) -> bool:
+        return len(ident) == length and int(ident, 16) >= 0
+
+    def test_lengths_and_uniqueness_across_threads(self):
+        per_thread = 5000
+        drawn: list[list[str]] = [[] for _ in range(4)]
+        gate = threading.Barrier(len(drawn))
+
+        def draw(j: int) -> None:
+            gate.wait(30.0)
+            for i in range(per_thread):
+                drawn[j].append(new_span_id() if i % 2 else new_trace_id())
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=draw, args=(j,)) for j in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(30.0)
+        finally:
+            sys.setswitchinterval(interval)
+        ids = [ident for ids in drawn for ident in ids]
+        assert len(set(ids)) == len(ids) == 4 * per_thread
+        assert all(
+            self._hex(ident, 16 if i % 2 else 32)
+            for ids in drawn
+            for i, ident in enumerate(ids)
+        )
+
+    def test_a_spawned_process_draws_its_own_ids(self):
+        code = (
+            "from repro.obs import new_span_id, new_trace_id\n"
+            "print(*(new_trace_id() for _ in range(100)))\n"
+            "print(*(new_span_id() for _ in range(100)))\n"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            check=True, timeout=60,
+        ).stdout.split("\n")
+        theirs = set(out[0].split()) | set(out[1].split())
+        ours = {new_trace_id() for _ in range(100)} | {
+            new_span_id() for _ in range(100)
+        }
+        assert len(theirs) == 200 and not theirs & ours
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+    def test_a_forked_child_redraws_the_prefix(self):
+        # Forked from a fresh single-threaded interpreter, not from this
+        # test process, whose other threads make fork unsafe.
+        code = (
+            "import os\n"
+            "from repro.obs import new_span_id, new_trace_id\n"
+            "read_end, write_end = os.pipe()\n"
+            "pid = os.fork()\n"
+            "if pid == 0:\n"
+            "    os.write(write_end, f'{new_trace_id()} {new_span_id()}'.encode())\n"
+            "    os._exit(0)\n"
+            "os.close(write_end)\n"
+            "child = os.read(read_end, 256).decode()\n"
+            "os.waitpid(pid, 0)\n"
+            "print(child, new_trace_id(), new_span_id())\n"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            check=True, timeout=60,
+        ).stdout
+        child_trace, child_span, trace, span = out.split()
+        assert child_trace[:16] != trace[:16]
+        assert child_span[:8] != span[:8]
+
+
 # ---------------------------------------------------------------------------
 # Subsystem probes
 # ---------------------------------------------------------------------------
@@ -461,6 +543,42 @@ class TestServiceObservability:
                 by_name["scheduler.batch"]["parent"]
                 == by_name["service.evaluate_many"]["span"]
             )
+        finally:
+            configure_tracing(enabled=False)
+            tracer.clear()
+
+    def test_a_traced_warm_read_links_its_spans(self, smoke_context):
+        """A warm request served by the read records the spans and attrs
+        a queued batch would: service -> scheduler.batch -> evaluator,
+        with no queue wait, because it never queued."""
+        tracer = get_tracer()
+        configure_tracing(enabled=True)
+        try:
+            points = _population(3, seed=183)
+            evaluator = BatchEvaluator(smoke_context.fast_evaluator)
+            evaluator.evaluate_many(points + points[:1])
+            with start_service(evaluator) as handle:
+                host, port = handle.address
+                with ServiceClient(host, port) as client:
+                    tracer.clear()
+                    client.evaluate_many(points)
+                    trace_id = client.last_trace_id
+                inline = handle.service.scheduler.inline
+            spans = [s for s in tracer.spans() if s["trace"] == trace_id]
+            by_name = {s["name"]: s for s in spans}
+            assert sorted(by_name) == [
+                "client.evaluate_many",
+                "evaluator.evaluate_many",
+                "scheduler.batch",
+                "service.evaluate_many",
+            ]
+            assert inline == 1
+            batch, evaluate = by_name["scheduler.batch"], by_name["evaluator.evaluate_many"]
+            assert batch["parent"] == by_name["service.evaluate_many"]["span"]
+            assert evaluate["parent"] == batch["span"]
+            assert batch["attrs"] == {"requests": 1, "points": 3}
+            assert evaluate["attrs"] == {"points": 3, "hits": 3, "misses": 0}
+            assert len({s["span"] for s in spans}) == len(spans)
         finally:
             configure_tracing(enabled=False)
             tracer.clear()

@@ -10,8 +10,9 @@ Covers the four guarantees the subsystem makes:
 * **In-process fallback** — ``workers <= 1`` never creates a pool, and
   fewer than two cold genotypes run inline.
 * **Micro-batch coalescing** — concurrent submitters are served from one
-  batched evaluator call per tick, and an all-warm request that finds the
-  evaluator idle is served on its own thread under the same lock.
+  batched evaluator call per tick, and a request the caches hold whole is
+  served on its own thread by one atomic warm read, even while a cold
+  batch runs.
 
 CI runs this module both inside the tier-1 suite and as a dedicated
 job, so the threaded path is exercised on every push.
@@ -19,7 +20,6 @@ job, so the threaded path is exercised on every push.
 
 from __future__ import annotations
 
-import contextlib
 import itertools
 import sys
 import threading
@@ -28,6 +28,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.accel.config import enumerate_configs, random_config
 from repro.nas.encoding import CoDesignPoint, decode, encode
@@ -287,14 +289,26 @@ def waits(monkeypatch) -> list[float]:
     return recorded
 
 
-class _NoPeekEvaluator:
-    """Evaluator stub whose warmth check must never be consulted."""
+class _NoReadEvaluator:
+    """Evaluator stub whose warm read must never be consulted."""
+
+    key_of = staticmethod(BatchEvaluator.key_of)
 
     def __init__(self, inner):
         self.inner = inner
 
-    def all_warm(self, points):
-        raise AssertionError("all_warm consulted")
+    def read_warm(self, keys, trace=None):
+        raise AssertionError("read_warm consulted")
+
+    def evaluate_many(self, points):
+        return self.inner.evaluate_many(points)
+
+
+class _EvaluateOnly:
+    """Evaluator stub with no warm read: every request queues."""
+
+    def __init__(self, inner):
+        self.inner = inner
 
     def evaluate_many(self, points):
         return self.inner.evaluate_many(points)
@@ -325,30 +339,35 @@ class TestWarmWindow:
             assert scheduler.evaluate_many(points) == reference[:4]
             assert waits == [0.01]
 
-    def test_peek_is_read_only(self, smoke_context):
-        evaluator = BatchEvaluator(smoke_context.fast_evaluator)
+    def test_a_missed_read_changes_nothing(self, smoke_context):
+        fast = smoke_context.fast_evaluator
+        evaluator = BatchEvaluator(fast)
+        twin = BatchEvaluator(fast)
         points = _population(4, seed=99)
-        evaluator.evaluate_many(points[:3])
+        rehomed = CoDesignPoint(
+            points[0].genotype, random_config(np.random.default_rng(7))
+        )
+        for ev in (evaluator, twin):
+            ev.evaluate_many(points[:3])
         registry = get_registry()
 
-        def state():
-            return (
-                evaluator.hits,
-                evaluator.misses,
-                list(evaluator._lru),
-                list(evaluator._geno_lru),
-                registry.snapshot()["counters"],
-            )
+        def state(ev):
+            return (ev.hits, ev.misses, list(ev._lru), list(ev._geno_lru))
 
-        before = state()
-        # Reversed, so a peek that refreshed recency would reorder the LRUs.
-        assert evaluator.all_warm(points[2::-1])
-        assert state() == before
-        assert not evaluator.all_warm(points)
-        assert state() == before
-        assert not evaluator.all_warm([object()]), "unkeyable counts as cold"
-        assert evaluator.all_warm([])
-        assert state() == before
+        before = (state(evaluator), registry.snapshot()["counters"])
+        # A cold key, and a warm genotype whose hardware tokens do not
+        # decode: nothing is served and nothing changes.
+        bad = (*points[0].tokens[:40], 99, 0, 0, 0)
+        for keys in ([p.tokens for p in points], [points[0].tokens, bad]):
+            assert evaluator.read_warm(keys) is None
+            assert (state(evaluator), registry.snapshot()["counters"]) == before
+        # A served read (reversed, with a duplicate and a genotype hit)
+        # has exactly the effects of evaluate_many on the same points.
+        warm = [points[2], points[1], rehomed, points[0], rehomed]
+        read = evaluator.read_warm([BatchEvaluator.key_of(p) for p in warm])
+        assert read == twin.evaluate_many(warm)
+        assert state(evaluator) == state(twin)
+        assert evaluator.read_warm([]) == []
 
     def test_malformed_point_fails_its_own_future(self, smoke_context, waits):
         evaluator = BatchEvaluator(smoke_context.fast_evaluator)
@@ -365,38 +384,45 @@ class TestWarmWindow:
         assert waits == [0.005], "the unkeyable request waited as cold work"
 
     def test_flush_and_zero_tick_never_peek(self, smoke_context, waits):
+        """Synchronous mode never reads (its callers drive every batch);
+        neither it nor a zero tick ever waits."""
         inner = BatchEvaluator(smoke_context.fast_evaluator)
         points = _population(2, seed=103)
         reference = inner.evaluate_many(points)
         synchronous = MicroBatchScheduler(
-            _NoPeekEvaluator(inner), tick_s=0.01, auto_start=False
+            _NoReadEvaluator(inner), tick_s=0.01, auto_start=False
         )
         assert synchronous.evaluate_many(points) == reference
-        with MicroBatchScheduler(_NoPeekEvaluator(inner), tick_s=0.0) as eager:
+        assert synchronous.ticks == 1
+        with MicroBatchScheduler(_EvaluateOnly(inner), tick_s=0.0) as eager:
             assert eager.evaluate_many(points) == reference
         assert waits == []
 
-    def test_windowed_thread_requires_the_peek(self, smoke_context):
-        class _EvaluateOnly:
-            def evaluate_many(self, points):
-                return [None] * len(points)
-
-        with pytest.raises(TypeError, match="all_warm"):
-            MicroBatchScheduler(_EvaluateOnly(), tick_s=0.002)
-        MicroBatchScheduler(_EvaluateOnly(), tick_s=0.0).close()
-        MicroBatchScheduler(_EvaluateOnly(), auto_start=False).close()
+    def test_an_evaluate_only_evaluator_queues_every_request(
+        self, smoke_context
+    ):
+        inner = BatchEvaluator(smoke_context.fast_evaluator)
+        points = _population(2, seed=105)
+        reference = inner.evaluate_many(points)
+        with MicroBatchScheduler(_EvaluateOnly(inner), tick_s=0.002) as scheduler:
+            assert scheduler.read([p.tokens for p in points]) is None
+            assert scheduler.evaluate_many(points) == reference
+            assert (scheduler.ticks, scheduler.inline) == (1, 0)
 
 
 class _ThreadRecorder:
     """Evaluator wrapper that records the thread of every
-    ``evaluate_many`` and counts evaluator accesses (``all_warm``
-    included) that overlap another one.  ``gated`` batches block inside
-    ``evaluate_many`` until :attr:`release` is set."""
+    ``evaluate_many`` and every served warm read, and counts
+    ``evaluate_many`` calls that overlap another (reads overlap batches
+    by design).  ``gated`` batches block inside ``evaluate_many`` until
+    :attr:`release` is set."""
+
+    key_of = staticmethod(BatchEvaluator.key_of)
 
     def __init__(self, inner, gated: bool = False):
         self.inner = inner
         self.threads: list[int] = []
-        self.overlaps = 0
+        self.batch_overlaps = 0
         self.entered = threading.Event()
         self.release = threading.Event()
         if not gated:
@@ -404,32 +430,30 @@ class _ThreadRecorder:
         self._active = 0
         self._lock = threading.Lock()
 
-    @contextlib.contextmanager
-    def _access(self):
-        with self._lock:
-            self._active += 1
-            self.overlaps += self._active > 1
-        try:
-            yield
-        finally:
-            with self._lock:
-                self._active -= 1
-
-    def all_warm(self, points):
-        with self._access():
-            return self.inner.all_warm(points)
+    def read_warm(self, keys, trace=None):
+        results = self.inner.read_warm(keys, trace)
+        if results is not None:
+            self.threads.append(threading.get_ident())
+        return results
 
     def evaluate_many(self, points):
-        with self._access():
+        with self._lock:
+            self._active += 1
+            self.batch_overlaps += self._active > 1
+        try:
             self.threads.append(threading.get_ident())
             self.entered.set()
             assert self.release.wait(30.0), "gate was never released"
             return self.inner.evaluate_many(points)
+        finally:
+            with self._lock:
+                self._active -= 1
 
 
 class TestInlineWarm:
-    """An all-warm request that finds the evaluator idle is served on the
-    submitting thread; everything else queues for the scheduler thread."""
+    """A request the caches hold whole is served on the submitting thread
+    by one atomic read, whether or not a batch runs; everything else
+    queues for the scheduler thread."""
 
     def test_all_warm_submit_is_served_on_the_submitting_thread(
         self, smoke_context, waits
@@ -456,9 +480,8 @@ class TestInlineWarm:
             assert (scheduler.ticks, scheduler.inline) == (2, 1)
             assert scheduler.requests == 2
         assert waits == [0.01]
-        assert evaluator.overlaps == 0
 
-    def test_submit_during_a_running_batch_queues_without_blocking(
+    def test_warm_submit_during_a_running_batch_is_served_at_once(
         self, smoke_context, waits
     ):
         points = _population(4, seed=153)
@@ -478,42 +501,53 @@ class TestInlineWarm:
             submitter.join(10.0)
             assert not submitter.is_alive(), "submit blocked on a running batch"
             (warm,) = submitted
-            assert not warm.done() and scheduler.queue_depth == 1
+            assert warm.done() and not cold.done()
+            assert warm.result() == reference[:2]
+            assert scheduler.queue_depth == 0
             evaluator.release.set()
             assert cold.result(30.0) == reference[2:]
-            assert warm.result(30.0) == reference[:2]
-            assert evaluator.threads == [scheduler._thread.ident] * 2
-            assert (scheduler.ticks, scheduler.inline) == (2, 0)
-        assert waits == [0.01], "the queued warm request waited no window"
-        assert evaluator.overlaps == 0
+            assert evaluator.threads == [scheduler._thread.ident, submitter.ident]
+            assert (scheduler.ticks, scheduler.inline) == (2, 1)
+        assert waits == [0.01], "only the cold request waited the window"
+        assert evaluator.batch_overlaps == 0
 
-    def test_a_running_inline_batch_holds_off_the_scheduler_thread(
-        self, smoke_context
-    ):
+    def test_a_cold_forward_holds_no_cache_lock(self, smoke_context):
+        """While a cold batch runs its HyperNet forward, the evaluator's
+        cache lock is free: result hits and genotype hits (with their GP
+        rows) are read, and the cold results land once it finishes."""
+        fast = smoke_context.fast_evaluator
         points = _population(4, seed=155)
-        reference = BatchEvaluator(smoke_context.fast_evaluator).evaluate_many(points)
-        inner = BatchEvaluator(smoke_context.fast_evaluator)
-        inner.evaluate_many(points[:2])
-        evaluator = _ThreadRecorder(inner, gated=True)
-        with MicroBatchScheduler(evaluator, tick_s=0.005) as scheduler:
-            submitted: list = []
-            submitter = threading.Thread(
-                target=lambda: submitted.append(scheduler.submit(points[:2])),
-                daemon=True,
-            )
-            submitter.start()
-            assert evaluator.entered.wait(30.0), "the inline batch never started"
-            # The scheduler thread wakes for this cold request; its warmth
-            # peek must wait for the inline batch to finish.
-            cold = scheduler.submit(points[2:])
-            time.sleep(0.05)
-            assert not cold.done()
-            evaluator.release.set()
-            submitter.join(30.0)
-            assert submitted[0].result() == reference[:2]
-            assert cold.result(30.0) == reference[2:]
-            assert scheduler.inline == 1
-        assert evaluator.overlaps == 0
+        rehomed = CoDesignPoint(
+            points[0].genotype, random_config(np.random.default_rng(9))
+        )
+        reference = BatchEvaluator(fast).evaluate_many(points + [rehomed])
+        evaluator = BatchEvaluator(fast)
+        evaluator.evaluate_many(points[:2])
+        entered, release = threading.Event(), threading.Event()
+        cold_inputs = evaluator._cold_inputs
+
+        def gated(genotypes):
+            entered.set()
+            assert release.wait(30.0), "gate was never released"
+            return cold_inputs(genotypes)
+
+        evaluator._cold_inputs = gated
+        cold: list = []
+        batch = threading.Thread(
+            target=lambda: cold.append(evaluator.evaluate_many(points[2:])),
+            daemon=True,
+        )
+        batch.start()
+        assert entered.wait(30.0), "the cold forward never started"
+        warm = [points[1], rehomed, points[0]]
+        keys = [BatchEvaluator.key_of(p) for p in warm]
+        assert evaluator.read_warm(keys) == [reference[1], reference[4], reference[0]]
+        assert evaluator.read_warm([points[3].tokens]) is None
+        release.set()
+        batch.join(30.0)
+        assert cold == [reference[2:4]]
+        assert evaluator.read_warm([points[3].tokens]) == [reference[3]]
+        assert evaluator.hits + evaluator.misses == 2 + 2 + 3 + 1
 
     @pytest.mark.parametrize("warm", [True, False], ids=["inline", "queued"])
     def test_faults_and_retries_act_on_inline_batches_too(
@@ -548,7 +582,9 @@ class TestInlineWarm:
             assert isinstance(error, InjectedFault)
             assert (scheduler.ticks, scheduler.errors) == (2, 1)
             assert scheduler.inline == (2 if warm else 0)
-        assert evaluator.threads == [submitter]
+        # Warm: the two served reads.  Queued: the retried batch; the
+        # failed one never reached the evaluator.
+        assert evaluator.threads == [submitter] * (2 if warm else 1)
 
     def test_close_drains_every_request_admitted_by_racing_submitters(
         self, smoke_context
@@ -605,7 +641,7 @@ class TestInlineWarm:
         ]
         assert scheduler.requests == len(admitted)
         assert scheduler.inline > 0
-        assert evaluator.overlaps == 0
+        assert evaluator.batch_overlaps == 0
         with pytest.raises(RuntimeError, match="closed"):
             scheduler.submit(warm_points)
 
@@ -615,9 +651,9 @@ class TestInlineWarm:
         class _ClosingEvaluator(_ThreadRecorder):
             scheduler = None
 
-            def evaluate_many(self, points):
-                self.scheduler.close()  # runs on the inline submitter
-                return super().evaluate_many(points)
+            def read_warm(self, keys, trace=None):
+                self.scheduler.close()  # runs on the reading submitter
+                return super().read_warm(keys, trace)
 
         points = _population(2, seed=163)
         inner = BatchEvaluator(smoke_context.fast_evaluator)
@@ -637,6 +673,138 @@ class TestInlineWarm:
         assert scheduler.inline == 1
         scheduler.close()  # the real closer joins the thread
         assert scheduler._thread is None
+
+
+# Three genotypes, each paired with two configurations: a request can hit
+# the result LRU, the genotype LRU alone, or neither.
+_MIX_GENOTYPES = [p.genotype for p in _population(3, seed=171)]
+_MIX_CONFIGS = [random_config(np.random.default_rng(173 + i)) for i in range(2)]
+_MIX = [CoDesignPoint(g, c) for g in _MIX_GENOTYPES for c in _MIX_CONFIGS]
+_MIX_ORACLE: dict[int, object] = {}
+_MIX_REQUESTS = st.lists(
+    st.lists(st.integers(0, len(_MIX) - 1), min_size=1, max_size=4),
+    min_size=1,
+    max_size=6,
+)
+
+
+class _YieldingLock:
+    """A cache lock that yields the GIL after every release, so that other
+    threads get to run between any two critical sections."""
+
+    def __init__(self):
+        self._lock = threading.Lock()
+
+    def __enter__(self):
+        self._lock.acquire()
+        return self
+
+    def __exit__(self, *exc_info):
+        self._lock.release()
+        time.sleep(0)
+
+
+class TestWarmReadInterleaving:
+    @given(
+        per_thread=st.lists(_MIX_REQUESTS, min_size=2, max_size=3),
+        reads=_MIX_REQUESTS,
+        warm=st.sets(st.integers(0, len(_MIX) - 1)),
+        cache_size=st.integers(1, 6),
+    )
+    # Three threads over a two-entry cache: every cold batch evicts what
+    # the other threads are reading.
+    @example(
+        per_thread=[[[0, 1], [2, 3], [0, 1], [4]], [[0, 1]] * 4, [[5, 0], [2], [1, 0]]],
+        reads=[[0], [1, 2]],
+        warm={0, 1},
+        cache_size=2,
+    )
+    @settings(deadline=None, max_examples=25)
+    def test_warm_reads_under_cold_batches_stay_exact(
+        self, smoke_context, per_thread, reads, warm, cache_size
+    ):
+        """Threads submit a drawn mix of warm and cold requests under a
+        10 µs switch interval, while one more thread reads a drawn cycle
+        of requests straight from the evaluator until they finish, so
+        warm reads interleave with the cold batches that insert and evict
+        entries.  Every result is ``==`` the per-point oracle, every
+        lookup counts once as a hit or a miss, and no LRU ever holds more
+        than ``cache_size`` entries.  The cache lock yields after each
+        release, which makes an interleaving between two critical
+        sections likely instead of rare."""
+        fast = smoke_context.fast_evaluator
+        for i in range(len(_MIX)):
+            if i not in _MIX_ORACLE:
+                _MIX_ORACLE[i] = fast.evaluate(_MIX[i])
+        evaluator = BatchEvaluator(fast, cache_size=cache_size)
+        evaluator._lock = _YieldingLock()
+        if warm:
+            evaluator.evaluate_many([_MIX[i] for i in sorted(warm)])
+        lookups = len(warm)
+        scheduler = MicroBatchScheduler(evaluator, tick_s=0.001)
+        outputs: list[list] = [[] for _ in per_thread]
+        oversized: list[int] = []
+        failures: list[BaseException] = []
+        gate = threading.Barrier(len(per_thread))
+
+        def submitter(j: int) -> None:
+            try:
+                gate.wait(30.0)
+                for request in per_thread[j]:
+                    future = scheduler.submit([_MIX[i] for i in request])
+                    outputs[j].append(future.result(60.0))
+                    with evaluator._lock:
+                        oversized.extend(
+                            n
+                            for n in (len(evaluator._lru), len(evaluator._geno_lru))
+                            if n > cache_size
+                        )
+            except BaseException as exc:  # pragma: no cover - the failure
+                failures.append(exc)
+
+        done = threading.Event()
+        served: list[tuple[list[int], list]] = []
+
+        def reader() -> None:
+            try:
+                for request in itertools.cycle(reads):
+                    if done.is_set():
+                        return
+                    results = evaluator.read_warm([_MIX[i].tokens for i in request])
+                    if results is not None:
+                        served.append((request, results))
+            except BaseException as exc:  # pragma: no cover - the failure
+                failures.append(exc)
+
+        threads = [
+            threading.Thread(target=submitter, args=(j,), daemon=True)
+            for j in range(len(per_thread))
+        ]
+        spinner = threading.Thread(target=reader, daemon=True)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            spinner.start()
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(120.0)
+        finally:
+            done.set()
+            spinner.join(30.0)
+            sys.setswitchinterval(interval)
+            scheduler.close()
+        assert failures == []
+        assert not any(t.is_alive() for t in [*threads, spinner])
+        for requests, results in zip(per_thread, outputs):
+            assert results == [[_MIX_ORACLE[i] for i in r] for r in requests]
+        for request, results in served:
+            assert results == [_MIX_ORACLE[i] for i in request]
+        lookups += sum(len(r) for requests in per_thread for r in requests)
+        lookups += sum(len(request) for request, _ in served)
+        assert evaluator.hits + evaluator.misses == lookups
+        assert oversized == []
+        assert len(evaluator._lru) <= cache_size
 
 
 def _wait_for(predicate, timeout: float = 30.0) -> None:

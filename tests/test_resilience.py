@@ -554,9 +554,6 @@ class _GatedEvaluator:
         self.entered = threading.Event()
         self.release = threading.Event()
 
-    def all_warm(self, points):
-        return self.inner.all_warm(points)
-
     def evaluate_many(self, points):
         self.entered.set()
         assert self.release.wait(60.0), "gate was never released"
@@ -750,9 +747,6 @@ class TestChaos:
         from repro.service import ServiceError
 
         class _Failing:
-            def all_warm(self, points):
-                return False
-
             def evaluate_many(self, points):
                 raise ValueError("injected evaluator failure")
 

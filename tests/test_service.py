@@ -36,8 +36,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.accel.config import random_config
-from repro.nas.encoding import CoDesignPoint, decode, encode
+from repro.nas.encoding import (
+    SEQUENCE_LENGTH,
+    CoDesignPoint,
+    decode,
+    encode,
+    random_sequence,
+)
 from repro.nas.space import DnnSpace
+from repro.obs import get_tracer
 from repro.search.evaluator import BatchEvaluator, Evaluation
 from repro.service import (
     ProtocolError,
@@ -171,9 +178,6 @@ class _FailingEvaluator:
     def __init__(self, inner):
         self.inner = inner
         self.fail = True
-
-    def all_warm(self, points):
-        return self.inner.all_warm(points)
 
     def evaluate_many(self, points):
         if self.fail:
@@ -599,8 +603,11 @@ class TestInlineWarm:
         threads: list[int] = []
 
         class _Recording:
-            def all_warm(self, points):
-                return inner.all_warm(points)
+            key_of = staticmethod(inner.key_of)
+
+            def read_warm(self, keys, trace=None):
+                threads.append(threading.get_ident())
+                return inner.read_warm(keys, trace)
 
             def evaluate_many(self, points):
                 threads.append(threading.get_ident())
@@ -650,6 +657,155 @@ class TestKeyOnce:
         assert len(calls) == len(fresh)
         assert set(calls) == {threading.current_thread().name}
         assert evaluator.misses == len(points)  # both requests were warm
+
+
+class _TokenEvaluator:
+    """Deterministic evaluator stub: each point's metrics are a fixed
+    function of its tokens, so golden bytes depend on no trained weights
+    and no host's BLAS.  It has the warm read, so repeats skip the queue."""
+
+    key_of = staticmethod(BatchEvaluator.key_of)
+
+    def __init__(self):
+        self.cache: dict = {}
+
+    def evaluate_many(self, points):
+        keys = [self.key_of(p) for p in points]
+        for key in keys:
+            self.cache[key] = Evaluation(
+                accuracy=sum(key[:40]) / 1000,
+                latency_ms=1 + key[40] / 3,
+                energy_mj=0.1 + key[43] / 7,
+            )
+        return [self.cache[key] for key in keys]
+
+    def read_warm(self, keys, trace=None):
+        if not all(key in self.cache for key in keys):
+            return None
+        return [self.cache[key] for key in keys]
+
+
+def _recording_proxy(upstream, lines: list, port: list) -> None:
+    """Relay one client connection to ``upstream`` a line at a time,
+    recording every request and response line as sent."""
+    with socket.create_server(("127.0.0.1", 0)) as server:
+        port.append(server.getsockname()[1])
+        conn, _ = server.accept()
+        with (
+            conn,
+            socket.create_connection(upstream) as up,
+            conn.makefile("rb") as down,
+            up.makefile("rb") as back,
+        ):
+            while line := down.readline():
+                lines.append(line)
+                up.sendall(line)
+                lines.append(back.readline())
+                conn.sendall(lines[-1])
+
+
+_GOLDEN_0 = "[0,1,0,1,0,0,5,4,3,3,0,0,4,0,0,1,5,2,1,1,0,1,4,3,2,0,2,3,2,0,1,2,0,4,3,4,3,3,2,1,1,1,3,1]"
+_GOLDEN_1 = "[1,0,4,5,2,0,2,1,3,3,2,1,0,1,0,0,4,2,5,1,0,1,3,1,1,2,2,2,1,1,2,5,1,4,1,0,1,1,3,1,1,4,4,2]"
+_EVAL_0 = '{"accuracy":0.071,"latency_ms":1.3333333333333333,"energy_mj":0.24285714285714285}'
+_EVAL_1 = '{"accuracy":0.07,"latency_ms":1.3333333333333333,"energy_mj":0.3857142857142857}'
+_POINT_0 = '{"tokens":' + _GOLDEN_0 + ',"name":"golden0"}'
+_POINT_1 = '{"tokens":' + _GOLDEN_1 + ',"name":"golden1"}'
+#: A cold request, a warm one and a warm ``evaluate``, as the wire
+#: carried them before the warm read keyed requests from their tokens.
+_GOLDEN_EXCHANGE = [
+    '{"v":1,"id":1,"op":"evaluate_many","points":[' + _POINT_0 + "," + _POINT_1 + "]}",
+    '{"v":1,"id":1,"ok":true,"evaluations":[' + _EVAL_0 + "," + _EVAL_1 + "]}",
+    '{"v":1,"id":2,"op":"evaluate_many","points":[' + _POINT_1 + "," + _POINT_0 + "]}",
+    '{"v":1,"id":2,"ok":true,"evaluations":[' + _EVAL_1 + "," + _EVAL_0 + "]}",
+    '{"v":1,"id":3,"op":"evaluate","point":' + _POINT_1 + "}",
+    '{"v":1,"id":3,"ok":true,"evaluation":' + _EVAL_1 + "}",
+]
+
+
+def _bad_points(kind: str, good: list[dict]) -> object:
+    """A request's ``points`` with one point malformed as ``kind``."""
+    points = [dict(p, tokens=list(p["tokens"])) for p in good]
+    bad = points[-1]
+    if kind in ("true", "false"):
+        bad["tokens"][0] = kind == "true"
+    elif kind == "43 tokens":
+        bad["tokens"].pop()
+    elif kind == "45 tokens":
+        bad["tokens"].append(0)
+    elif kind == "out of range":
+        bad["tokens"][SEQUENCE_LENGTH - 1] = 99
+    elif kind == "name":
+        bad["name"] = 7
+    elif kind == "points":
+        return {"0": points[0]}
+    return points
+
+
+class TestWireParity:
+    """The warm read keys a request from its wire tokens, yet every
+    request is rejected exactly as the decode rejects it, and the wire
+    bytes are those of the decode-first service."""
+
+    def test_golden_exchange_is_byte_exact(self):
+        assert not get_tracer().enabled
+        rng = np.random.default_rng(2024)
+        points = [decode(random_sequence(rng), name=f"golden{i}") for i in range(2)]
+        lines: list = []
+        port: list = []
+        with start_service(_TokenEvaluator()) as handle:
+            proxy = threading.Thread(
+                target=_recording_proxy, args=(handle.address, lines, port)
+            )
+            proxy.start()
+            _poll(lambda: bool(port))
+            with ServiceClient("127.0.0.1", port[0]) as client:
+                client.evaluate_many(points)
+                client.evaluate_many(points[::-1])
+                client.evaluate(points[1])
+            proxy.join(30.0)
+            inline = handle.service.scheduler.inline
+        assert lines == [(line + "\n").encode() for line in _GOLDEN_EXCHANGE]
+        assert inline == 2, "the repeats were served by the warm read"
+
+    @pytest.mark.parametrize(
+        "kind",
+        ["true", "false", "43 tokens", "45 tokens", "out of range", "name", "points"],
+    )
+    @pytest.mark.parametrize("warm", [True, False], ids=["warm", "cold"])
+    def test_malformed_points_are_rejected_as_the_decode_rejects_them(
+        self, smoke_context, kind, warm
+    ):
+        fast = smoke_context.fast_evaluator
+        good = [protocol.point_to_wire(p) for p in _population(3, seed=31)]
+        evaluator = BatchEvaluator(fast)
+        if warm:
+            # Every point warm, the malformed one included: its genotype
+            # and, where it still decodes, its whole key.
+            evaluator.evaluate_many(protocol.points_from_wire(good))
+        objs = _bad_points(kind, good)
+        with pytest.raises(ProtocolError) as decoded:
+            protocol.points_from_wire(objs)
+        frames = [
+            {"v": protocol.WIRE_VERSION, "id": 1, "op": "evaluate_many", "points": objs}
+        ]
+        if kind != "points":
+            frames.append(
+                {"v": protocol.WIRE_VERSION, "id": 2, "op": "evaluate", "point": objs[-1]}
+            )
+        with start_service(evaluator) as handle:
+            with (
+                socket.create_connection(handle.address, timeout=10.0) as sock,
+                sock.makefile("rb") as reader,
+            ):
+                for frame in frames:
+                    sock.sendall(protocol.encode_message(frame))
+                    response = protocol.decode_message(reader.readline())
+                    assert response == protocol.error_response(
+                        frame["id"], "protocol", str(decoded.value)
+                    )
+            stats = handle.service.stats()
+        assert stats["scheduler"]["requests"] == 0
+        assert stats["service"]["rejected"] == len(frames)
 
 
 class TestRemoteEvaluator:
