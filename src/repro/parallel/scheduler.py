@@ -68,6 +68,11 @@ _M_QUEUE_WAIT_S = _REGISTRY.histogram("scheduler.queue_wait_s")
 _M_BATCH_POINTS = _REGISTRY.histogram("scheduler.batch_points", COUNT_BUCKETS)
 
 
+def _tick_boundary() -> None:
+    """The ``scheduler.tick`` fault point (a no-op without a fault plan)."""
+    faults.hit("scheduler.tick")
+
+
 class _Request:
     __slots__ = ("points", "future", "trace", "enqueued")
 
@@ -88,13 +93,14 @@ class MicroBatchScheduler:
     ``evaluator`` is a :class:`~repro.search.evaluator.BatchEvaluator` in
     production.  Its contract is a list-in/list-out ``evaluate_many`` and,
     optionally, ``key_of(point)`` with the atomic warm read
-    ``read_warm(keys, trace) -> list | None``; an evaluator without them
-    has every request queued.  ``tick_s`` is the coalescing window the
-    scheduler thread waits after a request queues (:meth:`flush` and
-    ``tick_s == 0`` never wait).  A batch takes every request pending
-    when it is taken: a service admits at most its ``PointsBudget`` of
-    points, and the grouped HyperNet forward bounds its own memory by
-    chunking genotypes.
+    ``read_warm(keys, trace, before) -> list | None`` (``before`` is
+    called once the read is known to succeed, before it changes
+    anything); an evaluator without them has every request queued.
+    ``tick_s`` is the coalescing window the scheduler thread waits after
+    a request queues (:meth:`flush` and ``tick_s == 0`` never wait).  A
+    batch takes every request pending when it is taken: a service admits
+    at most its ``PointsBudget`` of points, and the grouped HyperNet
+    forward bounds its own memory by chunking genotypes.
 
     ``retry`` (optional :class:`~repro.resilience.policy.RetryPolicy`)
     re-runs a batch whose evaluator raised a *retryable* error (transient
@@ -167,7 +173,8 @@ class MicroBatchScheduler:
 
         With the scheduler thread running, a request that the evaluator's
         caches hold whole is served right here by :meth:`read`, and the
-        returned future is already done.
+        returned future is already done; any other request is queued by
+        :meth:`enqueue`.
         """
         points = list(points)
         keys = None
@@ -186,6 +193,17 @@ class MicroBatchScheduler:
             if results is not None:
                 future.set_result(results)
                 return future
+        return self.enqueue(points, trace)
+
+    def enqueue(
+        self,
+        points: Sequence["CoDesignPoint"],
+        trace: tuple[str, str | None] | None = None,
+    ) -> Future:
+        """Queue a request for the next batch without trying :meth:`read`
+        (for a caller whose read just missed); otherwise as :meth:`submit`.
+        """
+        points = list(points)
         request = _Request(points, trace)
         with self._cond:
             if self._closed:
@@ -206,17 +224,20 @@ class MicroBatchScheduler:
         """Serve one request from the evaluator's caches, on this thread.
 
         ``keys`` are the evaluator's cache keys of the request's points
-        (``key_of``; the service builds them from the wire tokens).
-        Returns one Evaluation per key when the evaluator's atomic warm
-        read holds them all.  Returns ``None``, having counted nothing,
-        when any key is cold, in synchronous mode, for an evaluator
-        without the read, or once the scheduler is closed; the caller
-        then queues the request with :meth:`submit`.
+        (``key_of``; the service builds them from the wire tokens with
+        ``key_of_tokens``).  Returns one Evaluation per key when the
+        evaluator's atomic warm read holds them all.  Returns ``None``,
+        having counted nothing, when any key is cold, in synchronous mode,
+        for an evaluator without the read, or once the scheduler is
+        closed; the caller then queues the request with :meth:`enqueue`.
 
         A served read counts as a request, an inline request and a tick.
         It passes the ``scheduler.tick`` fault point under the retry
-        policy, as a batch does, and raises the fault when it is not
-        retried.  When traced it records a ``scheduler.batch`` span over
+        policy, as a batch does: inside the read, once every key is known
+        to be warm and before the evaluator changes anything, so a fault
+        leaves the caches and counters as they were and a miss never
+        reaches the fault point.  A fault that is not retried is raised.
+        When traced it records a ``scheduler.batch`` span over
         the evaluator's span.  No scheduler lock is held while reading,
         so a running batch never delays it.  A read that began before
         :meth:`close` may finish after it; it never queues, so the drain
@@ -232,14 +253,14 @@ class MicroBatchScheduler:
             if parent is not None:
                 batch = (parent[0], new_span_id())
         t0 = time.perf_counter()
-        results = read_warm(keys, batch)
-        if results is None:
-            return None
         error = None
         try:
-            self._tick(lambda: results)
-        except Exception as exc:
+            results = self._retrying(read_warm, keys, batch, _tick_boundary)
+        except Exception as exc:  # raised at the tick, before any change
             error = exc
+        else:
+            if results is None:
+                return None
         n = len(keys)
         with self._cond:
             self.requests += 1
@@ -358,7 +379,7 @@ class MicroBatchScheduler:
         _M_BATCH_POINTS.observe(len(points))
         try:
             with span:
-                results = self._tick(lambda: self.evaluator.evaluate_many(points))
+                results = self._retrying(self._evaluate_batch, points)
         except BaseException as exc:  # propagate to every coalesced caller
             # A failed batch is still a tick the evaluator ran — the stats
             # must not under-report traffic (or hide errors) under faults.
@@ -380,21 +401,23 @@ class MicroBatchScheduler:
             request.future.set_result(results[offset : offset + len(request.points)])
             offset += len(request.points)
 
-    def _tick(self, call):
-        """``call()`` at a tick boundary, optionally under the retry policy.
+    def _evaluate_batch(self, points: list) -> list:
+        _tick_boundary()
+        return self.evaluator.evaluate_many(points)
 
-        ``faults.hit`` marks the boundary (a no-op without an installed
-        plan); with a policy, a retryable failure re-runs the boundary and
-        ``call`` — deterministic evaluation makes the re-run's results
-        identical, so coalesced callers cannot observe the retry.
+    def _retrying(self, call, *args):
+        """``call(*args)``, which passes the tick boundary, optionally
+        under the retry policy.
+
+        With a policy, a retryable failure re-runs ``call`` — deterministic
+        evaluation makes the re-run's results identical, so coalesced
+        callers cannot observe the retry.
         """
         if self.retry is None:
-            faults.hit("scheduler.tick")
-            return call()
+            return call(*args)
 
         def attempt(n: int):
-            faults.hit("scheduler.tick")
-            return call()
+            return call(*args)
 
         def note_retry(exc: BaseException, n: int, delay: float) -> None:
             with self._cond:

@@ -68,7 +68,7 @@ KNOWN_SITES = frozenset(
     {
         "wire.read",      # ServiceClient: before reading a response line
         "wire.write",     # ServiceClient: before writing a request line
-        "scheduler.tick", # MicroBatchScheduler: before evaluating a batch
+        "scheduler.tick", # MicroBatchScheduler: before a batch or a warm read
         "pool.worker",    # WorkerPool: per shard, on the worker thread
         "store.append",   # ResultStore: inside the guarded byte write
     }

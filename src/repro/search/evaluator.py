@@ -308,6 +308,24 @@ class BatchEvaluator:
             return (point.genotype.normal, point.genotype.reduce, point.config)
 
     @staticmethod
+    def key_of_tokens(tokens: object) -> tuple[int, ...] | None:
+        """The cache key of a point given only as its token list (a
+        service request's wire tokens), or ``None`` unless ``tokens`` is a
+        list of exactly :data:`SEQUENCE_LENGTH` ints.
+
+        The exact-``int`` check runs before any tuple is built or hashed,
+        because ``True`` hashes and compares like ``1``.  Token ranges are
+        not checked: a key with an out-of-range token is in no cache, so
+        :meth:`read_warm` misses it."""
+        if (
+            not isinstance(tokens, list)
+            or len(tokens) != SEQUENCE_LENGTH
+            or not set(map(type, tokens)) <= {int}
+        ):
+            return None
+        return tuple(tokens)
+
+    @staticmethod
     def _geno_key_of(key: tuple) -> tuple:
         """The genotype-only part of a cache key (either key flavour)."""
         return key[:DNN_TOKENS] if len(key) != 3 else key[:2]
@@ -342,6 +360,7 @@ class BatchEvaluator:
         self,
         keys: Sequence[tuple],
         trace: tuple[str, str | None] | None = None,
+        before=None,
     ) -> list[Evaluation] | None:
         """Every key's result from the caches, or ``None``: one critical
         section of the cache lock.
@@ -352,21 +371,39 @@ class BatchEvaluator:
         the result LRU misses it, or a key's hardware tokens do not
         decode, it returns ``None`` and changes nothing; the caller then
         takes the :meth:`evaluate_many` path, which reports any error.
+        ``before``, if given, is called in the critical section once every
+        key is known to be served and before anything changes; when it
+        raises, the read changes nothing and the error propagates.
+
         On success the effects are exactly those :meth:`evaluate_many`
-        has on the same keys: LRU recency and inserts, ``hits``/
-        ``misses``, the registry counters and, when ``trace`` (a
-        ``(trace_id, parent_span_id)`` pair) or the thread's span is
-        traced, one ``evaluator.evaluate_many`` span.  Safe on any
-        thread, concurrently with :meth:`evaluate_many`.
+        has on the same keys, through the same :meth:`_lookup` and
+        :meth:`_touch`: LRU recency and inserts, ``hits``/``misses``, the
+        registry counters and, when ``trace`` (a ``(trace_id,
+        parent_span_id)`` pair) or the thread's span is traced, one
+        ``evaluator.evaluate_many`` span.  Safe on any thread,
+        concurrently with :meth:`evaluate_many`.
         """
         t0 = time.perf_counter()
+        store = self._store
         with self._lock:
-            found = self._read_locked(keys)
-        if found is None:
-            return None
-        results, misses = found
+            found, missing, inputs, cold = self._lookup(
+                keys, genotypes=store is None
+            )
+            if cold or (missing and store is not None):
+                return None  # the store is consulted before the genotype LRU
+            try:
+                scored = self._score(missing, inputs)
+            except ValueError:  # hardware tokens off the Table 1 lists
+                return None
+            if before is not None:
+                before()
+            self._touch(keys, found, missing, inputs)
+            for key, result in zip(missing, scored):
+                found[key] = result
+                self._lru_put(self._lru, key, result, self.cache_size)
+        results = [found[key] for key in keys]
         seconds = time.perf_counter() - t0
-        self._count(len(keys), misses, 0, seconds)
+        self._count(len(keys), len(missing), 0, seconds)
         tracer = get_tracer()
         if tracer.enabled:
             ctx = trace if trace is not None else current_context()
@@ -377,61 +414,71 @@ class BatchEvaluator:
                     ctx[1],
                     seconds,
                     points=len(keys),
-                    hits=len(keys) - misses,
-                    misses=misses,
+                    hits=len(keys) - len(missing),
+                    misses=len(missing),
                 )
         return results
 
-    def _read_locked(
-        self, keys: Sequence[tuple]
-    ) -> tuple[list[Evaluation], int] | None:
-        """:meth:`read_warm`'s critical section: ``(results, misses)``.
+    # ------------------------------------------------------------------
+    def _lookup(
+        self,
+        keys: Sequence[tuple],
+        results: bool = True,
+        genotypes: bool = True,
+    ) -> tuple[dict, list, dict, dict]:
+        """What the caches hold of ``keys``: ``(found, missing, inputs,
+        cold)``.  The caller holds the cache lock; nothing changes.
 
-        It makes the state changes of :meth:`_resolve` plus
-        :meth:`_miss_inputs` in the same order, so a read and an
-        :meth:`evaluate_many` of the same keys leave the same LRUs."""
+        ``found`` maps the result-LRU hits to their evaluations (none
+        unless ``results``) and ``missing`` lists every other key once,
+        in first-seen order.  With ``genotypes``, ``inputs`` maps the
+        genotype keys of ``missing`` that the genotype LRU holds to their
+        ``(accuracy, feature prefix)``, and ``cold`` maps every other
+        genotype key to its first missing key; the values are snapshots,
+        so a later eviction cannot take them from this batch."""
         lru, geno_lru = self._lru, self._geno_lru
         found: dict[tuple, Evaluation] = {}
-        fresh: dict[tuple, tuple[float, np.ndarray]] = {}
+        missing: dict[tuple, None] = {}
+        inputs: dict[tuple, tuple[float, np.ndarray]] = {}
+        cold: dict[tuple, tuple] = {}
         for key in keys:
-            if key in found or key in fresh:
+            if key in found or key in missing:
                 continue
-            value = lru.get(key)
+            value = lru.get(key) if results else None
             if value is not None:
                 found[key] = value
                 continue
-            if self._store is not None:
-                return None  # the store is consulted before the genotype LRU
-            inputs = geno_lru.get(self._geno_key_of(key))
-            if inputs is None:
-                return None
-            fresh[key] = inputs
-        scored: list[Evaluation] = []
-        if fresh:
-            try:
-                rows = [
-                    np.concatenate([prefix, config_features(self._config_of(key))])
-                    for key, (_, prefix) in fresh.items()
-                ]
-            except ValueError:
-                return None
-            scored = self._scored(
-                [accuracy for accuracy, _ in fresh.values()], np.stack(rows)
-            )
-        for key in keys:
-            if key not in fresh:
-                lru.move_to_end(key)
-        for geno_key in dict.fromkeys(map(self._geno_key_of, fresh)):
-            geno_lru.move_to_end(geno_key)
-        for key, result in zip(fresh, scored):
-            found[key] = result
-            self._lru_put(lru, key, result, self.cache_size)
-        misses = len(fresh)
-        self.hits += len(keys) - misses
-        self.misses += misses
-        return [found[key] for key in keys], misses
+            missing[key] = None
+            if genotypes:
+                geno_key = self._geno_key_of(key)
+                if geno_key in inputs or geno_key in cold:
+                    continue
+                value = geno_lru.get(geno_key)
+                if value is not None:
+                    inputs[geno_key] = value
+                else:
+                    cold[geno_key] = key
+        return found, list(missing), inputs, cold
 
-    # ------------------------------------------------------------------
+    def _touch(
+        self,
+        keys: Sequence[tuple],
+        found: dict,
+        missing: Sequence[tuple],
+        inputs: dict,
+    ) -> None:
+        """Apply a :meth:`_lookup` of ``keys`` under the cache lock: the
+        recency of its hits, and ``hits``/``misses``.  An intra-batch
+        duplicate of a miss is materialised once, so it counts as a hit."""
+        lru, geno_lru = self._lru, self._geno_lru
+        for key in keys:
+            if key in found:
+                lru.move_to_end(key)
+        for geno_key in inputs:
+            geno_lru.move_to_end(geno_key)
+        self.hits += len(keys) - len(missing)
+        self.misses += len(missing)
+
     @staticmethod
     def _lru_put(lru: OrderedDict, key, value, cap: int) -> None:
         lru[key] = value
@@ -452,21 +499,33 @@ class BatchEvaluator:
         if store_hits:
             _M_EVAL_STORE_HITS.inc(store_hits)
 
-    def _scored(
-        self, accuracies: Sequence[float], features: np.ndarray
+    def _score(
+        self, keys: Sequence[tuple], inputs: dict
     ) -> list[Evaluation]:
-        """Evaluations from accuracies and full feature rows: one batched
-        GP prediction per metric."""
+        """Evaluations of ``keys`` from their genotype inputs: full feature
+        rows, then one batched GP prediction per metric.  ``ValueError``
+        when a key's hardware tokens do not decode."""
+        if not keys:
+            return []
+        geno_keys = [self._geno_key_of(key) for key in keys]
+        rows = np.stack(
+            [
+                np.concatenate(
+                    [inputs[geno_key][1], config_features(self._config_of(key))]
+                )
+                for key, geno_key in zip(keys, geno_keys)
+            ]
+        )
         fast = self.fast
-        latencies = fast.latency_gp.predict_batch(features)
-        energies = fast.energy_gp.predict_batch(features)
+        latencies = fast.latency_gp.predict_batch(rows)
+        energies = fast.energy_gp.predict_batch(rows)
         return [
             Evaluation(
-                accuracy=accuracy,
+                accuracy=inputs[geno_key][0],
                 latency_ms=max(float(latency), 1e-6),
                 energy_mj=max(float(energy), 1e-6),
             )
-            for accuracy, latency, energy in zip(accuracies, latencies, energies)
+            for geno_key, latency, energy in zip(geno_keys, latencies, energies)
         ]
 
     def _materialise(
@@ -496,72 +555,43 @@ class BatchEvaluator:
         Returns a key -> Evaluation mapping covering the whole request, with
         the call's LRU misses and store hits; the LRU is a cache on top of
         it, so results survive even when the batch holds more unique
-        candidates than ``cache_size``.  The cache lock is held to classify
-        the keys and to insert results, never while computing.
+        candidates than ``cache_size``.  The cache lock is held to look the
+        keys up and to insert results, never while computing.  With a
+        store attached it is consulted after the result LRU and before
+        the genotype LRU.
         """
-        results: dict[tuple, Evaluation] = {}
-        missing: list[tuple] = []
-        lru = self._lru
+        store = self._store
         with self._lock:
-            for key in keys:
-                if key in lru:
-                    lru.move_to_end(key)
-                    results[key] = lru[key]
-                elif key not in results:
-                    results[key] = None  # type: ignore[assignment]  # placeholder
-                    missing.append(key)
-                # else: an intra-batch duplicate of a miss.  One
-                # materialisation serves it, which is a hit for accounting.
-            self.hits += len(keys) - len(missing)
-            self.misses += len(missing)
+            results, missing, inputs, cold = self._lookup(
+                keys, genotypes=store is None
+            )
+            self._touch(keys, results, missing, inputs)
         misses, store_hits = len(missing), 0
         if not missing:
             return results, misses, store_hits
-        store = self._store
         if store is not None:
-            # Tier 2: the durable store.  Only canonical 44-token keys are
-            # store-eligible (off-grid 3-tuple keys are process-local
-            # objects).  A hit is the repr-round-tripped original floats,
-            # so it is bit-exact (``==``) with the cold computation.
-            still_missing: list[tuple] = []
-            with get_tracer().span("store.lookup", keys=len(missing)) as span:
-                stored = [
-                    store.get(self._store_namespace, key)
-                    if len(key) == SEQUENCE_LENGTH
-                    else None
-                    for key in missing
-                ]
-                with self._lock:
-                    for key, values in zip(missing, stored):
-                        if values is not None and len(values) == 3:
-                            store_hits += 1
-                            result = Evaluation(
-                                accuracy=values[0],
-                                latency_ms=values[1],
-                                energy_mj=values[2],
-                            )
-                            results[key] = result
-                            self._lru_put(lru, key, result, self.cache_size)
-                        else:
-                            if len(key) == SEQUENCE_LENGTH:
-                                self.store_misses += 1
-                            still_missing.append(key)
-                    self.store_hits += store_hits
-                span.set(hits=store_hits)
-            missing = still_missing
+            missing, store_hits = self._store_lookup(missing, results)
             if not missing:
                 return results, misses, store_hits
-        points = [by_key[key] for key in missing]
-        geno_keys = [self._geno_key_of(key) for key in missing]
-        accuracies, features = self._miss_inputs(points, geno_keys)
+            with self._lock:
+                _, _, inputs, cold = self._lookup(missing, results=False)
+                self._touch((), {}, (), inputs)  # the genotype hits' recency
+        if cold:
+            # Every genotype neither LRU holds: one grouped HyperNet
+            # forward (or one sharded pool dispatch) for the batch.
+            fresh = self._cold_inputs([by_key[key].genotype for key in cold.values()])
+            with self._lock:
+                for geno_key, value in zip(cold, fresh):
+                    inputs[geno_key] = value
+                    self._lru_put(self._geno_lru, geno_key, value, self.cache_size)
         # The GP prediction always runs in the calling thread over the full
         # merged feature matrix, so sharded accuracy/feature computation
         # cannot perturb the latency/energy numbers.
-        scored = self._scored(accuracies, features)
+        scored = self._score(missing, inputs)
         with self._lock:
             for key, result in zip(missing, scored):
                 results[key] = result
-                self._lru_put(lru, key, result, self.cache_size)
+                self._lru_put(self._lru, key, result, self.cache_size)
         if store is not None:
             for key, result in zip(missing, scored):
                 if len(key) == SEQUENCE_LENGTH:
@@ -572,41 +602,44 @@ class BatchEvaluator:
                     )
         return results, misses, store_hits
 
-    def _miss_inputs(
-        self, points: Sequence[CoDesignPoint], geno_keys: Sequence[tuple]
-    ) -> tuple[list[float], np.ndarray]:
-        """Accuracies and stacked feature rows for the missing points.
+    def _store_lookup(
+        self, missing: list[tuple], results: dict[tuple, Evaluation]
+    ) -> tuple[list[tuple], int]:
+        """Tier 2: the durable store, for the result-LRU misses.
 
-        Genotype-LRU hits are snapshotted up front into a local map, which
-        pins this batch's values even when inserting the fresh ones evicts
-        them from a too-small LRU mid-batch.  The unique genotypes the LRU
-        misses are resolved together by :meth:`_cold_inputs`.
-        """
-        inputs: dict[tuple, tuple[float, np.ndarray]] = {}
-        cold: dict[tuple, Genotype] = {}
-        geno_lru = self._geno_lru
-        with self._lock:
-            for geno_key, point in zip(geno_keys, points):
-                if geno_key in inputs or geno_key in cold:
-                    continue
-                value = geno_lru.get(geno_key)
-                if value is not None:
-                    inputs[geno_key] = value
-                    geno_lru.move_to_end(geno_key)
-                else:
-                    cold[geno_key] = point.genotype
-        if cold:
-            fresh = self._cold_inputs(list(cold.values()))
+        Only canonical 44-token keys are store-eligible (off-grid 3-tuple
+        keys are process-local objects).  A hit is the repr-round-tripped
+        original floats, so it is bit-exact (``==``) with the cold
+        computation; it goes into ``results`` and the LRU.  Returns the
+        keys still missing and the number of store hits."""
+        store = self._store
+        still_missing: list[tuple] = []
+        store_hits = 0
+        with get_tracer().span("store.lookup", keys=len(missing)) as span:
+            stored = [
+                store.get(self._store_namespace, key)
+                if len(key) == SEQUENCE_LENGTH
+                else None
+                for key in missing
+            ]
             with self._lock:
-                for geno_key, value in zip(cold, fresh):
-                    inputs[geno_key] = value
-                    self._lru_put(geno_lru, geno_key, value, self.cache_size)
-        accuracies = [inputs[geno_key][0] for geno_key in geno_keys]
-        rows = [
-            np.concatenate([inputs[geno_key][1], config_features(point.config)])
-            for geno_key, point in zip(geno_keys, points)
-        ]
-        return accuracies, np.stack(rows)
+                for key, values in zip(missing, stored):
+                    if values is not None and len(values) == 3:
+                        store_hits += 1
+                        result = Evaluation(
+                            accuracy=values[0],
+                            latency_ms=values[1],
+                            energy_mj=values[2],
+                        )
+                        results[key] = result
+                        self._lru_put(self._lru, key, result, self.cache_size)
+                    else:
+                        if len(key) == SEQUENCE_LENGTH:
+                            self.store_misses += 1
+                        still_missing.append(key)
+                self.store_hits += store_hits
+            span.set(hits=store_hits)
+        return still_missing, store_hits
 
     def _cold_inputs(
         self, genotypes: list[Genotype]

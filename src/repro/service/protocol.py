@@ -46,8 +46,8 @@ from __future__ import annotations
 import json
 from typing import Sequence
 
-from ..nas.encoding import SEQUENCE_LENGTH, CoDesignPoint, decode
-from ..search.evaluator import Evaluation
+from ..nas.encoding import CoDesignPoint, decode
+from ..search.evaluator import BatchEvaluator, Evaluation
 
 __all__ = [
     "WIRE_VERSION",
@@ -74,6 +74,8 @@ WIRE_VERSION = 1
 #: point request is ~1.3 MB, so this leaves generous headroom while still
 #: bounding a malformed or hostile sender).
 MAX_LINE_BYTES = 16 * 1024 * 1024
+
+_key_of_tokens = BatchEvaluator.key_of_tokens
 
 
 class ProtocolError(ValueError):
@@ -201,30 +203,23 @@ def points_from_wire(objs: Sequence[object]) -> list[CoDesignPoint]:
 def wire_keys(objs: object) -> list[tuple[int, ...]] | None:
     """A request's cache keys, read from its wire points without decoding.
 
-    Each key is a point's token tuple.  It is returned only when every
-    point is well-formed on its face: an object whose ``name``, if
-    present, is a string, and whose ``tokens`` are a list of exactly
-    ``SEQUENCE_LENGTH`` JSON integers.  The exact-``int`` check runs
-    before any tuple is built or hashed, because ``True`` hashes and
-    compares like ``1``.  Otherwise this returns ``None``, and the caller
-    decodes with :func:`points_from_wire`, which raises the precise
-    error.  Token ranges are not checked here: a key with an out-of-range
-    token is in no cache, so the warm read misses it and the decode
-    rejects it.
+    Each key is :meth:`BatchEvaluator.key_of_tokens
+    <repro.search.evaluator.BatchEvaluator.key_of_tokens>` of a point's
+    ``tokens``.  The keys are returned only when every point is
+    well-formed on its face: an object whose ``name``, if present, is a
+    string, and whose tokens have a key.  Otherwise this returns
+    ``None``, and the caller decodes with :func:`points_from_wire`, which
+    raises the precise error.  A key with an out-of-range token is in no
+    cache, so the warm read misses it and the decode rejects it.
     """
     if not isinstance(objs, list):
         return None
     keys = []
     for obj in objs:
-        if not isinstance(obj, dict):
+        if not isinstance(obj, dict) or not isinstance(obj.get("name", ""), str):
             return None
-        tokens = obj.get("tokens")
-        if (
-            not isinstance(tokens, list)
-            or len(tokens) != SEQUENCE_LENGTH
-            or not set(map(type, tokens)) <= {int}
-            or not isinstance(obj.get("name", ""), str)
-        ):
+        key = _key_of_tokens(obj.get("tokens"))
+        if key is None:
             return None
-        keys.append(tuple(tokens))
+        keys.append(key)
     return keys

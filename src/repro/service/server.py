@@ -16,12 +16,13 @@ Execution model — three layers, each with one job:
   (:func:`~repro.service.protocol.wire_keys`) and tries the scheduler's
   atomic warm read first: a request the evaluator's caches hold whole is
   answered right there, with no point decoded, no thread hop and no
-  wait for a batch that may be running.  Only a miss decodes its points;
+  wait for a batch that may be running.  Only a miss decodes its points
+  and takes the budget;
 * the **points budget** (:class:`PointsBudget`) is the backpressure
-  valve: at most ``max_inflight_points`` points may sit between
-  "admitted" and "answered" at once, so a flood of clients degrades to
-  *queueing* (their requests wait in the budget's FIFO) instead of
-  ballooning the scheduler queue without bound;
+  valve: at most ``max_inflight_points`` points of missed requests may
+  sit between "admitted" and "answered" at once, so a flood of clients
+  degrades to *queueing* (their requests wait in the budget's FIFO)
+  instead of ballooning the scheduler queue without bound;
 * the **scheduler thread** coalesces every cold request pending at a
   tick into one ``evaluate_many`` call on the evaluator — N concurrent
   clients cost one grouped HyperNet forward / GP prediction / pool
@@ -111,19 +112,12 @@ class PointsBudget:
     def _fits(self, n: int) -> bool:
         return self._used == 0 or self._used + n <= self.limit
 
-    def try_acquire(self, n: int) -> bool:
-        """Admit ``n`` points at once when no request waits and they fit.
-
-        The fast path, with no Condition: ``False`` leaves the budget
-        untouched, and the caller waits its turn in :meth:`acquire`."""
-        if self._queue or not self._fits(n):
-            return False
-        self._used += n
-        self.peak = max(self.peak, self._used)
-        return True
-
     async def acquire(self, n: int) -> None:
-        if self.try_acquire(n):
+        if not self._queue and self._fits(n):
+            # Nobody waits, so admitting at once keeps FIFO order and
+            # needs no Condition.
+            self._used += n
+            self.peak = max(self.peak, self._used)
             return
         ticket = object()
         async with self._cond:
@@ -516,15 +510,15 @@ class SearchService:
         A malformed request fails exactly as the decode would fail it,
         whatever its other points: :func:`protocol.wire_keys` accepts only
         well-formed points, and a key with an out-of-range token misses
-        every cache, so such requests reach :func:`points_from_wire`."""
+        every cache, so such requests reach :func:`points_from_wire`.
+        The read takes no budget: it runs to completion on this loop and
+        holds no point across an await, so it is served even while the
+        budget is full and cold requests wait on it."""
         budget = self._budget
         assert budget is not None
         keys = None if self._closing else protocol.wire_keys(objs)
-        if keys and budget.try_acquire(len(keys)):
-            try:
-                results = self.scheduler.read(keys, trace)
-            finally:
-                await budget.release(len(keys))
+        if keys:
+            results = self.scheduler.read(keys, trace)
             if results is not None:
                 return results
         points = protocol.points_from_wire(objs)
@@ -535,13 +529,10 @@ class SearchService:
             if not points:
                 return []
             try:
-                future = self.scheduler.submit(points, trace=trace)
+                # The read above missed, so queue without reading again.
+                future = self.scheduler.enqueue(points, trace=trace)
             except RuntimeError as exc:  # "scheduler is closed"
                 raise ServiceClosedError(str(exc)) from exc
-            if future.done():
-                # Served by the read: wrapping a done future would still
-                # cost a call_soon_threadsafe wake-up.
-                return future.result()
             return await asyncio.wrap_future(future)
         finally:
             await budget.release(len(points))

@@ -605,9 +605,9 @@ class TestInlineWarm:
         class _Recording:
             key_of = staticmethod(inner.key_of)
 
-            def read_warm(self, keys, trace=None):
+            def read_warm(self, keys, trace=None, before=None):
                 threads.append(threading.get_ident())
-                return inner.read_warm(keys, trace)
+                return inner.read_warm(keys, trace, before)
 
             def evaluate_many(self, points):
                 threads.append(threading.get_ident())
@@ -621,6 +621,47 @@ class TestInlineWarm:
         scheduler = stats["scheduler"]
         assert (scheduler["inline"], scheduler["ticks"]) == (1, 1)
         assert "inline" in render_stats(stats)
+
+    def test_a_warm_request_is_served_while_the_budget_is_full(
+        self, smoke_context
+    ):
+        """The warm read takes no budget: with the budget full of a running
+        cold batch and another cold request queued on it, a warm request
+        is answered at once, and the cold ones are served after."""
+        fast = smoke_context.fast_evaluator
+        warm, cold = _population(2, seed=31), _population(4, seed=33)
+        reference = BatchEvaluator(fast).evaluate_many(cold)
+        inner = BatchEvaluator(fast)
+        warm_reference = inner.evaluate_many(warm)
+        gated = _GatedEvaluator(inner)
+        gated.key_of, gated.read_warm = inner.key_of, inner.read_warm
+        results: dict = {}
+        with start_service(gated, tick_s=0.0, max_inflight_points=2) as handle:
+            host, port = handle.address
+
+            def client(name: str, points) -> None:
+                with ServiceClient(host, port) as c:
+                    results[name] = c.evaluate_many(points)
+
+            clients = [
+                threading.Thread(target=client, args=("running", cold[:2])),
+                threading.Thread(target=client, args=("queued", cold[2:])),
+            ]
+            clients[0].start()
+            assert gated.entered.wait(30.0), "the cold batch never started"
+            clients[1].start()
+            with ServiceClient(host, port) as c:
+                _poll(lambda: c.stats()["service"]["queued_requests"] == 1)
+                assert c.evaluate_many(warm) == warm_reference
+                stats = c.stats()
+            gated.release.set()
+            for t in clients:
+                t.join(60.0)
+        assert stats["service"]["inflight_points"] == 2
+        assert stats["service"]["queued_requests"] == 1
+        assert stats["scheduler"]["inline"] == 1
+        assert results == {"running": reference[:2], "queued": reference[2:]}
+        assert gated.calls == [2, 2]
 
 
 # ---------------------------------------------------------------------------
@@ -679,9 +720,11 @@ class _TokenEvaluator:
             )
         return [self.cache[key] for key in keys]
 
-    def read_warm(self, keys, trace=None):
+    def read_warm(self, keys, trace=None, before=None):
         if not all(key in self.cache for key in keys):
             return None
+        if before is not None:
+            before()
         return [self.cache[key] for key in keys]
 
 
