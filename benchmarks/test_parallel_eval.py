@@ -12,8 +12,8 @@ Three kinds of checks:
 * **Parity is always asserted** — every worker count must return results
   ``==`` (bit-identical) to the single-threaded engine.  Runner noise
   cannot fail this.
-* **Coalescing is always asserted** — eight concurrent submitters to a
-  held :class:`MicroBatchScheduler` drain in one tick.
+* **Coalescing is always asserted** — eight concurrent requests gathered
+  on one event loop by a :class:`MicroBatchScheduler` drain in one tick.
 * **The >= 2x speedup floor is asserted only when >= 4 CPUs are
   available** (the sharded work is CPU-bound numpy; on a core-starved
   host threads cannot beat in-process, so only the ratio is printed).
@@ -24,7 +24,7 @@ sharded, what stays in the parent, and when workers lose to in-process.
 
 from __future__ import annotations
 
-import threading
+import asyncio
 import time
 
 import numpy as np
@@ -84,24 +84,19 @@ def test_bench_parallel_sharded_speedup(demo_context):
         )
 
     # Scheduler coalescing on the warm single-threaded engine: 8
-    # concurrent submitters, one coalesced batch per tick.
+    # concurrent requests gathered on one loop, one coalesced batch.
     evaluator = create_evaluator(fast, workers=1)
     base = evaluator.evaluate_many(points)  # warm
-    scheduler = MicroBatchScheduler(evaluator, auto_start=False)
+    scheduler = MicroBatchScheduler(evaluator)
     chunks = [points[i::8] for i in range(8)]
-    futures: list = [None] * len(chunks)
 
-    def submit(i: int) -> None:
-        futures[i] = scheduler.submit(chunks[i])
+    async def gather() -> list:
+        results = await asyncio.gather(*map(scheduler.evaluate, chunks))
+        await scheduler.aclose()
+        return results
 
-    threads = [threading.Thread(target=submit, args=(i,)) for i in range(len(chunks))]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    scheduler.flush()
-    for i, chunk in enumerate(chunks):
-        assert futures[i].result() == base[i::8]
+    for i, results in enumerate(asyncio.run(gather())):
+        assert results == base[i::8]
     assert scheduler.requests == len(chunks)
     assert scheduler.points_in == POPULATION
     assert scheduler.ticks == 1 and scheduler.largest_batch == POPULATION

@@ -3,28 +3,30 @@
 Many searches share one evaluator in Step 2, so a cache hit can arrive
 while another search's cold batch runs its HyperNet forward.  This
 times, through a default :class:`MicroBatchScheduler` over one
-:class:`BatchEvaluator`:
+:class:`BatchEvaluator` on one event loop, serving each request as the
+service does (one warm read, else queued):
 
 * a warm 4-point request on an idle evaluator;
-* the same request submitted while a cold batch of 4 fresh points runs
-  (the scheduler has taken the batch and it has not finished);
+* the same request served while a cold batch of 4 fresh points runs
+  (the batch task has taken the request and its worker thread has not
+  finished);
 * the cold throughput of two closed-loop clients sending 4 fresh points
   per request.
 
 It prints the latencies and the throughput and writes no file.  It
 asserts parity (every warm answer is ``==`` its cached value) and that
 every warm request was answered before the cold batch it arrived
-during had finished: the warm read takes the evaluator's short cache
-lock, never the scheduler's dispatch lock, and a cold batch holds that
-cache lock only to look its keys up and to insert its results.
+during had finished: the warm read runs on the loop and takes the
+evaluator's short cache lock, and a cold batch on the worker thread
+holds that lock only to look its keys up and to insert its results.
 perfbench's ``serve_warm`` workload sends only warm requests, so it does
 not see this traffic.
 """
 
 from __future__ import annotations
 
+import asyncio
 import statistics
-import threading
 import time
 
 import numpy as np
@@ -54,47 +56,57 @@ def _ms(seconds: list[float]) -> str:
     return f"{text} (n={n})"
 
 
+async def _serve(scheduler: MicroBatchScheduler, points: list) -> list:
+    """The service's path for a request: one warm read, else queue it."""
+    results = scheduler.read([p.tokens for p in points])
+    if results is None:
+        results = await scheduler.evaluate(points)
+    return results
+
+
 def test_bench_warm_requests_under_a_cold_batch(demo_context):
     space = DnnSpace()
     rng = np.random.default_rng(41)
     evaluator = BatchEvaluator(demo_context.fast_evaluator)
     warm = _fresh(rng, space, POINTS)
     reference = evaluator.evaluate_many(warm)
+    scheduler = MicroBatchScheduler(evaluator)
+    idle, busy, cold_s = [], [], []
+    answered_during = 0
 
-    with MicroBatchScheduler(evaluator) as scheduler:
-        idle = []
+    async def client(mine: list) -> None:
+        for points in mine:
+            await _serve(scheduler, points)
+
+    async def body() -> float:
+        nonlocal answered_during
         for _ in range(IDLE_REQUESTS):
             t0 = time.perf_counter()
-            assert scheduler.submit(warm).result(30.0) == reference
+            assert await _serve(scheduler, warm) == reference
             idle.append(time.perf_counter() - t0)
 
-        busy, cold_s, answered_during = [], [], 0
         for _ in range(ROUNDS):
             t_cold = time.perf_counter()
-            cold = scheduler.submit(_fresh(rng, space, POINTS))
-            # The batch runs once the scheduler thread has taken it.
+            cold = asyncio.ensure_future(_serve(scheduler, _fresh(rng, space, POINTS)))
+            # The batch runs once the batch task has taken the request.
+            await asyncio.sleep(0)
             while scheduler.queue_depth:
-                time.sleep(0.0005)
+                await asyncio.sleep(0.0005)
             t0 = time.perf_counter()
-            assert scheduler.submit(warm).result(30.0) == reference
+            assert await _serve(scheduler, warm) == reference
             busy.append(time.perf_counter() - t0)
             answered_during += not cold.done()
-            cold.result(120.0)
+            await cold
             cold_s.append(time.perf_counter() - t_cold)
 
         requests = [[_fresh(rng, space, POINTS) for _ in range(3)] for _ in range(2)]
-
-        def client(mine: list) -> None:
-            for points in mine:
-                scheduler.submit(points).result(120.0)
-
-        clients = [threading.Thread(target=client, args=(mine,)) for mine in requests]
         t0 = time.perf_counter()
-        for t in clients:
-            t.start()
-        for t in clients:
-            t.join()
+        await asyncio.gather(*map(client, requests))
         throughput_s = time.perf_counter() - t0
+        await scheduler.aclose()
+        return throughput_s
+
+    throughput_s = asyncio.run(body())
 
     print(f"\nwarm {POINTS}-point request, idle evaluator: {_ms(idle)}")
     print(f"warm {POINTS}-point request during a cold batch: {_ms(busy)}")

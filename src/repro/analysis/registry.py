@@ -197,15 +197,10 @@ BLOCKING_DOTTED_PREFIXES: tuple[str, ...] = ("subprocess.",)
 BLOCKING_ATTRS = frozenset({"result", "recv", "recv_into", "accept", "sleep_before_retry"})
 
 #: Canonical acquisition order for known lock pairs, per class: the
-#: first-named lock must be taken outside the second.  The scheduler's
-#: dispatch lock serialises batch execution and its condition guards
-#: queue state; every path nests ``_cond`` inside ``_dispatch``
-#: (``_drain`` / ``_loop`` → ``_take_batch`` / ``_run_batch``), so a new
-#: path nesting the other way is a lock-inversion deadlock waiting for
-#: traffic.
-LOCK_ORDER: tuple[tuple[str, str, str], ...] = (
-    ("MicroBatchScheduler", "_dispatch", "_cond"),
-)
+#: first-named lock must be taken outside the second, so a path nesting
+#: them the other way (a lock-inversion deadlock waiting for traffic) is
+#: a finding.  No class in the tree nests two locks today.
+LOCK_ORDER: tuple[tuple[str, str, str], ...] = ()
 
 
 # ---------------------------------------------------------------------------

@@ -11,9 +11,9 @@ then increments them with no name lookups.
 Design constraints (and why):
 
 * **Thread-safe.**  Metrics are updated from the asyncio loop, the
-  scheduler thread, search threads and pool-harvest code paths at once;
-  every mutation holds the metric's lock (a plain ``threading.Lock`` —
-  the critical sections are a handful of float ops).
+  scheduler's worker thread, search threads and pool-harvest code paths
+  at once; every mutation holds the metric's lock (a plain
+  ``threading.Lock`` — the critical sections are a handful of float ops).
 * **Bounded, fixed histogram buckets.**  Latency histograms use a fixed
   log-spaced boundary ladder (:data:`LATENCY_BUCKETS_S`, parsed from
   decimal literals so every process on every platform builds bit-equal

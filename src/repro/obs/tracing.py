@@ -20,9 +20,9 @@ Propagation model (why there are three mechanisms):
   in-thread call would.
 * **Across queues and the wire** — explicit ``(trace_id, parent_id)``
   pairs travel with the work: the NDJSON protocol carries an optional
-  ``trace`` field, and :meth:`MicroBatchScheduler.submit` accepts a
-  trace context alongside the points (the scheduler thread that runs the
-  batch is not the thread that submitted it).
+  ``trace`` field, and :meth:`MicroBatchScheduler.evaluate` accepts a
+  trace context alongside the points (one coalesced batch serves many
+  requests, and its worker thread is not the loop that queued them).
 
 Zero-cost-by-default: the tracer starts disabled, and a disabled tracer
 hands out one shared no-op span (:data:`NULL_SPAN`) — no allocation, no

@@ -17,8 +17,9 @@ single-threaded engine.
   genotype populations and flat hardware sweeps, with an
   order-preserving merge (``merge(shard(xs, k)) == xs`` for every k).
 * :mod:`repro.parallel.scheduler` — :class:`MicroBatchScheduler`:
-  coalesces concurrent ``evaluate`` requests from many search threads or
-  service clients into one sharded batch per tick.
+  on the service's event loop, serves warm requests from the caches and
+  coalesces concurrent cold requests into one sharded batch per tick,
+  run on one worker thread.
 * :mod:`repro.parallel.training` — :func:`train_accuracies` runs
   independent Step-3 ``train_accuracy`` jobs on threads over one
   :class:`~repro.search.evaluator.AccurateEvaluator`, bit-identical to
@@ -30,7 +31,7 @@ Every search strategy reaches this engine through the ``workers`` knob on
 docs/PERFORMANCE.md for the execution model and where the GIL caps the
 speedup.  :mod:`repro.service` exposes the whole stack as a long-lived
 TCP endpoint (``yoso serve``), with the scheduler coalescing concurrent
-network clients exactly as it coalesces in-process threads.
+network clients.
 :func:`create_evaluator` is a plain ``BatchEvaluator`` constructor, kept
 for the perfbench workloads.
 """

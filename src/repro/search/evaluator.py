@@ -65,6 +65,12 @@ _M_TRAIN_RUNS = _REGISTRY.counter("training.runs")
 _M_TRAIN_RUN_S = _REGISTRY.histogram("training.run_s")
 
 
+def _rate(hits: int, misses: int) -> float:
+    """``hits`` over all lookups (0 before any lookup)."""
+    total = hits + misses
+    return hits / total if total else 0.0
+
+
 @dataclass(frozen=True)
 class Evaluation:
     """Measured (or predicted) metrics of one co-design point."""
@@ -659,17 +665,29 @@ class BatchEvaluator:
         )
 
     # ------------------------------------------------------------------
+    def cache_counters(self) -> dict:
+        """``hits``, ``misses``, ``store_hits`` and ``store_misses`` read
+        in one critical section of the cache lock, with ``hit_rate`` and
+        ``store_hit_rate`` derived from them: a batch counting on another
+        thread never pairs a new count with an old one."""
+        with self._lock:
+            hits, misses = self.hits, self.misses
+            store_hits, store_misses = self.store_hits, self.store_misses
+        return dict(
+            hits=hits, misses=misses, hit_rate=_rate(hits, misses),
+            store_hits=store_hits, store_misses=store_misses,
+            store_hit_rate=_rate(store_hits, store_misses),
+        )
+
     @property
     def hit_rate(self) -> float:
         """Fraction of lookups served from the LRU (0 before any lookup)."""
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
+        return self.cache_counters()["hit_rate"]
 
     @property
     def store_hit_rate(self) -> float:
         """Fraction of store-eligible LRU misses the durable store served."""
-        total = self.store_hits + self.store_misses
-        return self.store_hits / total if total else 0.0
+        return self.cache_counters()["store_hit_rate"]
 
 
 class AccurateEvaluator:

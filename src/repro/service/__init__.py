@@ -1,9 +1,9 @@
 """Long-lived search-evaluation service over the parallel engine.
 
-The offline co-design loop already had everything a server needs — a
-thread-sharded evaluator and a micro-batching scheduler coalescing
-concurrent submitters into one sharded batch — but no long-lived
-endpoint.  This package is that endpoint:
+The offline co-design loop already had a thread-sharded evaluator; this
+package puts it behind a long-lived endpoint, with a micro-batching
+scheduler on the server's event loop that coalesces concurrent clients'
+cold requests into one sharded batch:
 
 * :mod:`repro.service.protocol` — the versioned NDJSON wire codec:
   co-design points travel as their canonical 44-token encoding,
@@ -11,7 +11,9 @@ endpoint.  This package is that endpoint:
   service's parity guarantee is ``==``, not a tolerance).
 * :mod:`repro.service.server` — :class:`SearchService`: an asyncio TCP
   server owning ONE persistent evaluator behind a
-  :class:`~repro.parallel.scheduler.MicroBatchScheduler`, with verbs
+  :class:`~repro.parallel.scheduler.MicroBatchScheduler` on its loop
+  (warm requests are read from the caches on the loop; cold batches run
+  on the scheduler's one worker thread), with verbs
   ``evaluate`` / ``evaluate_many`` / ``stats`` / ``health`` /
   ``shutdown``, a bounded in-flight points budget for backpressure
   (:class:`PointsBudget`), per-connection idle timeouts, and a graceful

@@ -23,10 +23,11 @@ Execution model — three layers, each with one job:
   sit between "admitted" and "answered" at once, so a flood of clients
   degrades to *queueing* (their requests wait in the budget's FIFO)
   instead of ballooning the scheduler queue without bound;
-* the **scheduler thread** coalesces every cold request pending at a
-  tick into one ``evaluate_many`` call on the evaluator — N concurrent
-  clients cost one grouped HyperNet forward / GP prediction / pool
-  dispatch per tick, not N.
+* the **scheduler**'s batch task, on the same loop, coalesces every
+  cold request pending at a tick into one ``evaluate_many`` call, which
+  runs on the scheduler's one worker thread while the loop keeps
+  serving — N concurrent clients cost one grouped HyperNet forward / GP
+  prediction / pool dispatch per tick, not N.
 
 Results are bit-identical to calling ``evaluate_many`` in-process: the
 wire codec round-trips points and evaluations exactly, and coalescing
@@ -36,9 +37,10 @@ stack).
 Graceful shutdown (the ``shutdown`` verb, ``SIGINT``/``SIGTERM`` under
 :meth:`SearchService.run`, or :meth:`ServiceHandle.shutdown`): new work
 is rejected, every admitted *and* budget-queued request is served to
-completion, the scheduler drains and joins, the store (if any) is synced,
-and only then does the listening socket go away — no request is dropped
-or double-run.  The evaluator and the store stay open for their owner.
+completion, the scheduler drains and joins its worker thread, the store
+(if any) is synced, and only then does the listening socket go away — no
+request is dropped or double-run.  The evaluator and the store stay open
+for their owner.
 """
 
 from __future__ import annotations
@@ -146,12 +148,12 @@ class SearchService:
     """One persistent evaluator behind a micro-batching TCP endpoint.
 
     ``evaluator`` is anything evaluator-shaped (list-in/list-out
-    ``evaluate_many``, plus ``key_of`` and the atomic warm read
-    ``read_warm`` for cache hits to skip the queue); the service wraps it
-    in its own :class:`~repro.parallel.scheduler.MicroBatchScheduler`
-    (``tick_s`` is the coalescing window, which only queued, cold
-    requests wait; a request the caches hold whole is served on the
-    event loop, even while a cold batch runs).  ``max_inflight_points`` is the
+    ``evaluate_many``, plus the atomic warm read ``read_warm`` for cache
+    hits to skip the queue); the service wraps it in its own
+    :class:`~repro.parallel.scheduler.MicroBatchScheduler` on its event
+    loop (``tick_s`` is the coalescing window, which only queued, cold
+    requests wait; a request the caches hold whole is served on the loop,
+    even while a cold batch runs).  ``max_inflight_points`` is the
     backpressure budget, and so also bounds one coalesced batch.  The
     caller keeps the evaluator's lifecycle (its worker threads).
 
@@ -274,12 +276,10 @@ class SearchService:
         # 2. Drain: every admitted and budget-queued request completes
         #    (new requests have been rejected since _closing flipped).
         await self._idle.wait()
-        # 3. Scheduler queue is now empty; close() joins its thread.  The
-        #    scheduler's close is idempotent and thread-safe, so a signal
-        #    arriving mid-drain cannot corrupt this path.
-        await asyncio.get_running_loop().run_in_executor(
-            None, self.scheduler.close
-        )
+        # 3. The scheduler queue is now empty; aclose() joins its worker
+        #    thread.  It is idempotent, so a signal arriving mid-drain
+        #    cannot corrupt this path.
+        await self.scheduler.aclose()
         # Flush the durable store as part of the drain: everything this
         # server computed is on disk before the process can exit.
         if self.store is not None and not self.store.closed:
@@ -314,14 +314,12 @@ class SearchService:
         if self._server is not None:
             with contextlib.suppress(Exception, asyncio.TimeoutError):
                 await asyncio.wait_for(self._server.wait_closed(), timeout=5.0)
-        # Join the scheduler thread so the process does not leak it; any
-        # in-flight tick finishes, but its connection tasks are gone, so
-        # no response escapes to a client.  The store is deliberately
-        # NOT synced — a hard kill leaves it to the owner, and the store's
-        # torn-tail recovery covers the on-disk state.
-        await asyncio.get_running_loop().run_in_executor(
-            None, self.scheduler.close
-        )
+        # Join the scheduler's worker thread so the process does not leak
+        # it; any in-flight batch finishes, but its connection tasks are
+        # gone, so no response escapes to a client.  The store is
+        # deliberately NOT synced — a hard kill leaves it to the owner,
+        # and the store's torn-tail recovery covers the on-disk state.
+        await self.scheduler.aclose()
         if self._stopped is not None:
             self._stopped.set()
 
@@ -528,12 +526,7 @@ class SearchService:
         try:
             if not points:
                 return []
-            try:
-                # The read above missed, so queue without reading again.
-                future = self.scheduler.enqueue(points, trace=trace)
-            except RuntimeError as exc:  # "scheduler is closed"
-                raise ServiceClosedError(str(exc)) from exc
-            return await asyncio.wrap_future(future)
+            return await self.scheduler.evaluate(points, trace)
         finally:
             await budget.release(len(points))
 
@@ -541,7 +534,7 @@ class SearchService:
     def health(self) -> dict:
         """A cheap liveness snapshot (the ``health`` verb's payload).
 
-        Reads a handful of counters — no evaluator, scheduler-lock or
+        Reads a handful of counters — no evaluator, scheduler or
         registry traffic — so it stays cheap under load and never queues
         behind the points budget.
         """
@@ -622,10 +615,16 @@ class SearchService:
     def _evaluator_stats(self) -> dict:
         ev = self.evaluator
         stats: dict = {"type": type(ev).__name__}
-        attrs = ("hits", "misses", "hit_rate", "cache_size", "workers")
-        if getattr(ev, "store", None) is not None:
-            attrs += ("store_hits", "store_misses", "store_hit_rate")
-        for attr in attrs:
+        cache_counters = getattr(ev, "cache_counters", None)
+        if cache_counters is not None:
+            # One locked snapshot: a batch on the scheduler's worker
+            # thread may be counting while this runs on the loop.
+            counters = cache_counters()
+            names = ("hits", "misses", "hit_rate")
+            if ev.store is not None:
+                names += ("store_hits", "store_misses", "store_hit_rate")
+            stats.update((name, counters[name]) for name in names)
+        for attr in ("cache_size", "workers"):
             value = getattr(ev, attr, None)
             if value is not None:
                 stats[attr] = value

@@ -41,7 +41,7 @@ Durability model:
   process — gets :class:`StoreLockedError` instead of interleaving
   appends.  One open :class:`ResultStore` instance is itself
   thread-safe (appends serialise on an internal lock), which is how the
-  service's scheduler thread and any in-process callers share it.
+  service's scheduler worker thread and any in-process callers share it.
   ``mode="r"`` opens a lock-free read-only snapshot.
 * **``sync()`` is the flush point.**  Appends reach the OS immediately;
   ``sync``/``close`` add an ``fsync``.  The service calls it on drain.

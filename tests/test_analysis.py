@@ -420,11 +420,14 @@ def test_lock_rule_fires_on_inconsistent_order():
     assert any("nested both ways" in f.message for f in fired)
 
 
-def test_lock_rule_enforces_registered_scheduler_order():
+def test_lock_rule_enforces_a_registered_order(monkeypatch):
+    monkeypatch.setattr(
+        "repro.analysis.rules.LOCK_ORDER", (("Dispatcher", "_dispatch", "_cond"),)
+    )
     fired = lint(
         """
         import threading
-        class MicroBatchScheduler:
+        class Dispatcher:
             def __init__(self):
                 self._dispatch = threading.Lock()
                 self._cond = threading.Condition()

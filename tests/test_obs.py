@@ -6,8 +6,8 @@ Three tiers:
   purity, merge semantics, the kill switch) and the tracer (null-span
   contract, parent nesting, ring bound, JSONL sink) on *fresh* instances,
   so nothing here depends on — or pollutes — the process-wide defaults;
-* subsystem probes: live scheduler queue depth in synchronous mode and
-  the store lookup span;
+* subsystem probes: live scheduler queue depth on an event loop and the
+  store lookup span;
 * service integration: the stats verb's registry snapshot stays monotone
   under 8 concurrent clients with histogram counts matching request
   counts, and a traced request round-trips one trace id from the client
@@ -19,6 +19,7 @@ integration tests assert on *deltas* between snapshots, never absolutes.
 
 from __future__ import annotations
 
+import asyncio
 import json
 import os
 import subprocess
@@ -383,21 +384,25 @@ class _EchoEvaluator:
 
 
 class TestSchedulerDepth:
-    def test_queue_depth_and_queued_points_in_sync_mode(self):
-        scheduler = MicroBatchScheduler(_EchoEvaluator(), auto_start=False)
-        assert scheduler.queue_depth == 0
-        assert scheduler.queued_points == 0
-        f1 = scheduler.submit([1, 2, 3])
-        f2 = scheduler.submit([4, 5])
-        assert scheduler.queue_depth == 2
-        assert scheduler.queued_points == 5
-        served = scheduler.flush()
-        assert served == 2
-        assert scheduler.queue_depth == 0
-        assert scheduler.queued_points == 0
-        assert f1.result(1.0) == [None, None, None]
-        assert f2.result(1.0) == [None, None]
-        scheduler.close()
+    def test_queue_depth_and_queued_points(self):
+        scheduler = MicroBatchScheduler(_EchoEvaluator())
+
+        async def body() -> None:
+            assert scheduler.queue_depth == 0
+            assert scheduler.queued_points == 0
+            f1 = asyncio.ensure_future(scheduler.evaluate([1, 2, 3]))
+            f2 = asyncio.ensure_future(scheduler.evaluate([4, 5]))
+            await asyncio.sleep(0)
+            assert scheduler.queue_depth == 2
+            assert scheduler.queued_points == 5
+            assert await f1 == [None, None, None]
+            assert await f2 == [None, None]
+            assert scheduler.queue_depth == 0
+            assert scheduler.queued_points == 0
+            await scheduler.aclose()
+
+        asyncio.run(body())
+        assert scheduler.ticks == 1
 
 
 class TestStoreLookupSpan:

@@ -9,10 +9,10 @@ Covers the four guarantees the subsystem makes:
   every shard has been harvested, and the pool stays usable.
 * **In-process fallback** — ``workers <= 1`` never creates a pool, and
   fewer than two cold genotypes run inline.
-* **Micro-batch coalescing** — concurrent submitters are served from one
-  batched evaluator call per tick, and a request the caches hold whole is
-  served on its own thread by one atomic warm read, even while a cold
-  batch runs.
+* **Micro-batch coalescing** — requests gathered on one event loop are
+  served from one batched evaluator call per tick, and a request the
+  caches hold whole is served on the loop by one atomic warm read, even
+  while a cold batch runs on the scheduler's worker thread.
 
 CI runs this module both inside the tier-1 suite and as a dedicated
 job, so the threaded path is exercised on every push.
@@ -20,6 +20,7 @@ job, so the threaded path is exercised on every push.
 
 from __future__ import annotations
 
+import asyncio
 import itertools
 import sys
 import threading
@@ -202,68 +203,133 @@ class _CountingEvaluator:
         return self.inner.evaluate_many(points)
 
 
+async def _serve(scheduler: MicroBatchScheduler, points: list) -> list:
+    """The service's path for a request: one warm read, else queue it."""
+    results = scheduler.read([BatchEvaluator.key_of(p) for p in points])
+    if results is None:
+        results = await scheduler.evaluate(points)
+    return results
+
+
+async def _until(event: threading.Event) -> None:
+    """Yield to the loop until another thread sets ``event``."""
+    deadline = time.monotonic() + 30.0
+    while not event.is_set():
+        assert time.monotonic() < deadline, "the event was never set"
+        await asyncio.sleep(0.001)
+
+
 class TestMicroBatchScheduler:
-    def test_concurrent_submitters_coalesce_into_one_tick(self, smoke_context):
+    @pytest.mark.parametrize("tick_s", [0.0, 0.002])
+    def test_requests_gathered_on_the_loop_coalesce_into_one_tick(
+        self, smoke_context, tick_s
+    ):
         inner = _CountingEvaluator(BatchEvaluator(smoke_context.fast_evaluator))
-        scheduler = MicroBatchScheduler(inner, auto_start=False)
         points = _population(8, seed=59)
         reference = BatchEvaluator(smoke_context.fast_evaluator).evaluate_many(points)
         chunks = [points[:3], points[3:5], points[5:8]]
-        futures: list = [None] * len(chunks)
+        scheduler = MicroBatchScheduler(inner, tick_s=tick_s)
 
-        def submit(i: int) -> None:
-            futures[i] = scheduler.submit(chunks[i])
+        async def body() -> list:
+            results = await asyncio.gather(*map(scheduler.evaluate, chunks))
+            await scheduler.aclose()
+            return results
 
-        threads = [
-            threading.Thread(target=submit, args=(i,)) for i in range(len(chunks))
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        served = scheduler.flush()
-        assert served == 3
+        assert asyncio.run(body()) == [reference[:3], reference[3:5], reference[5:8]]
         assert scheduler.ticks == 1, "all pending requests coalesce into ONE batch"
         assert inner.calls == [8], "the evaluator saw one merged batch"
-        assert futures[0].result() == reference[:3]
-        assert futures[1].result() == reference[3:5]
-        assert futures[2].result() == reference[5:8]
+        assert (scheduler.requests, scheduler.points_in) == (3, 8)
 
-    def test_auto_mode_is_a_drop_in_evaluator(self, smoke_context):
-        evaluator = BatchEvaluator(smoke_context.fast_evaluator)
-        points = _population(6, seed=61)
-        reference = evaluator.evaluate_many(points)
-        with MicroBatchScheduler(evaluator, tick_s=0.005) as scheduler:
-            assert scheduler.evaluate_many(points) == reference
-            assert scheduler.evaluate(points[0]) == reference[0]
-            futures = [scheduler.submit([p]) for p in points]
-            assert [f.result()[0] for f in futures] == reference
-        assert scheduler.ticks >= 1
-        assert scheduler.requests == 2 + len(points)
+    def test_a_request_queued_inside_the_window_joins_its_batch(
+        self, smoke_context, waits
+    ):
+        """A request that arrives while the batch task waits out its window
+        is taken with the request that started the window."""
+        inner = _CountingEvaluator(BatchEvaluator(smoke_context.fast_evaluator))
+        points = _population(3, seed=61)
+        reference = BatchEvaluator(smoke_context.fast_evaluator).evaluate_many(points)
+        scheduler = MicroBatchScheduler(inner, tick_s=0.2)
+
+        async def body() -> list:
+            first = asyncio.ensure_future(scheduler.evaluate(points[:1]))
+            while not waits:  # until the batch task has entered its window
+                await asyncio.sleep(0)
+            assert scheduler.queue_depth == 1
+            second = asyncio.ensure_future(scheduler.evaluate(points[1:]))
+            results = [await first, await second]
+            await scheduler.aclose()
+            return results
+
+        assert asyncio.run(body()) == [reference[:1], reference[1:]]
+        assert inner.calls == [3]
+        assert scheduler.ticks == 1
+
+    def test_requests_queued_during_a_batch_form_the_next_batch(self, smoke_context):
+        """Requests that arrive while a batch computes wait for it, then are
+        served together as ONE follow-up batch; batches never overlap."""
+        points = _population(6, seed=63)
+        reference = BatchEvaluator(smoke_context.fast_evaluator).evaluate_many(points)
+        recorder = _ThreadRecorder(
+            BatchEvaluator(smoke_context.fast_evaluator), gated=True
+        )
+        inner = _CountingEvaluator(recorder)  # no warm read: every request queues
+        scheduler = MicroBatchScheduler(inner, tick_s=0.0)
+
+        async def body() -> list:
+            first = asyncio.ensure_future(scheduler.evaluate(points[:2]))
+            await _until(recorder.entered)
+            later = [asyncio.ensure_future(scheduler.evaluate([p])) for p in points[2:]]
+            await asyncio.sleep(0.01)
+            assert scheduler.queue_depth == 4, "they wait for the running batch"
+            assert inner.calls == [2]
+            recorder.release.set()
+            results = [await first] + [await request for request in later]
+            await scheduler.aclose()
+            return results
+
+        assert asyncio.run(body()) == [reference[:2]] + [[r] for r in reference[2:]]
+        assert inner.calls == [2, 4], "the waiting requests coalesced"
+        assert scheduler.ticks == 2
+        assert recorder.batch_overlaps == 0
 
     def test_exception_propagates_to_every_coalesced_caller(self, smoke_context):
         inner = _CountingEvaluator(
             BatchEvaluator(smoke_context.fast_evaluator), fail=True
         )
-        scheduler = MicroBatchScheduler(inner, auto_start=False)
         points = _population(2, seed=71)
-        futures = [scheduler.submit([p]) for p in points]
-        scheduler.flush()
-        for future in futures:
-            assert isinstance(future.exception(), RuntimeError)
-        # The scheduler itself survives and keeps serving.
-        inner.fail = False
-        assert scheduler.evaluate_many(points) == BatchEvaluator(
-            smoke_context.fast_evaluator
-        ).evaluate_many(points)
+        reference = BatchEvaluator(smoke_context.fast_evaluator).evaluate_many(points)
+        scheduler = MicroBatchScheduler(inner)
 
-    def test_closed_scheduler_rejects_submissions(self, smoke_context):
-        scheduler = MicroBatchScheduler(
-            BatchEvaluator(smoke_context.fast_evaluator), auto_start=False
-        )
-        scheduler.close()
-        with pytest.raises(RuntimeError):
-            scheduler.submit(_population(1, seed=73))
+        async def body() -> tuple[list, list]:
+            failed = await asyncio.gather(
+                *(scheduler.evaluate([p]) for p in points), return_exceptions=True
+            )
+            # The scheduler itself survives and keeps serving.
+            inner.fail = False
+            served = await scheduler.evaluate(points)
+            await scheduler.aclose()
+            return failed, served
+
+        failed, served = asyncio.run(body())
+        assert [type(error) for error in failed] == [RuntimeError, RuntimeError]
+        assert served == reference
+        assert inner.calls == [2, 2]
+
+    def test_closed_scheduler_rejects_requests(self, smoke_context):
+        points = _population(1, seed=73)
+        evaluator = BatchEvaluator(smoke_context.fast_evaluator)
+        evaluator.evaluate_many(points)
+        scheduler = MicroBatchScheduler(evaluator)
+
+        async def body() -> None:
+            await scheduler.aclose()
+            await scheduler.aclose()  # idempotent
+            assert scheduler.read([points[0].tokens]) is None
+            with pytest.raises(RuntimeError, match="closed"):
+                await scheduler.evaluate(points)
+
+        asyncio.run(body())
+        assert scheduler.requests == 0
 
     def test_validation(self, smoke_context):
         evaluator = BatchEvaluator(smoke_context.fast_evaluator)
@@ -273,35 +339,20 @@ class TestMicroBatchScheduler:
 
 @pytest.fixture
 def waits(monkeypatch) -> list[float]:
-    """The scheduler thread's coalescing waits, in order (each still
-    sleeps, so the window keeps its meaning)."""
+    """The batch task's coalescing waits, in order (each still sleeps, so
+    the window keeps its meaning)."""
     recorded: list[float] = []
 
-    def sleep(seconds: float) -> None:
+    async def sleep(seconds: float) -> None:
         recorded.append(seconds)
-        time.sleep(seconds)
+        await asyncio.sleep(seconds)
 
     monkeypatch.setattr(
         scheduler_module,
-        "time",
-        SimpleNamespace(perf_counter=time.perf_counter, sleep=sleep),
+        "asyncio",
+        SimpleNamespace(**{**vars(asyncio), "sleep": sleep}),
     )
     return recorded
-
-
-class _NoReadEvaluator:
-    """Evaluator stub whose warm read must never be consulted."""
-
-    key_of = staticmethod(BatchEvaluator.key_of)
-
-    def __init__(self, inner):
-        self.inner = inner
-
-    def read_warm(self, keys, trace=None, before=None):
-        raise AssertionError("read_warm consulted")
-
-    def evaluate_many(self, points):
-        return self.inner.evaluate_many(points)
 
 
 class _EvaluateOnly:
@@ -317,7 +368,7 @@ class _EvaluateOnly:
 class TestWarmWindow:
     """The coalescing window is waited only when the HyperNet would run."""
 
-    def test_warm_batch_skips_the_window_cold_batch_waits(
+    def test_warm_read_skips_the_window_cold_request_waits(
         self, smoke_context, waits
     ):
         evaluator = BatchEvaluator(smoke_context.fast_evaluator)
@@ -332,12 +383,17 @@ class TestWarmWindow:
         reference = BatchEvaluator(smoke_context.fast_evaluator).evaluate_many(
             points + [rehomed]
         )
-        with MicroBatchScheduler(evaluator, tick_s=0.01) as scheduler:
-            assert scheduler.evaluate_many(warm) == reference[:3] + reference[4:]
-            assert waits == [], "an all-warm batch is dispatched with no window"
-            # One cold point among warm ones: the whole batch waits.
-            assert scheduler.evaluate_many(points) == reference[:4]
+        scheduler = MicroBatchScheduler(evaluator, tick_s=0.01)
+
+        async def body() -> None:
+            assert await _serve(scheduler, warm) == reference[:3] + reference[4:]
+            assert waits == [], "an all-warm request is served with no window"
+            # One cold point among warm ones: the whole request waits.
+            assert await _serve(scheduler, points) == reference[:4]
             assert waits == [0.01]
+            await scheduler.aclose()
+
+        asyncio.run(body())
 
     def test_a_missed_read_changes_nothing(self, smoke_context):
         fast = smoke_context.fast_evaluator
@@ -369,45 +425,42 @@ class TestWarmWindow:
         assert state(evaluator) == state(twin)
         assert evaluator.read_warm([]) == []
 
-    def test_malformed_point_fails_its_own_future(self, smoke_context, waits):
+    def test_malformed_point_fails_its_own_request(self, smoke_context, waits):
         evaluator = BatchEvaluator(smoke_context.fast_evaluator)
         points = _population(2, seed=101)
         reference = evaluator.evaluate_many(points)
         with pytest.raises(Exception) as direct:
             BatchEvaluator(smoke_context.fast_evaluator).evaluate_many([object()])
-        with MicroBatchScheduler(evaluator, tick_s=0.005) as scheduler:
-            error = scheduler.submit([object()]).exception(timeout=30.0)
-            assert type(error) is direct.type
-            assert str(error) == str(direct.value)
-            assert scheduler._thread.is_alive()
-            assert scheduler.evaluate_many(points) == reference
-        assert waits == [0.005], "the unkeyable request waited as cold work"
+        scheduler = MicroBatchScheduler(evaluator, tick_s=0.005)
 
-    def test_flush_and_zero_tick_never_peek(self, smoke_context, waits):
-        """Synchronous mode never reads (its callers drive every batch);
-        neither it nor a zero tick ever waits."""
-        inner = BatchEvaluator(smoke_context.fast_evaluator)
-        points = _population(2, seed=103)
-        reference = inner.evaluate_many(points)
-        synchronous = MicroBatchScheduler(
-            _NoReadEvaluator(inner), tick_s=0.01, auto_start=False
-        )
-        assert synchronous.evaluate_many(points) == reference
-        assert synchronous.ticks == 1
-        with MicroBatchScheduler(_EvaluateOnly(inner), tick_s=0.0) as eager:
-            assert eager.evaluate_many(points) == reference
-        assert waits == []
+        async def body() -> None:
+            with pytest.raises(Exception) as queued:
+                await scheduler.evaluate([object()])
+            assert queued.type is direct.type
+            assert str(queued.value) == str(direct.value)
+            assert await _serve(scheduler, points) == reference
+            await scheduler.aclose()
+
+        asyncio.run(body())
+        assert waits == [0.005], "the malformed request waited as cold work"
 
     def test_an_evaluate_only_evaluator_queues_every_request(
-        self, smoke_context
+        self, smoke_context, waits
     ):
+        """Without a warm read every request queues; a zero tick yields to
+        the loop once and waits nothing."""
         inner = BatchEvaluator(smoke_context.fast_evaluator)
         points = _population(2, seed=105)
         reference = inner.evaluate_many(points)
-        with MicroBatchScheduler(_EvaluateOnly(inner), tick_s=0.002) as scheduler:
-            assert scheduler.read([p.tokens for p in points]) is None
-            assert scheduler.evaluate_many(points) == reference
-            assert (scheduler.ticks, scheduler.inline) == (1, 0)
+        scheduler = MicroBatchScheduler(_EvaluateOnly(inner), tick_s=0.0)
+
+        async def body() -> None:
+            assert await _serve(scheduler, points) == reference
+            await scheduler.aclose()
+
+        asyncio.run(body())
+        assert (scheduler.ticks, scheduler.inline) == (1, 0)
+        assert waits == [0.0]
 
 
 class _ThreadRecorder:
@@ -416,8 +469,6 @@ class _ThreadRecorder:
     ``evaluate_many`` calls that overlap another (reads overlap batches
     by design).  ``gated`` batches block inside ``evaluate_many`` until
     :attr:`release` is set."""
-
-    key_of = staticmethod(BatchEvaluator.key_of)
 
     def __init__(self, inner, gated: bool = False):
         self.inner = inner
@@ -451,11 +502,11 @@ class _ThreadRecorder:
 
 
 class TestInlineWarm:
-    """A request the caches hold whole is served on the submitting thread
-    by one atomic read, whether or not a batch runs; everything else
-    queues for the scheduler thread."""
+    """A request the caches hold whole is served on the loop by one atomic
+    read, whether or not a batch runs; everything else queues for a batch
+    on the scheduler's worker thread."""
 
-    def test_all_warm_submit_is_served_on_the_submitting_thread(
+    def test_a_warm_read_is_served_on_the_loop_and_a_batch_on_the_worker(
         self, smoke_context, waits
     ):
         points = _population(4, seed=151)
@@ -464,24 +515,26 @@ class TestInlineWarm:
         inner.evaluate_many(points[:3])
         evaluator = _ThreadRecorder(inner)
         queue_waits = get_registry().histogram("scheduler.queue_wait_s")
-        with MicroBatchScheduler(evaluator, tick_s=0.01) as scheduler:
+        scheduler = MicroBatchScheduler(evaluator, tick_s=0.01)
+
+        async def body() -> None:
             waits_before = queue_waits.count
-            future = scheduler.submit(points[:3])
-            assert future.done(), "an inline request returns resolved"
-            assert future.result() == reference[:3]
-            assert evaluator.threads == [threading.get_ident()]
+            assert await _serve(scheduler, points[:3]) == reference[:3]
             assert (scheduler.ticks, scheduler.inline) == (1, 1)
-            assert scheduler.queue_depth == 0
             assert queue_waits.count == waits_before, "it never queued"
             # One cold point: the request queues, waits the window and is
-            # served by the scheduler thread.
-            assert scheduler.submit(points).result(30.0) == reference
-            assert evaluator.threads[1] == scheduler._thread.ident
+            # served on the worker thread.
+            assert await _serve(scheduler, points) == reference
             assert (scheduler.ticks, scheduler.inline) == (2, 1)
             assert scheduler.requests == 2
+            await scheduler.aclose()
+
+        asyncio.run(body())
+        loop_thread, worker = evaluator.threads
+        assert loop_thread == threading.get_ident() != worker
         assert waits == [0.01]
 
-    def test_warm_submit_during_a_running_batch_is_served_at_once(
+    def test_a_warm_read_during_a_running_batch_is_served_at_once(
         self, smoke_context, waits
     ):
         points = _population(4, seed=153)
@@ -489,25 +542,21 @@ class TestInlineWarm:
         inner = BatchEvaluator(smoke_context.fast_evaluator)
         inner.evaluate_many(points[:2])
         evaluator = _ThreadRecorder(inner, gated=True)
-        with MicroBatchScheduler(evaluator, tick_s=0.01) as scheduler:
-            cold = scheduler.submit(points[2:])
-            assert evaluator.entered.wait(30.0), "the cold batch never started"
-            submitted: list = []
-            submitter = threading.Thread(
-                target=lambda: submitted.append(scheduler.submit(points[:2])),
-                daemon=True,
-            )
-            submitter.start()
-            submitter.join(10.0)
-            assert not submitter.is_alive(), "submit blocked on a running batch"
-            (warm,) = submitted
-            assert warm.done() and not cold.done()
-            assert warm.result() == reference[:2]
+        scheduler = MicroBatchScheduler(evaluator, tick_s=0.01)
+
+        async def body() -> None:
+            cold = asyncio.ensure_future(_serve(scheduler, points[2:]))
+            await _until(evaluator.entered)
+            assert scheduler.read([p.tokens for p in points[:2]]) == reference[:2]
+            assert not cold.done()
             assert scheduler.queue_depth == 0
             evaluator.release.set()
-            assert cold.result(30.0) == reference[2:]
-            assert evaluator.threads == [scheduler._thread.ident, submitter.ident]
+            assert await cold == reference[2:]
             assert (scheduler.ticks, scheduler.inline) == (2, 1)
+            await scheduler.aclose()
+
+        asyncio.run(body())
+        assert evaluator.threads[1] == threading.get_ident(), "read on the loop"
         assert waits == [0.01], "only the cold request waited the window"
         assert evaluator.batch_overlaps == 0
 
@@ -563,13 +612,12 @@ class TestInlineWarm:
             inner.evaluate_many(points + failing)
         evaluator = _ThreadRecorder(inner)
         retry = RetryPolicy(max_attempts=3, base_delay_s=0.001, seed=7)
-        with MicroBatchScheduler(evaluator, tick_s=0.005, retry=retry) as scheduler:
-            submitter = threading.get_ident() if warm else scheduler._thread.ident
+        scheduler = MicroBatchScheduler(evaluator, tick_s=0.005, retry=retry)
+
+        async def body() -> None:
             plan = FaultPlan(seed=3).add("scheduler.tick", "error", count=1)
             with faults.installed(plan):
-                future = scheduler.submit(points)
-                assert future.done() is warm
-                assert future.result(30.0) == reference
+                assert await _serve(scheduler, points) == reference
             assert plan.injected == {"scheduler.tick": 1}
             assert (scheduler.retried_batches, scheduler.errors) == (1, 0)
             # Without a policy the fault fails the request, and the failed
@@ -578,101 +626,50 @@ class TestInlineWarm:
             with faults.installed(
                 FaultPlan(seed=3).add("scheduler.tick", "error", count=1)
             ):
-                error = scheduler.submit(failing).exception(30.0)
-            assert isinstance(error, InjectedFault)
+                with pytest.raises(InjectedFault):
+                    await _serve(scheduler, failing)
             assert (scheduler.ticks, scheduler.errors) == (2, 1)
             assert scheduler.inline == (2 if warm else 0)
-        # The retried request reached the evaluator once; the failed one
-        # never did.
-        assert evaluator.threads == [submitter]
+            await scheduler.aclose()
 
-    def test_close_drains_every_request_admitted_by_racing_submitters(
-        self, smoke_context
-    ):
+        asyncio.run(body())
+        # The retried request reached the evaluator once, on the loop when
+        # warm; the failed one never did.
+        (thread,) = evaluator.threads
+        assert (thread == threading.get_ident()) is warm
+
+    def test_aclose_drains_every_queued_request(self, smoke_context):
         warm_points = _population(3, seed=159)
         cold_points = _population(6, seed=161)
+        mix = warm_points + cold_points
         fast = smoke_context.fast_evaluator
-        reference = BatchEvaluator(fast).evaluate_many(warm_points + cold_points)
+        reference = BatchEvaluator(fast).evaluate_many(mix)
         inner = BatchEvaluator(fast)
         inner.evaluate_many(warm_points)
         evaluator = _ThreadRecorder(inner)
         scheduler = MicroBatchScheduler(evaluator, tick_s=0.002)
-        admitted: list = []
-        lock = threading.Lock()
-        started = threading.Barrier(4)
+        # Mostly warm requests, with a cold one now and then.
+        indices = [3 + i % 6 if i % 5 == 4 else i % 3 for i in range(40)]
 
-        def submitter(j: int) -> None:
-            started.wait(30.0)
-            for i in itertools.count():
-                # Mostly warm requests, with a cold one now and then to
-                # keep the scheduler thread busy too.
-                index = 3 + (j + i) % 6 if i % 5 == 4 else i % 3
-                try:
-                    future = scheduler.submit(
-                        [(warm_points + cold_points)[index]]
-                    )
-                except RuntimeError:
-                    return
-                with lock:
-                    admitted.append((index, future))
+        async def body() -> list:
+            requests = [
+                asyncio.ensure_future(_serve(scheduler, [mix[i]])) for i in indices
+            ]
+            await asyncio.sleep(0)  # every request has read or queued
+            assert scheduler.queue_depth == 8, "the cold requests queued"
+            await scheduler.aclose()
+            assert all(request.done() for request in requests), (
+                "aclose() returned with a queued request still pending"
+            )
+            with pytest.raises(RuntimeError, match="closed"):
+                await scheduler.evaluate(warm_points)
+            return [request.result() for request in requests]
 
-        threads = [
-            threading.Thread(target=submitter, args=(j,), daemon=True)
-            for j in range(3)
-        ]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            for t in threads:
-                t.start()
-            started.wait(30.0)
-            _wait_for(lambda: len(admitted) >= 40)
-            scheduler.close()
-            for t in threads:
-                t.join(30.0)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(t.is_alive() for t in threads)
-        assert all(future.done() for _, future in admitted), (
-            "close() returned with an admitted request still pending"
-        )
-        assert [future.result() for _, future in admitted] == [
-            [reference[index]] for index, _ in admitted
-        ]
-        assert scheduler.requests == len(admitted)
-        assert scheduler.inline > 0
+        assert asyncio.run(body()) == [[reference[i]] for i in indices]
+        assert scheduler.requests == len(indices)
+        assert scheduler.inline == len(indices) - 8
+        assert scheduler.ticks == scheduler.inline + 1
         assert evaluator.batch_overlaps == 0
-        with pytest.raises(RuntimeError, match="closed"):
-            scheduler.submit(warm_points)
-
-    def test_close_from_inside_an_inline_batch_does_not_deadlock(
-        self, smoke_context
-    ):
-        class _ClosingEvaluator(_ThreadRecorder):
-            scheduler = None
-
-            def read_warm(self, keys, trace=None, before=None):
-                self.scheduler.close()  # runs on the reading submitter
-                return super().read_warm(keys, trace, before)
-
-        points = _population(2, seed=163)
-        inner = BatchEvaluator(smoke_context.fast_evaluator)
-        reference = inner.evaluate_many(points)
-        evaluator = _ClosingEvaluator(inner)
-        scheduler = MicroBatchScheduler(evaluator, tick_s=0.005)
-        evaluator.scheduler = scheduler
-        submitted: list = []
-        submitter = threading.Thread(
-            target=lambda: submitted.append(scheduler.submit(points)),
-            daemon=True,
-        )
-        submitter.start()
-        submitter.join(20.0)
-        assert not submitter.is_alive(), "an inline close() deadlocked"
-        assert submitted[0].result() == reference
-        assert scheduler.inline == 1
-        scheduler.close()  # the real closer joins the thread
-        assert scheduler._thread is None
 
 
 # Three genotypes, each paired with two configurations: a request can hit
@@ -706,32 +703,33 @@ class _YieldingLock:
 
 class TestWarmReadInterleaving:
     @given(
-        per_thread=st.lists(_MIX_REQUESTS, min_size=2, max_size=3),
+        clients=st.lists(_MIX_REQUESTS, min_size=2, max_size=3),
         reads=_MIX_REQUESTS,
         warm=st.sets(st.integers(0, len(_MIX) - 1)),
         cache_size=st.integers(1, 6),
     )
-    # Three threads over a two-entry cache: every cold batch evicts what
-    # the other threads are reading.
+    # Three clients over a two-entry cache: every cold batch evicts what
+    # the other clients are reading.
     @example(
-        per_thread=[[[0, 1], [2, 3], [0, 1], [4]], [[0, 1]] * 4, [[5, 0], [2], [1, 0]]],
+        clients=[[[0, 1], [2, 3], [0, 1], [4]], [[0, 1]] * 4, [[5, 0], [2], [1, 0]]],
         reads=[[0], [1, 2]],
         warm={0, 1},
         cache_size=2,
     )
     @settings(deadline=None, max_examples=25)
     def test_warm_reads_under_cold_batches_stay_exact(
-        self, smoke_context, per_thread, reads, warm, cache_size
+        self, smoke_context, clients, reads, warm, cache_size
     ):
-        """Threads submit a drawn mix of warm and cold requests under a
-        10 µs switch interval, while one more thread reads a drawn cycle
+        """Clients on the loop send a drawn mix of warm and cold requests
+        under a 10 µs switch interval, while a thread reads a drawn cycle
         of requests straight from the evaluator until they finish, so
-        warm reads interleave with the cold batches that insert and evict
-        entries.  Every result is ``==`` the per-point oracle, every
-        lookup counts once as a hit or a miss, and no LRU ever holds more
-        than ``cache_size`` entries.  The cache lock yields after each
-        release, which makes an interleaving between two critical
-        sections likely instead of rare."""
+        warm reads on two threads interleave with the cold batches that
+        insert and evict entries on the worker thread.  Every result is
+        ``==`` the per-point oracle, every lookup counts once as a hit or
+        a miss, and no LRU ever holds more than ``cache_size`` entries.
+        The cache lock yields after each release, which makes an
+        interleaving between two critical sections likely instead of
+        rare."""
         fast = smoke_context.fast_evaluator
         for i in range(len(_MIX)):
             if i not in _MIX_ORACLE:
@@ -742,25 +740,23 @@ class TestWarmReadInterleaving:
             evaluator.evaluate_many([_MIX[i] for i in sorted(warm)])
         lookups = len(warm)
         scheduler = MicroBatchScheduler(evaluator, tick_s=0.001)
-        outputs: list[list] = [[] for _ in per_thread]
+        outputs: list[list] = [[] for _ in clients]
         oversized: list[int] = []
         failures: list[BaseException] = []
-        gate = threading.Barrier(len(per_thread))
 
-        def submitter(j: int) -> None:
-            try:
-                gate.wait(30.0)
-                for request in per_thread[j]:
-                    future = scheduler.submit([_MIX[i] for i in request])
-                    outputs[j].append(future.result(60.0))
-                    with evaluator._lock:
-                        oversized.extend(
-                            n
-                            for n in (len(evaluator._lru), len(evaluator._geno_lru))
-                            if n > cache_size
-                        )
-            except BaseException as exc:  # pragma: no cover - the failure
-                failures.append(exc)
+        async def client(j: int) -> None:
+            for request in clients[j]:
+                outputs[j].append(await _serve(scheduler, [_MIX[i] for i in request]))
+                with evaluator._lock:
+                    oversized.extend(
+                        n
+                        for n in (len(evaluator._lru), len(evaluator._geno_lru))
+                        if n > cache_size
+                    )
+
+        async def serve_clients() -> None:
+            await asyncio.gather(*map(client, range(len(clients))))
+            await scheduler.aclose()
 
         done = threading.Event()
         served: list[tuple[list[int], list]] = []
@@ -776,42 +772,27 @@ class TestWarmReadInterleaving:
             except BaseException as exc:  # pragma: no cover - the failure
                 failures.append(exc)
 
-        threads = [
-            threading.Thread(target=submitter, args=(j,), daemon=True)
-            for j in range(len(per_thread))
-        ]
         spinner = threading.Thread(target=reader, daemon=True)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
             spinner.start()
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(120.0)
+            asyncio.run(serve_clients())
         finally:
             done.set()
             spinner.join(30.0)
             sys.setswitchinterval(interval)
-            scheduler.close()
         assert failures == []
-        assert not any(t.is_alive() for t in [*threads, spinner])
-        for requests, results in zip(per_thread, outputs):
+        assert not spinner.is_alive()
+        for requests, results in zip(clients, outputs):
             assert results == [[_MIX_ORACLE[i] for i in r] for r in requests]
         for request, results in served:
             assert results == [_MIX_ORACLE[i] for i in request]
-        lookups += sum(len(r) for requests in per_thread for r in requests)
+        lookups += sum(len(r) for requests in clients for r in requests)
         lookups += sum(len(request) for request, _ in served)
         assert evaluator.hits + evaluator.misses == lookups
         assert oversized == []
         assert len(evaluator._lru) <= cache_size
-
-
-def _wait_for(predicate, timeout: float = 30.0) -> None:
-    deadline = time.monotonic() + timeout
-    while not predicate():
-        assert time.monotonic() < deadline, "condition never became true"
-        time.sleep(0.005)
 
 
 # ---------------------------------------------------------------------------
@@ -877,141 +858,158 @@ class _GateEvaluator:
 
 class TestSchedulerLifecycle:
     def test_concurrent_close_waits_for_drain(self, smoke_context):
-        """Regression: a second closer used to take close()'s idempotency
-        early-return while the first closer was still draining, so its
-        close() returned with requests still un-served."""
+        """Every closer returns only once the running batch has served
+        its request, a second one too."""
         inner = _GateEvaluator(BatchEvaluator(smoke_context.fast_evaluator))
-        scheduler = MicroBatchScheduler(inner, auto_start=False)
-        future = scheduler.submit(_population(2, seed=81))
-        first = threading.Thread(target=scheduler.close)
-        first.start()
-        assert inner.entered.wait(10.0), "first closer never began draining"
-        observed = {}
-
-        def second_close():
-            scheduler.close()
-            observed["drained"] = future.done()
-
-        second = threading.Thread(target=second_close)
-        second.start()
-        second.join(0.5)
-        assert second.is_alive(), (
-            "the second closer must block until the drain completes"
-        )
-        inner.release.set()
-        second.join(20.0)
-        first.join(20.0)
-        assert not first.is_alive() and not second.is_alive()
-        assert observed["drained"], (
-            "close() returning must mean the queue has been drained"
-        )
-        assert len(future.result()) == 2
-
-    def test_concurrent_close_storm_auto_mode(self, smoke_context):
-        """Eight simultaneous closers on a running scheduler: no
-        exceptions, every closer returns, the request is served."""
-        evaluator = BatchEvaluator(smoke_context.fast_evaluator)
-        scheduler = MicroBatchScheduler(evaluator, tick_s=0.001)
-        future = scheduler.submit(_population(2, seed=83))
-        errors: list = []
-
-        def close():
-            try:
-                scheduler.close()
-            except BaseException as exc:  # pragma: no cover - the bug
-                errors.append(exc)
-
-        threads = [threading.Thread(target=close) for _ in range(8)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(30.0)
-        assert not any(t.is_alive() for t in threads)
-        assert errors == []
-        assert future.done() and len(future.result()) == 2
-        scheduler.close()  # still idempotent afterwards
-
-    def test_reentrant_close_from_draining_thread(self, smoke_context):
-        """close() re-entered on the closing thread itself (a signal
-        handler firing mid-close) returns instead of deadlocking on its
-        own drain."""
-
-        class _ReentrantClose:
-            def __init__(self, inner):
-                self.inner = inner
-                self.scheduler = None
-
-            def evaluate_many(self, points):
-                self.scheduler.close()  # reentrant: we ARE the drain
-                return self.inner.evaluate_many(points)
-
-        inner = _ReentrantClose(BatchEvaluator(smoke_context.fast_evaluator))
-        scheduler = MicroBatchScheduler(inner, auto_start=False)
-        inner.scheduler = scheduler
-        future = scheduler.submit(_population(1, seed=87))
-        closer = threading.Thread(target=scheduler.close)
-        closer.start()
-        closer.join(20.0)
-        assert not closer.is_alive(), "reentrant close must not deadlock"
-        assert future.done()
-
-    def test_close_from_scheduler_thread_mid_batch(self, smoke_context):
-        """An evaluator closing the scheduler from inside a running batch
-        (auto mode: that call runs ON the scheduler thread) flags the
-        shutdown and returns — it must not deadlock itself or the real
-        closer joining the thread."""
-
-        class _ClosingEvaluator:
-            def __init__(self, inner):
-                self.inner = inner
-                self.scheduler = None
-
-            def evaluate_many(self, points):
-                self.scheduler.close()  # executes on the scheduler thread
-                return self.inner.evaluate_many(points)
-
-        inner = _ClosingEvaluator(BatchEvaluator(smoke_context.fast_evaluator))
         scheduler = MicroBatchScheduler(inner, tick_s=0.0)
-        inner.scheduler = scheduler
-        future = scheduler.submit(_population(1, seed=95))
-        closer = threading.Thread(target=scheduler.close)
-        closer.start()
-        closer.join(20.0)
-        assert not closer.is_alive(), "closer must not deadlock"
-        assert future.done() and len(future.result()) == 1
+
+        async def body() -> list[bool]:
+            request = asyncio.ensure_future(
+                scheduler.evaluate(_population(2, seed=81))
+            )
+            await _until(inner.entered)
+            drained: list[bool] = []
+
+            async def close() -> None:
+                await scheduler.aclose()
+                drained.append(request.done())
+
+            closers = [asyncio.ensure_future(close()) for _ in range(2)]
+            await asyncio.sleep(0.05)
+            assert drained == [], "a closer returned before the drain"
+            inner.release.set()
+            await asyncio.gather(*closers)
+            assert len(request.result()) == 2
+            return drained
+
+        assert asyncio.run(body()) == [True, True], (
+            "aclose() returning must mean the queue has been drained"
+        )
 
     def test_failed_batches_count_ticks_and_errors(self, smoke_context):
-        """Regression: _run_batch only bumped ticks/largest_batch on
-        success, so the stats under-reported traffic under evaluator
-        errors (and exposed no error count at all)."""
+        """Regression: a failed batch used to bump no tick or largest
+        batch, so the stats under-reported traffic under evaluator errors
+        (and exposed no error count at all)."""
         inner = _CountingEvaluator(
             BatchEvaluator(smoke_context.fast_evaluator), fail=True
         )
-        scheduler = MicroBatchScheduler(inner, auto_start=False)
         points = _population(3, seed=89)
-        future = scheduler.submit(points)
-        scheduler.flush()
-        assert isinstance(future.exception(), RuntimeError)
-        assert scheduler.ticks == 1, "a failed batch is still a tick"
-        assert scheduler.errors == 1
-        assert scheduler.largest_batch == 3
-        inner.fail = False
-        scheduler.evaluate_many(points)
+        scheduler = MicroBatchScheduler(inner)
+
+        async def body() -> None:
+            with pytest.raises(RuntimeError, match="boom"):
+                await scheduler.evaluate(points)
+            assert scheduler.ticks == 1, "a failed batch is still a tick"
+            assert scheduler.errors == 1
+            assert scheduler.largest_batch == 3
+            inner.fail = False
+            await scheduler.evaluate(points)
+            await scheduler.aclose()
+
+        asyncio.run(body())
         assert (scheduler.ticks, scheduler.errors) == (2, 1)
 
     def test_cancelled_queued_request_is_skipped(self, smoke_context):
-        """A future cancelled while queued is dropped at dispatch, so
-        ``set_result`` can never race a cancellation."""
+        """A request whose caller is cancelled while it is queued is
+        dropped from the batch."""
         inner = _CountingEvaluator(BatchEvaluator(smoke_context.fast_evaluator))
-        scheduler = MicroBatchScheduler(inner, auto_start=False)
-        keep = scheduler.submit(_population(2, seed=91))
-        dropped = scheduler.submit(_population(2, seed=93))
-        assert dropped.cancel()
-        scheduler.flush()
-        assert keep.done() and not keep.cancelled()
+        scheduler = MicroBatchScheduler(inner)
+
+        async def body() -> None:
+            keep = asyncio.ensure_future(scheduler.evaluate(_population(2, seed=91)))
+            dropped = asyncio.ensure_future(
+                scheduler.evaluate(_population(2, seed=93))
+            )
+            await asyncio.sleep(0)
+            assert scheduler.queue_depth == 2
+            dropped.cancel()
+            assert len(await keep) == 2
+            assert dropped.cancelled()
+            await scheduler.aclose()
+
+        asyncio.run(body())
         assert inner.calls == [2], (
             "a cancelled request's points must not be evaluated"
         )
+
+    def test_a_request_cancelled_mid_batch_leaves_its_neighbours_exact(
+        self, smoke_context
+    ):
+        """A caller cancelled while its batch computes gets nothing set; the
+        requests around it still get their own slices of the batch."""
+        points = _population(6, seed=97)
+        reference = BatchEvaluator(smoke_context.fast_evaluator).evaluate_many(points)
+        recorder = _ThreadRecorder(
+            BatchEvaluator(smoke_context.fast_evaluator), gated=True
+        )
+        inner = _CountingEvaluator(recorder)
+        scheduler = MicroBatchScheduler(inner, tick_s=0.0)
+        chunks = [points[:1], points[1:3], points[3:]]
+
+        async def body() -> list:
+            requests = [asyncio.ensure_future(scheduler.evaluate(c)) for c in chunks]
+            await _until(recorder.entered)
+            requests[1].cancel()
+            recorder.release.set()
+            results = [await requests[0], await requests[2]]
+            assert requests[1].cancelled()
+            # The batch task survived the cancelled caller.
+            results.append(await scheduler.evaluate(points[1:3]))
+            await scheduler.aclose()
+            return results
+
+        assert asyncio.run(body()) == [reference[:1], reference[3:], reference[1:3]]
+        assert inner.calls == [6, 2]
+        assert scheduler.errors == 0
+
+    def test_aclose_from_a_served_caller_drains_the_requests_behind_it(
+        self, smoke_context
+    ):
+        """A caller that closes the scheduler as soon as its own result
+        arrives, while later requests wait for the next batch, returns only
+        once those are served too."""
+        points = _population(4, seed=99)
+        reference = BatchEvaluator(smoke_context.fast_evaluator).evaluate_many(points)
+        recorder = _ThreadRecorder(
+            BatchEvaluator(smoke_context.fast_evaluator), gated=True
+        )
+        inner = _CountingEvaluator(recorder)
+        scheduler = MicroBatchScheduler(inner, tick_s=0.0)
+        later: list[asyncio.Future] = []
+
+        async def serve_then_close() -> tuple[list, list[bool]]:
+            results = await scheduler.evaluate(points[:2])
+            await scheduler.aclose()
+            return results, [request.done() for request in later]
+
+        async def body() -> list:
+            first = asyncio.ensure_future(serve_then_close())
+            await _until(recorder.entered)
+            later.extend(
+                asyncio.ensure_future(scheduler.evaluate([p])) for p in points[2:]
+            )
+            await asyncio.sleep(0)
+            recorder.release.set()
+            results, done = await first
+            assert done == [True, True], "aclose() returned before the drain"
+            return [results] + [request.result() for request in later]
+
+        assert asyncio.run(body()) == [reference[:2], reference[2:3], reference[3:]]
+        assert inner.calls == [2, 2]
+
+    def test_aclose_joins_the_worker_thread(self, smoke_context):
+        recorder = _ThreadRecorder(BatchEvaluator(smoke_context.fast_evaluator))
+        scheduler = MicroBatchScheduler(recorder, tick_s=0.0)
+
+        async def body() -> threading.Thread:
+            await scheduler.evaluate(_population(2, seed=101))
+            (ident,) = recorder.threads
+            (worker,) = [t for t in threading.enumerate() if t.ident == ident]
+            assert worker is not threading.current_thread()
+            await scheduler.aclose()
+            return worker
+
+        assert not asyncio.run(body()).is_alive()
 
 
 def _lifecycle_task(shard):

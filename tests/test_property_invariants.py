@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import asyncio
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -241,18 +243,26 @@ class TestEvaluateManyInvariants:
         result is ``==`` the per-point oracle ``_FAST.evaluate``, whether
         the parts are consecutive ``evaluate_many`` calls on a fresh
         evaluator (in process, or sharded over two threads) or requests
-        that a synchronous scheduler coalesces into one batch."""
+        gathered on one event loop that the scheduler coalesces into one
+        batch."""
         parts = _split(seeds, cuts)
         workers = 2 if engine == "threads" else 1
         with BatchEvaluator(_FAST, workers=workers) as evaluator:
             if engine == "scheduler":
-                scheduler = MicroBatchScheduler(evaluator, auto_start=False)
-                futures = [
-                    scheduler.submit([_point(s) for s in part]) for part in parts
-                ]
-                scheduler.flush()
+                scheduler = MicroBatchScheduler(evaluator)
+
+                async def coalesce() -> list:
+                    outputs = await asyncio.gather(
+                        *(
+                            scheduler.evaluate([_point(s) for s in part])
+                            for part in parts
+                        )
+                    )
+                    await scheduler.aclose()
+                    return outputs
+
+                outputs = asyncio.run(coalesce())
                 assert scheduler.ticks == 1, "all parts coalesce into one batch"
-                outputs = [future.result() for future in futures]
             else:
                 outputs = [
                     evaluator.evaluate_many([_point(s) for s in part])

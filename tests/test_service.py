@@ -591,7 +591,7 @@ class TestServicePartitionProperty:
 class TestInlineWarm:
     def test_warm_request_is_served_on_the_event_loop(self, smoke_context):
         """An all-warm request on an idle service is evaluated on the
-        event-loop thread itself (no hop to the scheduler thread), and its
+        event-loop thread itself (no hop to the scheduler's worker), and its
         response is ``==`` the scalar oracle."""
         from repro.obs import render_stats
 
@@ -662,6 +662,47 @@ class TestInlineWarm:
         assert stats["scheduler"]["inline"] == 1
         assert results == {"running": reference[:2], "queued": reference[2:]}
         assert gated.calls == [2, 2]
+
+
+class TestStatsSnapshot:
+    def test_evaluator_counters_are_one_consistent_snapshot(self, smoke_context):
+        """A batch counts its hits and misses under the cache lock, on the
+        scheduler's worker thread.  The stats verb and ``hit_rate`` read
+        them in one critical section of that lock, so they never pair a
+        new ``hits`` with an old ``misses``."""
+        from repro.service.server import SearchService
+
+        evaluator = BatchEvaluator(smoke_context.fast_evaluator)
+        points = _population(2, seed=35)
+        evaluator.evaluate_many(points)
+        evaluator.evaluate_many(points)  # 2 hits, 2 misses
+        service = SearchService(evaluator)
+        counting, release = threading.Event(), threading.Event()
+
+        def batch() -> None:  # a batch between its two counter writes
+            with evaluator._lock:
+                evaluator.hits += 4
+                counting.set()
+                assert release.wait(30.0), "gate was never released"
+                evaluator.misses += 4
+
+        read: list = []
+        writer = threading.Thread(target=batch)
+        reader = threading.Thread(
+            target=lambda: read.append(
+                (service.stats()["evaluator"], evaluator.hit_rate)
+            )
+        )
+        writer.start()
+        assert counting.wait(30.0)
+        reader.start()
+        reader.join(0.2)
+        release.set()
+        writer.join(30.0)
+        reader.join(30.0)
+        ((stats, hit_rate),) = read
+        assert (stats["hits"], stats["misses"]) in {(2, 2), (6, 6)}
+        assert stats["hit_rate"] == hit_rate == 0.5
 
 
 # ---------------------------------------------------------------------------
